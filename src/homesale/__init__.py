@@ -17,8 +17,7 @@ from .owt import OwtResult, SweepAxis, SweepSpec, optimal_waiting_time, sweep_ow
 from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff, expected_payoff)
 from .stochastic import (CirParams, DemandParams, OfferEvent, RatePath,
-                         cumulative_intensity, demand_intensity, sample_nhpp,
-                         simulate_cir, substream)
+                         demand_intensity, sample_nhpp, simulate_cir, substream)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,7 @@ __all__ = [
     "asymptotic_listed_payoff", "expected_utility",
     "OwtResult", "SweepAxis", "SweepSpec", "optimal_waiting_time", "sweep_owt",
     "CirParams", "RatePath", "DemandParams", "OfferEvent", "simulate_cir",
-    "demand_intensity", "cumulative_intensity", "sample_nhpp", "substream",
+    "demand_intensity", "sample_nhpp", "substream",
     "PathContext", "UniformOffers", "ExponentialWithdrawals",
     "conditional_payoff", "expected_payoff",
     "EvolutionConfig", "EvolutionLog", "run_evolution", "expected_price_curve",

@@ -192,7 +192,8 @@ def cmd_owt(cfg: ScenarioConfig, args) -> int:
     m = cfg.market_params()
     policy = cfg.seller_policy()
     R, L, gamma = policy.reservation, policy.list_price, policy.gamma
-    grid = _t_grid(args.t_max or cfg.t_max, args.t_steps)
+    t_max = cfg.t_max if args.t_max is None else args.t_max
+    grid = _t_grid(t_max, args.t_steps)
     rows = []
     for T in grid:
         if args.mode == "no-list":
@@ -206,7 +207,7 @@ def cmd_owt(cfg: ScenarioConfig, args) -> int:
         objective = lambda T: math.exp(-gamma * T) * thinned_payoff(T, m, R)
     else:
         objective = lambda T: expected_utility(T, m, R, L, gamma)
-    res = optimal_waiting_time(objective, t_max=args.t_max or cfg.t_max, tol=cfg.tol)
+    res = optimal_waiting_time(objective, t_max=t_max, tol=cfg.tol)
     flag = " boundary=1" if res.boundary else ""
     summary = f"t_star={_fmt(res.t_star)} utility={_fmt(res.utility_at_t_star)}{flag}"
     out = Path(cfg.out_dir) / "owt_curve.csv"
@@ -233,7 +234,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     spec = SweepSpec(_parse_axis(args.x), _parse_axis(args.y), cfg.market_params(),
                      policy.reservation, policy.list_price, policy.gamma,
                      t_max=cfg.t_max, tol=cfg.tol)
-    result = sweep_owt(spec, workers=args.workers)
+    result = sweep_owt(spec)
     rows = [(xv, yv, result.t_star[i, j])
             for i, yv in enumerate(result.y_values)
             for j, xv in enumerate(result.x_values)]
@@ -276,9 +277,9 @@ def _parse_times(text: str) -> np.ndarray:
 def cmd_expected_price(cfg: ScenarioConfig, args) -> int:
     """Mean realized sale price by posting time."""
     times = _parse_times(args.times)
-    points = market_sim.expected_price_curve(
-        cfg.evolution_config(), times, args.n_reps or cfg.price_replications,
-        cfg.seed, workers=args.workers)
+    n_reps = cfg.price_replications if args.n_reps is None else args.n_reps
+    points = market_sim.expected_price_curve(cfg.evolution_config(), times, n_reps,
+                                             cfg.seed)
     rows = [(p.time, p.t_star, p.mean_price, p.stderr, p.n_sales, p.no_sale_fraction)
             for p in points]
     out = Path(cfg.out_dir) / "expected_price.csv"
@@ -302,8 +303,8 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
             withdrawals=path_payoff.ExponentialWithdrawals(cfg.sim_withdrawal_intensity),
             reservation=R, demand=cfg.demand_params())
 
-    grid = _t_grid(args.t_max or 2.0, args.t_steps)
-    n_paths = args.n_paths or cfg.path_replications
+    grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)
+    n_paths = cfg.path_replications if args.n_paths is None else args.n_paths
     rows = []
     for t in grid:
         if n_paths == 1:
@@ -314,7 +315,7 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
         else:
             mean, stderr = path_payoff.expected_payoff(
                 ctx_factory, cfg.cir_params(), t, n_paths, cfg.seed,
-                mode=args.mode, dt=cfg.dt, workers=args.workers)
+                mode=args.mode, dt=cfg.dt)
             rows.append((t, mean, stderr))
     out = Path(cfg.out_dir) / "payoff_path.csv"
     _write_csv(out, cfg, ["t", "payoff", "stderr"], rows)
@@ -325,7 +326,7 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
 def cmd_validate(cfg: ScenarioConfig, args) -> int:
     """Oracle-vs-analytic comparison matrix; exit 1 when a check fails."""
     report = oracle.validate_all(tolerance_sigmas=3.0,
-                                 n=args.n or cfg.mc_replications,
+                                 n=cfg.mc_replications if args.n is None else args.n,
                                  seed=cfg.seed, workers=args.workers)
     out = Path(cfg.out_dir) / "validation.csv"
     _write_csv(out, cfg, ["check_name", "analytic", "mc_mean", "mc_stderr",
@@ -333,6 +334,13 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
     print(report.format_table())
     print(f"-> {out}")
     return 0 if report.passed else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,8 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scenario file (key = value lines)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for replication-parallel steps")
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="worker threads for validate; other commands run "
+                            "serially and ignore it")
 
     p = sub.add_parser("owt", help="waiting-time payoff/utility curves")
     common(p)

@@ -16,14 +16,14 @@ schedules work.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closed_form import MarketParams, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
-from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
+from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
+                          list_schedule)
 from .stochastic import (RATE_FLOOR, CirParams, DemandParams, OfferEvent,
                          RatePath, demand_intensity, sample_nhpp, simulate_cir,
                          substream)
@@ -48,10 +48,6 @@ __all__ = [
     "run_evolution",
     "expected_price_curve",
 ]
-
-EVENT_KINDS = ("OccupationStart", "CrisisShock", "ProfitOpportunity", "PostForSale",
-               "OfferReceived", "OfferWithdrawn", "Sale", "NoSale", "Reprice")
-
 
 @dataclass
 class OwnerState:
@@ -175,23 +171,6 @@ def time_to_posting(owner: OwnerState, path: RatePath, threshold: float,
     return PostingDecision(t, cause)
 
 
-def list_schedule(R: float, L0: float, zeta: float):
-    """Posted-price trajectory L(T) = R + (L0 - R) * exp(-zeta*T).
-
-    Starts at L0 and decays toward the reservation price; zeta == 0
-    keeps the list constant at L0.
-    """
-    if L0 < R:
-        raise ValueError("initial list must be at or above the reservation price")
-    if zeta < 0:
-        raise ValueError("zeta must be non-negative")
-
-    def schedule(T):
-        return R + (L0 - R) * np.exp(-zeta * np.asarray(T, dtype=float))
-
-    return schedule
-
-
 @dataclass(frozen=True)
 class MarketSnapshot:
     """Market state frozen at the posting instant."""
@@ -257,7 +236,7 @@ def run_sale_attempt(owner_reservation: float, ctx: PathContext, t_star: float,
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
-    bound = ctx.demand.k1 / ctx.rate_floor + ctx.demand.k2 / owner_reservation
+    bound = ctx.demand.intensity(ctx.rate_floor, owner_reservation)
     arrivals = sample_nhpp(ctx.intensity, t_star, bound, rng)
     values = np.asarray(ctx.offers.sample(rng, arrivals.size), dtype=float)
     delays = np.asarray(ctx.withdrawals.sample(rng, arrivals.size), dtype=float)
@@ -424,9 +403,9 @@ def _fill_demand_trace(log: EvolutionLog, cfg: EvolutionConfig,
     lists = np.full(times.size, prospective_list)
     for start, end, R, L0 in spans:
         mask = (times >= start) & (times <= end)
-        lists[mask] = R + (L0 - R) * np.exp(-cfg.zeta * (times[mask] - start))
+        lists[mask] = list_schedule(R, L0, cfg.zeta)(times[mask] - start)
     log.demand_times = times
-    log.demand_values = cfg.demand.k1 / rates + cfg.demand.k2 / lists
+    log.demand_values = cfg.demand.intensity(rates, lists)
 
 
 @dataclass(frozen=True)
@@ -447,13 +426,13 @@ class PricePoint:
 
 
 def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
-                         path: RatePath = None, workers: int = 1) -> list[PricePoint]:
+                         path: RatePath = None) -> list[PricePoint]:
     """Mean sale price if the asset were posted at each query time.
 
     Each query runs n_reps independent sale attempts at the configured
     (reservation, list) pair on the same rate path -- no occupation or
-    shock machinery.  Replications use per-index substreams, so the
-    curve is reproducible regardless of worker count.
+    shock machinery.  Replication j of query i draws from its own
+    substream, so adding queries or replications never changes others.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -484,7 +463,4 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
         return PricePoint(t_post, t_star, mean, stderr, n_reps, n_sales,
                           1.0 - n_sales / n_reps)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_time, range(times.size)))
     return [one_time(qi) for qi in range(times.size)]

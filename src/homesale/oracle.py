@@ -25,7 +25,7 @@ from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff_changing_list,
                           conditional_payoff_changing_list_exact,
                           conditional_payoff_constant_list,
-                          conditional_payoff_no_list)
+                          conditional_payoff_no_list, list_schedule)
 from .stochastic import CirParams, DemandParams, RatePath, simulate_cir, substream
 
 __all__ = [
@@ -311,8 +311,7 @@ def table2_context(path: RatePath, constant_list: bool = False,
     if constant_list:
         schedule = lambda T: initial_list * np.ones_like(np.asarray(T, dtype=float))
     else:
-        spread = initial_list - reservation
-        schedule = lambda T: reservation + spread * np.exp(-zeta * np.asarray(T, dtype=float))
+        schedule = list_schedule(reservation, initial_list, zeta)
     return PathContext(path=path, list_schedule=schedule,
                        offers=UniformOffers(100.0, 200.0),
                        withdrawals=ExponentialWithdrawals(mu),

@@ -9,7 +9,6 @@ maximizer over parameter pairs drive the comparative-statics output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -215,24 +214,17 @@ def _solve_cell(spec: SweepSpec, xv: float, yv: float) -> tuple[float, bool]:
     return res.t_star, res.boundary
 
 
-def sweep_owt(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def sweep_owt(spec: SweepSpec) -> SweepResult:
     """Optimal waiting time over a 2-D parameter grid.
 
-    Cells are independent; with workers > 1 they are computed in a
-    thread pool and reassembled by index, so the output is identical
-    regardless of scheduling.  Invalid combinations become NaN cells.
+    Each cell is solved on its own, row by row along the y axis.
+    Invalid combinations become NaN cells.
     """
     xs = spec.axis_x.values
     ys = spec.axis_y.values
-    cells = [(i, j, xv, yv) for i, yv in enumerate(ys) for j, xv in enumerate(xs)]
     t_star = np.full((len(ys), len(xs)), math.nan)
     boundary = np.zeros((len(ys), len(xs)), dtype=bool)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _solve_cell(spec, c[2], c[3]), cells))
-    else:
-        results = [_solve_cell(spec, xv, yv) for _, _, xv, yv in cells]
-    for (i, j, _, _), (ts, bd) in zip(cells, results):
-        t_star[i, j] = ts
-        boundary[i, j] = bd
+    for i, yv in enumerate(ys):
+        for j, xv in enumerate(xs):
+            t_star[i, j], boundary[i, j] = _solve_cell(spec, xv, yv)
     return SweepResult(spec.axis_x.name, spec.axis_y.name, xs, ys, t_star, boundary)

@@ -25,7 +25,6 @@ discretization error on top of the quadrature error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,10 +36,10 @@ from .stochastic import (DEFAULT_DT, RATE_FLOOR, CirParams, DemandParams,
 
 __all__ = [
     "UniformOffers",
-    "GenericOffers",
     "ExponentialWithdrawals",
     "NoWithdrawals",
     "PathContext",
+    "list_schedule",
     "below_list_probability",
     "surviving_offer_tail",
     "crossing_survival",
@@ -73,11 +72,6 @@ class UniformOffers:
         return np.clip((np.asarray(x, dtype=float) - self.p_min)
                        / (self.p_max - self.p_min), 0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.p_min) & (x <= self.p_max)
-        return np.where(inside, 1.0 / (self.p_max - self.p_min), 0.0)
-
     def mean_above(self, cut):
         """E[value | value >= cut] for cut < p_max."""
         lo = np.maximum(np.asarray(cut, dtype=float), self.p_min)
@@ -85,28 +79,6 @@ class UniformOffers:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.p_min, self.p_max, size)
-
-
-@dataclass(frozen=True)
-class GenericOffers:
-    """Pluggable offer-value distribution given by its CDF and density."""
-
-    cdf_fn: Callable
-    pdf_fn: Callable
-    p_min: float
-    p_max: float
-    sampler: Callable = None
-
-    def cdf(self, x):
-        return np.asarray(self.cdf_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def pdf(self, x):
-        return np.asarray(self.pdf_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if self.sampler is None:
-            raise ValueError("this offer distribution has no sampler attached")
-        return self.sampler(rng, size)
 
 
 @dataclass(frozen=True)
@@ -149,7 +121,7 @@ class PathContext:
 
     path: RatePath
     list_schedule: Callable
-    offers: UniformOffers | GenericOffers
+    offers: UniformOffers
     withdrawals: ExponentialWithdrawals | NoWithdrawals
     reservation: float
     demand: DemandParams
@@ -166,8 +138,24 @@ class PathContext:
 
     def intensity(self, a):
         r = np.maximum(self.path.rate_at(a), self.rate_floor)
-        L = np.asarray(self.list_schedule(a), dtype=float)
-        return self.demand.k1 / r + self.demand.k2 / L
+        return self.demand.intensity(r, np.asarray(self.list_schedule(a), dtype=float))
+
+
+def list_schedule(R: float, L0: float, zeta: float):
+    """Posted-price trajectory L(T) = R + (L0 - R) * exp(-zeta*T).
+
+    Starts at L0 and decays toward the reservation price; zeta == 0
+    keeps the list constant at L0.
+    """
+    if L0 < R:
+        raise ValueError("initial list must be at or above the reservation price")
+    if zeta < 0:
+        raise ValueError("zeta must be non-negative")
+
+    def schedule(T):
+        return R + (L0 - R) * np.exp(-zeta * np.asarray(T, dtype=float))
+
+    return schedule
 
 
 def _a_grid(ctx: PathContext, t: float, n_nodes: int):
@@ -229,13 +217,18 @@ def crossing_survival(ctx: PathContext, t: float, n: int,
 
 def _best_standing_integral(t: float, L0: float, breaks: list[float],
                             big_lam: float, tail_fn: Callable,
-                            n_nodes: int) -> float:
+                            n_nodes: int, complement: bool = False) -> float:
     """Int_0^{L0} exp(-Lambda * tail(y)) dy with nodes pinned at the kinks.
 
     The tail is constant in y below the first break (the reservation
     price), so that panel is exact; remaining panels get a Simpson grid
-    each.
+    each.  complement integrates 1 - exp(-Lambda * tail(y)) instead,
+    through expm1 so that small tails keep their precision.
     """
+    if complement:
+        scalar_f, array_f = (lambda x: -math.expm1(x)), (lambda x: -np.expm1(x))
+    else:
+        scalar_f, array_f = math.exp, np.exp
     pts = sorted({0.0, *[min(max(b, 0.0), L0) for b in breaks], L0})
     total = 0.0
     first = True
@@ -243,16 +236,15 @@ def _best_standing_integral(t: float, L0: float, breaks: list[float],
         if hi - lo < 1e-12:
             continue
         if first:
-            total += (hi - lo) * math.exp(-big_lam * float(tail_fn(np.array([lo]))[0]))
+            total += (hi - lo) * scalar_f(-big_lam * float(tail_fn(np.array([lo]))[0]))
             first = False
             continue
         y, wy = simpson_nodes(lo, hi, n_nodes)
-        total += float(wy @ np.exp(-big_lam * tail_fn(y)))
+        total += float(wy @ array_f(-big_lam * tail_fn(y)))
     return total
 
 
-def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray,
-                     n_nodes: int) -> np.ndarray:
+def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray) -> np.ndarray:
     """E[offer | offer >= L(a)] per arrival node.
 
     A list strictly above the offer support admits no crossing at all,
@@ -268,16 +260,7 @@ def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray,
     at_top = ~beyond & (F_L >= _SATURATED)
     out[at_top] = p_max
     live = ~beyond & ~at_top
-    if not np.any(live):
-        return out
-    if hasattr(ctx.offers, "mean_above"):
-        out[live] = ctx.offers.mean_above(L_a[live])
-        return out
-    s, ws = simpson_nodes(0.0, 1.0, n_nodes)
-    lo = L_a[live]
-    x = lo[:, None] + (p_max - lo)[:, None] * s[None, :]
-    num = ((ctx.offers.pdf(x) * x) @ ws) * (p_max - lo)
-    out[live] = num / (1.0 - F_L[live])
+    out[live] = ctx.offers.mean_above(L_a[live])
     return out
 
 
@@ -320,7 +303,7 @@ def _changing_list_terms(ctx: PathContext, t: float,
     best_standing = disc_t * no_cross * (L0 - integral)
 
     disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
-    mean_above = _mean_above_list(ctx, L_a, F_L, n_nodes)
+    mean_above = _mean_above_list(ctx, L_a, F_L)
     return _ChangingListTerms(w, lam, big_lam, F_L, no_cross, best_standing,
                               disc_a, mean_above)
 
@@ -411,7 +394,7 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float,
 
     crossing = 0.0
     if F_L < _SATURATED:
-        mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]), n_nodes)[0]
+        mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
         disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
         crossing = (1.0 - no_cross) * mean_above * float(w @ (lam * disc_a)) / big_lam
     return best_standing + crossing
@@ -431,25 +414,14 @@ def conditional_payoff_no_list(ctx: PathContext, t: float,
         return 0.0
     standing_weight = 1.0 - float(w @ (lam * ctx.withdrawals.cdf(t - a))) / big_lam
     disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))
-    p_max = ctx.offers.p_max
 
     def tail(y):
         return (1.0 - ctx.offers.cdf(np.maximum(ctx.reservation, y))) * standing_weight
 
-    # integrand vanishes beyond the offer support, so truncate at p_max
-    pts = sorted({0.0, min(ctx.reservation, p_max), p_max})
-    total = 0.0
-    first = True
-    for lo, hi in zip(pts, pts[1:]):
-        if hi - lo < 1e-12:
-            continue
-        if first:
-            total += (hi - lo) * -math.expm1(-big_lam * float(tail(np.array([lo]))[0]))
-            first = False
-            continue
-        y, wy = simpson_nodes(lo, hi, n_nodes)
-        total += float(wy @ -np.expm1(-big_lam * tail(y)))
-    return disc_t * total
+    # E[best] = Int_0^inf P(best > y) dy, and P(best > y) vanishes beyond
+    # the offer support, so the integral stops at p_max
+    return disc_t * _best_standing_integral(t, ctx.offers.p_max, [ctx.reservation],
+                                            big_lam, tail, n_nodes, complement=True)
 
 
 _MODES = {
@@ -470,14 +442,12 @@ def conditional_payoff(ctx: PathContext, t: float, mode: str,
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
                     cir: CirParams, t: float, n_paths: int, seed: int,
                     mode: str = "changing", dt: float = None,
-                    n_nodes: int = DEFAULT_NODES,
-                    workers: int = 1) -> tuple[float, float]:
+                    n_nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     """Monte Carlo mean of a conditional payoff over independent rate paths.
 
     ctx_factory builds the evaluation context for each simulated path.
-    Returns (mean, standard error); per-path substreams are derived from
-    the seed by index, so results do not depend on scheduling and adding
-    paths never changes earlier ones.
+    Returns (mean, standard error); path i is drawn from its own
+    substream of the seed, so adding paths never changes earlier ones.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
@@ -490,11 +460,7 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
         path = simulate_cir(cir, max(t, dt), dt, substream(seed, "payoff-path", i))
         return conditional(ctx_factory(path), t, n_nodes)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = np.fromiter(pool.map(one, range(n_paths)), dtype=float, count=n_paths)
-    else:
-        vals = np.fromiter((one(i) for i in range(n_paths)), dtype=float, count=n_paths)
+    vals = np.fromiter((one(i) for i in range(n_paths)), dtype=float, count=n_paths)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
     return mean, stderr

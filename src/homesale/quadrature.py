@@ -7,11 +7,9 @@ integrate() call.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-__all__ = ["simpson_nodes", "composite_simpson"]
+__all__ = ["simpson_nodes"]
 
 
 def simpson_nodes(a: float, b: float, n: int = 201) -> tuple[np.ndarray, np.ndarray]:
@@ -29,19 +27,3 @@ def simpson_nodes(a: float, b: float, n: int = 201) -> tuple[np.ndarray, np.ndar
     w[2:-1:2] = 2.0
     w *= (b - a) / (n - 1) / 3.0
     return x, w
-
-
-def composite_simpson(f: Callable, a: float, b: float, n: int = 201) -> float:
-    """Integrate f over [a, b] with n Simpson nodes.
-
-    f is called once with the full node array; callables that only
-    accept scalars are evaluated point by point as a fallback.
-    """
-    if b == a:
-        return 0.0
-    x, w = simpson_nodes(a, b, n)
-    y = f(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape != x.shape:
-        y = np.array([float(f(xi)) for xi in x])
-    return float(w @ y)

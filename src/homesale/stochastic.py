@@ -25,10 +25,7 @@ __all__ = [
     "simulate_cir",
     "simulate_cir_ensemble",
     "demand_intensity",
-    "cumulative_intensity",
     "sample_nhpp",
-    "sample_offer_value",
-    "sample_withdrawal",
 ]
 
 # Rates are clamped here before feeding the demand function, which is
@@ -140,6 +137,10 @@ class DemandParams:
         if self.k1 == 0 and self.k2 == 0:
             raise ValueError("k1 and k2 cannot both be zero")
 
+    def intensity(self, r, L):
+        """k1/r + k2/L without input checks; demand_intensity validates."""
+        return self.k1 / r + self.k2 / L
+
 
 @dataclass(frozen=True)
 class OfferEvent:
@@ -197,19 +198,8 @@ def demand_intensity(r, L, d: DemandParams):
     L = np.asarray(L, dtype=float)
     if np.any(r <= 0) or np.any(L <= 0):
         raise ValueError("demand_intensity needs r > 0 and L > 0")
-    out = d.k1 / r + d.k2 / L
+    out = d.intensity(r, L)
     return float(out) if out.ndim == 0 else out
-
-
-def cumulative_intensity(intensity: Callable, t: float, n_nodes: int = 201) -> float:
-    """Integral of the intensity over [0, t] by composite Simpson."""
-    from .quadrature import composite_simpson
-
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0:
-        return 0.0
-    return composite_simpson(intensity, 0.0, t, n_nodes)
 
 
 def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
@@ -238,21 +228,3 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
         raise ValueError(
             f"intensity {vals[i]:.6g} exceeds bound {intensity_bound:.6g} at t={cands[i]:.6g}")
     return cands[u * intensity_bound < vals]
-
-
-def sample_offer_value(p_min: float, p_max: float, seed=0, size=None):
-    """Uniform offer value(s) on (p_min, p_max)."""
-    if not (p_max > p_min):
-        raise ValueError("need p_max > p_min")
-    rng = _as_rng(seed)
-    out = rng.uniform(p_min, p_max, size)
-    return float(out) if size is None else out
-
-
-def sample_withdrawal(mu: float, seed=0, size=None):
-    """Exponential withdrawal delay(s) with mean 1/mu."""
-    if not (mu > 0):
-        raise ValueError("need mu > 0")
-    rng = _as_rng(seed)
-    out = rng.exponential(1.0 / mu, size)
-    return float(out) if size is None else out

@@ -17,7 +17,7 @@ from homesale.market_sim import (EvolutionConfig, expected_price_curve,
                                  run_evolution)
 from homesale.oracle import (mc_auxiliary_payoff, mc_listed_payoff,
                              mc_path_payoff, sigma0_table2_path,
-                             table2_context)
+                             table2_context, validate_all)
 from homesale.owt import SweepAxis, SweepSpec, sweep_owt
 from homesale.path_payoff import (conditional_payoff_changing_list,
                                   conditional_payoff_changing_list_exact,
@@ -250,10 +250,15 @@ def test_criterion_8_evolution_integrity():
     report("criterion 8a: fixed-seed 50-year log reproduces its golden "
            "event stream byte for byte", identical, f"{len(runs[0].events)} events")
 
-    # replication-parallel entry points must not depend on worker count
-    a = expected_price_curve(cfg, [1.0, 10.0], 100, seed=7, workers=1)
-    b = expected_price_curve(cfg, [1.0, 10.0], 100, seed=7, workers=4)
-    report("criterion 8b: price-curve output independent of worker count", a == b)
+    # the validation matrix is the one threaded entry point; its rows
+    # must not depend on worker count (NaN cells compare equal)
+    a = validate_all(n=2000, include_paths=False, workers=1).to_csv_rows()
+    b = validate_all(n=2000, include_paths=False, workers=2).to_csv_rows()
+    same = len(a) == len(b) and all(
+        x == y or (isinstance(x, float) and isinstance(y, float)
+                   and math.isnan(x) and math.isnan(y))
+        for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    report("criterion 8b: validation rows independent of worker count", same)
 
     log = runs[0]
     reservation = cfg.initial_reservation

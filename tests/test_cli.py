@@ -192,6 +192,13 @@ class TestExpectedPriceCommand:
         _, _, rows = read_csv(tmp_path / "expected_price.csv")
         assert rows[0][3] == ""  # stderr column empty
 
+    def test_zero_reps_is_usage_error(self, tmp_path):
+        # an explicit 0 must reach the validator, not fall back to the default
+        rc = main(["expected-price", "--out", str(tmp_path), "--times", "1",
+                   "--n-reps", "0"])
+        assert rc == 2
+        assert not (tmp_path / "expected_price.csv").exists()
+
 
 class TestPayoffPathCommand:
     def test_zero_vol_single_path_stderr_zero(self, tmp_path):
@@ -224,6 +231,12 @@ class TestPayoffPathCommand:
         _, _, rows = read_csv(tmp_path / "payoff_path.csv")
         assert all(float(r[2]) > 0.0 for r in rows)
 
+    def test_zero_paths_is_usage_error(self, tmp_path):
+        rc = main(["payoff-path", "--out", str(tmp_path), "--mode", "none",
+                   "--t-steps", "2", "--n-paths", "0"])
+        assert rc == 2
+        assert not (tmp_path / "payoff_path.csv").exists()
+
 
 class TestValidateCommand:
     def test_quick_run_passes_and_writes_csv(self, tmp_path, monkeypatch):
@@ -242,6 +255,15 @@ class TestValidateCommand:
         assert header == ["check_name", "analytic", "mc_mean", "mc_stderr",
                           "z", "verdict"]
         assert rows
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_below_one_is_usage_error(self, tmp_path, workers):
+        rc = main(["owt", "--out", str(tmp_path), "--t-steps", "5",
+                   "--workers", workers])
+        assert rc == 2
+        assert not (tmp_path / "owt_curve.csv").exists()
 
 
 class TestFloatFormat:

@@ -294,12 +294,6 @@ class TestExpectedPriceCurve:
         b = expected_price_curve(cfg, [1.0], 800, seed=6)[0]
         assert abs(a.mean_price - b.mean_price) <= 3.0 * math.hypot(a.stderr, b.stderr)
 
-    def test_worker_threads_do_not_change_output(self):
-        cfg = make_config()
-        serial = expected_price_curve(cfg, [1.0, 4.0], 50, seed=8, workers=1)
-        threaded = expected_price_curve(cfg, [1.0, 4.0], 50, seed=8, workers=3)
-        assert serial == threaded
-
     def test_high_demand_regime_pays_more(self):
         # frozen flat paths: cheap money (r=0.05) vs dear money (r=0.14);
         # the mean-price contrast is ~1.5 so it needs a few thousand reps

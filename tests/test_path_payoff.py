@@ -293,13 +293,6 @@ class TestExpectedPayoff:
                                 mode="none")
         assert s2 / s1 == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
-    def test_workers_do_not_change_results(self, sim_cir):
-        serial = expected_payoff(self.ctx_factory(), sim_cir, 0.5, 64, seed=4,
-                                 mode="none")
-        threaded = expected_payoff(self.ctx_factory(), sim_cir, 0.5, 64, seed=4,
-                                   mode="none", workers=4)
-        assert serial == threaded
-
     def test_rejects_single_path(self, sim_cir):
         with pytest.raises(ValueError):
             expected_payoff(self.ctx_factory(), sim_cir, 1.0, 1, seed=0)

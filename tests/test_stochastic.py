@@ -5,11 +5,16 @@ import pytest
 import scipy.stats
 
 from conftest import three_sigma
+from homesale.path_payoff import ExponentialWithdrawals, UniformOffers
+from homesale.quadrature import simpson_nodes
 from homesale.stochastic import (CirParams, DemandParams, RatePath,
-                                 cumulative_intensity, demand_intensity,
-                                 sample_nhpp, sample_offer_value,
-                                 sample_withdrawal, simulate_cir,
+                                 demand_intensity, sample_nhpp, simulate_cir,
                                  simulate_cir_ensemble, substream)
+
+
+def simpson_integral(f, t, n_nodes=201):
+    x, w = simpson_nodes(0.0, t, n_nodes)
+    return float(w @ f(x))
 
 
 class TestCir:
@@ -76,24 +81,28 @@ class TestDemand:
             demand_intensity(0.1, 0.0, sim_demand)
 
 
-class TestCumulativeIntensity:
+class TestSimpsonNodes:
     def test_constant(self):
-        assert cumulative_intensity(lambda s: 5.0 * np.ones_like(s), 2.0) == \
+        assert simpson_integral(lambda s: 5.0 * np.ones_like(s), 2.0) == \
             pytest.approx(10.0, rel=1e-13)
 
     def test_linear_is_exact(self):
-        assert cumulative_intensity(lambda s: s, 3.0) == pytest.approx(4.5, rel=1e-13)
+        assert simpson_integral(lambda s: s, 3.0) == pytest.approx(4.5, rel=1e-13)
 
     def test_refinement_oracle_on_demand_curve(self, sim_cir, sim_demand):
         p = CirParams(sim_cir.kappa, sim_cir.theta, 0.0, sim_cir.r0)
         path = simulate_cir(p, 5.0, 1.0 / 252.0, seed=0)
         lam = lambda s: demand_intensity(np.maximum(path.rate_at(s), 1e-4), 200.0, sim_demand)
-        coarse = cumulative_intensity(lam, 5.0, 201)
-        fine = cumulative_intensity(lam, 5.0, 401)
+        coarse = simpson_integral(lam, 5.0, 201)
+        fine = simpson_integral(lam, 5.0, 401)
         assert abs(coarse - fine) / fine < 1e-8
 
     def test_zero_horizon(self):
-        assert cumulative_intensity(lambda s: s, 0.0) == 0.0
+        assert simpson_integral(lambda s: s, 0.0) == 0.0
+
+    def test_even_node_count_rejected(self):
+        with pytest.raises(ValueError, match="odd node count"):
+            simpson_nodes(0.0, 1.0, 200)
 
 
 class TestNhpp:
@@ -125,7 +134,7 @@ class TestNhpp:
         p = CirParams(sim_cir.kappa, sim_cir.theta, 0.0, sim_cir.r0)
         path = simulate_cir(p, 5.0, 1.0 / 252.0, seed=0)
         lam = lambda s: demand_intensity(np.maximum(path.rate_at(s), 1e-4), 200.0, sim_demand)
-        target = cumulative_intensity(lam, 5.0)
+        target = simpson_integral(lam, 5.0)
         rng = substream(17, "nhpp-rescale")
         counts = np.array([sample_nhpp(lam, 5.0, 12.0, rng).size
                            for _ in range(20_000)], dtype=float)
@@ -155,17 +164,17 @@ class TestNhpp:
 
 class TestSamplers:
     def test_uniform_moment(self):
-        vals = sample_offer_value(100.0, 200.0, seed=31, size=1_000_000)
+        vals = UniformOffers(100.0, 200.0).sample(np.random.default_rng(31), 1_000_000)
         three_sigma("uniform mean", 150.0, vals.mean(),
                     vals.std(ddof=1) / math.sqrt(vals.size))
 
     def test_exponential_moment(self):
-        vals = sample_withdrawal(5.0, seed=32, size=1_000_000)
+        vals = ExponentialWithdrawals(5.0).sample(np.random.default_rng(32), 1_000_000)
         three_sigma("withdrawal mean", 0.2, vals.mean(),
                     vals.std(ddof=1) / math.sqrt(vals.size))
 
     def test_instant_withdrawal_limit(self):
-        vals = sample_withdrawal(1e9, seed=33, size=10_001)
+        vals = ExponentialWithdrawals(1e9).sample(np.random.default_rng(33), 10_001)
         assert np.median(vals) < 1e-6
 
     def test_substreams_are_independent_and_stable(self):
