@@ -303,23 +303,25 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
             withdrawals=path_payoff.ExponentialWithdrawals(cfg.sim_withdrawal_intensity),
             reservation=R, demand=cfg.demand_params())
 
-    grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)
     n_paths = cfg.path_replications if args.n_paths is None else args.n_paths
-    rows = []
-    for t in grid:
-        if n_paths == 1:
-            path = simulate_cir(cfg.cir_params(), max(t, cfg.dt), cfg.dt,
+    if n_paths < 1:
+        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)
+    if n_paths > 1:
+        payoffs, stderrs = path_payoff.expected_payoff(
+            ctx_factory, cfg.cir_params(), grid, n_paths, cfg.seed,
+            mode=args.mode, dt=cfg.dt)
+    else:
+        # path 0 of the Monte Carlo run, simulated once to the largest horizon
+        payoffs, stderrs = [], [0.0] * grid.size
+        if grid.size:
+            path = simulate_cir(cfg.cir_params(), max(grid.max(), cfg.dt), cfg.dt,
                                 substream(cfg.seed, "payoff-path", 0))
-            rows.append((t, path_payoff.conditional_payoff(ctx_factory(path), t,
-                                                           args.mode), 0.0))
-        else:
-            mean, stderr = path_payoff.expected_payoff(
-                ctx_factory, cfg.cir_params(), t, n_paths, cfg.seed,
-                mode=args.mode, dt=cfg.dt)
-            rows.append((t, mean, stderr))
+            ctx = ctx_factory(path)
+            payoffs = [path_payoff.conditional_payoff(ctx, t, args.mode) for t in grid]
     out = Path(cfg.out_dir) / "payoff_path.csv"
-    _write_csv(out, cfg, ["t", "payoff", "stderr"], rows)
-    print(f"{len(rows)} horizons, mode={args.mode}, n_paths={n_paths} -> {out}")
+    _write_csv(out, cfg, ["t", "payoff", "stderr"], list(zip(grid, payoffs, stderrs)))
+    print(f"{grid.size} horizons, mode={args.mode}, n_paths={n_paths} -> {out}")
     return 0
 
 

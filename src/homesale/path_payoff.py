@@ -196,13 +196,30 @@ def surviving_offer_tail(ctx: PathContext, t: float, y,
     a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
-    L_a = np.asarray(ctx.list_schedule(a), dtype=float)
-    standing = 1.0 - ctx.withdrawals.cdf(t - a)
-    band = (ctx.offers.cdf(np.maximum(L_a[None, :], y_arr[:, None]))
-            - ctx.offers.cdf(np.maximum(ctx.reservation, y_arr))[:, None])
-    out = (lam[None, :] * standing[None, :] * band) @ w / big_lam
-    out = np.where(y_arr >= ctx.initial_list, 0.0, np.clip(out, 0.0, 1.0))
+    F_L = np.asarray(ctx.offers.cdf(ctx.list_schedule(a)), dtype=float)
+    out = _offer_tail(ctx, t, a, w, lam, big_lam, F_L)(y_arr)
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
+
+
+def _offer_tail(ctx: PathContext, t: float, a: np.ndarray, w: np.ndarray,
+                lam: np.ndarray, big_lam: float, F_L: np.ndarray) -> Callable:
+    """surviving_offer_tail as a function of a 1-D y array, on an arrival
+    grid the caller has already built (big_lam > 0, y >= 0 unchecked).
+
+    F_L is F(L(a)) at the arrival nodes.  The offer cdf is non-decreasing
+    in floating point too, so F(max(L, y)) equals max(F(L), F(y)) to the
+    last bit and the cdf runs on vectors instead of the (y, a) grid.
+    """
+    standing = 1.0 - ctx.withdrawals.cdf(t - a)
+    L0 = ctx.initial_list
+
+    def tail(y_arr):
+        band = (np.maximum(F_L[None, :], ctx.offers.cdf(y_arr)[:, None])
+                - ctx.offers.cdf(np.maximum(ctx.reservation, y_arr))[:, None])
+        out = (lam[None, :] * standing[None, :] * band) @ w / big_lam
+        return np.where(y_arr >= L0, 0.0, np.clip(out, 0.0, 1.0))
+
+    return tail
 
 
 def crossing_survival(ctx: PathContext, t: float, n: int,
@@ -299,7 +316,7 @@ def _changing_list_terms(ctx: PathContext, t: float,
     Lt = float(ctx.list_schedule(t))
     integral = _best_standing_integral(
         t, L0, [ctx.reservation, Lt], big_lam,
-        lambda y: np.atleast_1d(surviving_offer_tail(ctx, t, y, n_nodes)), n_nodes)
+        _offer_tail(ctx, t, a, w, lam, big_lam, F_L), n_nodes)
     best_standing = disc_t * no_cross * (L0 - integral)
 
     disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
@@ -440,27 +457,39 @@ def conditional_payoff(ctx: PathContext, t: float, mode: str,
 
 
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
-                    cir: CirParams, t: float, n_paths: int, seed: int,
+                    cir: CirParams, times, n_paths: int, seed: int,
                     mode: str = "changing", dt: float = None,
-                    n_nodes: int = DEFAULT_NODES) -> tuple[float, float]:
-    """Monte Carlo mean of a conditional payoff over independent rate paths.
+                    n_nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo mean of a conditional payoff over independent rate
+    paths, at every horizon of the 1-D grid times.
 
     ctx_factory builds the evaluation context for each simulated path.
-    Returns (mean, standard error); path i is drawn from its own
-    substream of the seed, so adding paths never changes earlier ones.
+    Each replication simulates one path, to the largest horizon, and
+    evaluates every horizon on it: a shorter path is an exact prefix of
+    a longer one from the same substream, so a horizon's value does not
+    depend on the rest of the grid.  Returns (means, standard errors),
+    one entry per horizon; path i is drawn from its own substream of the
+    seed, so adding paths never changes earlier ones.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D grid of horizons")
     dt = DEFAULT_DT if dt is None else dt
     conditional = _MODES[mode]
 
-    def one(i: int) -> float:
-        path = simulate_cir(cir, max(t, dt), dt, substream(seed, "payoff-path", i))
-        return conditional(ctx_factory(path), t, n_nodes)
-
-    vals = np.fromiter((one(i) for i in range(n_paths)), dtype=float, count=n_paths)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-    return mean, stderr
+    # row k holds horizon k's path values, contiguous for the reductions
+    vals = np.empty((times.size, n_paths))
+    if times.size:
+        horizon = max(float(times.max()), dt)
+        for i in range(n_paths):
+            ctx = ctx_factory(simulate_cir(cir, horizon, dt,
+                                           substream(seed, "payoff-path", i)))
+            for k, t in enumerate(times):
+                vals[k, i] = conditional(ctx, t, n_nodes)
+    means = np.array([np.mean(v) for v in vals])
+    stderrs = np.array([np.std(v, ddof=1) / math.sqrt(n_paths) for v in vals])
+    return means, stderrs

@@ -109,12 +109,26 @@ class RatePath:
         mids = (self.values[1:] + self.values[:-1]) / 2.0 * self.dt
         return np.concatenate(([0.0], np.cumsum(mids)))
 
+    def _check_span(self, t) -> None:
+        # a relative slack of 1e-12 absorbs rounding in callers' grids
+        t = np.asarray(t, dtype=float)
+        if t.size == 0:
+            return
+        slack = 1e-12 * self.horizon
+        lo, hi = float(t.min()), float(t.max())
+        if not (lo >= -slack and hi <= self.horizon + slack):
+            raise ValueError(f"time outside the rate path [0, {self.horizon:g}]: "
+                             f"got [{lo:g}, {hi:g}]")
+
     def rate_at(self, t):
-        """Linear interpolation of the rate, clamped to the grid range."""
+        """Linear interpolation of the rate; raises outside [0, horizon]."""
+        self._check_span(t)
         return np.interp(t, self.times, self.values)
 
     def cumulative_rate(self, t):
-        """Integral of the rate from 0 to t (trapezoid on the native grid)."""
+        """Integral of the rate from 0 to t (trapezoid on the native grid);
+        raises outside [0, horizon]."""
+        self._check_span(t)
         return np.interp(t, self.times, self._cum)
 
     def shifted(self, start: float, horizon: float) -> "RatePath":

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -236,6 +237,29 @@ class TestPayoffPathCommand:
                    "--t-steps", "2", "--n-paths", "0"])
         assert rc == 2
         assert not (tmp_path / "payoff_path.csv").exists()
+
+    def test_zero_paths_is_usage_error_on_empty_grid(self, tmp_path):
+        rc = main(["payoff-path", "--out", str(tmp_path), "--t-steps", "0",
+                   "--n-paths", "0"])
+        assert rc == 2
+        assert not (tmp_path / "payoff_path.csv").exists()
+
+    @pytest.mark.parametrize("n_paths", ["1", "10"])
+    def test_empty_grid_writes_header_only(self, tmp_path, n_paths):
+        rc = main(["payoff-path", "--out", str(tmp_path), "--t-steps", "0",
+                   "--n-paths", n_paths])
+        assert rc == 0
+        _, header, rows = read_csv(tmp_path / "payoff_path.csv")
+        assert header == ["t", "payoff", "stderr"] and rows == []
+
+    def test_golden_payoff_path_bytes(self, tmp_path):
+        # frozen from payoff-path --mode changing --t-steps 6 --n-paths 3
+        # --seed 1 --workers 1; any change to these bytes must be explained
+        golden = pathlib.Path(__file__).parent / "data" / "golden_payoff_path_seed1.csv"
+        rc = main(["payoff-path", "--out", str(tmp_path), "--mode", "changing",
+                   "--t-steps", "6", "--n-paths", "3", "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        assert (tmp_path / "payoff_path.csv").read_bytes() == golden.read_bytes()
 
 
 class TestValidateCommand:

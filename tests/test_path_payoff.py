@@ -14,6 +14,7 @@ from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, NoWithd
                                   conditional_payoff_constant_list,
                                   conditional_payoff_no_list, crossing_survival,
                                   expected_payoff, surviving_offer_tail)
+from homesale.quadrature import simpson_nodes
 from homesale.stochastic import CirParams, DemandParams, RatePath, substream
 
 
@@ -110,6 +111,21 @@ class TestSurvivingOfferTail:
         assert np.all(tails <= phi + 1e-12)
         assert np.all(tails >= 0.0)
         assert np.all(np.diff(tails) <= 1e-12)
+
+    def test_equals_direct_band_formula_exactly(self, decay_ctx):
+        # reference: the offer cdf taken on the full (y, a) grid of max(L(a), y)
+        t = 1.3
+        ys = np.concatenate((np.linspace(0.0, 210.0, 97), [140.0, 150.0, 199.999]))
+        a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
+        lam = decay_ctx.intensity(a)
+        big_lam = float(w @ lam)
+        L_a = decay_ctx.list_schedule(a)
+        standing = 1.0 - decay_ctx.withdrawals.cdf(t - a)
+        band = (decay_ctx.offers.cdf(np.maximum(L_a[None, :], ys[:, None]))
+                - decay_ctx.offers.cdf(np.maximum(140.0, ys))[:, None])
+        want = (lam[None, :] * standing[None, :] * band) @ w / big_lam
+        want = np.where(ys >= 200.0, 0.0, np.clip(want, 0.0, 1.0))
+        assert np.array_equal(surviving_offer_tail(decay_ctx, t, ys), want)
 
 
 class TestCrossingSurvival:
@@ -272,27 +288,53 @@ class TestExpectedPayoff:
 
     def test_zero_vol_collapses_to_single_path(self, sim_cir):
         frozen = CirParams(sim_cir.kappa, sim_cir.theta, 0.0, sim_cir.r0)
-        mean, stderr = expected_payoff(self.ctx_factory(), frozen, 1.0, 16, seed=1,
+        mean, stderr = expected_payoff(self.ctx_factory(), frozen, [1.0], 16, seed=1,
                                        mode="none")
-        assert stderr == 0.0
+        assert stderr[0] == 0.0
         path = sigma0_table2_path(1.5)
         single = conditional_payoff_no_list(table2_context(path), 1.0)
-        assert mean == pytest.approx(single, rel=1e-10)
+        assert mean[0] == pytest.approx(single, rel=1e-10)
 
     def test_seed_stability(self, sim_cir):
-        m1, s1 = expected_payoff(self.ctx_factory(), sim_cir, 1.0, 300, seed=1,
+        m1, s1 = expected_payoff(self.ctx_factory(), sim_cir, [1.0], 300, seed=1,
                                  mode="changing")
-        m2, s2 = expected_payoff(self.ctx_factory(), sim_cir, 1.0, 300, seed=2,
+        m2, s2 = expected_payoff(self.ctx_factory(), sim_cir, [1.0], 300, seed=2,
                                  mode="changing")
-        assert abs(m1 - m2) <= 3.0 * math.hypot(s1, s2)
+        assert abs(m1[0] - m2[0]) <= 3.0 * math.hypot(s1[0], s2[0])
 
     def test_clt_scaling(self, sim_cir):
-        _, s1 = expected_payoff(self.ctx_factory(), sim_cir, 1.0, 300, seed=3,
+        _, s1 = expected_payoff(self.ctx_factory(), sim_cir, [1.0], 300, seed=3,
                                 mode="none")
-        _, s2 = expected_payoff(self.ctx_factory(), sim_cir, 1.0, 600, seed=3,
+        _, s2 = expected_payoff(self.ctx_factory(), sim_cir, [1.0], 600, seed=3,
                                 mode="none")
-        assert s2 / s1 == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
+        assert s2[0] / s1[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
     def test_rejects_single_path(self, sim_cir):
         with pytest.raises(ValueError):
-            expected_payoff(self.ctx_factory(), sim_cir, 1.0, 1, seed=0)
+            expected_payoff(self.ctx_factory(), sim_cir, [1.0], 1, seed=0)
+
+    @pytest.mark.parametrize("mode", ["changing", "none"])
+    def test_horizon_value_independent_of_grid(self, sim_cir, mode):
+        times = [0.5, 1.0, 2.0]
+        means, stderrs = expected_payoff(self.ctx_factory(), sim_cir, times, 6,
+                                         seed=7, mode=mode)
+        assert means.shape == stderrs.shape == (3,)
+        for k, t in enumerate(times):
+            m, s = expected_payoff(self.ctx_factory(), sim_cir, [t], 6, seed=7, mode=mode)
+            assert means[k] == m[0] and stderrs[k] == s[0]
+
+    def test_empty_grid(self, sim_cir):
+        means, stderrs = expected_payoff(self.ctx_factory(), sim_cir, [], 4, seed=0)
+        assert means.shape == stderrs.shape == (0,)
+
+
+class TestPathEnd:
+    def test_payoff_past_the_path_raises(self):
+        # a 1-year path cannot price t = 5; clamping would freeze the
+        # discount at t = 1 and return 83.87
+        ctx = table2_context(sigma0_table2_path(1.0))
+        for conditional in (conditional_payoff_no_list, conditional_payoff_changing_list,
+                            conditional_payoff_constant_list):
+            with pytest.raises(ValueError):
+                conditional(ctx, 5.0)
+        assert conditional_payoff_no_list(ctx, 1.0) > 0.0

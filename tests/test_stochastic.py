@@ -48,6 +48,15 @@ class TestCir:
         with pytest.raises(ValueError):
             simulate_cir(sim_cir, 0.5, 1.0, seed=0)
 
+    def test_shorter_horizon_is_exact_prefix(self, sim_cir):
+        dt = 1.0 / 252.0
+        short = simulate_cir(sim_cir, 0.5, dt, substream(5, "payoff-path", 3))
+        long = simulate_cir(sim_cir, 2.0, dt, substream(5, "payoff-path", 3))
+        assert long.values.size > short.values.size
+        assert np.array_equal(long.values[:short.values.size], short.values)
+        np.testing.assert_array_equal(long.cumulative_rate(short.times),
+                                      short.cumulative_rate(short.times))
+
 
 class TestRatePath:
     def test_interpolation_and_cumulative(self):
@@ -57,6 +66,21 @@ class TestRatePath:
         assert path.cumulative_rate(1.0) == pytest.approx(0.15)
         shifted = path.shifted(0.5, 0.5)
         assert shifted.values[0] == pytest.approx(0.2)
+
+    def test_evaluation_past_either_end_raises(self):
+        path = RatePath(0.5, np.array([0.1, 0.2, 0.1]))
+        for t in (1.01, -0.01, np.array([0.5, 1.5]), np.nan):
+            with pytest.raises(ValueError):
+                path.rate_at(t)
+            with pytest.raises(ValueError):
+                path.cumulative_rate(t)
+
+    def test_rounding_slack_and_empty_input(self):
+        path = RatePath(0.5, np.array([0.1, 0.2, 0.1]))
+        assert path.rate_at(1.0 + 1e-13) == pytest.approx(0.1)
+        assert path.cumulative_rate(-1e-13) == pytest.approx(0.0, abs=1e-12)
+        assert path.rate_at(np.array([])).size == 0
+        assert path.cumulative_rate(np.array([])).size == 0
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
