@@ -30,6 +30,11 @@ __all__ = [
 # Below this, x-dividing expressions switch to their series expansions.
 SMALL_ARG = 1e-4
 
+# From this x on, exp(-x) < 2^-57 is lost to rounding in every sum it
+# enters, so the auxiliary payoff takes its large-x form instead of
+# overflowing e^x.
+_LARGE_ARG = 40.0
+
 
 def _require_finite(**kwargs) -> None:
     for name, v in kwargs.items():
@@ -92,7 +97,7 @@ def withdrawal_fraction(T: float, mu: float) -> float:
 
     Equals 1 - (1 - exp(-mu T))/(mu T).  A direct evaluation cancels
     catastrophically for small mu*T, so below SMALL_ARG the series
-    x/2 - x^2/6 is used instead; withdrawal_fraction(T, 0) == 0.
+    x/2 - x^2/6 + x^3/24 is used instead; withdrawal_fraction(T, 0) == 0.
     """
     _require_finite(T=T, mu=mu)
     if T <= 0:
@@ -101,7 +106,7 @@ def withdrawal_fraction(T: float, mu: float) -> float:
         raise ValueError(f"mu must be non-negative, got {mu}")
     x = mu * T
     if x < SMALL_ARG:
-        return x / 2.0 - x * x / 6.0
+        return x * (0.5 - x * (1.0 / 6.0 - x / 24.0))
     return 1.0 + math.expm1(-x) / x
 
 
@@ -126,7 +131,9 @@ def auxiliary_payoff(T: float, m: MarketParams) -> float:
     which is the Poisson-summed rank expansion in closed form.  The
     (e^x - 1 - x)/x factor is series-switched near x = 0, so the
     lam*T -> 0 and mu*T -> 0 limits are continuous; no surviving offer
-    pays zero.
+    pays zero.  From _LARGE_ARG on the e^-x terms vanish and the payoff is
+    exp(-r*T) * (p_max - (p_max - p_min)/x), which stays finite where
+    e^x would overflow.
     """
     _require_finite(T=T)
     if T <= 0:
@@ -136,6 +143,8 @@ def auxiliary_payoff(T: float, m: MarketParams) -> float:
     if x == 0.0:
         return 0.0
     spread = m.p_max - m.p_min
+    if x >= _LARGE_ARG:
+        return math.exp(-m.r * T) * (m.p_max - spread / x)
     return math.exp(-m.r * T - x) * (m.p_max * math.expm1(x) - spread * _em1mx_over_x(x))
 
 

@@ -16,7 +16,7 @@ schedules work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +51,12 @@ __all__ = [
 
 @dataclass
 class OwnerState:
-    """One owner's tenure: reservation equals the purchase price.
+    """One owner's tenure.
 
     occupation_end and crisis_time are absolute times on the evolution
     clock, both drawn once at purchase.
     """
 
-    reservation: float
-    gamma: float
     occupation_end: float
     crisis_time: float
 
@@ -84,9 +82,6 @@ class SaleOutcome:
 
 @dataclass
 class SaleAttempt:
-    post_time: float
-    t_star: float
-    initial_list: float
     offers: list[OfferEvent]
     outcome: SaleOutcome
 
@@ -113,13 +108,10 @@ class Event:
 
 @dataclass
 class EvolutionLog:
-    """Time-ordered event record plus the realized rate/demand traces."""
+    """Time-ordered event record plus the realized rate path."""
 
     events: list[Event]
     path: RatePath
-    demand_times: np.ndarray = None
-    demand_values: np.ndarray = None
-    sale_prices: list[tuple[float, float]] = field(default_factory=list)
 
     def to_event_lines(self) -> list[str]:
         """Canonical line-per-event text for golden-file diffing."""
@@ -171,40 +163,6 @@ def time_to_posting(owner: OwnerState, path: RatePath, threshold: float,
     return PostingDecision(t, cause)
 
 
-@dataclass(frozen=True)
-class MarketSnapshot:
-    """Market state frozen at the posting instant."""
-
-    rate: float
-    mu: float
-    gamma: float
-    reservation: float
-    initial_list: float
-    p_min: float
-    p_max: float
-    demand: DemandParams
-    rate_floor: float = RATE_FLOOR
-
-
-def compute_owt_frozen(snap: MarketSnapshot, t_max: float = DEFAULT_T_MAX,
-                       tol: float = DEFAULT_TOL, exact: bool = False) -> OwtResult:
-    """Waiting time committed at posting, under frozen market conditions.
-
-    The seller freezes the rate at its posting-time value and the offer
-    intensity at the demand evaluated for the initial list price, then
-    maximizes the closed-form expected utility.  This is an ex-ante
-    approximation: the realized attempt sees the moving rate and the
-    decaying list.
-    """
-    lam = demand_intensity(max(snap.rate, snap.rate_floor), snap.initial_list, snap.demand)
-    m = MarketParams(lam, snap.mu, max(snap.rate, 0.0), snap.p_min, snap.p_max)
-    L = min(snap.initial_list, snap.p_max)
-    R = max(snap.reservation, snap.p_min)
-    return optimal_waiting_time(
-        lambda T: expected_utility(T, m, R, L, snap.gamma, exact=exact),
-        t_max=t_max, tol=tol)
-
-
 def resolve_attempt(offers: list[OfferEvent], schedule, R: float,
                     t_star: float) -> SaleOutcome:
     """Apply the sale rules to a fixed offer list.
@@ -227,7 +185,7 @@ def resolve_attempt(offers: list[OfferEvent], schedule, R: float,
 
 
 def run_sale_attempt(owner_reservation: float, ctx: PathContext, t_star: float,
-                     rng: np.random.Generator, post_time: float = 0.0) -> SaleAttempt:
+                     rng: np.random.Generator) -> SaleAttempt:
     """One sale attempt on a local context whose clock starts at posting.
 
     Offers are generated over the whole committed window [0, t_star];
@@ -236,7 +194,7 @@ def run_sale_attempt(owner_reservation: float, ctx: PathContext, t_star: float,
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
-    bound = ctx.demand.intensity(ctx.rate_floor, owner_reservation)
+    bound = ctx.demand.intensity(RATE_FLOOR, owner_reservation)
     arrivals = sample_nhpp(ctx.intensity, t_star, bound, rng)
     values = np.asarray(ctx.offers.sample(rng, arrivals.size), dtype=float)
     delays = np.asarray(ctx.withdrawals.sample(rng, arrivals.size), dtype=float)
@@ -245,7 +203,7 @@ def run_sale_attempt(owner_reservation: float, ctx: PathContext, t_star: float,
     outcome = resolve_attempt(offers, ctx.list_schedule, owner_reservation, t_star)
     horizon = outcome.time if outcome.sold else t_star
     kept = [o for o in offers if o.arrival <= horizon]
-    return SaleAttempt(post_time, t_star, ctx.initial_list, kept, outcome)
+    return SaleAttempt(kept, outcome)
 
 
 def update_prices(reservation: float, attempt: SaleAttempt, p_min: float,
@@ -264,7 +222,13 @@ def update_prices(reservation: float, attempt: SaleAttempt, p_min: float,
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Everything a long-horizon evolution run needs."""
+    """Everything a long-horizon evolution run needs.
+
+    The prices must satisfy 0 < p_min <= initial_reservation <=
+    initial_list <= p_max.  Every later state keeps that order: a sale
+    price lies in [R, p_max], a reprice (R + p_min)/2 stays at or above
+    p_min, and a relist happens at the old R <= p_max.
+    """
 
     cir: CirParams
     demand: DemandParams
@@ -282,22 +246,48 @@ class EvolutionConfig:
     dt: float = 1.0 / 252.0
     t_max: float = DEFAULT_T_MAX
     tol: float = DEFAULT_TOL
-    rate_floor: float = RATE_FLOOR
-    exact: bool = False
+
+    def __post_init__(self):
+        if not (0 < self.p_min <= self.initial_reservation <= self.initial_list
+                <= self.p_max):
+            raise ValueError(
+                "need 0 < p_min <= initial_reservation <= initial_list <= p_max, got "
+                f"p_min={self.p_min}, initial_reservation={self.initial_reservation}, "
+                f"initial_list={self.initial_list}, p_max={self.p_max}")
 
 
-def _attempt_context(cfg: EvolutionConfig, path: RatePath, post_time: float,
-                     R: float, L0: float, t_star_cap: float) -> PathContext:
-    local = path.shifted(post_time, t_star_cap)
-    return PathContext(
-        path=local,
+def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
+                       initial_list: float) -> OwtResult:
+    """Waiting time committed at posting, under frozen market conditions.
+
+    The seller freezes the rate at its posting-time value and the offer
+    intensity at the demand evaluated for the initial list price, then
+    maximizes the closed-form expected utility.  This is an ex-ante
+    approximation: the realized attempt sees the moving rate and the
+    decaying list.
+    """
+    lam = demand_intensity(max(rate, RATE_FLOOR), initial_list, cfg.demand)
+    m = MarketParams(lam, cfg.mu, rate, cfg.p_min, cfg.p_max)
+    return optimal_waiting_time(
+        lambda T: expected_utility(T, m, reservation, initial_list, cfg.gamma),
+        t_max=cfg.t_max, tol=cfg.tol)
+
+
+def _posting_step(cfg: EvolutionConfig, path: RatePath, post_time: float,
+                  R: float, L0: float) -> tuple[float, PathContext]:
+    """Commit the waiting time at the rate of post_time (at least tol) and
+    build the attempt's context on the path from there."""
+    owt = compute_owt_frozen(cfg, float(path.rate_at(post_time)), R, L0)
+    t_star = max(owt.t_star, cfg.tol)
+    ctx = PathContext(
+        path=path.shifted(post_time, t_star),
         list_schedule=list_schedule(R, L0, cfg.zeta),
         offers=UniformOffers(cfg.p_min, cfg.p_max),
         withdrawals=ExponentialWithdrawals(cfg.mu),
         reservation=R,
         demand=cfg.demand,
-        rate_floor=cfg.rate_floor,
     )
+    return t_star, ctx
 
 
 def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionLog:
@@ -312,8 +302,6 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
     path = simulate_cir(cfg.cir, horizon + cfg.t_max + 1.0, cfg.dt,
                         substream(seed, "rates"))
     events: list[Event] = []
-    sale_prices: list[tuple[float, float]] = []
-    attempt_spans: list[tuple[float, float, float, float]] = []  # (start, end, R, L0)
 
     def emit(time, kind, price=math.nan, demand=math.nan, owner=-1, attempt=-1):
         events.append(Event(time, kind, price, float(path.rate_at(time)),
@@ -328,8 +316,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
         rng_owner = substream(seed, "owner", owner_idx)
         occupation = draw_occupation(rng_owner, cfg.occupation_lo, cfg.occupation_hi)
         crisis = draw_crisis(rng_owner, cfg.crisis_mean)
-        owner = OwnerState(reservation, cfg.gamma,
-                           tenure_start + occupation, tenure_start + crisis)
+        owner = OwnerState(tenure_start + occupation, tenure_start + crisis)
         emit(tenure_start, "OccupationStart", price=reservation, owner=owner_idx)
         posting = time_to_posting(owner, path, cfg.rate_threshold, search_end=horizon)
         if posting.cause is None:
@@ -341,18 +328,11 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
         post_t = posting.time
         sold = False
         while not sold and post_t < horizon:
-            snap = MarketSnapshot(float(path.rate_at(post_t)), cfg.mu, cfg.gamma,
-                                  cur_R, min(cur_L0, cfg.p_max), cfg.p_min, cfg.p_max,
-                                  cfg.demand, cfg.rate_floor)
-            owt = compute_owt_frozen(snap, cfg.t_max, cfg.tol, cfg.exact)
-            t_star = max(owt.t_star, cfg.tol)
-            ctx = _attempt_context(cfg, path, post_t, cur_R, min(cur_L0, cfg.p_max), t_star)
+            t_star, ctx = _posting_step(cfg, path, post_t, cur_R, cur_L0)
             emit(post_t, "PostForSale", price=ctx.initial_list,
                  demand=float(ctx.intensity(0.0)), owner=owner_idx, attempt=attempt_idx)
             attempt = run_sale_attempt(cur_R, ctx, t_star,
-                                       substream(seed, "offers", owner_idx, attempt_idx),
-                                       post_time=post_t)
-            attempt_spans.append((post_t, post_t + t_star, cur_R, ctx.initial_list))
+                                       substream(seed, "offers", owner_idx, attempt_idx))
             resolution = attempt.outcome.time if attempt.outcome.sold else t_star
             for o in attempt.offers:
                 emit(post_t + o.arrival, "OfferReceived", price=o.value,
@@ -366,7 +346,6 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
                 sale_t = post_t + attempt.outcome.time
                 emit(sale_t, "Sale", price=attempt.outcome.price,
                      owner=owner_idx, attempt=attempt_idx)
-                sale_prices.append((sale_t, attempt.outcome.price))
                 attempt_idx += 1
                 owner_idx += 1
                 tenure_start = sale_t
@@ -385,27 +364,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
 
     # emission order is causal; the stable sort keeps it for ties
     events.sort(key=lambda e: e.time)
-    log = EvolutionLog(events, path, sale_prices=sale_prices)
-    _fill_demand_trace(log, cfg, attempt_spans, next_list, horizon)
-    return log
-
-
-def _fill_demand_trace(log: EvolutionLog, cfg: EvolutionConfig,
-                       spans: list[tuple[float, float, float, float]],
-                       prospective_list: float, horizon: float) -> None:
-    """Demand intensity on the path grid.
-
-    During an attempt the posted, decaying list applies; between
-    attempts the trace uses the list the current owner would post next.
-    """
-    times = log.path.times[log.path.times <= horizon]
-    rates = np.maximum(log.path.values[: times.size], cfg.rate_floor)
-    lists = np.full(times.size, prospective_list)
-    for start, end, R, L0 in spans:
-        mask = (times >= start) & (times <= end)
-        lists[mask] = list_schedule(R, L0, cfg.zeta)(times[mask] - start)
-    log.demand_times = times
-    log.demand_values = cfg.demand.intensity(rates, lists)
+    return EvolutionLog(events, path)
 
 
 @dataclass(frozen=True)
@@ -441,15 +400,10 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
         path = simulate_cir(cfg.cir, float(times.max()) + cfg.t_max + 1.0, cfg.dt,
                             substream(seed, "rates"))
 
-    def one_time(qi: int) -> PricePoint:
-        t_post = float(times[qi])
-        snap = MarketSnapshot(float(path.rate_at(t_post)), cfg.mu, cfg.gamma,
-                              cfg.initial_reservation, cfg.initial_list,
-                              cfg.p_min, cfg.p_max, cfg.demand, cfg.rate_floor)
-        owt = compute_owt_frozen(snap, cfg.t_max, cfg.tol, cfg.exact)
-        t_star = max(owt.t_star, cfg.tol)
-        ctx = _attempt_context(cfg, path, t_post, cfg.initial_reservation,
-                               cfg.initial_list, t_star)
+    points = []
+    for qi, t_post in enumerate(times.tolist()):
+        t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
+                                    cfg.initial_list)
         prices = []
         for j in range(n_reps):
             att = run_sale_attempt(cfg.initial_reservation, ctx, t_star,
@@ -460,7 +414,6 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
         mean = float(np.mean(prices)) if n_sales else math.nan
         stderr = (float(np.std(prices, ddof=1) / math.sqrt(n_sales))
                   if n_sales >= 2 else math.nan)
-        return PricePoint(t_post, t_star, mean, stderr, n_reps, n_sales,
-                          1.0 - n_sales / n_reps)
-
-    return [one_time(qi) for qi in range(times.size)]
+        points.append(PricePoint(t_post, t_star, mean, stderr, n_reps, n_sales,
+                                 1.0 - n_sales / n_reps))
+    return points

@@ -26,7 +26,8 @@ from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff_changing_list_exact,
                           conditional_payoff_constant_list,
                           conditional_payoff_no_list, list_schedule)
-from .stochastic import CirParams, DemandParams, RatePath, simulate_cir, substream
+from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
+                         simulate_cir, substream)
 
 __all__ = [
     "McEstimate",
@@ -180,7 +181,7 @@ def _path_tools(ctx: PathContext):
     rates = path.values
 
     def intensity(a):
-        r = np.maximum(np.interp(a, times, rates), ctx.rate_floor)
+        r = np.maximum(np.interp(a, times, rates), RATE_FLOOR)
         return ctx.demand.k1 / r + ctx.demand.k2 / np.asarray(ctx.list_schedule(a), dtype=float)
 
     mids = (rates[1:] + rates[:-1]) / 2.0 * path.dt
@@ -340,17 +341,15 @@ def validate_all(tolerance_sigmas: float = 3.0, n: int = 1_000_000,
     """Full oracle-vs-analytic comparison matrix.
 
     Exact formulas (waiting-only, thinned, exact listed, exact
-    changing-list and no-list conditionals) are pass/fail checks at the
-    given sigma band.  The two formulas that are analytic approximations
-    by construction -- the plain listed payoff and the published
-    changing-list conditional -- are reported with their signed gaps
-    instead of a verdict, plus a derived check that the listed-payoff
-    gap keeps one sign across the whole grid.  Each exact changing-list
-    row is judged against the same simulation as its gap row.
-
-    The constant-list conditional shares the published crossing rule, so
-    it is exact only for a list at or above p_max, where no offer can
-    cross; its rows pass because the constant list here sits at p_max.
+    changing-list, constant-list and no-list conditionals) are pass/fail
+    checks at the given sigma band; the constant-list conditional is
+    exact for any flat list.  The two formulas that are analytic
+    approximations by construction -- the plain listed payoff and the
+    published changing-list conditional -- are reported with their
+    signed gaps instead of a verdict, plus a derived check that the
+    listed-payoff gap keeps one sign across the whole grid.  Each exact
+    changing-list row is judged against the same simulation as its gap
+    row.
     """
     base = dict(mu=5.0, r=0.1, p_min=100.0, p_max=200.0)
     R, L = 140.0, 180.0

@@ -11,11 +11,9 @@ the conditional values.
 The published crossing branch spreads the first list crossing with
 density lam(a)/Lambda(t), which the simulated model does not: there the
 first above-list offer is front-loaded.  The no-list payoff has no
-crossing branch and is exact; the constant-list payoff is exact only
-for a list at or above p_max, where nothing crosses.
-conditional_payoff_changing_list_exact integrates the true
-first-crossing density and matches simulation for any list schedule,
-flat ones included.
+crossing branch and is exact.  conditional_payoff_changing_list_exact
+and conditional_payoff_constant_list integrate the true first-crossing
+density and match simulation for any list schedule and any flat list.
 
 The rate integral inside the discount factor uses the path's native
 grid (trapezoid), so conditional values carry an O(dt^2) path
@@ -116,7 +114,7 @@ class PathContext:
     list_schedule maps elapsed time to the posted list price; it must be
     non-increasing with values >= reservation, vectorized over numpy
     arrays.  Rates feeding the demand function are clamped below at
-    rate_floor because the intensity is singular at zero.
+    RATE_FLOOR because the intensity is singular at zero.
     """
 
     path: RatePath
@@ -125,7 +123,6 @@ class PathContext:
     withdrawals: ExponentialWithdrawals | NoWithdrawals
     reservation: float
     demand: DemandParams
-    rate_floor: float = RATE_FLOOR
 
     def __post_init__(self):
         L0 = float(self.list_schedule(0.0))
@@ -137,7 +134,7 @@ class PathContext:
         return float(self.list_schedule(0.0))
 
     def intensity(self, a):
-        r = np.maximum(self.path.rate_at(a), self.rate_floor)
+        r = np.maximum(self.path.rate_at(a), RATE_FLOOR)
         return self.demand.intensity(r, np.asarray(self.list_schedule(a), dtype=float))
 
 
@@ -347,8 +344,10 @@ def conditional_payoff_changing_list(ctx: PathContext, t: float,
     return p.best_standing + crossing
 
 
-def _above_list_hazard(ctx: PathContext, t: float, n_nodes: int) -> np.ndarray:
-    """H(a) = Int_0^a lam(s) (1 - F(L(s))) ds at the n_nodes arrival nodes.
+def _above_list_hazard(ctx: PathContext, t: float, n_nodes: int,
+                       beat: Callable) -> np.ndarray:
+    """H(a) = Int_0^a lam(s) (1 - F(beat(s))) ds at the n_nodes arrival
+    nodes, beat(s) being the list an offer arriving at s must meet.
 
     Each gap between neighbouring nodes is one Simpson panel through its
     midpoint, so the running total is a Simpson quadrature as accurate
@@ -356,7 +355,7 @@ def _above_list_hazard(ctx: PathContext, t: float, n_nodes: int) -> np.ndarray:
     """
     s = np.linspace(0.0, t, 2 * n_nodes - 1)
     h = (np.asarray(ctx.intensity(s), dtype=float)
-         * (1.0 - np.asarray(ctx.offers.cdf(ctx.list_schedule(s)), dtype=float)))
+         * (1.0 - np.asarray(ctx.offers.cdf(beat(s)), dtype=float)))
     panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
     return np.concatenate(([0.0], np.cumsum(panels)))
 
@@ -376,7 +375,8 @@ def conditional_payoff_changing_list_exact(ctx: PathContext, t: float,
     p = _changing_list_terms(ctx, t, n_nodes)
     if p is None:
         return 0.0
-    first_cross = p.lam * (1.0 - p.F_L) * np.exp(-_above_list_hazard(ctx, t, n_nodes))
+    first_cross = p.lam * (1.0 - p.F_L) * np.exp(
+        -_above_list_hazard(ctx, t, n_nodes, ctx.list_schedule))
     return p.best_standing + float(p.w @ (first_cross * p.disc_a * p.mean_above))
 
 
@@ -386,9 +386,10 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float,
 
     Uses L = list_schedule(0); the below-list probability collapses to
     F(L) and the survivor tail factorizes into a value band times a
-    not-withdrawn weight.  The crossing branch is the published one, so
-    the value is exact only for L >= p_max, where no offer crosses; for
-    a lower flat list use conditional_payoff_changing_list_exact.
+    not-withdrawn weight.  Offers beat L at rate lam(a) (1 - F(L)), so
+    the first crossing has density lam(a) (1 - F(L)) exp(-H(a)) with H
+    the running hazard of the flat list; a list at p_max or above admits
+    no crossing.
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
@@ -413,7 +414,8 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float,
     if F_L < _SATURATED:
         mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
         disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
-        crossing = (1.0 - no_cross) * mean_above * float(w @ (lam * disc_a)) / big_lam
+        survive = np.exp(-_above_list_hazard(ctx, t, n_nodes, lambda s: L))
+        crossing = mean_above * (1.0 - F_L) * float(w @ (lam * survive * disc_a))
     return best_standing + crossing
 
 

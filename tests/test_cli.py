@@ -80,6 +80,18 @@ class TestOwtCommand:
         assert np.all(np.diff(payoff[peak:]) <= 1e-9)
         assert payoff[0] < payoff[peak]
 
+    def test_no_list_curve_with_many_lasting_offers(self, tmp_path):
+        # 36 thinned offers a year that are never withdrawn put
+        # x = lam*T*(1 - f) up to 720 on the default 20-year grid
+        f = tmp_path / "s.cfg"
+        f.write_text("arrival_intensity = 60\nwithdrawal_intensity = 0\n")
+        rc = main(["owt", "--mode", "no-list", "--config", str(f),
+                   "--out", str(tmp_path), "--t-steps", "50"])
+        assert rc == 0
+        _, _, rows = read_csv(tmp_path / "owt_curve.csv")
+        payoff = np.array([float(r[1]) for r in rows])
+        assert np.all(np.isfinite(payoff)) and np.all(payoff <= 200.0)
+
     def test_listed_curve_without_impatience_is_monotone(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text("waiting_averseness = 0\n")
@@ -164,6 +176,14 @@ class TestEvolveCommand:
         assert float(rows[0][0]) == 0.0 and float(rows[0][1]) == 0.09
         assert all(float(r[1]) >= 0.0 for r in rows)
 
+    def test_list_above_offer_support_is_config_error(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text("initial_list_price = 250\n")
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(f), "--out", str(out), "--horizon", "20"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_crisis_dominant_config(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text("crisis_mean = 0.5\n")
@@ -192,6 +212,24 @@ class TestExpectedPriceCommand:
         assert rc == 0
         _, _, rows = read_csv(tmp_path / "expected_price.csv")
         assert rows[0][3] == ""  # stderr column empty
+
+    def test_golden_expected_price_bytes(self, tmp_path):
+        # frozen from expected-price --times 2,10 --n-reps 50 --seed 1
+        # --workers 1; any change to these bytes must be explained
+        golden = pathlib.Path(__file__).parent / "data" / "golden_expected_price_seed1.csv"
+        rc = main(["expected-price", "--out", str(tmp_path), "--times", "2,10",
+                   "--n-reps", "50", "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        assert (tmp_path / "expected_price.csv").read_bytes() == golden.read_bytes()
+
+    def test_list_above_offer_support_is_config_error(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text("initial_list_price = 250\n")
+        out = tmp_path / "out"
+        rc = main(["expected-price", "--config", str(f), "--out", str(out),
+                   "--times", "2", "--n-reps", "30"])
+        assert rc == 2
+        assert not out.exists()
 
     def test_zero_reps_is_usage_error(self, tmp_path):
         # an explicit 0 must reach the validator, not fall back to the default

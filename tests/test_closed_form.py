@@ -111,6 +111,14 @@ class TestAuxiliaryPayoff:
         assert auxiliary_payoff(1.0, lo) == pytest.approx(
             auxiliary_payoff(1.0, hi), rel=1e-3)
 
+    @pytest.mark.parametrize("x", [705.0, 710.0])
+    def test_many_surviving_offers(self, x):
+        # without withdrawals x = lam*T; e^x overflows a double near 709.8,
+        # while the payoff tends to e^(-rT) (p_max - (p_max - p_min)/x)
+        m = MarketParams(x, 0.0, 0.1, 100.0, 200.0)
+        u = auxiliary_payoff(1.0, m)
+        assert u == pytest.approx(math.exp(-0.1) * (200.0 - 100.0 / x), rel=1e-14)
+
     def test_monte_carlo_oracle(self, market):
         from homesale.oracle import mc_auxiliary_payoff
 

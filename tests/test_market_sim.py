@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import three_sigma
-from homesale.market_sim import (EvolutionConfig, MarketSnapshot, OwnerState,
+from homesale.market_sim import (EvolutionConfig, OwnerState,
                                  compute_owt_frozen, draw_crisis,
                                  draw_occupation, expected_price_curve,
                                  list_schedule, resolve_attempt, run_evolution,
@@ -45,14 +45,14 @@ class TestDraws:
 class TestTimeToPosting:
     def test_crisis_before_occupation_end(self):
         path = RatePath(0.5, np.full(41, 0.2))
-        owner = OwnerState(140.0, 0.8, occupation_end=5.0, crisis_time=2.5)
+        owner = OwnerState(occupation_end=5.0, crisis_time=2.5)
         decision = time_to_posting(owner, path, 0.06)
         assert decision.cause == "crisis"
         assert decision.time == 2.5
 
     def test_neither_trigger_fires(self):
         path = RatePath(0.5, np.full(41, 0.2))  # always above threshold
-        owner = OwnerState(140.0, 0.8, occupation_end=5.0, crisis_time=1e9)
+        owner = OwnerState(occupation_end=5.0, crisis_time=1e9)
         decision = time_to_posting(owner, path, 0.06)
         assert decision.cause is None
         assert decision.time == path.horizon
@@ -64,14 +64,14 @@ class TestTimeToPosting:
         p = CirParams(kappa, 0.05, 0.0, 0.09)
         dt = 1.0 / 252.0
         path = simulate_cir(p, 12.0, dt, seed=0)
-        owner = OwnerState(140.0, 0.8, occupation_end=5.0, crisis_time=1e9)
+        owner = OwnerState(occupation_end=5.0, crisis_time=1e9)
         decision = time_to_posting(owner, path, 0.06)
         assert decision.cause == "profit"
         assert abs(decision.time - 7.0) < 3.0 * dt
 
     def test_profit_waits_for_occupation_end(self):
         path = RatePath(0.5, np.full(41, 0.05))  # always below threshold
-        owner = OwnerState(140.0, 0.8, occupation_end=5.25, crisis_time=1e9)
+        owner = OwnerState(occupation_end=5.25, crisis_time=1e9)
         decision = time_to_posting(owner, path, 0.06)
         assert decision.cause == "profit"
         assert decision.time == pytest.approx(5.5)  # first grid point past O
@@ -100,25 +100,23 @@ class TestListSchedule:
 
 
 class TestFrozenOwt:
-    def snap(self, r):
-        return MarketSnapshot(r, 10.0, 0.8, 140.0, 200.0, 100.0, 200.0, DEMAND)
-
+    # mu 10, gamma 0.8, prices (100, 200), t_max 20 and tol 1e-4 are the
+    # EvolutionConfig defaults
     def test_lower_rate_means_shorter_wait(self):
-        low = compute_owt_frozen(self.snap(0.06))
-        high = compute_owt_frozen(self.snap(0.12))
+        cfg = make_config()
+        low = compute_owt_frozen(cfg, 0.06, 140.0, 200.0)
+        high = compute_owt_frozen(cfg, 0.12, 140.0, 200.0)
         assert low.t_star <= high.t_star
 
     def test_extreme_impatience_drives_wait_to_zero(self):
-        snap = MarketSnapshot(0.09, 10.0, 1e9, 140.0, 200.0, 100.0, 200.0, DEMAND)
-        res = compute_owt_frozen(snap, tol=1e-4)
+        res = compute_owt_frozen(make_config(gamma=1e9, tol=1e-4), 0.09, 140.0, 200.0)
         assert res.t_star < 1e-4
 
     def test_matches_dense_grid(self):
         from homesale.closed_form import MarketParams, expected_utility
         from homesale.stochastic import demand_intensity
 
-        snap = self.snap(0.09)
-        res = compute_owt_frozen(snap, tol=1e-4)
+        res = compute_owt_frozen(make_config(tol=1e-4), 0.09, 140.0, 200.0)
         lam = demand_intensity(0.09, 200.0, DEMAND)
         m = MarketParams(lam, 10.0, 0.09, 100.0, 200.0)
         dense = np.linspace(20.0 / 200_000, 20.0, 200_000)
@@ -176,11 +174,10 @@ class TestResolveAttempt:
 
 class TestUpdatePrices:
     def sale(self, price):
-        return SaleAttempt(0.0, 1.0, 200.0, [],
-                           SaleOutcome(True, price, 0.5, "list_crossing"))
+        return SaleAttempt([], SaleOutcome(True, price, 0.5, "list_crossing"))
 
     def no_sale(self):
-        return SaleAttempt(0.0, 1.0, 200.0, [], SaleOutcome(False))
+        return SaleAttempt([], SaleOutcome(False))
 
     def test_sale_resets_to_agreed_price_and_top_list(self):
         assert update_prices(140.0, self.sale(173.0), 100.0, 200.0) == (173.0, 200.0)
@@ -192,6 +189,24 @@ class TestUpdatePrices:
         r1, _ = update_prices(140.0, self.no_sale(), 100.0, 200.0)
         r2, _ = update_prices(r1, self.no_sale(), 100.0, 200.0)
         assert r2 == 110.0
+
+
+class TestEvolutionConfig:
+    def test_equal_neighbours_accepted(self):
+        cfg = make_config(p_min=100.0, initial_reservation=100.0, initial_list=200.0,
+                          p_max=200.0)
+        assert cfg.initial_list == cfg.p_max
+
+    @pytest.mark.parametrize("prices", [
+        dict(p_min=0.0, initial_reservation=140.0),          # p_min > 0
+        dict(p_min=150.0),                                   # p_min <= R
+        dict(initial_reservation=190.0, initial_list=180.0),  # R <= L
+        dict(initial_list=250.0),                            # L <= p_max
+        dict(initial_list=math.nan),
+    ])
+    def test_broken_price_ordering_raises(self, prices):
+        with pytest.raises(ValueError):
+            make_config(**prices)
 
 
 class TestRunEvolution:
@@ -273,12 +288,6 @@ class TestRunEvolution:
         n_posts = kinds.count("PostForSale")
         assert n_posts > 0
         assert n_posts == kinds.count("Sale") + kinds.count("NoSale")
-
-    def test_demand_trace_covers_horizon(self):
-        log = run_evolution(make_config(), 20.0, seed=7)
-        assert log.demand_times[0] == 0.0
-        assert log.demand_times[-1] == pytest.approx(20.0, abs=1.0 / 252.0)
-        assert np.all(log.demand_values > 0.0)
 
 
 class TestExpectedPriceCurve:

@@ -241,21 +241,23 @@ class TestExactChangingList:
         # same chance
         for t in (0.5, 1.0, 2.0):
             terms = _changing_list_terms(decay_ctx, t, DEFAULT_NODES)
-            hazard = _above_list_hazard(decay_ctx, t, DEFAULT_NODES)
+            hazard = _above_list_hazard(decay_ctx, t, DEFAULT_NODES,
+                                        decay_ctx.list_schedule)
             assert hazard.shape == terms.w.shape
             assert np.all(np.diff(hazard) >= 0.0)
             assert math.exp(-hazard[-1]) == pytest.approx(terms.no_cross, rel=1e-8)
 
     def test_monte_carlo_flat_list_below_top(self):
-        # a flat list at 180 lets offers cross, where the published
-        # crossing rule misses; the constant-list simulation is the oracle
+        # a flat list at 180 lets offers cross, so the first crossing's
+        # timing matters; the constant-list simulation is the oracle
         ctx = table2_context(sigma0_table2_path(2.5), constant_list=True,
                              initial_list=180.0)
         for t in (0.5, 1.0, 2.0):
             est = mc_path_payoff(ctx, t, "constant", 200_000, seed=23)
-            three_sigma(f"exact changing-list payoff, L=180, t={t}",
-                        conditional_payoff_changing_list_exact(ctx, t),
-                        est.mean, est.stderr)
+            for fn in (conditional_payoff_changing_list_exact,
+                       conditional_payoff_constant_list):
+                three_sigma(f"{fn.__name__}, L=180, t={t}", fn(ctx, t),
+                            est.mean, est.stderr)
 
     def test_rejects_non_positive_horizon(self, decay_ctx):
         with pytest.raises(ValueError):
