@@ -291,17 +291,17 @@ def cmd_expected_price(cfg: ScenarioConfig, args) -> int:
 
 def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
     """Conditional payoff curves along rate paths (single path or MC mean)."""
-    R = cfg.initial_reservation_price
-    L0 = cfg.initial_list_price
-    zeta = 0.0 if args.mode == "constant" else cfg.zeta
-    schedule = market_sim.list_schedule(R, L0, zeta)
+    ev = cfg.evolution_config()  # rejects an out-of-order price scenario
+    R = ev.initial_reservation
+    zeta = 0.0 if args.mode == "constant" else ev.zeta
+    schedule = market_sim.list_schedule(R, ev.initial_list, zeta)
 
     def ctx_factory(path):
         return path_payoff.PathContext(
             path=path, list_schedule=schedule,
-            offers=path_payoff.UniformOffers(cfg.p_min, cfg.p_max),
-            withdrawals=path_payoff.ExponentialWithdrawals(cfg.sim_withdrawal_intensity),
-            reservation=R, demand=cfg.demand_params())
+            offers=path_payoff.UniformOffers(ev.p_min, ev.p_max),
+            withdrawals=path_payoff.ExponentialWithdrawals(ev.mu),
+            reservation=R, demand=ev.demand)
 
     n_paths = cfg.path_replications if args.n_paths is None else args.n_paths
     if n_paths < 1:
@@ -309,13 +309,12 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
     grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)
     if n_paths > 1:
         payoffs, stderrs = path_payoff.expected_payoff(
-            ctx_factory, cfg.cir_params(), grid, n_paths, cfg.seed,
-            mode=args.mode, dt=cfg.dt)
+            ctx_factory, ev.cir, grid, n_paths, cfg.seed, mode=args.mode, dt=ev.dt)
     else:
         # path 0 of the Monte Carlo run, simulated once to the largest horizon
         payoffs, stderrs = [], [0.0] * grid.size
         if grid.size:
-            path = simulate_cir(cfg.cir_params(), max(grid.max(), cfg.dt), cfg.dt,
+            path = simulate_cir(ev.cir, max(grid.max(), ev.dt), ev.dt,
                                 substream(cfg.seed, "payoff-path", 0))
             ctx = ctx_factory(path)
             payoffs = [path_payoff.conditional_payoff(ctx, t, args.mode) for t in grid]
@@ -327,8 +326,7 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
 
 def cmd_validate(cfg: ScenarioConfig, args) -> int:
     """Oracle-vs-analytic comparison matrix; exit 1 when a check fails."""
-    report = oracle.validate_all(tolerance_sigmas=3.0,
-                                 n=cfg.mc_replications if args.n is None else args.n,
+    report = oracle.validate_all(n=cfg.mc_replications if args.n is None else args.n,
                                  seed=cfg.seed, workers=args.workers)
     out = Path(cfg.out_dir) / "validation.csv"
     _write_csv(out, cfg, ["check_name", "analytic", "mc_mean", "mc_stderr",

@@ -349,8 +349,8 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
                 attempt_idx += 1
                 owner_idx += 1
                 tenure_start = sale_t
-                reservation = attempt.outcome.price
-                next_list = cfg.p_max
+                reservation, next_list = update_prices(cur_R, attempt, cfg.p_min,
+                                                       cfg.p_max)
                 sold = True
             else:
                 end_t = post_t + t_star

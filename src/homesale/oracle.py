@@ -7,8 +7,12 @@ scheme.  In particular the rate-path integrals and offer intensities
 are recomputed locally.  validate_all runs the whole comparison matrix
 and renders a pass/fail table with z-scores.
 
-Estimates are chunked at a fixed size with one substream per chunk, so
-growing a run never perturbs the replications already drawn.
+Every estimator goes through _replicate: replications are drawn in
+chunks of at most _CHUNK, chunk i from substream(seed, key, i), so
+growing a run never perturbs the replications already drawn.  The
+homogeneous offer draw (_offers), the list-crossing settlement
+(_list_rule) and the per-replication reducer (_segment) are each
+written once and shared by the estimators.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ __all__ = [
 
 _CHUNK = 1 << 17
 
+# A check row passes when its z-score is within this many standard errors.
+_TOLERANCE_SIGMAS = 3.0
+
 # A row is too noisy to mean much when its standard error exceeds this
 # fraction of the analytic value.
 _LOW_POWER_FRACTION = 0.01
@@ -70,33 +77,60 @@ class _Accumulator:
         self.n += x.size
 
     def estimate(self) -> McEstimate:
-        if self.n < 2:
-            raise ValueError("need at least 2 replications")
         mean = self.total / self.n
         var = max(self.total_sq - self.n * mean * mean, 0.0) / (self.n - 1)
         return McEstimate(mean, math.sqrt(var / self.n), self.n)
 
 
-def _segment_max(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-replication max of a flat array split by counts; 0 for empty."""
-    out = np.zeros(counts.size)
+def _replicate(n: int, seed: int, key: str, chunk_payoff) -> McEstimate:
+    """Mean and standard error of n replications of chunk_payoff(rng, k),
+    which returns the k payoffs of one chunk drawn from rng."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    acc = _Accumulator()
+    for i, done in enumerate(range(0, n, _CHUNK)):
+        acc.add(chunk_payoff(substream(seed, key, i), min(_CHUNK, n - done)))
+    return acc.estimate()
+
+
+def _segment(ufunc: np.ufunc, vals: np.ndarray, counts: np.ndarray,
+             empty: float) -> np.ndarray:
+    """Per-replication ufunc reduction of a flat array split by counts;
+    `empty` for replications without entries."""
+    out = np.full(counts.size, empty)
     if vals.size == 0:
         return out
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     valid = counts > 0
-    out[valid] = np.maximum.reduceat(vals, starts[valid])
+    out[valid] = ufunc.reduceat(vals, starts[valid])
     return out
 
 
-def _segment_min(vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-replication min; +inf for empty segments."""
-    out = np.full(counts.size, np.inf)
-    if vals.size == 0:
-        return out
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    valid = counts > 0
-    out[valid] = np.minimum.reduceat(vals, starts[valid])
-    return out
+def _offers(rng: np.random.Generator, k: int, m: MarketParams, T: float):
+    """Offers of k replications on [0, T]: Poisson(lam*T) counts, then
+    uniform arrivals, uniform values and Exponential(mu) withdrawal
+    delays (never withdrawn when mu = 0), flat in replication order."""
+    counts = rng.poisson(m.lam * T, k)
+    total = int(counts.sum())
+    arrival = rng.uniform(0.0, T, total)
+    value = rng.uniform(m.p_min, m.p_max, total)
+    delay = (rng.exponential(1.0 / m.mu, total) if m.mu > 0
+             else np.full(total, np.inf))
+    return counts, arrival, value, delay
+
+
+def _list_rule(counts, arrival, value, above, standing, disc_at, disc_end):
+    """Payoff per replication under a public list: the first offer in
+    time at or above the list (`above`) sells at its arrival, discounted
+    by disc_at; otherwise the best `standing` offer sells at the end,
+    discounted by disc_end; otherwise zero."""
+    t_first = _segment(np.minimum, np.where(above, arrival, np.inf), counts, np.inf)
+    crossed = np.isfinite(t_first)
+    winner = above & (arrival == np.repeat(t_first, counts))
+    win_value = _segment(np.maximum, np.where(winner, value, 0.0), counts, 0.0)
+    fallback = _segment(np.maximum, np.where(standing, value, 0.0), counts, 0.0)
+    return np.where(crossed, disc_at(np.where(crossed, t_first, 0.0)) * win_value,
+                    disc_end * fallback)
 
 
 def mc_auxiliary_payoff(T: float, m: MarketParams, n: int, seed: int,
@@ -109,28 +143,15 @@ def mc_auxiliary_payoff(T: float, m: MarketParams, n: int, seed: int,
     delay outlasts T - arrival (and clears `reservation`, if given), or
     zero when none survive.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     resv = m.p_min if reservation is None else reservation
     disc = math.exp(-m.r * T)
-    acc = _Accumulator()
-    done = 0
-    chunk_idx = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        rng = substream(seed, "mc-aux", chunk_idx)
-        counts = rng.poisson(m.lam * T, k)
-        total = int(counts.sum())
-        arrival = rng.uniform(0.0, T, total)
-        value = rng.uniform(m.p_min, m.p_max, total)
-        delay = (rng.exponential(1.0 / m.mu, total) if m.mu > 0
-                 else np.full(total, np.inf))
+
+    def chunk(rng, k):
+        counts, arrival, value, delay = _offers(rng, k, m, T)
         alive = (delay >= T - arrival) & (value >= resv)
-        payoff = disc * _segment_max(np.where(alive, value, 0.0), counts)
-        acc.add(payoff)
-        done += k
-        chunk_idx += 1
-    return acc.estimate()
+        return disc * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
+
+    return _replicate(n, seed, "mc-aux", chunk)
 
 
 def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
@@ -141,36 +162,16 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
     immediately, discounted to its arrival; otherwise the best surviving
     value at or above R sells at T; otherwise the payoff is zero.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     disc_T = math.exp(-m.r * T)
-    acc = _Accumulator()
-    done = 0
-    chunk_idx = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        rng = substream(seed, "mc-listed", chunk_idx)
-        counts = rng.poisson(m.lam * T, k)
-        total = int(counts.sum())
-        rep = np.repeat(np.arange(k), counts)
-        arrival = rng.uniform(0.0, T, total)
-        value = rng.uniform(m.p_min, m.p_max, total)
-        delay = (rng.exponential(1.0 / m.mu, total) if m.mu > 0
-                 else np.full(total, np.inf))
+
+    def chunk(rng, k):
+        counts, arrival, value, delay = _offers(rng, k, m, T)
         above = value >= L
-        t_first = _segment_min(np.where(above, arrival, np.inf), counts)
-        crossed = np.isfinite(t_first)
-        winner = above & (arrival == t_first[rep])
-        win_value = _segment_max(np.where(winner, value, 0.0), counts)
-        alive = (delay >= T - arrival) & (value >= R) & ~above
-        fallback = _segment_max(np.where(alive, value, 0.0), counts)
-        payoff = np.where(crossed,
-                          np.exp(-m.r * np.where(crossed, t_first, 0.0)) * win_value,
-                          disc_T * fallback)
-        acc.add(payoff)
-        done += k
-        chunk_idx += 1
-    return acc.estimate()
+        standing = (delay >= T - arrival) & (value >= R) & ~above
+        return _list_rule(counts, arrival, value, above, standing,
+                          lambda s: np.exp(-m.r * s), disc_T)
+
+    return _replicate(n, seed, "mc-listed", chunk)
 
 
 def _path_tools(ctx: PathContext):
@@ -205,47 +206,30 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
     """
     if mode not in ("changing", "constant", "none"):
         raise ValueError(f"unknown mode {mode!r}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
     intensity, cum_rate = _path_tools(ctx)
     grid = np.unique(np.concatenate((ctx.path.times[ctx.path.times <= t], [t])))
     bound = float(np.max(intensity(grid))) * (1.0 + 1e-6)
     disc_t = math.exp(-float(cum_rate(t)))
     R = ctx.reservation
-    acc = _Accumulator()
-    done = 0
-    chunk_idx = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        rng = substream(seed, "mc-path", chunk_idx)
+
+    def chunk(rng, k):
         n_cand = rng.poisson(bound * t, k)
         total = int(n_cand.sum())
         rep_all = np.repeat(np.arange(k), n_cand)
         a_all = rng.uniform(0.0, t, total)
         keep = rng.uniform(0.0, 1.0, total) * bound < intensity(a_all)
-        rep = rep_all[keep]
         a = a_all[keep]
-        counts = np.bincount(rep, minlength=k)
+        counts = np.bincount(rep_all[keep], minlength=k)
         value = np.asarray(ctx.offers.sample(rng, a.size), dtype=float)
         delay = np.asarray(ctx.withdrawals.sample(rng, a.size), dtype=float)
         alive = (value >= R) & (delay >= t - a)
         if mode == "none":
-            payoff = disc_t * _segment_max(np.where(alive, value, 0.0), counts)
-        else:
-            above = value >= np.asarray(ctx.list_schedule(a), dtype=float)
-            t_first = _segment_min(np.where(above, a, np.inf), counts)
-            crossed = np.isfinite(t_first)
-            winner = above & (a == t_first[rep])
-            win_value = _segment_max(np.where(winner, value, 0.0), counts)
-            fallback = _segment_max(np.where(alive & ~above, value, 0.0), counts)
-            payoff = np.where(
-                crossed,
-                np.exp(-cum_rate(np.where(crossed, t_first, 0.0))) * win_value,
-                disc_t * fallback)
-        acc.add(payoff)
-        done += k
-        chunk_idx += 1
-    return acc.estimate()
+            return disc_t * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
+        above = value >= np.asarray(ctx.list_schedule(a), dtype=float)
+        return _list_rule(counts, a, value, above, alive & ~above,
+                          lambda s: np.exp(-cum_rate(s)), disc_t)
+
+    return _replicate(n, seed, "mc-path", chunk)
 
 
 @dataclass(frozen=True)
@@ -263,7 +247,6 @@ class ValidationRow:
 @dataclass
 class ValidationReport:
     rows: list[ValidationRow]
-    tolerance_sigmas: float
     n: int
     seed: int
 
@@ -287,7 +270,7 @@ class ValidationReport:
         lines.append("-" * len(header))
         n_checks = sum(1 for r in self.rows if r.kind == "check")
         lines.append(f"{n_checks - len(self.failures)}/{n_checks} checks passed "
-                     f"at {self.tolerance_sigmas} sigma, n={self.n}")
+                     f"at {_TOLERANCE_SIGMAS} sigma, n={self.n}")
         return "\n".join(lines)
 
     def to_csv_rows(self) -> list[tuple]:
@@ -319,20 +302,18 @@ def table2_context(path: RatePath, constant_list: bool = False,
                        reservation=reservation, demand=demand)
 
 
-def _make_row(name: str, analytic: float, est: McEstimate, kind: str,
-              tol_sigmas: float) -> ValidationRow:
+def _make_row(name: str, analytic: float, est: McEstimate, kind: str) -> ValidationRow:
     z = est.z_against(analytic)
     low_power = est.stderr > _LOW_POWER_FRACTION * max(abs(analytic), 1.0)
     if kind == "gap":
         verdict = "report"
     else:
-        verdict = "pass" if abs(z) <= tol_sigmas else "FAIL"
+        verdict = "pass" if abs(z) <= _TOLERANCE_SIGMAS else "FAIL"
     return ValidationRow(name, analytic, est.mean, est.stderr, z, kind,
                          verdict, low_power)
 
 
-def validate_all(tolerance_sigmas: float = 3.0, n: int = 1_000_000,
-                 seed: int = 20240817,
+def validate_all(n: int = 1_000_000, seed: int = 20240817,
                  t_values: tuple = (0.25, 0.5, 1.0, 2.0, 5.0),
                  lam_values: tuple = (1.0, 2.0, 5.0, 8.0, 12.0),
                  path_t_values: tuple = (0.5, 1.0, 2.0),
@@ -342,91 +323,79 @@ def validate_all(tolerance_sigmas: float = 3.0, n: int = 1_000_000,
 
     Exact formulas (waiting-only, thinned, exact listed, exact
     changing-list, constant-list and no-list conditionals) are pass/fail
-    checks at the given sigma band; the constant-list conditional is
+    checks at the module's sigma band; the constant-list conditional is
     exact for any flat list.  The two formulas that are analytic
     approximations by construction -- the plain listed payoff and the
     published changing-list conditional -- are reported with their
     signed gaps instead of a verdict, plus a derived check that the
     listed-payoff gap keeps one sign across the whole grid.  Each exact
     changing-list row is judged against the same simulation as its gap
-    row.
+    row.  Every row comes from one job list run on `workers` threads;
+    each job draws from its own substreams, so the rows do not depend on
+    the worker count.
     """
-    base = dict(mu=5.0, r=0.1, p_min=100.0, p_max=200.0)
     R, L = 140.0, 180.0
-    jobs = []
 
-    def add_grid(maker):
-        for T in t_values:
-            for lam in lam_values:
-                jobs.append((maker, T, lam))
+    def market(lam):
+        return MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
 
-    def run_aux(T, lam):
-        m = MarketParams(lam, base["mu"], base["r"], base["p_min"], base["p_max"])
-        est = mc_auxiliary_payoff(T, m, n, seed)
-        return [_make_row(f"aux T={T} lam={lam}", auxiliary_payoff(T, m), est,
-                          "check", tolerance_sigmas)]
+    def aux(T, lam):
+        m = market(lam)
+        return [_make_row(f"aux T={T} lam={lam}", auxiliary_payoff(T, m),
+                          mc_auxiliary_payoff(T, m, n, seed), "check")]
 
-    def run_thinned(T, lam):
-        m = MarketParams(lam, base["mu"], base["r"], base["p_min"], base["p_max"])
-        est = mc_auxiliary_payoff(T, m, n, seed, reservation=R)
+    def thinned(T, lam):
+        m = market(lam)
         return [_make_row(f"thinned T={T} lam={lam}", thinned_payoff(T, m, R),
-                          est, "check", tolerance_sigmas)]
+                          mc_auxiliary_payoff(T, m, n, seed, reservation=R), "check")]
 
-    def run_listed(T, lam):
-        m = MarketParams(lam, base["mu"], base["r"], base["p_min"], base["p_max"])
+    def listed(T, lam):
+        m = market(lam)
         est = mc_listed_payoff(T, m, R, L, n, seed)
-        rows = [_make_row(f"listed-exact T={T} lam={lam}",
-                          listed_payoff_exact(T, m, R, L), est, "check",
-                          tolerance_sigmas)]
-        rows.append(_make_row(f"listed-gap T={T} lam={lam}",
-                              listed_payoff(T, m, R, L), est, "gap",
-                              tolerance_sigmas))
-        return rows
+        return [_make_row(f"listed-exact T={T} lam={lam}",
+                          listed_payoff_exact(T, m, R, L), est, "check"),
+                _make_row(f"listed-gap T={T} lam={lam}",
+                          listed_payoff(T, m, R, L), est, "gap")]
 
-    add_grid(run_aux)
-    add_grid(run_thinned)
-    add_grid(run_listed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda j: j[0](j[1], j[2]), jobs))
-    else:
-        chunks = [maker(T, lam) for maker, T, lam in jobs]
-    rows = [row for chunk in chunks for row in chunk]
-
-    # Sign constancy of the listed-payoff truncation gap, judged on the
-    # analytic difference (the MC gap drowns in noise where the bias is
-    # tiny).
-    gaps = []
-    for T in t_values:
-        for lam in lam_values:
-            m = MarketParams(lam, base["mu"], base["r"], base["p_min"], base["p_max"])
-            gaps.append(listed_payoff(T, m, R, L) - listed_payoff_exact(T, m, R, L))
-    constant_sign = all(g < 0 for g in gaps) or all(g > 0 for g in gaps)
-    rows.append(ValidationRow("listed-gap-sign-constant", max(gaps), math.nan,
+    def gap_sign():
+        # Sign constancy of the listed-payoff truncation gap, judged on
+        # the analytic difference (the MC gap drowns in noise where the
+        # bias is tiny).
+        gaps = [listed_payoff(T, m, R, L) - listed_payoff_exact(T, m, R, L)
+                for T in t_values for m in map(market, lam_values)]
+        constant_sign = all(g < 0 for g in gaps) or all(g > 0 for g in gaps)
+        return [ValidationRow("listed-gap-sign-constant", max(gaps), math.nan,
                               math.nan, math.nan, "check",
-                              "pass" if constant_sign else "FAIL", False))
+                              "pass" if constant_sign else "FAIL", False)]
 
+    def path_changing(t):
+        est = mc_path_payoff(ctx_changing, t, "changing", n, seed)
+        return [_make_row(f"path-changing-gap t={t}",
+                          conditional_payoff_changing_list(ctx_changing, t), est, "gap"),
+                _make_row(f"path-changing-exact t={t}",
+                          conditional_payoff_changing_list_exact(ctx_changing, t),
+                          est, "check")]
+
+    def path_constant(t):
+        return [_make_row(f"path-constant t={t}",
+                          conditional_payoff_constant_list(ctx_constant, t),
+                          mc_path_payoff(ctx_constant, t, "constant", n, seed), "check")]
+
+    def path_no_list(t):
+        return [_make_row(f"path-no-list t={t}",
+                          conditional_payoff_no_list(ctx_changing, t),
+                          mc_path_payoff(ctx_changing, t, "none", n, seed), "check")]
+
+    jobs = [(job, T, lam) for job in (aux, thinned, listed)
+            for T in t_values for lam in lam_values]
+    jobs.append((gap_sign,))
     if include_paths:
-        horizon = max(path_t_values) + 0.1
-        path = sigma0_table2_path(horizon)
+        path = sigma0_table2_path(max(path_t_values) + 0.1)
         ctx_changing = table2_context(path, constant_list=False)
         ctx_constant = table2_context(path, constant_list=True)
-        for t in path_t_values:
-            est = mc_path_payoff(ctx_changing, t, "changing", n, seed)
-            rows.append(_make_row(f"path-changing-gap t={t}",
-                                  conditional_payoff_changing_list(ctx_changing, t),
-                                  est, "gap", tolerance_sigmas))
-            rows.append(_make_row(f"path-changing-exact t={t}",
-                                  conditional_payoff_changing_list_exact(ctx_changing, t),
-                                  est, "check", tolerance_sigmas))
-            est = mc_path_payoff(ctx_constant, t, "constant", n, seed)
-            rows.append(_make_row(f"path-constant t={t}",
-                                  conditional_payoff_constant_list(ctx_constant, t),
-                                  est, "check", tolerance_sigmas))
-            est = mc_path_payoff(ctx_changing, t, "none", n, seed)
-            rows.append(_make_row(f"path-no-list t={t}",
-                                  conditional_payoff_no_list(ctx_changing, t),
-                                  est, "check", tolerance_sigmas))
+        jobs += [(job, t) for t in path_t_values
+                 for job in (path_changing, path_constant, path_no_list)]
 
-    return ValidationReport(rows, tolerance_sigmas, n, seed)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(lambda job: job[0](*job[1:]), jobs))
+    return ValidationReport([row for chunk in chunks for row in chunk], n, seed)

@@ -154,11 +154,11 @@ class SweepAxis:
 class SweepSpec:
     """Two swept axes plus the fixed remainder of the parameter set.
 
-    exact selects the exact-discounting listed payoff as the utility
-    base.  That is the default here: with the plain variant the discount
-    rate only rescales the crossing branch, which flattens (and slightly
-    reverses) the maximizer's dependence on the rate, while the exact
-    variant restores the expected comparative statics.
+    Every cell maximizes the utility on the exact-discounting listed
+    payoff: with the plain variant the discount rate only rescales the
+    crossing branch, which flattens (and slightly reverses) the
+    maximizer's dependence on the rate, while the exact variant restores
+    the expected comparative statics.
     """
 
     axis_x: SweepAxis
@@ -169,7 +169,6 @@ class SweepSpec:
     gamma: float
     t_max: float = DEFAULT_T_MAX
     tol: float = DEFAULT_TOL
-    exact: bool = True
 
 
 @dataclass
@@ -209,7 +208,7 @@ def _solve_cell(spec: SweepSpec, xv: float, yv: float) -> tuple[float, bool]:
     except ValueError:
         return math.nan, False
     res = optimal_waiting_time(
-        lambda T: expected_utility(T, m, R, L, gamma, exact=spec.exact),
+        lambda T: expected_utility(T, m, R, L, gamma, exact=True),
         t_max=spec.t_max, tol=spec.tol)
     return res.t_star, res.boundary
 

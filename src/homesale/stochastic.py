@@ -132,10 +132,11 @@ class RatePath:
         return np.interp(t, self.times, self._cum)
 
     def shifted(self, start: float, horizon: float) -> "RatePath":
-        """Path segment [start, start + horizon] re-based to time zero."""
-        n = int(math.ceil(horizon / self.dt - 1e-12)) + 1
-        local_times = start + np.arange(n + 1) * self.dt
-        return RatePath(self.dt, np.interp(local_times, self.times, self.values))
+        """Path segment [start, start + horizon] re-based to time zero, on
+        the fewest dt steps that cover it; raises when those steps run
+        past this path's end."""
+        n = int(math.ceil(horizon / self.dt - 1e-12))
+        return RatePath(self.dt, self.rate_at(start + np.arange(n + 1) * self.dt))
 
 
 @dataclass(frozen=True)
@@ -222,6 +223,8 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
 
     Thinning of a dominating homogeneous Poisson(intensity_bound)
     stream: candidates are kept with probability intensity(t)/bound.
+    The intensity takes the array of candidate times and returns an
+    array of the same shape.
     The bound must dominate the intensity everywhere; a detected
     violation aborts rather than silently under-sampling.
     """
@@ -234,8 +237,6 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
     cands = np.sort(rng.uniform(0.0, horizon, n_cand))
     u = rng.uniform(0.0, 1.0, n_cand)
     vals = np.asarray(intensity(cands), dtype=float)
-    if vals.shape != cands.shape:
-        vals = np.array([float(intensity(c)) for c in cands])
     bad = vals > intensity_bound * (1.0 + 1e-12)
     if np.any(bad):
         i = int(np.argmax(bad))

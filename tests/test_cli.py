@@ -290,6 +290,16 @@ class TestPayoffPathCommand:
         _, header, rows = read_csv(tmp_path / "payoff_path.csv")
         assert header == ["t", "payoff", "stderr"] and rows == []
 
+    @pytest.mark.parametrize("n_paths", ["1", "4"])
+    def test_list_above_offer_support_is_config_error(self, tmp_path, n_paths):
+        f = tmp_path / "s.cfg"
+        f.write_text("initial_list_price = 250\n")
+        out = tmp_path / "out"
+        rc = main(["payoff-path", "--config", str(f), "--out", str(out),
+                   "--mode", "changing", "--t-steps", "3", "--n-paths", n_paths])
+        assert rc == 2
+        assert not out.exists()
+
     def test_golden_payoff_path_bytes(self, tmp_path):
         # frozen from payoff-path --mode changing --t-steps 6 --n-paths 3
         # --seed 1 --workers 1; any change to these bytes must be explained
@@ -317,6 +327,16 @@ class TestValidateCommand:
         assert header == ["check_name", "analytic", "mc_mean", "mc_stderr",
                           "z", "verdict"]
         assert rows
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_validation_bytes(self, tmp_path, workers):
+        # frozen from validate --n 2000 --seed 1 --workers 1, path rows
+        # included; the worker count must not change a byte
+        golden = pathlib.Path(__file__).parent / "data" / "golden_validation_seed1.csv"
+        rc = main(["validate", "--out", str(tmp_path), "--n", "2000", "--seed", "1",
+                   "--workers", workers])
+        assert rc == 0
+        assert (tmp_path / "validation.csv").read_bytes() == golden.read_bytes()
 
 
 class TestWorkersFlag:

@@ -67,6 +67,15 @@ class TestRatePath:
         shifted = path.shifted(0.5, 0.5)
         assert shifted.values[0] == pytest.approx(0.2)
 
+    def test_shifted_covers_its_span_and_raises_past_the_end(self):
+        path = RatePath(0.5, np.array([0.1, 0.2, 0.3, 0.4]))
+        seg = path.shifted(0.5, 0.75)
+        assert seg.horizon == 1.0
+        np.testing.assert_array_equal(seg.values, [0.2, 0.3, 0.4])
+        for start, horizon in ((0.5, 1.01), (0.6, 0.8), (0.5, 5.0)):
+            with pytest.raises(ValueError, match="outside the rate path"):
+                path.shifted(start, horizon)
+
     def test_evaluation_past_either_end_raises(self):
         path = RatePath(0.5, np.array([0.1, 0.2, 0.1]))
         for t in (1.01, -0.01, np.array([0.5, 1.5]), np.nan):
