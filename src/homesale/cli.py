@@ -411,10 +411,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         return args.func(cfg, args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

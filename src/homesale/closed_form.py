@@ -7,7 +7,10 @@ delay.  The seller either waits a horizon T and takes the best surviving
 offer above a reservation price, or additionally posts a list price and
 sells immediately on the first offer that meets it.
 
-All functions are pure scalar maps and safe to call concurrently.
+All functions are pure scalar maps and safe to call concurrently.  Each
+public function checks its arguments once, on entry, and computes
+through private kernels (_listed, _best_survivor, _withdrawn) that take
+checked floats and check nothing again.
 """
 
 from __future__ import annotations
@@ -92,6 +95,19 @@ class SellerPolicy:
             raise ValueError("gamma and zeta must be non-negative")
 
 
+def _check_horizon(T: float) -> None:
+    _require_finite(T=T)
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T}")
+
+
+def _withdrawn(x: float) -> float:
+    """1 - (1 - exp(-x))/x at x = mu*T, series-switched below SMALL_ARG."""
+    if x < SMALL_ARG:
+        return x * (0.5 - x * (1.0 / 6.0 - x / 24.0))
+    return 1.0 + math.expm1(-x) / x
+
+
 def withdrawal_fraction(T: float, mu: float) -> float:
     """Probability that an offer with uniform arrival on [0, T] is gone by T.
 
@@ -99,15 +115,11 @@ def withdrawal_fraction(T: float, mu: float) -> float:
     catastrophically for small mu*T, so below SMALL_ARG the series
     x/2 - x^2/6 + x^3/24 is used instead; withdrawal_fraction(T, 0) == 0.
     """
-    _require_finite(T=T, mu=mu)
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    _check_horizon(T)
+    _require_finite(mu=mu)
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    x = mu * T
-    if x < SMALL_ARG:
-        return x * (0.5 - x * (1.0 / 6.0 - x / 24.0))
-    return 1.0 + math.expm1(-x) / x
+    return _withdrawn(mu * T)
 
 
 def _em1mx_over_x(x: float) -> float:
@@ -115,6 +127,19 @@ def _em1mx_over_x(x: float) -> float:
     if abs(x) < SMALL_ARG:
         return x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
     return (math.expm1(x) - x) / x
+
+
+def _best_survivor(T: float, lam: float, mu: float, r: float,
+                   lo: float, hi: float) -> float:
+    """auxiliary_payoff for a stream of intensity lam with values uniform
+    on (lo, hi); zero when lam == 0, whatever lo and hi."""
+    x = lam * T * (1.0 - _withdrawn(mu * T))
+    if x == 0.0:
+        return 0.0
+    spread = hi - lo
+    if x >= _LARGE_ARG:
+        return math.exp(-r * T) * (hi - spread / x)
+    return math.exp(-r * T - x) * (hi * math.expm1(x) - spread * _em1mx_over_x(x))
 
 
 def auxiliary_payoff(T: float, m: MarketParams) -> float:
@@ -135,17 +160,8 @@ def auxiliary_payoff(T: float, m: MarketParams) -> float:
     exp(-r*T) * (p_max - (p_max - p_min)/x), which stays finite where
     e^x would overflow.
     """
-    _require_finite(T=T)
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    f = withdrawal_fraction(T, m.mu)
-    x = m.lam * T * (1.0 - f)
-    if x == 0.0:
-        return 0.0
-    spread = m.p_max - m.p_min
-    if x >= _LARGE_ARG:
-        return math.exp(-m.r * T) * (m.p_max - spread / x)
-    return math.exp(-m.r * T - x) * (m.p_max * math.expm1(x) - spread * _em1mx_over_x(x))
+    _check_horizon(T)
+    return _best_survivor(T, m.lam, m.mu, m.r, m.p_min, m.p_max)
 
 
 def thinned_payoff(T: float, m: MarketParams, R: float) -> float:
@@ -154,28 +170,32 @@ def thinned_payoff(T: float, m: MarketParams, R: float) -> float:
     Offers below R never matter, so the stream thins to intensity
     lam*(p_max - R)/(p_max - p_min) with values uniform on (R, p_max).
     """
+    _check_horizon(T)
     _require_finite(R=R)
     if not (m.p_min <= R <= m.p_max):
         raise ValueError(f"R={R} outside offer support [{m.p_min}, {m.p_max}]")
-    if R == m.p_max:
-        return 0.0
     lam_thin = m.lam * (m.p_max - R) / (m.p_max - m.p_min)
-    return auxiliary_payoff(T, MarketParams(lam_thin, m.mu, m.r, R, m.p_max))
+    return _best_survivor(T, lam_thin, m.mu, m.r, R, m.p_max)
 
 
-def _below_list_payoff(T: float, m: MarketParams, R: float, L: float) -> float:
-    """Payoff of the in-band offer stream, values in (R, L)."""
-    x = (L - R) / (m.p_max - m.p_min)
-    if x <= 0.0:
-        return 0.0
-    return auxiliary_payoff(T, MarketParams(m.lam * x, m.mu, m.r, R, L))
-
-
-def _check_prices(m: MarketParams, R: float, L: float) -> None:
+def _listed(T: float, m: MarketParams, R: float, L: float, exact: bool) -> float:
+    """listed_payoff, or listed_payoff_exact when exact is true."""
     _require_finite(R=R, L=L)
     if not (m.p_min <= R <= L <= m.p_max):
         raise ValueError(
             f"need p_min <= R <= L <= p_max, got p_min={m.p_min}, R={R}, L={L}, p_max={m.p_max}")
+    _check_horizon(T)
+    y = (m.p_max - L) / (m.p_max - m.p_min)
+    lam_y = m.lam * y
+    if lam_y <= 0.0:
+        crossing = 0.0
+    elif exact:
+        crossing = ((m.p_max + L) / 2.0) * lam_y * -math.expm1(-(lam_y + m.r) * T) / (lam_y + m.r)
+    else:
+        crossing = -math.expm1(-lam_y * T) * ((m.p_max + L) / 2.0) * (lam_y / (lam_y + m.r))
+    # the in-band offers, values in (R, L), at intensity lam*(L - R)/(p_max - p_min)
+    in_band = _best_survivor(T, m.lam * ((L - R) / (m.p_max - m.p_min)), m.mu, m.r, R, L)
+    return crossing + math.exp(-lam_y * T) * in_band
 
 
 def listed_payoff(T: float, m: MarketParams, R: float, L: float) -> float:
@@ -189,17 +209,7 @@ def listed_payoff(T: float, m: MarketParams, R: float, L: float) -> float:
     which overstates the discount for crossings that land beyond T; see
     listed_payoff_exact for the exact truncated expectation.
     """
-    _check_prices(m, R, L)
-    _require_finite(T=T)
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    y = (m.p_max - L) / (m.p_max - m.p_min)
-    lam_y = m.lam * y
-    if lam_y > 0.0:
-        crossing = -math.expm1(-lam_y * T) * ((m.p_max + L) / 2.0) * (lam_y / (lam_y + m.r))
-    else:
-        crossing = 0.0
-    return crossing + math.exp(-lam_y * T) * _below_list_payoff(T, m, R, L)
+    return _listed(T, m, R, L, exact=False)
 
 
 def listed_payoff_exact(T: float, m: MarketParams, R: float, L: float) -> float:
@@ -209,24 +219,14 @@ def listed_payoff_exact(T: float, m: MarketParams, R: float, L: float) -> float:
     = lam*y*(1 - exp(-(lam*y + r)*T))/(lam*y + r).  Coincides with
     listed_payoff at r = 0 and as T -> inf.
     """
-    _check_prices(m, R, L)
-    _require_finite(T=T)
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    y = (m.p_max - L) / (m.p_max - m.p_min)
-    lam_y = m.lam * y
-    if lam_y > 0.0:
-        crossing = ((m.p_max + L) / 2.0) * lam_y * -math.expm1(-(lam_y + m.r) * T) / (lam_y + m.r)
-    else:
-        crossing = 0.0
-    return crossing + math.exp(-lam_y * T) * _below_list_payoff(T, m, R, L)
+    return _listed(T, m, R, L, exact=True)
 
 
 def asymptotic_listed_payoff(m: MarketParams, L: float) -> float:
     """Long-horizon limit of the listed payoff: ((p_max+L)/2) * lam*y/(lam*y+r)."""
     _require_finite(L=L)
-    if L > m.p_max:
-        raise ValueError(f"L={L} above p_max={m.p_max}")
+    if not (m.p_min <= L <= m.p_max):
+        raise ValueError(f"L={L} outside offer support [{m.p_min}, {m.p_max}]")
     lam_y = m.lam * (m.p_max - L) / (m.p_max - m.p_min)
     if lam_y + m.r == 0.0:
         return 0.0
@@ -243,5 +243,4 @@ def expected_utility(T: float, m: MarketParams, R: float, L: float,
     _require_finite(gamma=gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    base = listed_payoff_exact(T, m, R, L) if exact else listed_payoff(T, m, R, L)
-    return math.exp(-gamma * T) * base
+    return math.exp(-gamma * T) * _listed(T, m, R, L, exact)

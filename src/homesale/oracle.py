@@ -248,7 +248,6 @@ class ValidationRow:
 class ValidationReport:
     rows: list[ValidationRow]
     n: int
-    seed: int
 
     @property
     def failures(self) -> list[ValidationRow]:
@@ -398,4 +397,4 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         chunks = list(pool.map(lambda job: job[0](*job[1:]), jobs))
-    return ValidationReport([row for chunk in chunks for row in chunk], n, seed)
+    return ValidationReport([row for chunk in chunks for row in chunk], n)

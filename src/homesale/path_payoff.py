@@ -156,6 +156,14 @@ def list_schedule(R: float, L0: float, zeta: float):
 
 
 def _a_grid(ctx: PathContext, t: float, n_nodes: int):
+    """Arrival nodes a on [0, t], their Simpson weights w, the offer
+    intensity lam(a) and Lambda(t) = w @ lam.
+
+    Every evaluation at a horizon t builds this grid first, so the
+    horizon check lives here: t must be positive (NaN is rejected).
+    """
+    if not (t > 0):
+        raise ValueError(f"t must be positive, got {t}")
     a, w = simpson_nodes(0.0, t, n_nodes)
     lam = np.asarray(ctx.intensity(a), dtype=float)
     big_lam = float(w @ lam)
@@ -169,8 +177,6 @@ def below_list_probability(ctx: PathContext, t: float,
     Arrival times condition to density lam(a)/Lambda(t), so this is
     (1/Lambda) Int lam(a) F(L(a)) da.
     """
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
     a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
@@ -185,8 +191,6 @@ def surviving_offer_tail(ctx: PathContext, t: float, y,
 
     Vectorized over y; identically zero for y >= L(0).
     """
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr < 0):
         raise ValueError("y must be non-negative")
@@ -299,8 +303,6 @@ def _changing_list_terms(ctx: PathContext, t: float,
     exp(-Int lam (1 - F(L))) that the above-list stream stays empty,
     times the discounted best surviving in-band offer -- is exact.
     """
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
     a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
     if big_lam <= 0.0:
         return None
@@ -391,8 +393,6 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float,
     the running hazard of the flat list; a list at p_max or above admits
     no crossing.
     """
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
     a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
     if big_lam <= 0.0:
         return 0.0
@@ -426,8 +426,6 @@ def conditional_payoff_no_list(ctx: PathContext, t: float,
     The seller simply keeps the best offer above the reservation price
     that is still standing at t.
     """
-    if not (t > 0):
-        raise ValueError(f"t must be positive, got {t}")
     a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
     if big_lam <= 0.0:
         return 0.0

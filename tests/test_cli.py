@@ -109,6 +109,17 @@ class TestOwtCommand:
         assert header == ["T", "payoff", "payoff_exact", "utility"]
         assert rows == []
 
+    @pytest.mark.parametrize("mode", ["listed", "no-list"])
+    def test_golden_owt_bytes(self, tmp_path, mode):
+        # frozen from owt --mode <mode> --t-steps 25 --seed 1 --workers 1;
+        # any change to these bytes must be explained
+        name = f"golden_owt_{mode.replace('-', '_')}_seed1.csv"
+        golden = pathlib.Path(__file__).parent / "data" / name
+        rc = main(["owt", "--out", str(tmp_path), "--mode", mode, "--t-steps", "25",
+                   "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        assert (tmp_path / "owt_curve.csv").read_bytes() == golden.read_bytes()
+
     def test_summary_line_embedded(self, tmp_path):
         rc = main(["owt", "--out", str(tmp_path), "--t-steps", "10"])
         assert rc == 0
@@ -146,6 +157,22 @@ class TestSweepCommand:
             col.sort()
             t_vals = [t for _, t in col]
             assert all(b <= a + 1e-3 for a, b in zip(t_vals, t_vals[1:])), (lam, t_vals)
+
+    @pytest.mark.parametrize("golden_name, axes", [
+        ("golden_sweep_seed1.csv", ["--x", "lam:1:12:6", "--y", "r:0.02:0.3:5"]),
+        # a reservation of 190 sits above the list price of 180, so those
+        # cells are NaN; mu = 0 takes the series branch of the withdrawal
+        # fraction
+        ("golden_sweep_nan_seed1.csv", ["--x", "reservation:110:190:5",
+                                        "--y", "mu:0:10:3"]),
+    ])
+    def test_golden_sweep_bytes(self, tmp_path, golden_name, axes):
+        # frozen from sweep <axes> --seed 1 --workers 1; any change to
+        # these bytes must be explained
+        golden = pathlib.Path(__file__).parent / "data" / golden_name
+        rc = main(["sweep", "--out", str(tmp_path), *axes, "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
 
     def test_bad_axis_spec_is_usage_error(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path), "--x", "lam:1:10", "--y", "r:0:1:2"])

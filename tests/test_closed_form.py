@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import homesale.path_payoff as pp
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT, three_sigma
 from homesale.closed_form import (MarketParams, SellerPolicy,
                                   asymptotic_listed_payoff, auxiliary_payoff,
@@ -214,6 +215,12 @@ class TestAsymptote:
         assert asymptotic_listed_payoff(market, L_DEFAULT) == \
             pytest.approx(ASYMPTOTE_TABLE1, rel=1e-12)
 
+    @pytest.mark.parametrize("L", [50.0, 250.0])
+    def test_rejects_list_outside_offer_support(self, market, L):
+        # both listed payoffs reject these lists, so their limit must too
+        with pytest.raises(ValueError):
+            asymptotic_listed_payoff(market, L)
+
 
 class TestExpectedUtility:
     def test_identity_without_impatience(self, market):
@@ -235,6 +242,44 @@ class TestExpectedUtility:
     def test_rejects_negative_gamma(self, market):
         with pytest.raises(ValueError):
             expected_utility(1.0, market, R_DEFAULT, L_DEFAULT, -0.1)
+
+
+# Every public entry that takes a horizon, closed form or path payoff,
+# called on the reference market or the simulation-default context.
+HORIZON_ENTRIES = {
+    "withdrawal_fraction": lambda m, ctx, T: withdrawal_fraction(T, m.mu),
+    "auxiliary_payoff": lambda m, ctx, T: auxiliary_payoff(T, m),
+    "thinned_payoff": lambda m, ctx, T: thinned_payoff(T, m, R_DEFAULT),
+    "thinned_payoff R=p_max": lambda m, ctx, T: thinned_payoff(T, m, m.p_max),
+    "listed_payoff": lambda m, ctx, T: listed_payoff(T, m, R_DEFAULT, L_DEFAULT),
+    "listed_payoff_exact": lambda m, ctx, T: listed_payoff_exact(T, m, R_DEFAULT, L_DEFAULT),
+    "expected_utility": lambda m, ctx, T: expected_utility(
+        T, m, R_DEFAULT, L_DEFAULT, GAMMA_DEFAULT),
+    "expected_utility exact": lambda m, ctx, T: expected_utility(
+        T, m, R_DEFAULT, L_DEFAULT, GAMMA_DEFAULT, exact=True),
+    "conditional_payoff_changing_list": lambda m, ctx, T: pp.conditional_payoff_changing_list(
+        ctx, T),
+    "conditional_payoff_changing_list_exact":
+        lambda m, ctx, T: pp.conditional_payoff_changing_list_exact(ctx, T),
+    "conditional_payoff_constant_list": lambda m, ctx, T: pp.conditional_payoff_constant_list(
+        ctx, T),
+    "conditional_payoff_no_list": lambda m, ctx, T: pp.conditional_payoff_no_list(ctx, T),
+    "conditional_payoff": lambda m, ctx, T: pp.conditional_payoff(ctx, T, "changing"),
+    "below_list_probability": lambda m, ctx, T: pp.below_list_probability(ctx, T),
+    "surviving_offer_tail": lambda m, ctx, T: pp.surviving_offer_tail(ctx, T, 150.0),
+    "crossing_survival n=1": lambda m, ctx, T: pp.crossing_survival(ctx, T, 1),
+    "crossing_survival n=3": lambda m, ctx, T: pp.crossing_survival(ctx, T, 3),
+}
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRIES))
+def test_every_horizon_entry_rejects_non_positive_horizon(market, entry, T):
+    from homesale.oracle import sigma0_table2_path, table2_context
+
+    ctx = table2_context(sigma0_table2_path(2.5))
+    with pytest.raises(ValueError):
+        HORIZON_ENTRIES[entry](market, ctx, T)
 
 
 class TestTypes:

@@ -9,7 +9,7 @@ the same cases.
 import math
 import sys
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homesale.closed_form import (_LARGE_ARG, SMALL_ARG, MarketParams,
@@ -79,6 +79,19 @@ def test_plain_listed_payoff_below_exact(mRL, T):
     m, R, L = mRL
     exact = listed_payoff_exact(T, m, R, L)
     assert listed_payoff(T, m, R, L) <= exact * (1.0 + 4.0 * EPS)
+
+
+@bounded
+@given(markets(), horizons)
+def test_thinned_payoff_is_auxiliary_payoff_of_the_thinned_stream(mR, T):
+    # offers below R never matter: the stream thins to intensity
+    # lam*(p_max - R)/(p_max - p_min) with values uniform on (R, p_max),
+    # and the two evaluations must agree to the last bit
+    m, R, _ = mR
+    assume(R < m.p_max)
+    lam_thin = m.lam * (m.p_max - R) / (m.p_max - m.p_min)
+    thinned_market = MarketParams(lam_thin, m.mu, m.r, R, m.p_max)
+    assert thinned_payoff(T, m, R) == auxiliary_payoff(T, thinned_market)
 
 
 # The direct form of the withdrawal fraction, 1 + expm1(-x)/x, cancels
