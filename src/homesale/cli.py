@@ -25,7 +25,8 @@ from . import market_sim, oracle, path_payoff
 from .closed_form import (MarketParams, SellerPolicy, expected_utility,
                           listed_payoff, listed_payoff_exact, thinned_payoff)
 from .owt import SweepAxis, SweepSpec, optimal_waiting_time, sweep_owt
-from .stochastic import CirParams, DemandParams, simulate_cir, substream
+# simulate_cir is not called here; the benchmark tracer wraps cli.simulate_cir
+from .stochastic import CirParams, DemandParams, simulate_cir
 
 __all__ = ["ScenarioConfig", "load_config", "main"]
 
@@ -304,20 +305,9 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
             reservation=R, demand=ev.demand)
 
     n_paths = cfg.path_replications if args.n_paths is None else args.n_paths
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
     grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)
-    if n_paths > 1:
-        payoffs, stderrs = path_payoff.expected_payoff(
-            ctx_factory, ev.cir, grid, n_paths, cfg.seed, mode=args.mode, dt=ev.dt)
-    else:
-        # path 0 of the Monte Carlo run, simulated once to the largest horizon
-        payoffs, stderrs = [], [0.0] * grid.size
-        if grid.size:
-            path = simulate_cir(ev.cir, max(grid.max(), ev.dt), ev.dt,
-                                substream(cfg.seed, "payoff-path", 0))
-            ctx = ctx_factory(path)
-            payoffs = [path_payoff.conditional_payoff(ctx, t, args.mode) for t in grid]
+    payoffs, stderrs = path_payoff.expected_payoff(
+        ctx_factory, ev.cir, grid, n_paths, cfg.seed, mode=args.mode, dt=ev.dt)
     out = Path(cfg.out_dir) / "payoff_path.csv"
     _write_csv(out, cfg, ["t", "payoff", "stderr"], list(zip(grid, payoffs, stderrs)))
     print(f"{grid.size} horizons, mode={args.mode}, n_paths={n_paths} -> {out}")

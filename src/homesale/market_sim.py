@@ -184,9 +184,10 @@ def resolve_attempt(offers: list[OfferEvent], schedule, R: float,
     return SaleOutcome(False)
 
 
-def run_sale_attempt(owner_reservation: float, ctx: PathContext, t_star: float,
+def run_sale_attempt(ctx: PathContext, t_star: float,
                      rng: np.random.Generator) -> SaleAttempt:
-    """One sale attempt on a local context whose clock starts at posting.
+    """One sale attempt on a local context whose clock starts at posting,
+    at the context's reservation price.
 
     Offers are generated over the whole committed window [0, t_star];
     the stored offer list is truncated at the resolution time so the log
@@ -194,13 +195,13 @@ def run_sale_attempt(owner_reservation: float, ctx: PathContext, t_star: float,
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
-    bound = ctx.demand.intensity(RATE_FLOOR, owner_reservation)
+    bound = ctx.demand.intensity(RATE_FLOOR, ctx.reservation)
     arrivals = sample_nhpp(ctx.intensity, t_star, bound, rng)
     values = np.asarray(ctx.offers.sample(rng, arrivals.size), dtype=float)
     delays = np.asarray(ctx.withdrawals.sample(rng, arrivals.size), dtype=float)
     offers = [OfferEvent(float(a), float(v), float(d))
               for a, v, d in zip(arrivals, values, delays)]
-    outcome = resolve_attempt(offers, ctx.list_schedule, owner_reservation, t_star)
+    outcome = resolve_attempt(offers, ctx.list_schedule, ctx.reservation, t_star)
     horizon = outcome.time if outcome.sold else t_star
     kept = [o for o in offers if o.arrival <= horizon]
     return SaleAttempt(kept, outcome)
@@ -331,7 +332,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
             t_star, ctx = _posting_step(cfg, path, post_t, cur_R, cur_L0)
             emit(post_t, "PostForSale", price=ctx.initial_list,
                  demand=float(ctx.intensity(0.0)), owner=owner_idx, attempt=attempt_idx)
-            attempt = run_sale_attempt(cur_R, ctx, t_star,
+            attempt = run_sale_attempt(ctx, t_star,
                                        substream(seed, "offers", owner_idx, attempt_idx))
             resolution = attempt.outcome.time if attempt.outcome.sold else t_star
             for o in attempt.offers:
@@ -406,8 +407,7 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
                                     cfg.initial_list)
         prices = []
         for j in range(n_reps):
-            att = run_sale_attempt(cfg.initial_reservation, ctx, t_star,
-                                   substream(seed, "price", qi, j))
+            att = run_sale_attempt(ctx, t_star, substream(seed, "price", qi, j))
             if att.outcome.sold:
                 prices.append(att.outcome.price)
         n_sales = len(prices)

@@ -277,28 +277,22 @@ class ValidationReport:
                 for r in self.rows]
 
 
-def sigma0_table2_path(horizon: float, dt: float = 1.0 / 252.0,
-                       kappa: float = 0.25, theta: float = 0.1,
-                       r0: float = 0.09) -> RatePath:
+def sigma0_table2_path(horizon: float) -> RatePath:
     """Deterministic (zero-volatility) rate path at the simulation defaults."""
-    return simulate_cir(CirParams(kappa, theta, 0.0, r0), horizon, dt, seed=0)
+    return simulate_cir(CirParams(0.25, 0.1, 0.0, 0.09), horizon, 1.0 / 252.0, seed=0)
 
 
 def table2_context(path: RatePath, constant_list: bool = False,
-                   reservation: float = 140.0, initial_list: float = 200.0,
-                   zeta: float = 1.0, mu: float = 10.0,
-                   demand: DemandParams = None) -> PathContext:
+                   initial_list: float = 200.0) -> PathContext:
     """Path context at the simulation defaults: uniform offers on
-    (100, 200), Exponential(mu) withdrawals, decaying or constant list."""
-    demand = demand if demand is not None else DemandParams(0.5, 1000.0)
-    if constant_list:
-        schedule = lambda T: initial_list * np.ones_like(np.asarray(T, dtype=float))
-    else:
-        schedule = list_schedule(reservation, initial_list, zeta)
-    return PathContext(path=path, list_schedule=schedule,
+    (100, 200), Exponential(10) withdrawals, reservation 140, and a list
+    decaying at rate 1 or constant."""
+    return PathContext(path=path,
+                       list_schedule=list_schedule(140.0, initial_list,
+                                                   0.0 if constant_list else 1.0),
                        offers=UniformOffers(100.0, 200.0),
-                       withdrawals=ExponentialWithdrawals(mu),
-                       reservation=reservation, demand=demand)
+                       withdrawals=ExponentialWithdrawals(10.0),
+                       reservation=140.0, demand=DemandParams(0.5, 1000.0))
 
 
 def _make_row(name: str, analytic: float, est: McEstimate, kind: str) -> ValidationRow:

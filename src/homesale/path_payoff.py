@@ -15,6 +15,10 @@ crossing branch and is exact.  conditional_payoff_changing_list_exact
 and conditional_payoff_constant_list integrate the true first-crossing
 density and match simulation for any list schedule and any flat list.
 
+Every Simpson grid has DEFAULT_NODES nodes, read when an evaluation
+runs.  Withdrawals follow one law, ExponentialWithdrawals(mu); mu == 0
+means offers never retract.
+
 The rate integral inside the discount factor uses the path's native
 grid (trapezoid), so conditional values carry an O(dt^2) path
 discretization error on top of the quadrature error.
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .stochastic import (DEFAULT_DT, RATE_FLOOR, CirParams, DemandParams,
 __all__ = [
     "UniformOffers",
     "ExponentialWithdrawals",
-    "NoWithdrawals",
     "PathContext",
     "list_schedule",
     "below_list_probability",
@@ -81,30 +84,23 @@ class UniformOffers:
 
 @dataclass(frozen=True)
 class ExponentialWithdrawals:
-    """Standing offers retract after an Exponential(mu) delay."""
+    """Standing offers retract after an Exponential(mu) delay; mu == 0
+    means they never retract (infinite delays, no draw taken)."""
 
     mu: float
 
     def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError("mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and non-negative, got {self.mu}")
 
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
         return np.where(u > 0, -np.expm1(-self.mu * u), 0.0)
 
     def sample(self, rng: np.random.Generator, size=None):
+        if self.mu == 0:
+            return np.full(() if size is None else size, np.inf)
         return rng.exponential(1.0 / self.mu, size)
-
-
-class NoWithdrawals:
-    """Offers never retract."""
-
-    def cdf(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return np.full(size if size is not None else (), np.inf)
 
 
 @dataclass
@@ -120,7 +116,7 @@ class PathContext:
     path: RatePath
     list_schedule: Callable
     offers: UniformOffers
-    withdrawals: ExponentialWithdrawals | NoWithdrawals
+    withdrawals: ExponentialWithdrawals
     reservation: float
     demand: DemandParams
 
@@ -155,7 +151,7 @@ def list_schedule(R: float, L0: float, zeta: float):
     return schedule
 
 
-def _a_grid(ctx: PathContext, t: float, n_nodes: int):
+def _a_grid(ctx: PathContext, t: float):
     """Arrival nodes a on [0, t], their Simpson weights w, the offer
     intensity lam(a) and Lambda(t) = w @ lam.
 
@@ -164,28 +160,26 @@ def _a_grid(ctx: PathContext, t: float, n_nodes: int):
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    a, w = simpson_nodes(0.0, t, n_nodes)
+    a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
     lam = np.asarray(ctx.intensity(a), dtype=float)
     big_lam = float(w @ lam)
     return a, w, lam, big_lam
 
 
-def below_list_probability(ctx: PathContext, t: float,
-                           n_nodes: int = DEFAULT_NODES) -> float:
+def below_list_probability(ctx: PathContext, t: float) -> float:
     """Chance that a single offer arriving in [0, t] is below the list.
 
     Arrival times condition to density lam(a)/Lambda(t), so this is
     (1/Lambda) Int lam(a) F(L(a)) da.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
+    a, w, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
     p = float(w @ (lam * ctx.offers.cdf(ctx.list_schedule(a)))) / big_lam
     return min(max(p, 0.0), 1.0)
 
 
-def surviving_offer_tail(ctx: PathContext, t: float, y,
-                         n_nodes: int = DEFAULT_NODES):
+def surviving_offer_tail(ctx: PathContext, t: float, y):
     """Tail probability that one offer is in [R, L(arrival)), still
     standing at t, and worth more than y.
 
@@ -194,7 +188,7 @@ def surviving_offer_tail(ctx: PathContext, t: float, y,
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(y_arr < 0):
         raise ValueError("y must be non-negative")
-    a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
+    a, w, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
     F_L = np.asarray(ctx.offers.cdf(ctx.list_schedule(a)), dtype=float)
@@ -223,19 +217,19 @@ def _offer_tail(ctx: PathContext, t: float, a: np.ndarray, w: np.ndarray,
     return tail
 
 
-def crossing_survival(ctx: PathContext, t: float, n: int,
-                      n_nodes: int = DEFAULT_NODES) -> float:
-    """Chance that none of n offers beat the list price at arrival."""
+def crossing_survival(ctx: PathContext, t: float, n: int) -> float:
+    """Chance that none of n offers beat the list price at arrival.
+
+    n == 0 goes through below_list_probability too (p**0 == 1.0), so
+    every n checks the horizon.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0
-    return below_list_probability(ctx, t, n_nodes) ** n
+    return below_list_probability(ctx, t) ** n
 
 
-def _best_standing_integral(t: float, L0: float, breaks: list[float],
-                            big_lam: float, tail_fn: Callable,
-                            n_nodes: int, complement: bool = False) -> float:
+def _best_standing_integral(L0: float, breaks: list[float], big_lam: float,
+                            tail_fn: Callable, complement: bool = False) -> float:
     """Int_0^{L0} exp(-Lambda * tail(y)) dy with nodes pinned at the kinks.
 
     The tail is constant in y below the first break (the reservation
@@ -257,7 +251,7 @@ def _best_standing_integral(t: float, L0: float, breaks: list[float],
             total += (hi - lo) * scalar_f(-big_lam * float(tail_fn(np.array([lo]))[0]))
             first = False
             continue
-        y, wy = simpson_nodes(lo, hi, n_nodes)
+        y, wy = simpson_nodes(lo, hi, DEFAULT_NODES)
         total += float(wy @ array_f(-big_lam * tail_fn(y)))
     return total
 
@@ -282,30 +276,35 @@ def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray) -> np.n
     return out
 
 
-class _ChangingListTerms(NamedTuple):
-    w: np.ndarray            # Simpson weights on the arrival grid
-    lam: np.ndarray          # offer intensity at the nodes
-    big_lam: float           # Lambda(t)
-    F_L: np.ndarray          # F(L(a)): chance an offer at a stays below the list
-    no_cross: float          # chance that no offer beats the list by t
-    best_standing: float     # discounted payoff on the no-crossing event
-    disc_a: np.ndarray       # discount factor to each arrival node
-    mean_above: np.ndarray   # E[offer | offer >= L(a)] per node
+def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray:
+    """H(a) = Int_0^a lam(s) (1 - F(beat(s))) ds at the DEFAULT_NODES
+    arrival nodes, beat(s) being the list an offer arriving at s must meet.
+
+    Each gap between neighbouring nodes is one Simpson panel through its
+    midpoint, so the running total is a Simpson quadrature as accurate
+    as the payoff's own, not a trapezoid over the nodes.
+    """
+    s = np.linspace(0.0, t, 2 * DEFAULT_NODES - 1)
+    h = (np.asarray(ctx.intensity(s), dtype=float)
+         * (1.0 - np.asarray(ctx.offers.cdf(beat(s)), dtype=float)))
+    panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
+    return np.concatenate(([0.0], np.cumsum(panels)))
 
 
-def _changing_list_terms(ctx: PathContext, t: float,
-                         n_nodes: int) -> _ChangingListTerms | None:
-    """Everything both changing-list evaluations share; None when no
-    offer can arrive by t.
+def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
+    """The one changing-list body; 0.0 when no offer can arrive by t.
 
     The above-list and below-list offers are independent thinned Poisson
     streams (marking theorem), so the no-crossing branch -- the chance
     exp(-Int lam (1 - F(L))) that the above-list stream stays empty,
     times the discounted best surviving in-band offer -- is exact.
+    exact selects the crossing branch: the first-crossing density
+    h(a) exp(-H(a)) with h(a) = lam(a) (1 - F(L(a))), or the published
+    lam(a)/Lambda(t) spread scaled by the crossing chance.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
+    a, w, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
-        return None
+        return 0.0
     L_a = np.asarray(ctx.list_schedule(a), dtype=float)
     F_L = np.asarray(ctx.offers.cdf(L_a), dtype=float)
     phi = min(max(float(w @ (lam * F_L)) / big_lam, 0.0), 1.0)
@@ -314,18 +313,21 @@ def _changing_list_terms(ctx: PathContext, t: float,
     L0 = ctx.initial_list
     Lt = float(ctx.list_schedule(t))
     integral = _best_standing_integral(
-        t, L0, [ctx.reservation, Lt], big_lam,
-        _offer_tail(ctx, t, a, w, lam, big_lam, F_L), n_nodes)
+        L0, [ctx.reservation, Lt], big_lam,
+        _offer_tail(ctx, t, a, w, lam, big_lam, F_L))
     best_standing = disc_t * no_cross * (L0 - integral)
 
     disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
     mean_above = _mean_above_list(ctx, L_a, F_L)
-    return _ChangingListTerms(w, lam, big_lam, F_L, no_cross, best_standing,
-                              disc_a, mean_above)
+    if exact:
+        first_cross = lam * (1.0 - F_L) * np.exp(
+            -_above_list_hazard(ctx, t, ctx.list_schedule))
+        return best_standing + float(w @ (first_cross * disc_a * mean_above))
+    crossing = (1.0 - no_cross) * float(w @ (lam * disc_a * mean_above)) / big_lam
+    return best_standing + crossing
 
 
-def conditional_payoff_changing_list(ctx: PathContext, t: float,
-                                     n_nodes: int = DEFAULT_NODES) -> float:
+def conditional_payoff_changing_list(ctx: PathContext, t: float) -> float:
     """Expected discounted payoff at t under a time-varying list price,
     crossing branch as published.
 
@@ -339,31 +341,10 @@ def conditional_payoff_changing_list(ctx: PathContext, t: float,
     quantifies the signed gap; conditional_payoff_changing_list_exact is
     the variant that matches.
     """
-    p = _changing_list_terms(ctx, t, n_nodes)
-    if p is None:
-        return 0.0
-    crossing = (1.0 - p.no_cross) * float(p.w @ (p.lam * p.disc_a * p.mean_above)) / p.big_lam
-    return p.best_standing + crossing
+    return _changing_list(ctx, t, exact=False)
 
 
-def _above_list_hazard(ctx: PathContext, t: float, n_nodes: int,
-                       beat: Callable) -> np.ndarray:
-    """H(a) = Int_0^a lam(s) (1 - F(beat(s))) ds at the n_nodes arrival
-    nodes, beat(s) being the list an offer arriving at s must meet.
-
-    Each gap between neighbouring nodes is one Simpson panel through its
-    midpoint, so the running total is a Simpson quadrature as accurate
-    as the payoff's own, not a trapezoid over the nodes.
-    """
-    s = np.linspace(0.0, t, 2 * n_nodes - 1)
-    h = (np.asarray(ctx.intensity(s), dtype=float)
-         * (1.0 - np.asarray(ctx.offers.cdf(beat(s)), dtype=float)))
-    panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
-    return np.concatenate(([0.0], np.cumsum(panels)))
-
-
-def conditional_payoff_changing_list_exact(ctx: PathContext, t: float,
-                                           n_nodes: int = DEFAULT_NODES) -> float:
+def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
     """Expected discounted payoff at t under a time-varying list price,
     matching the simulated model.
 
@@ -374,16 +355,10 @@ def conditional_payoff_changing_list_exact(ctx: PathContext, t: float,
     E[offer | offer >= L(a)] da.  Under a flat list at or above p_max
     nothing crosses and this equals conditional_payoff_constant_list.
     """
-    p = _changing_list_terms(ctx, t, n_nodes)
-    if p is None:
-        return 0.0
-    first_cross = p.lam * (1.0 - p.F_L) * np.exp(
-        -_above_list_hazard(ctx, t, n_nodes, ctx.list_schedule))
-    return p.best_standing + float(p.w @ (first_cross * p.disc_a * p.mean_above))
+    return _changing_list(ctx, t, exact=True)
 
 
-def conditional_payoff_constant_list(ctx: PathContext, t: float,
-                                     n_nodes: int = DEFAULT_NODES) -> float:
+def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     """Changing-list payoff specialized to a constant list price.
 
     Uses L = list_schedule(0); the below-list probability collapses to
@@ -393,7 +368,7 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float,
     the running hazard of the flat list; a list at p_max or above admits
     no crossing.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
+    a, w, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
     L = ctx.initial_list
@@ -407,26 +382,25 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float,
                 - ctx.offers.cdf(np.maximum(ctx.reservation, y)))
         return band * standing_weight
 
-    integral = _best_standing_integral(t, L, [ctx.reservation], big_lam, tail, n_nodes)
+    integral = _best_standing_integral(L, [ctx.reservation], big_lam, tail)
     best_standing = disc_t * no_cross * (L - integral)
 
     crossing = 0.0
     if F_L < _SATURATED:
         mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
         disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
-        survive = np.exp(-_above_list_hazard(ctx, t, n_nodes, lambda s: L))
+        survive = np.exp(-_above_list_hazard(ctx, t, lambda s: L))
         crossing = mean_above * (1.0 - F_L) * float(w @ (lam * survive * disc_a))
     return best_standing + crossing
 
 
-def conditional_payoff_no_list(ctx: PathContext, t: float,
-                               n_nodes: int = DEFAULT_NODES) -> float:
+def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
     """Expected discounted payoff at t when no list price is announced.
 
     The seller simply keeps the best offer above the reservation price
     that is still standing at t.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t, n_nodes)
+    a, w, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
     standing_weight = 1.0 - float(w @ (lam * ctx.withdrawals.cdf(t - a))) / big_lam
@@ -437,8 +411,8 @@ def conditional_payoff_no_list(ctx: PathContext, t: float,
 
     # E[best] = Int_0^inf P(best > y) dy, and P(best > y) vanishes beyond
     # the offer support, so the integral stops at p_max
-    return disc_t * _best_standing_integral(t, ctx.offers.p_max, [ctx.reservation],
-                                            big_lam, tail, n_nodes, complement=True)
+    return disc_t * _best_standing_integral(ctx.offers.p_max, [ctx.reservation],
+                                            big_lam, tail, complement=True)
 
 
 _MODES = {
@@ -448,18 +422,17 @@ _MODES = {
 }
 
 
-def conditional_payoff(ctx: PathContext, t: float, mode: str,
-                       n_nodes: int = DEFAULT_NODES) -> float:
+def conditional_payoff(ctx: PathContext, t: float, mode: str) -> float:
     """Dispatch to the changing/constant/no-list conditional payoff."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    return _MODES[mode](ctx, t, n_nodes)
+    return _MODES[mode](ctx, t)
 
 
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
                     cir: CirParams, times, n_paths: int, seed: int,
-                    mode: str = "changing", dt: float = None,
-                    n_nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+                    mode: str = "changing",
+                    dt: float = None) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean of a conditional payoff over independent rate
     paths, at every horizon of the 1-D grid times.
 
@@ -469,12 +442,13 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     a longer one from the same substream, so a horizon's value does not
     depend on the rest of the grid.  Returns (means, standard errors),
     one entry per horizon; path i is drawn from its own substream of the
-    seed, so adding paths never changes earlier ones.
+    seed, so adding paths never changes earlier ones.  A single path
+    reports path 0 with standard error 0.0.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid of horizons")
@@ -489,7 +463,9 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
             ctx = ctx_factory(simulate_cir(cir, horizon, dt,
                                            substream(seed, "payoff-path", i)))
             for k, t in enumerate(times):
-                vals[k, i] = conditional(ctx, t, n_nodes)
+                vals[k, i] = conditional(ctx, t)
     means = np.array([np.mean(v) for v in vals])
+    if n_paths == 1:
+        return means, np.zeros(times.size)
     stderrs = np.array([np.std(v, ddof=1) / math.sqrt(n_paths) for v in vals])
     return means, stderrs

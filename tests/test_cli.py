@@ -211,6 +211,17 @@ class TestEvolveCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_zero_withdrawal_intensity_never_withdraws(self, tmp_path):
+        f = tmp_path / "s.cfg"
+        f.write_text("sim_withdrawal_intensity = 0\n")
+        rc = main(["evolve", "--config", str(f), "--out", str(tmp_path),
+                   "--horizon", "20"])
+        assert rc == 0
+        _, _, rows = read_csv(tmp_path / "evolution.csv")
+        kinds = [r[1] for r in rows]
+        assert kinds.count("OfferReceived") > 0
+        assert kinds.count("OfferWithdrawn") == 0
+
     def test_crisis_dominant_config(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text("crisis_mean = 0.5\n")
@@ -327,12 +338,23 @@ class TestPayoffPathCommand:
         assert rc == 2
         assert not out.exists()
 
-    def test_golden_payoff_path_bytes(self, tmp_path):
-        # frozen from payoff-path --mode changing --t-steps 6 --n-paths 3
-        # --seed 1 --workers 1; any change to these bytes must be explained
-        golden = pathlib.Path(__file__).parent / "data" / "golden_payoff_path_seed1.csv"
-        rc = main(["payoff-path", "--out", str(tmp_path), "--mode", "changing",
-                   "--t-steps", "6", "--n-paths", "3", "--seed", "1", "--workers", "1"])
+    @pytest.mark.parametrize("golden_name,opts", [
+        ("golden_payoff_path_seed1.csv",
+         ["--mode", "changing", "--t-steps", "6", "--n-paths", "3"]),
+        # one path: path 0 of the Monte Carlo run, stderr 0
+        ("golden_payoff_path_single_seed1.csv",
+         ["--mode", "changing", "--t-steps", "7", "--n-paths", "1", "--t-max", "3.3"]),
+        ("golden_payoff_path_constant_seed1.csv",
+         ["--mode", "constant", "--t-steps", "4", "--n-paths", "2"]),
+        ("golden_payoff_path_none_seed1.csv",
+         ["--mode", "none", "--t-steps", "4", "--n-paths", "2"]),
+    ])
+    def test_golden_payoff_path_bytes(self, tmp_path, golden_name, opts):
+        # frozen from payoff-path <opts> --seed 1 --workers 1; any change
+        # to these bytes must be explained
+        golden = pathlib.Path(__file__).parent / "data" / golden_name
+        rc = main(["payoff-path", "--out", str(tmp_path), *opts,
+                   "--seed", "1", "--workers", "1"])
         assert rc == 0
         assert (tmp_path / "payoff_path.csv").read_bytes() == golden.read_bytes()
 

@@ -267,6 +267,7 @@ HORIZON_ENTRIES = {
     "conditional_payoff": lambda m, ctx, T: pp.conditional_payoff(ctx, T, "changing"),
     "below_list_probability": lambda m, ctx, T: pp.below_list_probability(ctx, T),
     "surviving_offer_tail": lambda m, ctx, T: pp.surviving_offer_tail(ctx, T, 150.0),
+    "crossing_survival n=0": lambda m, ctx, T: pp.crossing_survival(ctx, T, 0),
     "crossing_survival n=1": lambda m, ctx, T: pp.crossing_survival(ctx, T, 1),
     "crossing_survival n=3": lambda m, ctx, T: pp.crossing_survival(ctx, T, 3),
 }

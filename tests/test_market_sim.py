@@ -163,7 +163,7 @@ class TestResolveAttempt:
                           withdrawals=ExponentialWithdrawals(10.0),
                           reservation=140.0, demand=DEMAND)
         for _ in range(200):
-            att = run_sale_attempt(140.0, ctx, 2.0, rng)
+            att = run_sale_attempt(ctx, 2.0, rng)
             if not att.outcome.sold:
                 continue
             if att.outcome.branch == "list_crossing":

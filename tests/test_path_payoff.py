@@ -6,16 +6,17 @@ import pytest
 from conftest import three_sigma
 from homesale.closed_form import MarketParams, thinned_payoff
 from homesale.oracle import mc_path_payoff, sigma0_table2_path, table2_context
-from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, NoWithdrawals,
-                                  PathContext, UniformOffers, _above_list_hazard,
-                                  _changing_list_terms, below_list_probability,
+from homesale import path_payoff
+from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathContext,
+                                  UniformOffers, _above_list_hazard, below_list_probability,
                                   conditional_payoff_changing_list,
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
                                   conditional_payoff_no_list, crossing_survival,
                                   expected_payoff, surviving_offer_tail)
 from homesale.quadrature import simpson_nodes
-from homesale.stochastic import CirParams, DemandParams, RatePath, substream
+from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
+                                 simulate_cir, substream)
 
 
 @pytest.fixture
@@ -60,6 +61,21 @@ def pooled_offers(ctx, t, n_offers, seed):
     return a, values, delays
 
 
+class TestExponentialWithdrawals:
+    @pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite(self, mu):
+        with pytest.raises(ValueError):
+            ExponentialWithdrawals(mu)
+
+    def test_zero_intensity_never_withdraws_and_draws_nothing(self):
+        w = ExponentialWithdrawals(0.0)
+        assert np.array_equal(w.cdf([-1.0, 0.0, 0.5, 100.0]), np.zeros(4))
+        rng, fresh = substream(9, "mu0"), substream(9, "mu0")
+        assert np.all(np.isinf(w.sample(rng, 5)))
+        assert np.isinf(w.sample(rng))
+        assert rng.uniform() == fresh.uniform()
+
+
 class TestBelowListProbability:
     def test_list_at_top_of_support(self):
         ctx = flat_rate_ctx()
@@ -90,7 +106,7 @@ class TestSurvivingOfferTail:
     def test_no_withdrawals_constant_list(self):
         ctx = flat_rate_ctx(
             schedule=lambda T: 180.0 * np.ones_like(np.asarray(T, dtype=float)),
-            withdrawals=NoWithdrawals())
+            withdrawals=ExponentialWithdrawals(0.0))
         # value band (140, 180) of a uniform on (100, 200)
         assert surviving_offer_tail(ctx, 1.0, 0.0) == pytest.approx(0.4, rel=1e-10)
 
@@ -191,7 +207,7 @@ class TestConditionalPayoffs:
             flat_rate_ctx(schedule=sched, reservation=180.0), 1.5)
         b = conditional_payoff_constant_list(
             flat_rate_ctx(schedule=sched, reservation=180.0,
-                          withdrawals=NoWithdrawals()), 1.5)
+                          withdrawals=ExponentialWithdrawals(0.0)), 1.5)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_no_list_zero_when_reservation_tops_support(self):
@@ -218,11 +234,13 @@ class TestConditionalPayoffs:
                       conditional_payoff_no_list(decay_ctx, t)):
                 assert 0.0 <= v <= 200.0
 
-    def test_quadrature_converged_at_default_nodes(self, decay_ctx):
+    def test_quadrature_converged_at_default_nodes(self, decay_ctx, monkeypatch):
         for fn in (conditional_payoff_changing_list, conditional_payoff_changing_list_exact,
                    conditional_payoff_no_list):
-            coarse = fn(decay_ctx, 2.0, n_nodes=201)
-            fine = fn(decay_ctx, 2.0, n_nodes=401)
+            monkeypatch.setattr(path_payoff, "DEFAULT_NODES", 201)
+            coarse = fn(decay_ctx, 2.0)
+            monkeypatch.setattr(path_payoff, "DEFAULT_NODES", 401)
+            fine = fn(decay_ctx, 2.0)
             assert abs(coarse - fine) / fine < 1e-6
 
 
@@ -240,12 +258,13 @@ class TestExactChangingList:
         # (phi - 1)) of the no-crossing branch are two quadratures of the
         # same chance
         for t in (0.5, 1.0, 2.0):
-            terms = _changing_list_terms(decay_ctx, t, DEFAULT_NODES)
-            hazard = _above_list_hazard(decay_ctx, t, DEFAULT_NODES,
-                                        decay_ctx.list_schedule)
-            assert hazard.shape == terms.w.shape
+            a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
+            big_lam = float(w @ decay_ctx.intensity(a))
+            no_cross = math.exp(big_lam * (below_list_probability(decay_ctx, t) - 1.0))
+            hazard = _above_list_hazard(decay_ctx, t, decay_ctx.list_schedule)
+            assert hazard.shape == w.shape
             assert np.all(np.diff(hazard) >= 0.0)
-            assert math.exp(-hazard[-1]) == pytest.approx(terms.no_cross, rel=1e-8)
+            assert math.exp(-hazard[-1]) == pytest.approx(no_cross, rel=1e-8)
 
     def test_monte_carlo_flat_list_below_top(self):
         # a flat list at 180 lets offers cross, so the first crossing's
@@ -311,9 +330,17 @@ class TestExpectedPayoff:
                                 mode="none")
         assert s2[0] / s1[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=0.2)
 
-    def test_rejects_single_path(self, sim_cir):
-        with pytest.raises(ValueError):
-            expected_payoff(self.ctx_factory(), sim_cir, [1.0], 1, seed=0)
+    def test_rejects_zero_paths(self, sim_cir):
+        with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+            expected_payoff(self.ctx_factory(), sim_cir, [1.0], 0, seed=0)
+
+    def test_single_path_is_path_zero(self, sim_cir):
+        times = [0.5, 1.0]
+        means, stderrs = expected_payoff(self.ctx_factory(), sim_cir, times, 1, seed=4)
+        assert stderrs.tolist() == [0.0, 0.0]
+        ctx = self.ctx_factory()(simulate_cir(sim_cir, 1.0, DEFAULT_DT,
+                                              substream(4, "payoff-path", 0)))
+        assert means.tolist() == [conditional_payoff_changing_list(ctx, t) for t in times]
 
     @pytest.mark.parametrize("mode", ["changing", "none"])
     def test_horizon_value_independent_of_grid(self, sim_cir, mode):
