@@ -157,13 +157,15 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.17g}"
+    if type(x) is not float:  # floats, the bulk of every CSV, skip this chain
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if x is None:
+            return ""
+        x = float(x)
+    return "" if math.isnan(x) else f"{x:.17g}"
 
 
 def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str],

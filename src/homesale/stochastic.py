@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .closed_form import _require_finite
+
 __all__ = [
     "RATE_FLOOR",
     "substream",
@@ -69,6 +71,7 @@ class CirParams:
     r0: float
 
     def __post_init__(self):
+        _require_finite(kappa=self.kappa, theta=self.theta, sigma=self.sigma, r0=self.r0)
         if not (self.kappa > 0 and self.theta > 0 and self.r0 > 0):
             raise ValueError("kappa, theta, r0 must be positive")
         if self.sigma < 0:
@@ -92,8 +95,8 @@ class RatePath:
             raise ValueError("dt must be positive")
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a non-empty 1-D array")
-        if np.any(self.values < 0):
-            raise ValueError("rate path must be non-negative")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):
+            raise ValueError("rate path must be finite and non-negative")
 
     @property
     def horizon(self) -> float:
@@ -147,6 +150,7 @@ class DemandParams:
     k2: float
 
     def __post_init__(self):
+        _require_finite(k1=self.k1, k2=self.k2)
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError("k1 and k2 must be non-negative")
         if self.k1 == 0 and self.k2 == 0:
@@ -170,26 +174,40 @@ class OfferEvent:
             raise ValueError(f"malformed offer {self!r}")
 
 
+def _cir_steps(horizon: float, dt: float) -> int:
+    if not (horizon >= dt > 0):
+        raise ValueError(f"need horizon >= dt > 0, got horizon={horizon}, dt={dt}")
+    return int(math.ceil(horizon / dt - 1e-12))
+
+
 def simulate_cir(p: CirParams, horizon: float, dt: float = DEFAULT_DT,
                  seed=0) -> RatePath:
     """Full-truncation Euler path of the short rate, floored at zero.
 
     r_{n+1} = r_n + kappa*(theta - max(r_n,0))*dt + sigma*sqrt(max(r_n,0))*sqrt(dt)*Z_n,
-    then clipped at 0.  Deterministic for a fixed seed.
+    then clipped at 0.  Deterministic for a fixed seed; bit for bit the one-path
+    simulate_cir_ensemble (one draw, the same float operations in the same order).
     """
-    paths = simulate_cir_ensemble(p, horizon, dt, 1, seed)
-    return RatePath(dt, paths[0])
+    z = _as_rng(seed).standard_normal(_cir_steps(horizon, dt)).tolist()
+    kappa, theta, sigma, sdt = p.kappa, p.theta, p.sigma, math.sqrt(dt)
+    cur = float(p.r0)
+    values = [cur]
+    for zk in z:
+        # cur is already floored, so max(r_n, 0) is cur itself
+        cur = cur + kappa * (theta - cur) * dt + sigma * math.sqrt(cur) * sdt * zk
+        if cur <= 0.0:  # np.maximum(cur, 0.0): -0.0 becomes +0.0, NaN stays
+            cur = 0.0
+        values.append(cur)
+    return RatePath(dt, values)
 
 
 def simulate_cir_ensemble(p: CirParams, horizon: float, dt: float,
                           n_paths: int, seed=0) -> np.ndarray:
     """n_paths independent Euler paths, shape (n_paths, n_steps + 1)."""
-    if not (horizon >= dt > 0):
-        raise ValueError(f"need horizon >= dt > 0, got horizon={horizon}, dt={dt}")
+    n_steps = _cir_steps(horizon, dt)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = _as_rng(seed)
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
     out = np.empty((n_paths, n_steps + 1))
     out[:, 0] = p.r0
     sdt = math.sqrt(dt)

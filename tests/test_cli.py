@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from homesale.cli import ScenarioConfig, config_hash, load_config, main
+from homesale.cli import ScenarioConfig, _fmt, config_hash, load_config, main
 
 
 def read_csv(path):
@@ -222,6 +222,32 @@ class TestEvolveCommand:
         assert kinds.count("OfferReceived") > 0
         assert kinds.count("OfferWithdrawn") == 0
 
+    @pytest.mark.parametrize("scenario, extra", [("default", ""),
+                                                  ("sigma15", "sigma = 1.5\n")])
+    def test_golden_evolve_bytes(self, tmp_path, scenario, extra):
+        # sigma = 1.5 floors the rate at zero, so rates.csv holds written zeros
+        f = tmp_path / "s.cfg"
+        f.write_text("t_max = 1\n" + extra)
+        rc = main(["evolve", "--config", str(f), "--out", str(tmp_path / "out"),
+                   "--seed", "2", "--horizon", "5"])
+        assert rc == 0
+        data = pathlib.Path(__file__).parent / "data"
+        for name in ("evolution.csv", "rates.csv", "events.txt"):
+            golden = data / f"golden_evolve_{scenario}_seed2_{name}"
+            assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
+
+    @pytest.mark.parametrize("line, field", [("sigma = nan", "sigma"),
+                                             ("kappa = inf", "kappa"),
+                                             ("k1 = nan", "k1")])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, line, field):
+        f = tmp_path / "s.cfg"
+        f.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(f), "--out", str(out), "--horizon", "5"])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_crisis_dominant_config(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text("crisis_mean = 0.5\n")
@@ -407,3 +433,11 @@ class TestFloatFormat:
         for r in rows:
             T = float(r[0])
             assert float(r[1]) == listed_payoff(T, m, 140.0, 180.0)
+
+    def test_fmt_float_and_numpy_float_agree(self):
+        for x in (0.1, 1e-300, -2.5, 188.48145879262876, math.inf):
+            assert _fmt(x) == _fmt(np.float64(x)) == f"{x:.17g}"
+        assert _fmt(math.nan) == _fmt(np.float64("nan")) == ""
+        assert _fmt(-0.0) == _fmt(np.float64(-0.0)) == "-0"
+        assert _fmt(3) == _fmt(np.int64(3)) == "3"
+        assert _fmt("Sale") == "Sale" and _fmt(None) == ""

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import scipy.stats
 from conftest import three_sigma
 from homesale.path_payoff import ExponentialWithdrawals, UniformOffers
 from homesale.quadrature import simpson_nodes
-from homesale.stochastic import (CirParams, DemandParams, RatePath,
+from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                                  demand_intensity, sample_nhpp, simulate_cir,
                                  simulate_cir_ensemble, substream)
 
@@ -58,6 +60,34 @@ class TestCir:
                                       short.cumulative_rate(short.times))
 
 
+    @pytest.mark.parametrize("sigma", [0.08, 1.5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_single_path_equals_one_path_ensemble_bitwise(self, sim_cir, sigma, seed):
+        p = CirParams(sim_cir.kappa, sim_cir.theta, sigma, sim_cir.r0)
+        one = simulate_cir(p, 20.0, DEFAULT_DT, seed).values
+        ens = simulate_cir_ensemble(p, 20.0, DEFAULT_DT, 1, seed)[0]
+        assert one.tobytes() == ens.tobytes()  # sign bits of floored zeros too
+        if sigma > 1:
+            assert np.any(one == 0.0)
+
+    def test_default_221_year_path_pinned(self, sim_cir):
+        # the rate path behind `evolve --horizon 200 --seed 1`
+        path = simulate_cir(sim_cir, 221.0, DEFAULT_DT, substream(1, "rates"))
+        assert path.values.size == 55_693
+        assert hashlib.sha256(path.values.tobytes()).hexdigest() == \
+            "735db11a2433f067e68441cac38b758da238ec7399b3d97815a55c3950da4f5f"
+
+    def test_overflowing_path_is_rejected(self):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_cir(CirParams(0.25, 0.1, 1e300, 0.09), 1.0)
+
+    @pytest.mark.parametrize("field", ["kappa", "theta", "sigma", "r0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, sim_cir, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(sim_cir, **{field: bad})
+
+
 class TestRatePath:
     def test_interpolation_and_cumulative(self):
         path = RatePath(0.5, np.array([0.1, 0.2, 0.1]))
@@ -95,6 +125,11 @@ class TestRatePath:
         with pytest.raises(ValueError):
             RatePath(0.5, np.array([0.1, -0.01]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            RatePath(1.0 / 252.0, [0.1, bad])
+
 
 class TestDemand:
     def test_single_term(self, sim_demand):
@@ -106,6 +141,13 @@ class TestDemand:
     def test_decreasing_in_rate(self, sim_demand):
         assert demand_intensity(0.06, 200.0, sim_demand) > \
             demand_intensity(0.12, 200.0, sim_demand)
+
+    @pytest.mark.parametrize("k1, k2, field", [(math.nan, 1000.0, "k1"),
+                                               (0.5, math.inf, "k2"),
+                                               (-math.inf, 1000.0, "k1")])
+    def test_params_reject_non_finite(self, k1, k2, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DemandParams(k1, k2)
 
     def test_rejects_nonpositive_args(self, sim_demand):
         with pytest.raises(ValueError):
