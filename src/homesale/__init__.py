@@ -16,8 +16,8 @@ from .market_sim import (EvolutionConfig, EvolutionLog, expected_price_curve,
 from .owt import OwtResult, SweepAxis, SweepSpec, optimal_waiting_time, sweep_owt
 from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff, expected_payoff)
-from .stochastic import (CirParams, DemandParams, OfferEvent, RatePath,
-                         demand_intensity, sample_nhpp, simulate_cir, substream)
+from .stochastic import (CirParams, DemandParams, RatePath, demand_intensity,
+                         sample_nhpp, simulate_cir, substream)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "thinned_payoff", "listed_payoff", "listed_payoff_exact",
     "asymptotic_listed_payoff", "expected_utility",
     "OwtResult", "SweepAxis", "SweepSpec", "optimal_waiting_time", "sweep_owt",
-    "CirParams", "RatePath", "DemandParams", "OfferEvent", "simulate_cir",
+    "CirParams", "RatePath", "DemandParams", "simulate_cir",
     "demand_intensity", "sample_nhpp", "substream",
     "PathContext", "UniformOffers", "ExponentialWithdrawals",
     "conditional_payoff", "expected_payoff",

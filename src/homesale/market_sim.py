@@ -7,6 +7,11 @@ collect offers from the demand-driven Poisson stream, sell immediately
 on a list-price crossing, and otherwise take the best surviving offer
 above the reservation price when the committed waiting time runs out.
 
+EvolutionConfig checks every input once, when it is built; past that
+point the simulator carries plain floats (an owner is its occupation end
+and crisis time, an offer an (arrival, value, withdrawal delay) tuple)
+and re-checks none of them.
+
 Evolutions are sequential by nature (each event depends on the last),
 but every random draw comes from a substream keyed by logical indices,
 so logs are reproducible bit for bit regardless of how surrounding code
@@ -16,25 +21,22 @@ schedules work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .closed_form import MarketParams, expected_utility
+from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           list_schedule)
-from .stochastic import (RATE_FLOOR, CirParams, DemandParams, OfferEvent,
-                         RatePath, demand_intensity, sample_nhpp, simulate_cir,
-                         substream)
+from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
+                         demand_intensity, sample_nhpp, simulate_cir, substream)
 
 __all__ = [
-    "OwnerState",
     "SaleOutcome",
     "SaleAttempt",
     "Event",
     "EvolutionLog",
-    "PostingDecision",
     "EvolutionConfig",
     "PricePoint",
     "draw_occupation",
@@ -49,50 +51,26 @@ __all__ = [
     "expected_price_curve",
 ]
 
-@dataclass
-class OwnerState:
-    """One owner's tenure.
-
-    occupation_end and crisis_time are absolute times on the evolution
-    clock, both drawn once at purchase.
-    """
-
-    occupation_end: float
-    crisis_time: float
-
-    def __post_init__(self):
-        if self.occupation_end <= 0 or self.crisis_time <= 0:
-            raise ValueError("occupation_end and crisis_time must be positive")
-
-
 @dataclass(frozen=True)
 class SaleOutcome:
-    """Resolution of one attempt.  time is the offset from posting.
-
-    branch is "list_crossing" for an immediate sale at the list price or
-    better, "owt_best" for the end-of-waiting-time auction, None for no
-    sale.
+    """Resolution of one attempt.  time is the offset from posting: the
+    offer's arrival for a sale at the list price or better, t_star for
+    the end-of-waiting-time auction; price and time are NaN for no sale.
     """
 
     sold: bool
     price: float = math.nan
     time: float = math.nan
-    branch: str = None
 
 
 @dataclass
 class SaleAttempt:
-    offers: list[OfferEvent]
+    """The offers that arrived by the resolution time, each an (arrival,
+    value, withdrawal delay) tuple with arrival the offset from posting,
+    and how the attempt ended."""
+
+    offers: list[tuple[float, float, float]]
     outcome: SaleOutcome
-
-
-@dataclass(frozen=True)
-class PostingDecision:
-    """When the asset goes on the market and why; cause None means the
-    trigger never fired inside the searched window (open tenure)."""
-
-    time: float
-    cause: str  # "crisis" | "profit" | None
 
 
 @dataclass
@@ -134,20 +112,20 @@ def draw_crisis(rng: np.random.Generator, mean: float = 10.0) -> float:
     return float(rng.exponential(mean))
 
 
-def time_to_posting(owner: OwnerState, path: RatePath, threshold: float,
-                    search_end: float = None) -> PostingDecision:
-    """First moment the asset goes on the market.
+def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
+                    threshold: float, search_end: float) -> tuple[float, str | None]:
+    """First moment the asset goes on the market, as (time, cause).
 
-    The owner posts at the crisis time, or at the first grid time at or
-    after the occupation end where the rate is at or below the
-    threshold, whichever comes first.  If neither happens by search_end
-    (default: the path horizon) the tenure stays open.
+    occupation_end and crisis_time are absolute times on the path's
+    clock.  The owner posts at the crisis time (cause "crisis"), or at
+    the first grid time at or after the occupation end where the rate is
+    at or below the threshold (cause "profit"), whichever comes first.
+    If neither happens by search_end (capped at the path horizon) the
+    tenure stays open: the result is (that end, None).
     """
-    if not (threshold > 0):
-        raise ValueError("threshold must be positive")
-    end = path.horizon if search_end is None else min(search_end, path.horizon)
+    end = min(search_end, path.horizon)
     profit_time = math.inf
-    start_idx = int(math.ceil(owner.occupation_end / path.dt - 1e-9))
+    start_idx = int(math.ceil(occupation_end / path.dt - 1e-9))
     if start_idx < path.values.size:
         window = path.values[start_idx:]
         hits = np.nonzero(window <= threshold)[0]
@@ -155,32 +133,32 @@ def time_to_posting(owner: OwnerState, path: RatePath, threshold: float,
             cand = (start_idx + int(hits[0])) * path.dt
             if cand <= end:
                 profit_time = cand
-    crisis_time = owner.crisis_time if owner.crisis_time <= end else math.inf
+    crisis_time = crisis_time if crisis_time <= end else math.inf
     t = min(crisis_time, profit_time)
     if not math.isfinite(t):
-        return PostingDecision(end, None)
-    cause = "crisis" if crisis_time <= profit_time else "profit"
-    return PostingDecision(t, cause)
+        return end, None
+    return t, "crisis" if crisis_time <= profit_time else "profit"
 
 
-def resolve_attempt(offers: list[OfferEvent], schedule, R: float,
+def resolve_attempt(offers: list[tuple[float, float, float]], schedule, R: float,
                     t_star: float) -> SaleOutcome:
-    """Apply the sale rules to a fixed offer list.
+    """Apply the sale rules to a fixed list of (arrival, value, withdrawal
+    delay) offers.
 
     Immediate sale at the first offer whose value meets the list price
     at its arrival; otherwise, at t_star, the best offer above R that
     has not been withdrawn; otherwise no sale.
     """
-    for o in offers:
-        if o.value >= float(schedule(o.arrival)):
-            return SaleOutcome(True, o.value, o.arrival, "list_crossing")
+    for arrival, value, _ in offers:
+        if value >= float(schedule(arrival)):
+            return SaleOutcome(True, value, arrival)
     best = None
-    for o in offers:
-        if o.value >= R and o.withdrawal_delay >= t_star - o.arrival:
-            if best is None or o.value > best:
-                best = o.value
+    for arrival, value, delay in offers:
+        if value >= R and delay >= t_star - arrival:
+            if best is None or value > best:
+                best = value
     if best is not None:
-        return SaleOutcome(True, best, t_star, "owt_best")
+        return SaleOutcome(True, best, t_star)
     return SaleOutcome(False)
 
 
@@ -197,13 +175,12 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
         raise ValueError("t_star must be positive")
     bound = ctx.demand.intensity(RATE_FLOOR, ctx.reservation)
     arrivals = sample_nhpp(ctx.intensity, t_star, bound, rng)
-    values = np.asarray(ctx.offers.sample(rng, arrivals.size), dtype=float)
-    delays = np.asarray(ctx.withdrawals.sample(rng, arrivals.size), dtype=float)
-    offers = [OfferEvent(float(a), float(v), float(d))
-              for a, v, d in zip(arrivals, values, delays)]
+    values = ctx.offers.sample(rng, arrivals.size)
+    delays = ctx.withdrawals.sample(rng, arrivals.size)
+    offers = list(zip(arrivals.tolist(), values.tolist(), delays.tolist()))
     outcome = resolve_attempt(offers, ctx.list_schedule, ctx.reservation, t_star)
     horizon = outcome.time if outcome.sold else t_star
-    kept = [o for o in offers if o.arrival <= horizon]
+    kept = [o for o in offers if o[0] <= horizon]
     return SaleAttempt(kept, outcome)
 
 
@@ -223,12 +200,15 @@ def update_prices(reservation: float, attempt: SaleAttempt, p_min: float,
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Everything a long-horizon evolution run needs.
+    """Everything a long-horizon evolution run needs, checked once here.
 
-    The prices must satisfy 0 < p_min <= initial_reservation <=
-    initial_list <= p_max.  Every later state keeps that order: a sale
-    price lies in [R, p_max], a reprice (R + p_min)/2 stays at or above
-    p_min, and a relist happens at the old R <= p_max.
+    Every float field must be finite.  The prices must satisfy 0 < p_min
+    <= initial_reservation <= initial_list <= p_max; every later state
+    keeps that order: a sale price lies in [R, p_max], a reprice
+    (R + p_min)/2 stays at or above p_min, and a relist happens at the
+    old R <= p_max.  Also 0 < occupation_lo <= occupation_hi; crisis_mean,
+    rate_threshold, dt, t_max and tol are positive; mu, gamma and zeta
+    are non-negative.
     """
 
     cir: CirParams
@@ -249,12 +229,25 @@ class EvolutionConfig:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        # annotations are strings here (from __future__ import annotations)
+        _require_finite(**{f.name: getattr(self, f.name) for f in fields(self)
+                           if f.type == "float"})
         if not (0 < self.p_min <= self.initial_reservation <= self.initial_list
                 <= self.p_max):
             raise ValueError(
                 "need 0 < p_min <= initial_reservation <= initial_list <= p_max, got "
                 f"p_min={self.p_min}, initial_reservation={self.initial_reservation}, "
                 f"initial_list={self.initial_list}, p_max={self.p_max}")
+        if not (0 < self.occupation_lo <= self.occupation_hi):
+            raise ValueError(
+                "need 0 < occupation_lo <= occupation_hi, got "
+                f"occupation_lo={self.occupation_lo}, occupation_hi={self.occupation_hi}")
+        for name in ("crisis_mean", "rate_threshold", "dt", "t_max", "tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("mu", "gamma", "zeta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
@@ -291,6 +284,12 @@ def _posting_step(cfg: EvolutionConfig, path: RatePath, post_time: float,
     return t_star, ctx
 
 
+def _rate_path(cfg: EvolutionConfig, end: float, seed: int) -> RatePath:
+    """The seed's CIR path, t_max + 1 years past end so that an attempt
+    posted by end runs its whole committed window on it."""
+    return simulate_cir(cfg.cir, end + cfg.t_max + 1.0, cfg.dt, substream(seed, "rates"))
+
+
 def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionLog:
     """Simulate the asset's full ownership history over [0, horizon].
 
@@ -300,8 +299,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    path = simulate_cir(cfg.cir, horizon + cfg.t_max + 1.0, cfg.dt,
-                        substream(seed, "rates"))
+    path = _rate_path(cfg, horizon, seed)
     events: list[Event] = []
 
     def emit(time, kind, price=math.nan, demand=math.nan, owner=-1, attempt=-1):
@@ -317,16 +315,15 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
         rng_owner = substream(seed, "owner", owner_idx)
         occupation = draw_occupation(rng_owner, cfg.occupation_lo, cfg.occupation_hi)
         crisis = draw_crisis(rng_owner, cfg.crisis_mean)
-        owner = OwnerState(tenure_start + occupation, tenure_start + crisis)
         emit(tenure_start, "OccupationStart", price=reservation, owner=owner_idx)
-        posting = time_to_posting(owner, path, cfg.rate_threshold, search_end=horizon)
-        if posting.cause is None:
+        post_t, cause = time_to_posting(tenure_start + occupation, tenure_start + crisis,
+                                        path, cfg.rate_threshold, horizon)
+        if cause is None:
             break
-        emit(posting.time, "CrisisShock" if posting.cause == "crisis" else "ProfitOpportunity",
+        emit(post_t, "CrisisShock" if cause == "crisis" else "ProfitOpportunity",
              owner=owner_idx)
 
         cur_R, cur_L0 = reservation, next_list
-        post_t = posting.time
         sold = False
         while not sold and post_t < horizon:
             t_star, ctx = _posting_step(cfg, path, post_t, cur_R, cur_L0)
@@ -335,13 +332,13 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
             attempt = run_sale_attempt(ctx, t_star,
                                        substream(seed, "offers", owner_idx, attempt_idx))
             resolution = attempt.outcome.time if attempt.outcome.sold else t_star
-            for o in attempt.offers:
-                emit(post_t + o.arrival, "OfferReceived", price=o.value,
-                     demand=float(ctx.intensity(o.arrival)), owner=owner_idx,
+            for arrival, value, delay in attempt.offers:
+                emit(post_t + arrival, "OfferReceived", price=value,
+                     demand=float(ctx.intensity(arrival)), owner=owner_idx,
                      attempt=attempt_idx)
-                gone = o.arrival + o.withdrawal_delay
+                gone = arrival + delay
                 if gone < resolution:
-                    emit(post_t + gone, "OfferWithdrawn", price=o.value,
+                    emit(post_t + gone, "OfferWithdrawn", price=value,
                          owner=owner_idx, attempt=attempt_idx)
             if attempt.outcome.sold:
                 sale_t = post_t + attempt.outcome.time
@@ -398,8 +395,7 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
         raise ValueError("n_reps must be >= 1")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if path is None:
-        path = simulate_cir(cfg.cir, float(times.max()) + cfg.t_max + 1.0, cfg.dt,
-                            substream(seed, "rates"))
+        path = _rate_path(cfg, float(times.max()), seed)
 
     points = []
     for qi, t_post in enumerate(times.tolist()):

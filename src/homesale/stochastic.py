@@ -3,6 +3,8 @@
 All samplers take either an integer seed or a numpy Generator.  Code
 that needs several independent streams derives them from one root seed
 with substream(), so adding replications never perturbs earlier ones.
+The samplers return plain arrays (a rate path's values, offer arrival
+times); a path's horizon and step must be finite and positive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "CirParams",
     "RatePath",
     "DemandParams",
-    "OfferEvent",
     "simulate_cir",
     "simulate_cir_ensemble",
     "demand_intensity",
@@ -161,20 +162,8 @@ class DemandParams:
         return self.k1 / r + self.k2 / L
 
 
-@dataclass(frozen=True)
-class OfferEvent:
-    """A single buyer offer: when it arrived, its value, and how long it stands."""
-
-    arrival: float
-    value: float
-    withdrawal_delay: float
-
-    def __post_init__(self):
-        if not (self.arrival >= 0 and self.withdrawal_delay > 0 and self.value > 0):
-            raise ValueError(f"malformed offer {self!r}")
-
-
 def _cir_steps(horizon: float, dt: float) -> int:
+    _require_finite(horizon=horizon, dt=dt)
     if not (horizon >= dt > 0):
         raise ValueError(f"need horizon >= dt > 0, got horizon={horizon}, dt={dt}")
     return int(math.ceil(horizon / dt - 1e-12))

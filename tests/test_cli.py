@@ -248,6 +248,36 @@ class TestEvolveCommand:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, field", [
+        (f"{key} = {value}", field)
+        for key, field in [
+            ("kappa", "kappa"), ("theta", "theta"), ("sigma", "sigma"), ("r0", "r0"),
+            ("k1", "k1"), ("k2", "k2"), ("sim_withdrawal_intensity", "mu"),
+            ("sim_waiting_averseness", "gamma"), ("zeta", "zeta"), ("p_min", "p_min"),
+            ("p_max", "p_max"), ("initial_reservation_price", "initial_reservation"),
+            ("initial_list_price", "initial_list"), ("occupation_min", "occupation_lo"),
+            ("occupation_max", "occupation_hi"), ("crisis_mean", "crisis_mean"),
+            ("interest_rate_threshold", "rate_threshold"), ("dt", "dt"),
+            ("t_max", "t_max"), ("tol", "tol")]
+        for value in ("nan", "inf")
+    ] + [("occupation_min = -1", "occupation_lo"), ("occupation_min = 7", "occupation_lo")])
+    def test_simulation_key_outside_its_domain_is_config_error(self, tmp_path, capsys,
+                                                               line, field):
+        f = tmp_path / "s.cfg"
+        f.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = main(["evolve", "--config", str(f), "--out", str(out), "--horizon", "8",
+                   "--seed", "2"])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_horizon_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["evolve", "--out", str(out), "--horizon", "inf"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_crisis_dominant_config(self, tmp_path):
         f = tmp_path / "s.cfg"
         f.write_text("crisis_mean = 0.5\n")
@@ -292,6 +322,13 @@ class TestExpectedPriceCommand:
         out = tmp_path / "out"
         rc = main(["expected-price", "--config", str(f), "--out", str(out),
                    "--times", "2", "--n-reps", "30"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_infinite_posting_time_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["expected-price", "--out", str(out), "--times", "2,inf",
+                   "--n-reps", "30"])
         assert rc == 2
         assert not out.exists()
 

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import three_sigma
-from homesale.market_sim import (EvolutionConfig, OwnerState,
-                                 compute_owt_frozen, draw_crisis,
+from homesale.market_sim import (EvolutionConfig, compute_owt_frozen, draw_crisis,
                                  draw_occupation, expected_price_curve,
                                  list_schedule, resolve_attempt, run_evolution,
                                  run_sale_attempt, time_to_posting,
                                  update_prices, SaleAttempt, SaleOutcome)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   UniformOffers)
-from homesale.stochastic import (CirParams, DemandParams, OfferEvent, RatePath,
-                                 simulate_cir, substream)
+from homesale.stochastic import (CirParams, DemandParams, RatePath, simulate_cir,
+                                 substream)
 
 DEMAND = DemandParams(0.5, 1000.0)
 
@@ -45,17 +44,15 @@ class TestDraws:
 class TestTimeToPosting:
     def test_crisis_before_occupation_end(self):
         path = RatePath(0.5, np.full(41, 0.2))
-        owner = OwnerState(occupation_end=5.0, crisis_time=2.5)
-        decision = time_to_posting(owner, path, 0.06)
-        assert decision.cause == "crisis"
-        assert decision.time == 2.5
+        time, cause = time_to_posting(5.0, 2.5, path, 0.06, search_end=path.horizon)
+        assert cause == "crisis"
+        assert time == 2.5
 
     def test_neither_trigger_fires(self):
         path = RatePath(0.5, np.full(41, 0.2))  # always above threshold
-        owner = OwnerState(occupation_end=5.0, crisis_time=1e9)
-        decision = time_to_posting(owner, path, 0.06)
-        assert decision.cause is None
-        assert decision.time == path.horizon
+        time, cause = time_to_posting(5.0, 1e9, path, 0.06, search_end=path.horizon)
+        assert cause is None
+        assert time == path.horizon
 
     def test_deterministic_rate_crossing(self):
         # theta=0.05, r0=0.09, kappa=ln(4)/7: the mean-reversion curve
@@ -64,17 +61,15 @@ class TestTimeToPosting:
         p = CirParams(kappa, 0.05, 0.0, 0.09)
         dt = 1.0 / 252.0
         path = simulate_cir(p, 12.0, dt, seed=0)
-        owner = OwnerState(occupation_end=5.0, crisis_time=1e9)
-        decision = time_to_posting(owner, path, 0.06)
-        assert decision.cause == "profit"
-        assert abs(decision.time - 7.0) < 3.0 * dt
+        time, cause = time_to_posting(5.0, 1e9, path, 0.06, search_end=path.horizon)
+        assert cause == "profit"
+        assert abs(time - 7.0) < 3.0 * dt
 
     def test_profit_waits_for_occupation_end(self):
         path = RatePath(0.5, np.full(41, 0.05))  # always below threshold
-        owner = OwnerState(occupation_end=5.25, crisis_time=1e9)
-        decision = time_to_posting(owner, path, 0.06)
-        assert decision.cause == "profit"
-        assert decision.time == pytest.approx(5.5)  # first grid point past O
+        time, cause = time_to_posting(5.25, 1e9, path, 0.06, search_end=path.horizon)
+        assert cause == "profit"
+        assert time == pytest.approx(5.5)  # first grid point past O
 
 
 class TestListSchedule:
@@ -133,25 +128,24 @@ class TestResolveAttempt:
         assert not out.sold
 
     def test_first_list_crossing_wins(self):
-        offers = [OfferEvent(0.2, 150.0, 9.9), OfferEvent(0.5, 199.0, 9.9),
-                  OfferEvent(0.7, 185.0, 9.9)]
+        offers = [(0.2, 150.0, 9.9), (0.5, 199.0, 9.9), (0.7, 185.0, 9.9)]
         out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
-        assert out.sold and out.branch == "list_crossing"
+        assert out.sold and out.time < 1.0  # a list crossing, before t_star
         assert out.price == 199.0 and out.time == 0.5
 
     def test_all_below_reservation_fails(self):
-        offers = [OfferEvent(0.2, 120.0, 9.9), OfferEvent(0.6, 135.0, 9.9)]
+        offers = [(0.2, 120.0, 9.9), (0.6, 135.0, 9.9)]
         out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
         assert not out.sold
 
     def test_best_survivor_at_deadline(self):
-        offers = [OfferEvent(0.2, 150.0, 9.9), OfferEvent(0.5, 160.0, 9.9)]
+        offers = [(0.2, 150.0, 9.9), (0.5, 160.0, 9.9)]
         out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
-        assert out.sold and out.branch == "owt_best"
+        assert out.sold and out.time == 1.0  # the end-of-window sale, at t_star
         assert out.price == 160.0 and out.time == 1.0
 
     def test_withdrawn_offers_do_not_count(self):
-        offers = [OfferEvent(0.2, 150.0, 0.1), OfferEvent(0.5, 160.0, 0.1)]
+        offers = [(0.2, 150.0, 0.1), (0.5, 160.0, 0.1)]
         out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
         assert not out.sold
 
@@ -166,7 +160,7 @@ class TestResolveAttempt:
             att = run_sale_attempt(ctx, 2.0, rng)
             if not att.outcome.sold:
                 continue
-            if att.outcome.branch == "list_crossing":
+            if att.outcome.time < 2.0:  # a list crossing, before t_star
                 assert att.outcome.price >= float(self.SCHED(att.outcome.time)) - 1e-12
             else:
                 assert att.outcome.price >= 140.0
@@ -174,7 +168,7 @@ class TestResolveAttempt:
 
 class TestUpdatePrices:
     def sale(self, price):
-        return SaleAttempt([], SaleOutcome(True, price, 0.5, "list_crossing"))
+        return SaleAttempt([], SaleOutcome(True, price, 0.5))
 
     def no_sale(self):
         return SaleAttempt([], SaleOutcome(False))
@@ -207,6 +201,15 @@ class TestEvolutionConfig:
     def test_broken_price_ordering_raises(self, prices):
         with pytest.raises(ValueError):
             make_config(**prices)
+
+    @pytest.mark.parametrize("field, value", [
+        ("occupation_lo", 0.0), ("occupation_hi", 3.0), ("crisis_mean", 0.0),
+        ("rate_threshold", 0.0), ("dt", 0.0), ("t_max", -1.0), ("tol", 0.0),
+        ("mu", -1.0), ("gamma", -0.5), ("zeta", -1.0),
+    ])
+    def test_field_outside_its_domain_raises(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_config(**{field: value})
 
 
 class TestRunEvolution:
