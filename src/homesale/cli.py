@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market_sim, oracle, path_payoff
-from .closed_form import (MarketParams, SellerPolicy, expected_utility,
+from .closed_form import (MarketParams, SellerPolicy, _ops, expected_utility,
                           listed_payoff, listed_payoff_exact, thinned_payoff)
 from .owt import SweepAxis, SweepSpec, optimal_waiting_time, sweep_owt
 # simulate_cir is not called here; the benchmark tracer wraps cli.simulate_cir
@@ -196,9 +196,14 @@ def cmd_owt(cfg: ScenarioConfig, args) -> int:
     policy = cfg.seller_policy()
     R, L, gamma = policy.reservation, policy.list_price, policy.gamma
     t_max = cfg.t_max if args.t_max is None else args.t_max
-    grid = _t_grid(t_max, args.t_steps)
+    if args.mode == "no-list":
+        # math.exp on the refinement's floats, numpy on the scan's array
+        objective = lambda T: _ops(T).exp(-gamma * T) * thinned_payoff(T, m, R)
+    else:
+        objective = lambda T: expected_utility(T, m, R, L, gamma)
+    res = optimal_waiting_time(objective, t_max=t_max, tol=cfg.tol)
     rows = []
-    for T in grid:
+    for T in _t_grid(t_max, args.t_steps):
         if args.mode == "no-list":
             payoff = thinned_payoff(T, m, R)
             payoff_exact = payoff
@@ -206,11 +211,6 @@ def cmd_owt(cfg: ScenarioConfig, args) -> int:
             payoff = listed_payoff(T, m, R, L)
             payoff_exact = listed_payoff_exact(T, m, R, L)
         rows.append((T, payoff, payoff_exact, math.exp(-gamma * T) * payoff))
-    if args.mode == "no-list":
-        objective = lambda T: math.exp(-gamma * T) * thinned_payoff(T, m, R)
-    else:
-        objective = lambda T: expected_utility(T, m, R, L, gamma)
-    res = optimal_waiting_time(objective, t_max=t_max, tol=cfg.tol)
     flag = " boundary=1" if res.boundary else ""
     summary = f"t_star={_fmt(res.t_star)} utility={_fmt(res.utility_at_t_star)}{flag}"
     out = Path(cfg.out_dir) / "owt_curve.csv"

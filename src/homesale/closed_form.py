@@ -7,16 +7,21 @@ delay.  The seller either waits a horizon T and takes the best surviving
 offer above a reservation price, or additionally posts a list price and
 sells immediately on the first offer that meets it.
 
-All functions are pure scalar maps and safe to call concurrently.  Each
-public function checks its arguments once, on entry, and computes
-through private kernels (_listed, _best_survivor, _withdrawn) that take
-checked floats and check nothing again.
+All functions are pure maps of the horizon T, a float or an ndarray of
+horizons, and safe to call concurrently.  Each public function checks
+its arguments once, on entry, and computes through private kernels
+(_listed, _best_survivor, _em1mx_over_x, _withdrawn) that take checked
+values and check nothing again.  Each kernel is written once, for
+floats and for arrays alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 __all__ = [
     "MarketParams",
@@ -95,20 +100,38 @@ class SellerPolicy:
             raise ValueError("gamma and zeta must be non-negative")
 
 
-def _check_horizon(T: float) -> None:
+def _check_horizon(T) -> None:
+    """T, or every element of an array T, must be finite and positive."""
+    if isinstance(T, np.ndarray):  # a NaN reaches both extremes
+        _require_finite(T=T.max())
+        T = T.min()
     _require_finite(T=T)
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
 
 
-def _withdrawn(x: float) -> float:
+# The kernels are written once over a namespace of exp, expm1, where,
+# minimum and abs: numpy for an ndarray T, and for a float math plus a
+# conditional, so that float results never depend on numpy's exp (which
+# can differ from math.exp by an ulp).  where() has evaluated both its
+# branches, so each branch is fed arguments that keep it finite.
+_FLOAT = SimpleNamespace(exp=math.exp, expm1=math.expm1, abs=abs,
+                         where=lambda cond, a, b: a if cond else b,
+                         minimum=lambda a, b: b if b < a else a)
+
+
+def _ops(T):
+    return np if isinstance(T, np.ndarray) else _FLOAT
+
+
+def _withdrawn(x, ops):
     """1 - (1 - exp(-x))/x at x = mu*T, series-switched below SMALL_ARG."""
-    if x < SMALL_ARG:
-        return x * (0.5 - x * (1.0 / 6.0 - x / 24.0))
-    return 1.0 + math.expm1(-x) / x
+    small = x < SMALL_ARG
+    xs = ops.where(small, 1.0, x)
+    return ops.where(small, x * (0.5 - x * (1.0 / 6.0 - x / 24.0)), 1.0 + ops.expm1(-xs) / xs)
 
 
-def withdrawal_fraction(T: float, mu: float) -> float:
+def withdrawal_fraction(T: float | np.ndarray, mu: float) -> float | np.ndarray:
     """Probability that an offer with uniform arrival on [0, T] is gone by T.
 
     Equals 1 - (1 - exp(-mu T))/(mu T).  A direct evaluation cancels
@@ -119,30 +142,29 @@ def withdrawal_fraction(T: float, mu: float) -> float:
     _require_finite(mu=mu)
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    return _withdrawn(mu * T)
+    return _withdrawn(mu * T, _ops(T))
 
 
-def _em1mx_over_x(x: float) -> float:
+def _em1mx_over_x(x, ops):
     """(exp(x) - 1 - x)/x, series-switched near zero."""
-    if abs(x) < SMALL_ARG:
-        return x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
-    return (math.expm1(x) - x) / x
+    small = ops.abs(x) < SMALL_ARG
+    xs = ops.where(small, 1.0, x)
+    return ops.where(small, x * (0.5 + x * (1.0 / 6.0 + x / 24.0)), (ops.expm1(xs) - xs) / xs)
 
 
-def _best_survivor(T: float, lam: float, mu: float, r: float,
-                   lo: float, hi: float) -> float:
+def _best_survivor(T, lam, mu, r, lo, hi, ops):
     """auxiliary_payoff for a stream of intensity lam with values uniform
-    on (lo, hi); zero when lam == 0, whatever lo and hi."""
-    x = lam * T * (1.0 - _withdrawn(mu * T))
-    if x == 0.0:
-        return 0.0
+    on (lo, hi); zero when lam == 0."""
+    x = lam * T * (1.0 - _withdrawn(mu * T, ops))
     spread = hi - lo
-    if x >= _LARGE_ARG:
-        return math.exp(-r * T) * (hi - spread / x)
-    return math.exp(-r * T - x) * (hi * math.expm1(x) - spread * _em1mx_over_x(x))
+    large = x >= _LARGE_ARG
+    xs = ops.minimum(x, _LARGE_ARG)
+    below = ops.exp(-r * T - xs) * (hi * ops.expm1(xs) - spread * _em1mx_over_x(xs, ops))
+    beyond = ops.exp(-r * T) * (hi - spread / ops.where(large, x, _LARGE_ARG))
+    return ops.where(large, beyond, below)
 
 
-def auxiliary_payoff(T: float, m: MarketParams) -> float:
+def auxiliary_payoff(T: float | np.ndarray, m: MarketParams) -> float | np.ndarray:
     """Expected discounted payoff when every offer beats the reservation price.
 
     Offers surviving to T form a thinned Poisson stream: each of the
@@ -161,10 +183,10 @@ def auxiliary_payoff(T: float, m: MarketParams) -> float:
     e^x would overflow.
     """
     _check_horizon(T)
-    return _best_survivor(T, m.lam, m.mu, m.r, m.p_min, m.p_max)
+    return _best_survivor(T, m.lam, m.mu, m.r, m.p_min, m.p_max, _ops(T))
 
 
-def thinned_payoff(T: float, m: MarketParams, R: float) -> float:
+def thinned_payoff(T: float | np.ndarray, m: MarketParams, R: float) -> float | np.ndarray:
     """Expected discounted payoff with a private reservation price R, no list.
 
     Offers below R never matter, so the stream thins to intensity
@@ -175,30 +197,36 @@ def thinned_payoff(T: float, m: MarketParams, R: float) -> float:
     if not (m.p_min <= R <= m.p_max):
         raise ValueError(f"R={R} outside offer support [{m.p_min}, {m.p_max}]")
     lam_thin = m.lam * (m.p_max - R) / (m.p_max - m.p_min)
-    return _best_survivor(T, lam_thin, m.mu, m.r, R, m.p_max)
+    return _best_survivor(T, lam_thin, m.mu, m.r, R, m.p_max, _ops(T))
 
 
-def _listed(T: float, m: MarketParams, R: float, L: float, exact: bool) -> float:
-    """listed_payoff, or listed_payoff_exact when exact is true."""
+def _listed(T, lam, mu, r, p_min, p_max, R, L, gamma, exact: bool, ops):
+    """exp(-gamma*T) times listed_payoff, or listed_payoff_exact when exact
+    is true; the sweep calls it on arrays of cells."""
+    lam_y = lam * ((p_max - L) / (p_max - p_min))
+    # lam_y + r, or 1 where no offer reaches the list: the crossing term
+    # is then +0.0 whatever the rate, and the quotient stays finite at r == 0
+    rate = ops.where(lam_y > 0.0, lam_y + r, 1.0)
+    if exact:
+        crossing = ((p_max + L) / 2.0) * lam_y * -ops.expm1(-(lam_y + r) * T) / rate
+    else:
+        crossing = -ops.expm1(-lam_y * T) * ((p_max + L) / 2.0) * (lam_y / rate)
+    # the in-band offers, values in (R, L), at intensity lam*(L - R)/(p_max - p_min)
+    in_band = _best_survivor(T, lam * ((L - R) / (p_max - p_min)), mu, r, R, L, ops)
+    return ops.exp(-gamma * T) * (crossing + ops.exp(-lam_y * T) * in_band)
+
+
+def _checked_listed(T, m: MarketParams, R: float, L: float, gamma: float, exact: bool):
     _require_finite(R=R, L=L)
     if not (m.p_min <= R <= L <= m.p_max):
         raise ValueError(
             f"need p_min <= R <= L <= p_max, got p_min={m.p_min}, R={R}, L={L}, p_max={m.p_max}")
     _check_horizon(T)
-    y = (m.p_max - L) / (m.p_max - m.p_min)
-    lam_y = m.lam * y
-    if lam_y <= 0.0:
-        crossing = 0.0
-    elif exact:
-        crossing = ((m.p_max + L) / 2.0) * lam_y * -math.expm1(-(lam_y + m.r) * T) / (lam_y + m.r)
-    else:
-        crossing = -math.expm1(-lam_y * T) * ((m.p_max + L) / 2.0) * (lam_y / (lam_y + m.r))
-    # the in-band offers, values in (R, L), at intensity lam*(L - R)/(p_max - p_min)
-    in_band = _best_survivor(T, m.lam * ((L - R) / (m.p_max - m.p_min)), m.mu, m.r, R, L)
-    return crossing + math.exp(-lam_y * T) * in_band
+    return _listed(T, m.lam, m.mu, m.r, m.p_min, m.p_max, R, L, gamma, exact, _ops(T))
 
 
-def listed_payoff(T: float, m: MarketParams, R: float, L: float) -> float:
+def listed_payoff(T: float | np.ndarray, m: MarketParams, R: float,
+                  L: float) -> float | np.ndarray:
     """Expected discounted payoff with a public list price L and private R.
 
     Two regions: an offer at or above L sells immediately at its arrival
@@ -209,17 +237,18 @@ def listed_payoff(T: float, m: MarketParams, R: float, L: float) -> float:
     which overstates the discount for crossings that land beyond T; see
     listed_payoff_exact for the exact truncated expectation.
     """
-    return _listed(T, m, R, L, exact=False)
+    return _checked_listed(T, m, R, L, 0.0, exact=False)
 
 
-def listed_payoff_exact(T: float, m: MarketParams, R: float, L: float) -> float:
+def listed_payoff_exact(T: float | np.ndarray, m: MarketParams, R: float,
+                        L: float) -> float | np.ndarray:
     """listed_payoff with the above-list discount evaluated jointly.
 
     Replaces P{cross by T} * E[discount] by E[discount * 1{cross by T}]
     = lam*y*(1 - exp(-(lam*y + r)*T))/(lam*y + r).  Coincides with
     listed_payoff at r = 0 and as T -> inf.
     """
-    return _listed(T, m, R, L, exact=True)
+    return _checked_listed(T, m, R, L, 0.0, exact=True)
 
 
 def asymptotic_listed_payoff(m: MarketParams, L: float) -> float:
@@ -233,8 +262,8 @@ def asymptotic_listed_payoff(m: MarketParams, L: float) -> float:
     return ((m.p_max + L) / 2.0) * lam_y / (lam_y + m.r)
 
 
-def expected_utility(T: float, m: MarketParams, R: float, L: float,
-                     gamma: float, exact: bool = False) -> float:
+def expected_utility(T: float | np.ndarray, m: MarketParams, R: float, L: float,
+                     gamma: float, exact: bool = False) -> float | np.ndarray:
     """Impatience-discounted expected payoff exp(-gamma*T) * listed payoff.
 
     exact selects listed_payoff_exact as the base; the default matches
@@ -243,4 +272,4 @@ def expected_utility(T: float, m: MarketParams, R: float, L: float,
     _require_finite(gamma=gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    return math.exp(-gamma * T) * _listed(T, m, R, L, exact)
+    return _checked_listed(T, m, R, L, gamma, exact)

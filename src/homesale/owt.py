@@ -8,18 +8,22 @@ maximizer over parameter pairs drive the comparative-statics output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .closed_form import MarketParams, expected_utility
+# expected_utility is not called here; the benchmark tracer wraps owt.expected_utility
+from .closed_form import _FLOAT, MarketParams, _listed, expected_utility
 
 __all__ = ["OwtResult", "SweepAxis", "SweepSpec", "SweepResult",
            "optimal_waiting_time", "sweep_owt"]
 
 COARSE_POINTS = 256
+# Cells per array scan in sweep_owt: 16 x 256 = 4,096 values per temporary.
+_CHUNK_CELLS = 16
 DEFAULT_T_MAX = 20.0
 DEFAULT_TOL = 1e-4
 
@@ -73,52 +77,59 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return t, ft, evals
 
 
-def _count_sign_changes(values: list[float]) -> int:
-    changes = 0
-    prev = 0
-    for a, b in zip(values, values[1:]):
-        d = b - a
-        s = 1 if d > 0 else (-1 if d < 0 else 0)
-        if s != 0:
-            if prev != 0 and s != prev:
-                changes += 1
-            prev = s
-    return changes
+def _grid(t_max: float, tol: float) -> np.ndarray:
+    """The coarse scan's horizons, once t_max and tol are checked."""
+    for name, v in (("t_max", t_max), ("tol", tol)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    return (t_max / COARSE_POINTS) * np.arange(1, COARSE_POINTS + 1)
 
 
-def optimal_waiting_time(objective: Callable[[float], float],
+def _scan(vals: np.ndarray, grid: np.ndarray):
+    """Read a coarse scan, one objective per row of vals.
+
+    Returns per row the boundary flag (the argmax is the last node), the
+    count of sign flips of successive differences (flat steps carry the
+    sign before them) and the bracket (lo, hi) around the argmax.  Raises
+    on a non-finite value.
+    """
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"objective returned non-finite value {vals[at]} at T={grid[at[-1]]}")
+    idx = vals.argmax(axis=-1)
+    s = np.sign(np.diff(vals, axis=-1))
+    last = np.maximum.accumulate(np.where(s != 0, np.arange(s.shape[-1]), 0), axis=-1)
+    s = np.take_along_axis(s, last, axis=-1)
+    flips = np.count_nonzero((s[..., 1:] != s[..., :-1]) & (s[..., :-1] != 0), axis=-1)
+    lo = np.where(idx >= 1, grid[idx - 1], 0.0)
+    hi = grid[np.minimum(idx + 1, COARSE_POINTS - 1)]
+    return idx == COARSE_POINTS - 1, flips, lo, hi
+
+
+def optimal_waiting_time(objective: Callable,
                          t_max: float = DEFAULT_T_MAX,
                          tol: float = DEFAULT_TOL) -> OwtResult:
-    """Maximize a scalar objective of the waiting time over (0, t_max].
+    """Maximize an objective of the waiting time over (0, t_max].
 
     A 256-point uniform scan locates a bracketing triple around the
     maximum, then golden-section refinement shrinks the bracket to tol.
-    The objective must be finite everywhere on the grid; a non-finite
-    value aborts with a diagnostic.  A maximum on the grid's right edge
-    is returned as t_star == t_max with the boundary flag set, since the
-    true maximizer may lie beyond the horizon.
+    The scan calls the objective once, on an ndarray of the 256 horizons;
+    the refinement calls it on floats.  The objective must be finite
+    everywhere on the grid; a non-finite value aborts with a diagnostic.
+    A maximum on the grid's right edge is returned as t_star == t_max
+    with the boundary flag set, since the true maximizer may lie beyond
+    the horizon.
     """
-    if not (t_max > 0):
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    step = t_max / COARSE_POINTS
-    grid = [step * i for i in range(1, COARSE_POINTS + 1)]
-    vals = []
-    for t in grid:
-        v = objective(t)
-        if not math.isfinite(v):
-            raise ValueError(f"objective returned non-finite value {v} at T={t}")
-        vals.append(v)
-    evals = COARSE_POINTS
-    sign_changes = _count_sign_changes(vals)
-    idx = max(range(COARSE_POINTS), key=vals.__getitem__)
-    if idx == COARSE_POINTS - 1:
-        return OwtResult(t_max, vals[-1], evals, True, sign_changes)
-    lo = grid[idx - 1] if idx >= 1 else 0.0
-    hi = grid[idx + 1]
-    t_star, f_star, n = _golden_max(objective, lo, hi, tol)
-    return OwtResult(t_star, f_star, evals + n, False, sign_changes)
+    grid = _grid(t_max, tol)
+    # broadcast, so that an objective constant in T may return a scalar
+    boundary, flips, lo, hi = _scan(np.broadcast_to(objective(grid), grid.shape), grid)
+    if boundary:
+        # evaluated again on the float path, which every printed value takes
+        return OwtResult(t_max, objective(float(grid[-1])), COARSE_POINTS + 1, True,
+                         int(flips))
+    t_star, f_star, n = _golden_max(objective, float(lo), float(hi), tol)
+    return OwtResult(t_star, f_star, COARSE_POINTS + n, False, int(flips))
 
 
 # Parameter names a sweep axis may bind to, mapped onto the closed-form
@@ -138,6 +149,9 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ValueError(f"unknown sweep parameter {self.name!r}; choose from {_AXIS_NAMES}")
+        for end, v in (("start", self.start), ("stop", self.stop)):
+            if not math.isfinite(v):
+                raise ValueError(f"{self.name} axis {end} must be finite, got {v}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.steps > 1 and not (self.stop > self.start):
@@ -186,44 +200,50 @@ class SweepResult:
     boundary: np.ndarray = field(default=None)
 
 
-def _cell_params(spec: SweepSpec, overrides: dict) -> tuple[MarketParams, float, float, float]:
+def _cell_params(spec: SweepSpec, xv: float, yv: float) -> tuple | None:
+    """(lam, mu, r, p_min, p_max, R, L, gamma) of the cell at (xv, yv),
+    checked as the closed forms check them; None if a check fails."""
     base = {
         "lam": spec.market.lam, "mu": spec.market.mu, "r": spec.market.r,
         "p_min": spec.market.p_min, "p_max": spec.market.p_max,
         "reservation": spec.reservation, "list_price": spec.list_price,
         "gamma": spec.gamma,
+        spec.axis_x.name: float(xv), spec.axis_y.name: float(yv),
     }
-    base.update(overrides)
-    m = MarketParams(base["lam"], base["mu"], base["r"], base["p_min"], base["p_max"])
+    try:
+        m = MarketParams(base["lam"], base["mu"], base["r"], base["p_min"], base["p_max"])
+    except ValueError:
+        return None
     R, L, gamma = base["reservation"], base["list_price"], base["gamma"]
     if not (m.p_min <= R <= L <= m.p_max) or gamma < 0:
-        raise ValueError("invalid price ordering in sweep cell")
-    return m, R, L, gamma
-
-
-def _solve_cell(spec: SweepSpec, xv: float, yv: float) -> tuple[float, bool]:
-    try:
-        m, R, L, gamma = _cell_params(
-            spec, {spec.axis_x.name: float(xv), spec.axis_y.name: float(yv)})
-    except ValueError:
-        return math.nan, False
-    res = optimal_waiting_time(
-        lambda T: expected_utility(T, m, R, L, gamma, exact=True),
-        t_max=spec.t_max, tol=spec.tol)
-    return res.t_star, res.boundary
+        return None
+    return m.lam, m.mu, m.r, m.p_min, m.p_max, R, L, gamma
 
 
 def sweep_owt(spec: SweepSpec) -> SweepResult:
     """Optimal waiting time over a 2-D parameter grid.
 
-    Each cell is solved on its own, row by row along the y axis.
-    Invalid combinations become NaN cells.
+    Invalid combinations become NaN cells.  The valid cells are scanned
+    through the array kernel _CHUNK_CELLS at a time, so no temporary
+    holds more than _CHUNK_CELLS x COARSE_POINTS values whatever the
+    grid size, and each is refined on the float path as
+    optimal_waiting_time would.
     """
+    grid = _grid(spec.t_max, spec.tol)
     xs = spec.axis_x.values
     ys = spec.axis_y.values
-    t_star = np.full((len(ys), len(xs)), math.nan)
-    boundary = np.zeros((len(ys), len(xs)), dtype=bool)
-    for i, yv in enumerate(ys):
-        for j, xv in enumerate(xs):
-            t_star[i, j], boundary[i, j] = _solve_cell(spec, xv, yv)
-    return SweepResult(spec.axis_x.name, spec.axis_y.name, xs, ys, t_star, boundary)
+    t_star = np.full(len(ys) * len(xs), math.nan)
+    boundary = np.zeros(len(ys) * len(xs), dtype=bool)
+    cells = ((k, _cell_params(spec, xv, yv))
+             for k, (yv, xv) in enumerate(itertools.product(ys, xs)))
+    valid = ((k, p) for k, p in cells if p is not None)
+    while chunk := list(itertools.islice(valid, _CHUNK_CELLS)):
+        cols = np.array([p for _, p in chunk]).T[:, :, None]
+        edge, _, lo, hi = _scan(_listed(grid, *cols, True, np), grid)
+        for (k, p), e, a, b in zip(chunk, edge.tolist(), lo.tolist(), hi.tolist()):
+            boundary[k] = e
+            t_star[k] = spec.t_max if e else _golden_max(
+                lambda T: _listed(T, *p, True, _FLOAT), a, b, spec.tol)[0]
+    shape = (len(ys), len(xs))
+    return SweepResult(spec.axis_x.name, spec.axis_y.name, xs, ys,
+                       t_star.reshape(shape), boundary.reshape(shape))

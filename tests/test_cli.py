@@ -120,6 +120,26 @@ class TestOwtCommand:
         assert rc == 0
         assert (tmp_path / "owt_curve.csv").read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["listed", "no-list"])
+    def test_infinite_tol_is_config_error(self, tmp_path, capsys, mode):
+        # tol = inf used to skip the refinement: exit 0 with t_star=2.109375
+        f = tmp_path / "s.cfg"
+        f.write_text("tol = inf\n")
+        out = tmp_path / "out"
+        rc = main(["owt", "--mode", mode, "--config", str(f), "--out", str(out)])
+        assert rc == 2
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_t_max_is_config_error(self, tmp_path, capsys, t_max):
+        # rejected before the curve grid is built, so numpy does not warn
+        out = tmp_path / "out"
+        rc = main(["owt", "--out", str(out), "--t-max", t_max])
+        assert rc == 2
+        assert "t_max must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summary_line_embedded(self, tmp_path):
         rc = main(["owt", "--out", str(tmp_path), "--t-steps", "10"])
         assert rc == 0
@@ -177,6 +197,24 @@ class TestSweepCommand:
     def test_bad_axis_spec_is_usage_error(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path), "--x", "lam:1:10", "--y", "r:0:1:2"])
         assert rc == 2
+
+    def test_infinite_axis_is_config_error(self, tmp_path, capsys):
+        # numpy used to warn in linspace and write inf/empty cells
+        out = tmp_path / "out"
+        rc = main(["sweep", "--out", str(out), "--x", "lam:1:inf:2", "--y", "r:0.1:0.2:2"])
+        assert rc == 2
+        assert "lam axis stop must be finite" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_infinite_tol_is_config_error(self, tmp_path, capsys):
+        f = tmp_path / "s.cfg"
+        f.write_text("tol = inf\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(f), "--out", str(out),
+                   "--x", "lam:1:2:2", "--y", "r:0.1:0.2:2"])
+        assert rc == 2
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvolveCommand:

@@ -5,7 +5,7 @@ import pytest
 
 import homesale.path_payoff as pp
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT, three_sigma
-from homesale.closed_form import (MarketParams, SellerPolicy,
+from homesale.closed_form import (SMALL_ARG, MarketParams, SellerPolicy,
                                   asymptotic_listed_payoff, auxiliary_payoff,
                                   expected_utility, listed_payoff,
                                   listed_payoff_exact, thinned_payoff,
@@ -300,3 +300,146 @@ class TestTypes:
             SellerPolicy(180.0, 140.0, 0.1)
         with pytest.raises(ValueError):
             SellerPolicy(140.0, 180.0, -0.5)
+
+
+# The scalar closed forms as they were before the kernels were written over
+# numpy as well: plain math and if/else, one horizon at a time.  The public
+# closed forms must reproduce them bit for bit on floats.
+def ref_withdrawn(x):
+    if x < SMALL_ARG:
+        return x * (0.5 - x * (1.0 / 6.0 - x / 24.0))
+    return 1.0 + math.expm1(-x) / x
+
+
+def ref_em1mx_over_x(x):
+    if abs(x) < SMALL_ARG:
+        return x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
+    return (math.expm1(x) - x) / x
+
+
+def ref_best_survivor(T, lam, mu, r, lo, hi):
+    x = lam * T * (1.0 - ref_withdrawn(mu * T))
+    if x == 0.0:
+        return 0.0
+    spread = hi - lo
+    if x >= 40.0:
+        return math.exp(-r * T) * (hi - spread / x)
+    return math.exp(-r * T - x) * (hi * math.expm1(x) - spread * ref_em1mx_over_x(x))
+
+
+def ref_listed(T, m, R, L, exact):
+    y = (m.p_max - L) / (m.p_max - m.p_min)
+    lam_y = m.lam * y
+    if lam_y <= 0.0:
+        crossing = 0.0
+    elif exact:
+        crossing = ((m.p_max + L) / 2.0) * lam_y * -math.expm1(-(lam_y + m.r) * T) / (lam_y + m.r)
+    else:
+        crossing = -math.expm1(-lam_y * T) * ((m.p_max + L) / 2.0) * (lam_y / (lam_y + m.r))
+    in_band = ref_best_survivor(T, m.lam * ((L - R) / (m.p_max - m.p_min)), m.mu, m.r, R, L)
+    return crossing + math.exp(-lam_y * T) * in_band
+
+
+# public closed form -> (reference, natural scale of its value given the market)
+KERNEL_PAIRS = {
+    "withdrawal_fraction": (lambda T, m, R, L, g: withdrawal_fraction(T, m.mu),
+                            lambda T, m, R, L, g: ref_withdrawn(m.mu * T),
+                            lambda m: 1.0),
+    "auxiliary_payoff": (lambda T, m, R, L, g: auxiliary_payoff(T, m),
+                         lambda T, m, R, L, g: ref_best_survivor(T, m.lam, m.mu, m.r,
+                                                                 m.p_min, m.p_max),
+                         lambda m: m.p_max),
+    "thinned_payoff": (lambda T, m, R, L, g: thinned_payoff(T, m, R),
+                       lambda T, m, R, L, g: ref_best_survivor(
+                           T, m.lam * (m.p_max - R) / (m.p_max - m.p_min), m.mu, m.r,
+                           R, m.p_max),
+                       lambda m: m.p_max),
+    "listed_payoff": (lambda T, m, R, L, g: listed_payoff(T, m, R, L),
+                      lambda T, m, R, L, g: ref_listed(T, m, R, L, False),
+                      lambda m: m.p_max),
+    "listed_payoff_exact": (lambda T, m, R, L, g: listed_payoff_exact(T, m, R, L),
+                            lambda T, m, R, L, g: ref_listed(T, m, R, L, True),
+                            lambda m: m.p_max),
+    "expected_utility": (lambda T, m, R, L, g: expected_utility(T, m, R, L, g),
+                         lambda T, m, R, L, g: math.exp(-g * T) * ref_listed(T, m, R, L, False),
+                         lambda m: m.p_max),
+    "expected_utility exact": (
+        lambda T, m, R, L, g: expected_utility(T, m, R, L, g, exact=True),
+        lambda T, m, R, L, g: math.exp(-g * T) * ref_listed(T, m, R, L, True),
+        lambda m: m.p_max),
+}
+
+
+def kernel_cases(n=1500, seed=20261018):
+    """(T, market, R, L, gamma) draws that cross every branch switch:
+    lam = 0 and mu = 0, mu*T and x on both sides of SMALL_ARG, x beyond
+    _LARGE_ARG, r = 0, L = R and L = p_max, and T far from the grid."""
+    rng = np.random.default_rng(seed)
+
+    def pick(*options):
+        return float(options[rng.integers(len(options))])
+
+    cases = []
+    for _ in range(n):
+        p_min = float(rng.uniform(1.0, 150.0))
+        p_max = p_min + pick(1e-3, rng.uniform(1.0, 150.0))
+        R = pick(p_min, p_max, rng.uniform(p_min, p_max))
+        L = pick(R, p_max, rng.uniform(R, p_max))
+        m = MarketParams(pick(0.0, 1e-7, rng.uniform(0.0, 20.0), rng.uniform(0.0, 2000.0)),
+                         pick(0.0, 1e-9, rng.uniform(0.0, 20.0), 1e5),
+                         pick(0.0, rng.uniform(0.0, 0.5)), p_min, p_max)
+        T = pick(1e-9, 1e-5, rng.uniform(0.0, 20.0), rng.uniform(0.0, 200.0))
+        cases.append((max(T, 1e-12), m, R, L, pick(0.0, rng.uniform(0.0, 2.0))))
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+
+
+def test_kernel_cases_cross_every_branch_switch():
+    x_in_band = [T * m.lam * ((L - R) / (m.p_max - m.p_min)) * (1.0 - ref_withdrawn(m.mu * T))
+                 for T, m, R, L, _ in KERNEL_CASES]
+    mu_T = [m.mu * T for T, m, *_ in KERNEL_CASES]
+    assert any(m.lam == 0.0 for _, m, *_ in KERNEL_CASES)
+    assert any(m.mu == 0.0 for _, m, *_ in KERNEL_CASES)
+    assert any(m.r == 0.0 for _, m, *_ in KERNEL_CASES)
+    assert any(0.0 < v < SMALL_ARG for v in mu_T) and any(v >= SMALL_ARG for v in mu_T)
+    assert any(0.0 < v < SMALL_ARG for v in x_in_band)
+    assert any(SMALL_ARG <= v < 40.0 for v in x_in_band)
+    assert any(v >= 40.0 for v in x_in_band)
+    assert any(L == R for _, _, R, L, _ in KERNEL_CASES)
+    assert any(L == m.p_max for _, m, _, L, _ in KERNEL_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+def test_public_closed_form_is_bitwise_the_scalar_reference(name):
+    public, reference, _ = KERNEL_PAIRS[name]
+    for case in KERNEL_CASES:
+        got, want = public(*case), reference(*case)
+        assert type(got) is float
+        assert got.hex() == want.hex(), (name, case, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+def test_array_horizon_matches_the_float_path(name):
+    # numpy's exp and expm1 may differ from math's by an ulp, and terms
+    # that cancel (1 - withdrawal_fraction at large mu*T, or
+    # (e^x - 1 - x)/x just above SMALL_ARG) can turn that into many ulps
+    # of a small result; so the bound is 4 ulps of the scale the value is
+    # computed at: 1 for a probability, p_max for a payoff
+    public, _, scale = KERNEL_PAIRS[name]
+    for T, m, R, L, g in KERNEL_CASES:
+        Ts = np.array([T, 0.5 * T, 2.0 * T])
+        got = public(Ts, m, R, L, g)
+        assert got.shape == Ts.shape
+        for t, v in zip(Ts, got):
+            want = public(float(t), m, R, L, g)
+            assert abs(v - want) <= 4 * math.ulp(scale(m)), (name, t, m, R, L, g, v, want)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+def test_array_horizon_rejects_any_bad_element(market, name, bad):
+    public, _, _ = KERNEL_PAIRS[name]
+    with pytest.raises(ValueError, match="T must be"):
+        public(np.array([1.0, bad, 2.0]), market, R_DEFAULT, L_DEFAULT, GAMMA_DEFAULT)

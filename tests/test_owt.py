@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT
 from homesale.closed_form import MarketParams, expected_utility, listed_payoff
-from homesale.owt import (SweepAxis, SweepSpec, optimal_waiting_time, sweep_owt)
+from homesale.owt import (SweepAxis, SweepSpec, _cell_params, optimal_waiting_time,
+                          sweep_owt)
 
 
 def table1_objective(market):
@@ -58,7 +60,7 @@ class TestOptimalWaitingTime:
         assert res.diff_sign_changes <= 1
 
     def test_unimodality_audit_flags_bimodal_curve(self):
-        bimodal = lambda T: math.sin(T) + 0.3 * math.sin(3.1 * T)
+        bimodal = lambda T: np.sin(T) + 0.3 * np.sin(3.1 * T)
         res = optimal_waiting_time(bimodal, t_max=20.0)
         assert res.diff_sign_changes > 1
 
@@ -67,6 +69,26 @@ class TestOptimalWaitingTime:
             optimal_waiting_time(table1_objective(market), t_max=0.0)
         with pytest.raises(ValueError):
             optimal_waiting_time(table1_objective(market), tol=0.0)
+
+    @pytest.mark.parametrize("name", ["t_max", "tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_controls(self, market, name, value):
+        # tol = inf used to skip the refinement and return a bare grid node
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            optimal_waiting_time(table1_objective(market), **{name: value})
+
+    def test_objective_sees_the_grid_once_then_floats(self, market):
+        seen = []
+
+        def objective(T):
+            seen.append(T)
+            return table1_objective(market)(T)
+
+        res = optimal_waiting_time(objective, t_max=20.0, tol=1e-4)
+        assert isinstance(seen[0], np.ndarray)
+        assert seen[0].tolist() == [20.0 / 256 * i for i in range(1, 257)]
+        assert all(type(T) is float for T in seen[1:])
+        assert res.evaluations == 256 + len(seen) - 1
 
 
 class TestSweep:
@@ -112,3 +134,59 @@ class TestSweep:
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             SweepAxis("volatility", 0.0, 1.0, 5)
+
+    @pytest.mark.parametrize("start, stop, end", [(1.0, math.inf, "stop"),
+                                                  (-math.inf, 1.0, "start"),
+                                                  (math.nan, 1.0, "start"),
+                                                  (1.0, math.nan, "stop")])
+    def test_rejects_non_finite_axis_bounds(self, start, stop, end):
+        with pytest.raises(ValueError, match=f"lam axis {end} must be finite"):
+            SweepAxis("lam", start, stop, 2)
+
+    @pytest.mark.parametrize("name", ["t_max", "tol"])
+    def test_rejects_non_finite_controls(self, market, name):
+        spec = self.make_spec(market, SweepAxis("lam", 1.0, 2.0, 2),
+                              SweepAxis("r", 0.1, 0.2, 2), **{name: math.inf})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sweep_owt(spec)
+
+    @pytest.mark.parametrize("axes, r", [
+        # 7 x 5 = 35 cells: two full scan chunks and a partial one; gamma = 0
+        # puts the maximizer on the horizon, and reservations above the
+        # list price of 180 are NaN cells
+        ((SweepAxis("gamma", 0.0, 0.3, 7), SweepAxis("reservation", 110.0, 190.0, 5)), 0.1),
+        ((SweepAxis("gamma", 0.0, 0.3, 7), SweepAxis("reservation", 110.0, 190.0, 5)), 0.0),
+        ((SweepAxis("lam", 1.0, 12.0, 9), SweepAxis("mu", 0.0, 10.0, 4)), 0.1),
+    ])
+    def test_batched_scan_equals_one_solve_per_cell(self, market, axes, r):
+        m = MarketParams(market.lam, market.mu, r, market.p_min, market.p_max)
+        spec = self.make_spec(m, *axes)
+        surf = sweep_owt(spec)
+        for i, yv in enumerate(surf.y_values):
+            for j, xv in enumerate(surf.x_values):
+                cell = _cell_params(spec, xv, yv)
+                if cell is None:
+                    assert math.isnan(surf.t_star[i, j]) and not surf.boundary[i, j]
+                    continue
+                cm, (R, L, gamma) = MarketParams(*cell[:5]), cell[5:]
+                res = optimal_waiting_time(
+                    lambda T: expected_utility(T, cm, R, L, gamma, exact=True),
+                    t_max=spec.t_max, tol=spec.tol)
+                assert float(surf.t_star[i, j]).hex() == res.t_star.hex(), (xv, yv)
+                assert surf.boundary[i, j] == res.boundary, (xv, yv)
+        if spec.axis_y.name == "reservation":
+            assert np.isnan(surf.t_star).any() and surf.boundary.any()
+
+    def test_memory_does_not_grow_with_the_grid(self, market):
+        # the scan holds at most 16 cells x 256 horizons per temporary;
+        # with all 3,600 cells at once each temporary alone would be 7.4 MB
+        spec = self.make_spec(market, SweepAxis("lam", 1.0, 12.0, 60),
+                              SweepAxis("r", 0.02, 0.3, 60))
+        tracemalloc.start()
+        try:
+            surf = sweep_owt(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(surf.t_star).all()
+        assert peak < 1_000_000
