@@ -6,8 +6,8 @@ import pytest
 
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT
 from homesale.closed_form import MarketParams, expected_utility, listed_payoff
-from homesale.owt import (SweepAxis, SweepSpec, _cell_params, optimal_waiting_time,
-                          sweep_owt)
+from homesale.owt import (SweepAxis, SweepSpec, _cell_params, _grid, _scan,
+                          optimal_waiting_time, sweep_owt)
 
 
 def table1_objective(market):
@@ -89,6 +89,37 @@ class TestOptimalWaitingTime:
         assert seen[0].tolist() == [20.0 / 256 * i for i in range(1, 257)]
         assert all(type(T) is float for T in seen[1:])
         assert res.evaluations == 256 + len(seen) - 1
+
+
+def ref_read_scan(values, grid):
+    """The coarse scan read as a loop, one objective at a time: boundary
+    flag, sign flips of successive differences with flat steps skipped,
+    and the bracket around the first maximum."""
+    flips, prev = 0, 0
+    for a, b in zip(values, values[1:]):
+        s = 1 if b > a else (-1 if b < a else 0)
+        if s != 0:
+            if prev != 0 and s != prev:
+                flips += 1
+            prev = s
+    idx = max(range(len(values)), key=values.__getitem__)
+    last = len(values) - 1
+    return (idx == last, flips, grid[idx - 1] if idx >= 1 else 0.0,
+            grid[min(idx + 1, last)])
+
+
+def test_scan_reads_every_row_as_the_loop_does():
+    # steps in {-1, 0, 1} make flat starts, flat stretches and tied maxima
+    # common; the first rows are flat, rising and falling throughout
+    rng = np.random.default_rng(3)
+    vals = np.cumsum(rng.integers(-1, 2, size=(300, 256)), axis=1).astype(float)
+    vals[0] = 0.0
+    vals[1] = np.arange(256.0)
+    vals[2] = -np.arange(256.0)
+    grid = _grid(20.0, 1e-4)
+    got = zip(*(a.tolist() for a in _scan(vals, grid)))
+    want = [ref_read_scan(row, grid.tolist()) for row in vals.tolist()]
+    assert list(got) == want
 
 
 class TestSweep:
