@@ -16,8 +16,11 @@ and conditional_payoff_constant_list integrate the true first-crossing
 density and match simulation for any list schedule and any flat list.
 
 Every Simpson grid has DEFAULT_NODES nodes, read when an evaluation
-runs.  Withdrawals follow one law, ExponentialWithdrawals(mu); mu == 0
-means offers never retract.
+runs; each is built once per interval and shared read-only by every
+path.  The changing-list survivor tail sorts F(L(a)) and reads each y
+off suffix sums by bisection: O(n log n) against the O(n^2) (y, a) band
+product, and within DEFAULT_NODES eps of it.  Withdrawals follow one
+law, ExponentialWithdrawals(mu); mu == 0 means offers never retract.
 
 The rate integral inside the discount factor uses the path's native
 grid (trapezoid), so conditional values carry an O(dt^2) path
@@ -26,6 +29,7 @@ discretization error on top of the quadrature error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,8 +70,8 @@ class UniformOffers:
     p_max: float
 
     def __post_init__(self):
-        if not (self.p_max > self.p_min > 0):
-            raise ValueError("need p_max > p_min > 0")
+        if not (math.isfinite(self.p_max) and self.p_max > self.p_min > 0):
+            raise ValueError(f"need finite p_max > p_min > 0, got ({self.p_min}, {self.p_max})")
 
     def cdf(self, x):
         return np.clip((np.asarray(x, dtype=float) - self.p_min)
@@ -151,6 +155,14 @@ def list_schedule(R: float, L0: float, zeta: float):
     return schedule
 
 
+@functools.lru_cache(maxsize=1024)  # four grids per horizon of a 256-step grid
+def _nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """simpson_nodes(lo, hi, n), built once per interval and read-only."""
+    x, w = simpson_nodes(lo, hi, n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _a_grid(ctx: PathContext, t: float):
     """Arrival nodes a on [0, t], their Simpson weights w, the offer
     intensity lam(a) and Lambda(t) = w @ lam.
@@ -160,10 +172,9 @@ def _a_grid(ctx: PathContext, t: float):
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
+    a, w = _nodes(0.0, float(t), DEFAULT_NODES)
     lam = np.asarray(ctx.intensity(a), dtype=float)
-    big_lam = float(w @ lam)
-    return a, w, lam, big_lam
+    return a, w, lam, float(w @ lam)
 
 
 def below_list_probability(ctx: PathContext, t: float) -> float:
@@ -186,13 +197,14 @@ def surviving_offer_tail(ctx: PathContext, t: float, y):
     Vectorized over y; identically zero for y >= L(0).
     """
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y_arr < 0):
-        raise ValueError("y must be non-negative")
+    if not (np.isfinite(y_arr).all() and (y_arr >= 0).all()):
+        raise ValueError("y must be finite and non-negative")
     a, w, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
     F_L = np.asarray(ctx.offers.cdf(ctx.list_schedule(a)), dtype=float)
-    out = _offer_tail(ctx, t, a, w, lam, big_lam, F_L)(y_arr)
+    out = np.where(y_arr >= ctx.initial_list, 0.0,
+                   _offer_tail(ctx, t, a, w, lam, big_lam, F_L)(y_arr))
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
 
@@ -201,18 +213,23 @@ def _offer_tail(ctx: PathContext, t: float, a: np.ndarray, w: np.ndarray,
     """surviving_offer_tail as a function of a 1-D y array, on an arrival
     grid the caller has already built (big_lam > 0, y >= 0 unchecked).
 
-    F_L is F(L(a)) at the arrival nodes.  The offer cdf is non-decreasing
-    in floating point too, so F(max(L, y)) equals max(F(L), F(y)) to the
-    last bit and the cdf runs on vectors instead of the (y, a) grid.
+    With F_L = F(L(a)) >= F(R) and f = F(max(R, y)), Lambda tail(y) sums
+    c (F_L - f), c = lam standing w, over the nodes with F_L > f: on F
+    sorted ascending, G[k] + (F[k] - f) S0[k] at k = searchsorted(F, f,
+    "right"), S0 and G the suffix sums of c and (F[m+1] - F[m]) S0[m+1].
+    No term is negative, so the tail is exactly non-increasing in y and
+    within DEFAULT_NODES eps of the band product (4 eps on Table 2 paths).
     """
-    standing = 1.0 - ctx.withdrawals.cdf(t - a)
-    L0 = ctx.initial_list
+    c = lam * (1.0 - ctx.withdrawals.cdf(t - a)) * w
+    order = np.argsort(F_L, kind="stable")
+    F = np.concatenate((F_L[order], [1.0]))
+    S0 = np.concatenate(([0.0], c[order][::-1])).cumsum()[::-1]
+    G = np.concatenate(([0.0, 0.0], ((F[1:-1] - F[:-2]) * S0[1:-1])[::-1])).cumsum()[::-1]
 
     def tail(y_arr):
-        band = (np.maximum(F_L[None, :], ctx.offers.cdf(y_arr)[:, None])
-                - ctx.offers.cdf(np.maximum(ctx.reservation, y_arr))[:, None])
-        out = (lam[None, :] * standing[None, :] * band) @ w / big_lam
-        return np.where(y_arr >= L0, 0.0, np.clip(out, 0.0, 1.0))
+        f = ctx.offers.cdf(np.maximum(ctx.reservation, y_arr))
+        k = F[:-1].searchsorted(f, side="right")
+        return np.minimum((G[k] + (F[k] - f) * S0[k]) / big_lam, 1.0)
 
     return tail
 
@@ -233,26 +250,23 @@ def _best_standing_integral(L0: float, breaks: list[float], big_lam: float,
     """Int_0^{L0} exp(-Lambda * tail(y)) dy with nodes pinned at the kinks.
 
     The tail is constant in y below the first break (the reservation
-    price), so that panel is exact; remaining panels get a Simpson grid
-    each.  complement integrates 1 - exp(-Lambda * tail(y)) instead,
-    through expm1 so that small tails keep their precision.
+    price), so that panel is exact; the others get a Simpson grid each,
+    all fed to one tail_fn call.  complement integrates 1 - exp(-Lambda
+    tail(y)) instead, through expm1 so that small tails keep precision.
     """
     if complement:
         scalar_f, array_f = (lambda x: -math.expm1(x)), (lambda x: -np.expm1(x))
     else:
         scalar_f, array_f = math.exp, np.exp
     pts = sorted({0.0, *[min(max(b, 0.0), L0) for b in breaks], L0})
-    total = 0.0
-    first = True
-    for lo, hi in zip(pts, pts[1:]):
-        if hi - lo < 1e-12:
-            continue
-        if first:
-            total += (hi - lo) * scalar_f(-big_lam * float(tail_fn(np.array([lo]))[0]))
-            first = False
-            continue
-        y, wy = simpson_nodes(lo, hi, DEFAULT_NODES)
-        total += float(wy @ array_f(-big_lam * tail_fn(y)))
+    panels = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if hi - lo >= 1e-12]
+    if not panels:
+        return 0.0
+    (lo, hi), grids = panels[0], [_nodes(*p, DEFAULT_NODES) for p in panels[1:]]
+    x = -big_lam * tail_fn(np.concatenate([[lo], *(y for y, _ in grids)]))
+    total = (hi - lo) * scalar_f(float(x[0]))
+    for (_, wy), row in zip(grids, x[1:].reshape(len(grids), DEFAULT_NODES)):
+        total += float(wy @ array_f(row))
     return total
 
 
@@ -267,13 +281,8 @@ def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray) -> np.n
     quadrature to first order.
     """
     p_max = ctx.offers.p_max
-    out = np.zeros_like(L_a)
-    beyond = L_a > p_max
-    at_top = ~beyond & (F_L >= _SATURATED)
-    out[at_top] = p_max
-    live = ~beyond & ~at_top
-    out[live] = ctx.offers.mean_above(L_a[live])
-    return out
+    return np.where(L_a > p_max, 0.0,
+                    np.where(F_L >= _SATURATED, p_max, ctx.offers.mean_above(L_a)))
 
 
 def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray:
@@ -284,7 +293,7 @@ def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray
     midpoint, so the running total is a Simpson quadrature as accurate
     as the payoff's own, not a trapezoid over the nodes.
     """
-    s = np.linspace(0.0, t, 2 * DEFAULT_NODES - 1)
+    s = _nodes(0.0, float(t), 2 * DEFAULT_NODES - 1)[0]
     h = (np.asarray(ctx.intensity(s), dtype=float)
          * (1.0 - np.asarray(ctx.offers.cdf(beat(s)), dtype=float)))
     panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
@@ -308,16 +317,15 @@ def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
     L_a = np.asarray(ctx.list_schedule(a), dtype=float)
     F_L = np.asarray(ctx.offers.cdf(L_a), dtype=float)
     phi = min(max(float(w @ (lam * F_L)) / big_lam, 0.0), 1.0)
-    disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))
+    # the grid runs from 0 to t exactly: its ends give L(0), L(t), disc(t)
+    cum_a = np.asarray(ctx.path.cumulative_rate(a), dtype=float)
+    disc_t = math.exp(-float(cum_a[-1]))
     no_cross = math.exp(big_lam * (phi - 1.0))
-    L0 = ctx.initial_list
-    Lt = float(ctx.list_schedule(t))
-    integral = _best_standing_integral(
-        L0, [ctx.reservation, Lt], big_lam,
-        _offer_tail(ctx, t, a, w, lam, big_lam, F_L))
+    L0, tail = float(L_a[0]), _offer_tail(ctx, t, a, w, lam, big_lam, F_L)
+    integral = _best_standing_integral(L0, [ctx.reservation, float(L_a[-1])], big_lam, tail)
     best_standing = disc_t * no_cross * (L0 - integral)
 
-    disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
+    disc_a = np.exp(-cum_a)
     mean_above = _mean_above_list(ctx, L_a, F_L)
     if exact:
         first_cross = lam * (1.0 - F_L) * np.exp(

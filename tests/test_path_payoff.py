@@ -1,7 +1,12 @@
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import three_sigma
 from homesale.closed_form import MarketParams, thinned_payoff
@@ -13,10 +18,12 @@ from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathCon
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
                                   conditional_payoff_no_list, crossing_survival,
-                                  expected_payoff, surviving_offer_tail)
+                                  expected_payoff, list_schedule, surviving_offer_tail)
 from homesale.quadrature import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                                  simulate_cir, substream)
+
+EPS = sys.float_info.epsilon
 
 
 @pytest.fixture
@@ -45,6 +52,41 @@ def flat_rate_ctx(schedule=None, withdrawals=None, reservation=140.0,
         demand=demand if demand is not None else DemandParams(0.0, 1000.0))
 
 
+def band_tail(ctx, t, ys):
+    """The O(n^2) survivor tail the sorted suffix sums replaced: the offer
+    cdf taken on the full (y, a) grid of max(L(a), y)."""
+    a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
+    lam = ctx.intensity(a)
+    big_lam = float(w @ lam)
+    L_a = ctx.list_schedule(a)
+    standing = 1.0 - ctx.withdrawals.cdf(t - a)
+    band = (ctx.offers.cdf(np.maximum(L_a[None, :], ys[:, None]))
+            - ctx.offers.cdf(np.maximum(ctx.reservation, ys))[:, None])
+    want = (lam[None, :] * standing[None, :] * band) @ w / big_lam
+    return np.where(ys >= ctx.initial_list, 0.0, np.clip(want, 0.0, 1.0))
+
+
+@st.composite
+def tail_cases(draw):
+    """(context, horizon, sorted y values) over offer supports, R <= L0,
+    list decay, withdrawal intensity and flat rate levels."""
+    p_min = draw(st.floats(1.0, 500.0))
+    p_max = p_min + draw(st.floats(1.0, 500.0))
+    R = draw(st.floats(0.5 * p_min, p_max))
+    L0 = R + draw(st.floats(0.0, 1.0)) * (1.2 * p_max - R)
+    zeta = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    mu = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
+    t = draw(st.floats(1e-3, 5.0))
+    path = RatePath(0.01, np.full(int(math.ceil(t / 0.01)) + 1, draw(st.floats(1e-3, 0.3))))
+    ctx = PathContext(path=path, list_schedule=list_schedule(R, L0, zeta),
+                      offers=UniformOffers(p_min, p_max),
+                      withdrawals=ExponentialWithdrawals(mu), reservation=R,
+                      demand=DemandParams(0.5, 1000.0))
+    ys = draw(st.lists(st.floats(0.0, 1.3 * p_max), min_size=1, max_size=40))
+    kinks = [R, L0, float(ctx.list_schedule(t)), p_min, p_max]
+    return ctx, t, np.sort(np.concatenate((ys, kinks)))
+
+
 def pooled_offers(ctx, t, n_offers, seed):
     """iid (arrival, value, delay) triples with arrival density lam/Lambda."""
     rng = substream(seed, "pooled")
@@ -59,6 +101,15 @@ def pooled_offers(ctx, t, n_offers, seed):
     values = ctx.offers.sample(rng, n_offers)
     delays = ctx.withdrawals.sample(rng, n_offers)
     return a, values, delays
+
+
+class TestUniformOffers:
+    @pytest.mark.parametrize("p_min,p_max", [(100.0, math.inf), (-math.inf, 200.0),
+                                             (100.0, math.nan), (math.nan, 200.0),
+                                             (math.inf, math.inf)])
+    def test_rejects_non_finite_support(self, p_min, p_max):
+        with pytest.raises(ValueError, match="finite"):
+            UniformOffers(p_min, p_max)
 
 
 class TestExponentialWithdrawals:
@@ -128,20 +179,34 @@ class TestSurvivingOfferTail:
         assert np.all(tails >= 0.0)
         assert np.all(np.diff(tails) <= 1e-12)
 
-    def test_equals_direct_band_formula_exactly(self, decay_ctx):
-        # reference: the offer cdf taken on the full (y, a) grid of max(L(a), y)
-        t = 1.3
-        ys = np.concatenate((np.linspace(0.0, 210.0, 97), [140.0, 150.0, 199.999]))
-        a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
-        lam = decay_ctx.intensity(a)
-        big_lam = float(w @ lam)
-        L_a = decay_ctx.list_schedule(a)
-        standing = 1.0 - decay_ctx.withdrawals.cdf(t - a)
-        band = (decay_ctx.offers.cdf(np.maximum(L_a[None, :], ys[:, None]))
-                - decay_ctx.offers.cdf(np.maximum(140.0, ys))[:, None])
-        want = (lam[None, :] * standing[None, :] * band) @ w / big_lam
-        want = np.where(ys >= 200.0, 0.0, np.clip(want, 0.0, 1.0))
-        assert np.array_equal(surviving_offer_tail(decay_ctx, t, ys), want)
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 1.3, 2.5])
+    def test_pinned_to_direct_band_formula(self, decay_ctx, t):
+        # the tail is a probability, so the pin is absolute: near-zero
+        # tails differ by more ulps than their size makes worth counting
+        ys = np.concatenate((np.linspace(0.0, 210.0, 4001), [140.0, 150.0, 199.999]))
+        got = surviving_offer_tail(decay_ctx, t, ys)
+        assert np.max(np.abs(got - band_tail(decay_ctx, t, ys))) <= 4 * EPS
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tail_cases())
+    def test_tail_properties(self, case):
+        # both forms sum DEFAULT_NODES non-negative terms of total <= 1 in
+        # a different order, so their worst-case gap is DEFAULT_NODES eps;
+        # a flat list without withdrawals comes closest (about 24 eps).
+        # At each break of the sorted F(L(a)) the suffix sums hand over
+        # exactly, so the tail never rises, not even by an ulp.
+        ctx, t, ys = case
+        got = surviving_offer_tail(ctx, t, ys)
+        assert np.max(np.abs(got - band_tail(ctx, t, ys))) <= DEFAULT_NODES * EPS
+        assert np.all(np.diff(got) <= 0.0)
+        assert np.all(got[ys >= ctx.initial_list] == 0.0)
+        assert np.all(got <= below_list_probability(ctx, t) + 1e-12)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [150.0, math.nan],
+                                   [150.0, math.inf], [150.0, -1.0]])
+    def test_rejects_non_finite_or_negative_y(self, decay_ctx, y):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            surviving_offer_tail(decay_ctx, 1.0, y)
 
 
 class TestCrossingSurvival:
@@ -351,6 +416,48 @@ class TestExpectedPayoff:
         for k, t in enumerate(times):
             m, s = expected_payoff(self.ctx_factory(), sim_cir, [t], 6, seed=7, mode=mode)
             assert means[k] == m[0] and stderrs[k] == s[0]
+
+    def test_shared_grids_leak_nothing(self, sim_cir):
+        # horizon grids are built once and reused by every path, context
+        # and later call.  The values a fresh interpreter computes must
+        # come out to the last bit here too, after a context with another
+        # schedule and offers ran first on the same horizons, and with
+        # the horizon grid reordered and extended.
+        times = [0.5, 1.0, 2.0]
+        modes = ("changing", "constant", "none")
+        script = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "from test_path_payoff import TestExpectedPayoff\n"
+            "from homesale.path_payoff import expected_payoff\n"
+            "from homesale.stochastic import CirParams\n"
+            f"cir = CirParams({sim_cir.kappa!r}, {sim_cir.theta!r}, {sim_cir.sigma!r}, "
+            f"{sim_cir.r0!r})\n"
+            f"for mode in {modes!r}:\n"
+            "    m, s = expected_payoff(TestExpectedPayoff().ctx_factory(), cir, "
+            f"{times!r}, 4, seed=7, mode=mode)\n"
+            "    print(*[v.hex() for v in (*m, *s)])\n")
+        src = pathlib.Path(path_payoff.__file__).parents[1]
+        cold = subprocess.run([sys.executable, "-c", script, str(src),
+                               str(pathlib.Path(__file__).parent)],
+                              capture_output=True, text=True, check=True).stdout.splitlines()
+        assert len(cold) == len(modes)
+        sched = lambda T: 150.0 + 90.0 * np.exp(-2.0 * np.asarray(T, dtype=float))
+
+        def other(path):
+            return PathContext(path=path, list_schedule=sched,
+                               offers=UniformOffers(120.0, 260.0),
+                               withdrawals=ExponentialWithdrawals(3.0),
+                               reservation=150.0, demand=DemandParams(0.5, 1000.0))
+
+        for mode, line in zip(modes, cold):
+            expected_payoff(other, sim_cir, [0.25, *times, 1.5], 3, seed=8, mode=mode)
+            for grid in ([2.0, 1.0, 0.5], [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5], times):
+                m, s = expected_payoff(self.ctx_factory(), sim_cir, grid, 4, seed=7,
+                                       mode=mode)
+                idx = [grid.index(t) for t in times]
+                assert " ".join(v.hex() for v in (*m[idx], *s[idx])) == line, (mode, grid)
+        a, w = path_payoff._nodes(0.0, 1.0, DEFAULT_NODES)
+        assert not (a.flags.writeable or w.flags.writeable)
 
     def test_empty_grid(self, sim_cir):
         means, stderrs = expected_payoff(self.ctx_factory(), sim_cir, [], 4, seed=0)
