@@ -16,11 +16,11 @@ and conditional_payoff_constant_list integrate the true first-crossing
 density and match simulation for any list schedule and any flat list.
 
 Every Simpson grid has DEFAULT_NODES nodes, read when an evaluation
-runs; each is built once per interval and shared read-only by every
-path.  The changing-list survivor tail sorts F(L(a)) and reads each y
-off suffix sums by bisection: O(n log n) against the O(n^2) (y, a) band
-product, and within DEFAULT_NODES eps of it.  Withdrawals follow one
-law, ExponentialWithdrawals(mu); mu == 0 means offers never retract.
+runs; grids that do not depend on the rate path are built once per
+horizon and shared read-only.  The changing-list survivor tail sorts
+F(L(a)) and reads each y off suffix sums: O(n log n), within 32 eps of
+the O(n^2) (y, a) band product.  Withdrawals follow one law,
+ExponentialWithdrawals(mu); mu == 0 means offers never retract.
 
 The rate integral inside the discount factor uses the path's native
 grid (trapezoid), so conditional values carry an O(dt^2) path
@@ -74,8 +74,8 @@ class UniformOffers:
             raise ValueError(f"need finite p_max > p_min > 0, got ({self.p_min}, {self.p_max})")
 
     def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.p_min)
-                       / (self.p_max - self.p_min), 0.0, 1.0)
+        return np.minimum(np.maximum((np.asarray(x, dtype=float) - self.p_min)
+                                     / (self.p_max - self.p_min), 0.0), 1.0)
 
     def mean_above(self, cut):
         """E[value | value >= cut] for cut < p_max."""
@@ -155,26 +155,52 @@ def list_schedule(R: float, L0: float, zeta: float):
     return schedule
 
 
-@functools.lru_cache(maxsize=1024)  # four grids per horizon of a 256-step grid
-def _nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """simpson_nodes(lo, hi, n), built once per interval and read-only."""
-    x, w = simpson_nodes(lo, hi, n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+# The grids below depend on the horizon, the prices and mu, not on the
+# rate path.  An evaluation reads one entry of each cache, and
+# expected_payoff runs one horizon on every path before the next, so a
+# few entries serve any number of paths.
+@functools.lru_cache(maxsize=8)
+def _arrivals(t: float, withdrawals: ExponentialWithdrawals, n: int) -> tuple:
+    """The n Simpson nodes a on [0, t], their weights, the withdrawn share
+    withdrawals.cdf(t - a), and the 2n - 1 point grid of the hazard."""
+    a, w = simpson_nodes(0.0, t, n)
+    grids = a, w, withdrawals.cdf(t - a), np.linspace(0.0, t, 2 * n - 1)
+    for g in grids:
+        g.flags.writeable = False
+    return grids
+
+
+@functools.lru_cache(maxsize=8)
+def _y_grid(L0: float, breaks: tuple[float, ...], n: int) -> tuple:
+    """[0, L0] cut at the breaks into panels of width >= 1e-12, for
+    _best_standing_integral: the first panel's width; its left end, then
+    the n Simpson nodes of each later panel; each later panel's weights.
+    With no such panel (L0 < 1e-12), one of width 0 integrates to 0."""
+    pts = sorted({0.0, *[min(max(b, 0.0), L0) for b in breaks], L0})
+    panels = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if hi - lo >= 1e-12]
+    (lo, hi), *rest = panels or [(0.0, 0.0)]
+    grids = [simpson_nodes(*p, n) for p in rest]
+    y = np.concatenate([[lo], *(x for x, _ in grids)])
+    weights = [w for _, w in grids]
+    for g in (y, *weights):
+        g.flags.writeable = False
+    return hi - lo, y, *weights
 
 
 def _a_grid(ctx: PathContext, t: float):
-    """Arrival nodes a on [0, t], their Simpson weights w, the offer
-    intensity lam(a) and Lambda(t) = w @ lam.
+    """Arrival nodes a on [0, t], their Simpson weights w, the withdrawn
+    share held = withdrawals.cdf(t - a), the offer intensity lam(a) and
+    Lambda(t) = w @ lam.
 
     Every evaluation at a horizon t builds this grid first, so the
     horizon check lives here: t must be positive (NaN is rejected).
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    a, w = _nodes(0.0, float(t), DEFAULT_NODES)
+    a, w, held, _ = _arrivals(float(t), ctx.withdrawals, DEFAULT_NODES)
     lam = np.asarray(ctx.intensity(a), dtype=float)
-    return a, w, lam, float(w @ lam)
+    big_lam = float(w @ lam)
+    return a, w, held, lam, big_lam
 
 
 def below_list_probability(ctx: PathContext, t: float) -> float:
@@ -183,7 +209,7 @@ def below_list_probability(ctx: PathContext, t: float) -> float:
     Arrival times condition to density lam(a)/Lambda(t), so this is
     (1/Lambda) Int lam(a) F(L(a)) da.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t)
+    a, w, _, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
     p = float(w @ (lam * ctx.offers.cdf(ctx.list_schedule(a)))) / big_lam
@@ -199,28 +225,28 @@ def surviving_offer_tail(ctx: PathContext, t: float, y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not (np.isfinite(y_arr).all() and (y_arr >= 0).all()):
         raise ValueError("y must be finite and non-negative")
-    a, w, lam, big_lam = _a_grid(ctx, t)
+    a, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
     F_L = np.asarray(ctx.offers.cdf(ctx.list_schedule(a)), dtype=float)
     out = np.where(y_arr >= ctx.initial_list, 0.0,
-                   _offer_tail(ctx, t, a, w, lam, big_lam, F_L)(y_arr))
+                   _offer_tail(ctx, w, held, lam, big_lam, F_L)(y_arr))
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
 
-def _offer_tail(ctx: PathContext, t: float, a: np.ndarray, w: np.ndarray,
-                lam: np.ndarray, big_lam: float, F_L: np.ndarray) -> Callable:
+def _offer_tail(ctx: PathContext, w: np.ndarray, held: np.ndarray, lam: np.ndarray,
+                big_lam: float, F_L: np.ndarray) -> Callable:
     """surviving_offer_tail as a function of a 1-D y array, on an arrival
     grid the caller has already built (big_lam > 0, y >= 0 unchecked).
 
     With F_L = F(L(a)) >= F(R) and f = F(max(R, y)), Lambda tail(y) sums
-    c (F_L - f), c = lam standing w, over the nodes with F_L > f: on F
+    c (F_L - f), c = lam (1 - held) w, over the nodes with F_L > f: on F
     sorted ascending, G[k] + (F[k] - f) S0[k] at k = searchsorted(F, f,
     "right"), S0 and G the suffix sums of c and (F[m+1] - F[m]) S0[m+1].
     No term is negative, so the tail is exactly non-increasing in y and
-    within DEFAULT_NODES eps of the band product (4 eps on Table 2 paths).
+    within 32 eps of the band product (4 eps on Table 2 paths).
     """
-    c = lam * (1.0 - ctx.withdrawals.cdf(t - a)) * w
+    c = lam * (1.0 - held) * w
     order = np.argsort(F_L, kind="stable")
     F = np.concatenate((F_L[order], [1.0]))
     S0 = np.concatenate(([0.0], c[order][::-1])).cumsum()[::-1]
@@ -258,14 +284,10 @@ def _best_standing_integral(L0: float, breaks: list[float], big_lam: float,
         scalar_f, array_f = (lambda x: -math.expm1(x)), (lambda x: -np.expm1(x))
     else:
         scalar_f, array_f = math.exp, np.exp
-    pts = sorted({0.0, *[min(max(b, 0.0), L0) for b in breaks], L0})
-    panels = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if hi - lo >= 1e-12]
-    if not panels:
-        return 0.0
-    (lo, hi), grids = panels[0], [_nodes(*p, DEFAULT_NODES) for p in panels[1:]]
-    x = -big_lam * tail_fn(np.concatenate([[lo], *(y for y, _ in grids)]))
-    total = (hi - lo) * scalar_f(float(x[0]))
-    for (_, wy), row in zip(grids, x[1:].reshape(len(grids), DEFAULT_NODES)):
+    width, y, *weights = _y_grid(L0, tuple(breaks), DEFAULT_NODES)
+    x = -big_lam * tail_fn(y)
+    total = width * scalar_f(float(x[0]))
+    for wy, row in zip(weights, x[1:].reshape(len(weights), DEFAULT_NODES)):
         total += float(wy @ array_f(row))
     return total
 
@@ -280,9 +302,10 @@ def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray) -> np.n
     zeroing it instead would puncture the integrand and degrade the
     quadrature to first order.
     """
-    p_max = ctx.offers.p_max
-    return np.where(L_a > p_max, 0.0,
-                    np.where(F_L >= _SATURATED, p_max, ctx.offers.mean_above(L_a)))
+    out = np.where(L_a > ctx.offers.p_max, 0.0, ctx.offers.p_max)
+    live = F_L < _SATURATED  # no list above p_max is live
+    out[live] = ctx.offers.mean_above(L_a[live])
+    return out
 
 
 def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray:
@@ -293,7 +316,7 @@ def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray
     midpoint, so the running total is a Simpson quadrature as accurate
     as the payoff's own, not a trapezoid over the nodes.
     """
-    s = _nodes(0.0, float(t), 2 * DEFAULT_NODES - 1)[0]
+    s = _arrivals(float(t), ctx.withdrawals, DEFAULT_NODES)[3]
     h = (np.asarray(ctx.intensity(s), dtype=float)
          * (1.0 - np.asarray(ctx.offers.cdf(beat(s)), dtype=float)))
     panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
@@ -311,18 +334,20 @@ def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
     h(a) exp(-H(a)) with h(a) = lam(a) (1 - F(L(a))), or the published
     lam(a)/Lambda(t) spread scaled by the crossing chance.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t)
+    a, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
     L_a = np.asarray(ctx.list_schedule(a), dtype=float)
     F_L = np.asarray(ctx.offers.cdf(L_a), dtype=float)
     phi = min(max(float(w @ (lam * F_L)) / big_lam, 0.0), 1.0)
-    # the grid runs from 0 to t exactly: its ends give L(0), L(t), disc(t)
+    # a runs from 0 to t exactly: its ends give L(0), L(t) and disc(t)
     cum_a = np.asarray(ctx.path.cumulative_rate(a), dtype=float)
     disc_t = math.exp(-float(cum_a[-1]))
     no_cross = math.exp(big_lam * (phi - 1.0))
-    L0, tail = float(L_a[0]), _offer_tail(ctx, t, a, w, lam, big_lam, F_L)
-    integral = _best_standing_integral(L0, [ctx.reservation, float(L_a[-1])], big_lam, tail)
+    L0 = float(L_a[0])
+    integral = _best_standing_integral(
+        L0, [ctx.reservation, float(L_a[-1])], big_lam,
+        _offer_tail(ctx, w, held, lam, big_lam, F_L))
     best_standing = disc_t * no_cross * (L0 - integral)
 
     disc_a = np.exp(-cum_a)
@@ -376,12 +401,12 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     the running hazard of the flat list; a list at p_max or above admits
     no crossing.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t)
+    a, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
     L = ctx.initial_list
     F_L = float(ctx.offers.cdf(np.array([L]))[0])
-    standing_weight = 1.0 - float(w @ (lam * ctx.withdrawals.cdf(t - a))) / big_lam
+    standing_weight = 1.0 - float(w @ (lam * held)) / big_lam
     disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))
     no_cross = math.exp(big_lam * (F_L - 1.0))
 
@@ -408,10 +433,10 @@ def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
     The seller simply keeps the best offer above the reservation price
     that is still standing at t.
     """
-    a, w, lam, big_lam = _a_grid(ctx, t)
+    _, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
-    standing_weight = 1.0 - float(w @ (lam * ctx.withdrawals.cdf(t - a))) / big_lam
+    standing_weight = 1.0 - float(w @ (lam * held)) / big_lam
     disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))
 
     def tail(y):
@@ -446,12 +471,12 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
 
     ctx_factory builds the evaluation context for each simulated path.
     Each replication simulates one path, to the largest horizon, and
-    evaluates every horizon on it: a shorter path is an exact prefix of
-    a longer one from the same substream, so a horizon's value does not
-    depend on the rest of the grid.  Returns (means, standard errors),
-    one entry per horizon; path i is drawn from its own substream of the
-    seed, so adding paths never changes earlier ones.  A single path
-    reports path 0 with standard error 0.0.
+    each horizon is evaluated on every path in turn: a shorter path is
+    an exact prefix of a longer one from the same substream, so a
+    horizon's value does not depend on the rest of the grid.  Returns
+    (means, standard errors), one entry per horizon; path i is drawn
+    from its own substream of the seed, so adding paths never changes
+    earlier ones.  A single path reports path 0 with standard error 0.0.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
@@ -463,15 +488,15 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     dt = DEFAULT_DT if dt is None else dt
     conditional = _MODES[mode]
 
-    # row k holds horizon k's path values, contiguous for the reductions
+    # row k holds horizon k's path values, contiguous for the reductions;
+    # one horizon runs on every path before the next, so it reuses grids
     vals = np.empty((times.size, n_paths))
     if times.size:
         horizon = max(float(times.max()), dt)
-        for i in range(n_paths):
-            ctx = ctx_factory(simulate_cir(cir, horizon, dt,
-                                           substream(seed, "payoff-path", i)))
-            for k, t in enumerate(times):
-                vals[k, i] = conditional(ctx, t)
+        ctxs = [ctx_factory(simulate_cir(cir, horizon, dt, substream(seed, "payoff-path", i)))
+                for i in range(n_paths)]
+        for k, t in enumerate(times):
+            vals[k] = [conditional(ctx, t) for ctx in ctxs]
     means = np.array([np.mean(v) for v in vals])
     if n_paths == 1:
         return means, np.zeros(times.size)

