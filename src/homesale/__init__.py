@@ -7,10 +7,9 @@ simulator, and independent Monte Carlo oracles validating every closed
 form.
 """
 
-from .closed_form import (MarketParams, SellerPolicy, asymptotic_listed_payoff,
-                          auxiliary_payoff, expected_utility, listed_payoff,
-                          listed_payoff_exact, thinned_payoff,
-                          withdrawal_fraction)
+from .closed_form import (MarketParams, asymptotic_listed_payoff, auxiliary_payoff,
+                          expected_utility, listed_payoff, listed_payoff_exact,
+                          thinned_payoff, withdrawal_fraction)
 from .market_sim import (EvolutionConfig, EvolutionLog, expected_price_curve,
                          run_evolution)
 from .owt import OwtResult, SweepAxis, SweepSpec, optimal_waiting_time, sweep_owt
@@ -22,7 +21,7 @@ from .stochastic import (CirParams, DemandParams, RatePath, demand_intensity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MarketParams", "SellerPolicy", "withdrawal_fraction", "auxiliary_payoff",
+    "MarketParams", "withdrawal_fraction", "auxiliary_payoff",
     "thinned_payoff", "listed_payoff", "listed_payoff_exact",
     "asymptotic_listed_payoff", "expected_utility",
     "OwtResult", "SweepAxis", "SweepSpec", "optimal_waiting_time", "sweep_owt",

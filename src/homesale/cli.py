@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import market_sim, oracle, path_payoff
-from .closed_form import (MarketParams, SellerPolicy, _ops, expected_utility,
-                          listed_payoff, listed_payoff_exact, thinned_payoff)
+from .closed_form import (MarketParams, _ops, expected_utility, listed_payoff,
+                          listed_payoff_exact, thinned_payoff)
 from .owt import SweepAxis, SweepSpec, optimal_waiting_time, sweep_owt
 # simulate_cir is not called here; the benchmark tracer wraps cli.simulate_cir
 from .stochastic import CirParams, DemandParams, simulate_cir
@@ -37,7 +37,8 @@ class ScenarioConfig:
 
     The waiting-time analysis block and the simulation block each carry
     their own withdrawal intensity and impatience (the sim_ prefix keeps
-    the two apart).
+    the two apart).  Every key is checked when the config is built, so
+    every command accepts and rejects the same scenarios.
     """
 
     # waiting-time analysis block
@@ -76,13 +77,26 @@ class ScenarioConfig:
     path_replications: int = 200
     out_dir: str = "out"
 
+    def __post_init__(self):
+        # the value objects keep their own checks for library callers;
+        # building them here checks every key they read
+        self.market_params()
+        self.evolution_config()
+        if not self.p_min <= self.reservation_price <= self.list_price <= self.p_max:
+            raise ValueError(
+                "need p_min <= reservation_price <= list_price <= p_max, got "
+                f"p_min={self.p_min}, reservation_price={self.reservation_price}, "
+                f"list_price={self.list_price}, p_max={self.p_max}")
+        for name, low in (("waiting_averseness", 0), ("horizon", 0), ("seed", 0),
+                          ("mc_replications", 2), ("price_replications", 1),
+                          ("path_replications", 1)):
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= {low}, got {value}")
+
     def market_params(self) -> MarketParams:
         return MarketParams(self.arrival_intensity, self.withdrawal_intensity,
                             self.interest_rate, self.p_min, self.p_max)
-
-    def seller_policy(self) -> SellerPolicy:
-        return SellerPolicy(self.reservation_price, self.list_price,
-                            self.waiting_averseness, self.zeta)
 
     def cir_params(self) -> CirParams:
         return CirParams(self.kappa, self.theta, self.sigma, self.r0)
@@ -185,7 +199,11 @@ def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str],
 
 
 def _t_grid(t_max: float, steps: int) -> np.ndarray:
-    if steps <= 0:
+    if steps < 0:
+        raise ConfigError(f"--t-steps must be >= 0, got {steps}")
+    if not 0 < t_max < math.inf:
+        raise ConfigError(f"--t-max must be finite and positive, got {t_max}")
+    if steps == 0:
         return np.array([])
     return np.linspace(t_max / steps, t_max, steps)
 
@@ -193,8 +211,7 @@ def _t_grid(t_max: float, steps: int) -> np.ndarray:
 def cmd_owt(cfg: ScenarioConfig, args) -> int:
     """Payoff and utility curves over the waiting time, plus the maximizer."""
     m = cfg.market_params()
-    policy = cfg.seller_policy()
-    R, L, gamma = policy.reservation, policy.list_price, policy.gamma
+    R, L, gamma = cfg.reservation_price, cfg.list_price, cfg.waiting_averseness
     t_max = cfg.t_max if args.t_max is None else args.t_max
     if args.mode == "no-list":
         # math.exp on the refinement's floats, numpy on the scan's array
@@ -233,9 +250,8 @@ def _parse_axis(text: str) -> SweepAxis:
 
 def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     """Maximizer surface over two swept parameters."""
-    policy = cfg.seller_policy()
     spec = SweepSpec(_parse_axis(args.x), _parse_axis(args.y), cfg.market_params(),
-                     policy.reservation, policy.list_price, policy.gamma,
+                     cfg.reservation_price, cfg.list_price, cfg.waiting_averseness,
                      t_max=cfg.t_max, tol=cfg.tol)
     result = sweep_owt(spec)
     rows = [(xv, yv, result.t_star[i, j])
@@ -272,9 +288,12 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
 
 def _parse_times(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip()])
+        times = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError as e:
-        raise ConfigError(f"bad times list {text!r}") from e
+        raise ConfigError(f"bad --times list {text!r}") from e
+    if times.size == 0:
+        raise ConfigError(f"--times needs at least one posting time, got {text!r}")
+    return times
 
 
 def cmd_expected_price(cfg: ScenarioConfig, args) -> int:
@@ -294,7 +313,7 @@ def cmd_expected_price(cfg: ScenarioConfig, args) -> int:
 
 def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
     """Conditional payoff curves along rate paths (single path or MC mean)."""
-    ev = cfg.evolution_config()  # rejects an out-of-order price scenario
+    ev = cfg.evolution_config()
     R = ev.initial_reservation
     zeta = 0.0 if args.mode == "constant" else ev.zeta
     schedule = market_sim.list_schedule(R, ev.initial_list, zeta)

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "MarketParams",
-    "SellerPolicy",
     "withdrawal_fraction",
     "auxiliary_payoff",
     "thinned_payoff",
@@ -70,34 +69,11 @@ class MarketParams:
     def __post_init__(self):
         _require_finite(lam=self.lam, mu=self.mu, r=self.r,
                         p_min=self.p_min, p_max=self.p_max)
-        if self.lam < 0 or self.mu < 0 or self.r < 0:
-            raise ValueError("rates lam, mu, r must be non-negative")
+        for name in ("lam", "mu", "r"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (self.p_max > self.p_min > 0):
             raise ValueError(f"need p_max > p_min > 0, got ({self.p_min}, {self.p_max})")
-
-
-@dataclass(frozen=True)
-class SellerPolicy:
-    """Seller-side controls: reservation price, list price, impatience.
-
-    zeta is the list-decay rate used by the market simulator; zeta == 0
-    means a constant list price.
-    """
-
-    reservation: float
-    list_price: float
-    gamma: float
-    zeta: float = 1.0
-
-    def __post_init__(self):
-        _require_finite(reservation=self.reservation, list_price=self.list_price,
-                        gamma=self.gamma, zeta=self.zeta)
-        if self.reservation <= 0:
-            raise ValueError("reservation must be positive")
-        if self.list_price < self.reservation:
-            raise ValueError("list price must not be below the reservation price")
-        if self.gamma < 0 or self.zeta < 0:
-            raise ValueError("gamma and zeta must be non-negative")
 
 
 def _check_horizon(T) -> None:

@@ -1,5 +1,7 @@
 import math
 import pathlib
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -60,11 +62,74 @@ class TestConfig:
         rc = main(["owt", "--config", str(f), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_readme_domain_table_lists_every_key(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        keys = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in fields(ScenarioConfig)} - {"out_dir"}
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("")  # a file where a directory is needed
         rc = main(["owt", "--out", str(blocker / "sub"), "--t-steps", "3"])
         assert rc == 2
+
+
+# The minimal arguments of each command; a scenario error must stop it
+# before any of them is used.
+COMMANDS = {
+    "owt": ["--t-steps", "2"],
+    "sweep": ["--x", "lam:1:2:2", "--y", "r:0.1:0.2:2"],
+    "evolve": ["--horizon", "1"],
+    "expected-price": ["--times", "1", "--n-reps", "2"],
+    "payoff-path": ["--t-steps", "2", "--n-paths", "2"],
+    "validate": ["--n", "2"],
+}
+
+# One value outside each key's domain.  list_price = 250 used to let
+# sweep exit 0 with every t_star empty; waiting_averseness = -0.5 is one
+# of the two cases of the deleted SellerPolicy class.
+OUT_OF_DOMAIN = {
+    "arrival_intensity": "-1", "withdrawal_intensity": "-1", "interest_rate": "-1",
+    "reservation_price": "190", "list_price": "250", "waiting_averseness": "-0.5",
+    "p_min": "0", "p_max": "50", "sim_withdrawal_intensity": "-1",
+    "occupation_min": "-1", "occupation_max": "3", "crisis_mean": "0",
+    "initial_reservation_price": "90", "initial_list_price": "250",
+    "sim_waiting_averseness": "-1", "interest_rate_threshold": "0", "k1": "-1",
+    "k2": "-1", "theta": "0", "sigma": "-1", "kappa": "0", "r0": "0", "zeta": "-1",
+    "dt": "0", "horizon": "-1", "t_max": "0", "tol": "0", "seed": "-1",
+    "mc_replications": "1", "price_replications": "0", "path_replications": "0",
+}
+
+# The name an error uses where the checked object's field differs from
+# the key, as the README documents.
+ERROR_NAME = {
+    "arrival_intensity": "lam", "withdrawal_intensity": "mu", "interest_rate": "r",
+    "sim_withdrawal_intensity": "mu", "sim_waiting_averseness": "gamma",
+    "occupation_min": "occupation_lo", "occupation_max": "occupation_hi",
+    "interest_rate_threshold": "rate_threshold",
+    "initial_reservation_price": "initial_reservation",
+    "initial_list_price": "initial_list",
+}
+
+SCENARIO_KEYS = [f.name for f in fields(ScenarioConfig) if f.name != "out_dir"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("text, key", [
+    (f"{key} = {value}", key)
+    for key in SCENARIO_KEYS for value in ("nan", "inf", OUT_OF_DOMAIN[key])
+] + [("reservation_price = 180\nlist_price = 140", "reservation_price")])
+def test_every_command_rejects_every_bad_key(tmp_path, capsys, command, text, key):
+    f = tmp_path / "s.cfg"
+    f.write_text(text + "\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(f), "--out", str(out), *COMMANDS[command]])
+    assert rc == 2
+    assert re.search(rf"\b{ERROR_NAME.get(key, key)}\b", capsys.readouterr().err)
+    assert not out.exists()
 
 
 class TestOwtCommand:
@@ -138,6 +203,14 @@ class TestOwtCommand:
         rc = main(["owt", "--out", str(out), "--t-max", t_max])
         assert rc == 2
         assert "t_max must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_t_steps_is_usage_error(self, tmp_path, capsys):
+        # used to exit 0 with a header-only CSV
+        out = tmp_path / "out"
+        rc = main(["owt", "--out", str(out), "--t-steps", "-5"])
+        assert rc == 2
+        assert "--t-steps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_summary_line_embedded(self, tmp_path):
@@ -370,6 +443,15 @@ class TestExpectedPriceCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", ["", ","])
+    def test_empty_times_is_usage_error(self, tmp_path, capsys, times):
+        # numpy's zero-size reduction error used to surface instead
+        out = tmp_path / "out"
+        rc = main(["expected-price", "--out", str(out), "--times", times, "--n-reps", "2"])
+        assert rc == 2
+        assert "--times" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_reps_is_usage_error(self, tmp_path):
         # an explicit 0 must reach the validator, not fall back to the default
         rc = main(["expected-price", "--out", str(tmp_path), "--times", "1",
@@ -420,6 +502,17 @@ class TestPayoffPathCommand:
                    "--n-paths", "0"])
         assert rc == 2
         assert not (tmp_path / "payoff_path.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--t-steps", "-3"), ("--t-max", "inf"),
+                                             ("--t-max", "nan"), ("--t-max", "0")])
+    def test_bad_grid_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        # --t-steps -3 used to exit 0 with a header-only CSV, and --t-max inf
+        # to warn in numpy and then report a NaN horizon
+        out = tmp_path / "out"
+        rc = main(["payoff-path", "--out", str(out), "--n-paths", "1", flag, value])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_paths", ["1", "10"])
     def test_empty_grid_writes_header_only(self, tmp_path, n_paths):

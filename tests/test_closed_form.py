@@ -5,9 +5,8 @@ import pytest
 
 import homesale.path_payoff as pp
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT, three_sigma
-from homesale.closed_form import (SMALL_ARG, MarketParams, SellerPolicy,
-                                  asymptotic_listed_payoff, auxiliary_payoff,
-                                  expected_utility, listed_payoff,
+from homesale.closed_form import (SMALL_ARG, MarketParams, asymptotic_listed_payoff,
+                                  auxiliary_payoff, expected_utility, listed_payoff,
                                   listed_payoff_exact, thinned_payoff,
                                   withdrawal_fraction)
 
@@ -293,13 +292,6 @@ class TestTypes:
             MarketParams(-1, 5, 0.1, 100, 200)
         with pytest.raises(ValueError):
             MarketParams(math.inf, 5, 0.1, 100, 200)
-
-    def test_seller_policy_invariants(self):
-        SellerPolicy(140.0, 180.0, 0.1)
-        with pytest.raises(ValueError):
-            SellerPolicy(180.0, 140.0, 0.1)
-        with pytest.raises(ValueError):
-            SellerPolicy(140.0, 180.0, -0.5)
 
 
 # The scalar closed forms as they were before the kernels were written over
