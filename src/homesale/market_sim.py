@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,10 @@ from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           list_schedule)
-from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
-                         demand_intensity, sample_nhpp, simulate_cir, substream)
+# sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
+from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _thin,
+                         _thinning_candidates, demand_intensity, sample_nhpp,
+                         simulate_cir, substream)
 
 __all__ = [
     "SaleOutcome",
@@ -45,7 +48,6 @@ __all__ = [
     "list_schedule",
     "compute_owt_frozen",
     "run_sale_attempt",
-    "resolve_attempt",
     "update_prices",
     "run_evolution",
     "expected_price_curve",
@@ -140,26 +142,95 @@ def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
     return t, "crisis" if crisis_time <= profit_time else "profit"
 
 
-def resolve_attempt(offers: list[tuple[float, float, float]], schedule, R: float,
-                    t_star: float) -> SaleOutcome:
-    """Apply the sale rules to a fixed list of (arrival, value, withdrawal
-    delay) offers.
+# A batch of sale attempts closes once its candidate offers reach this
+# count.  It keeps memory bounded when the thinning bound is loose: a rate
+# path at RATE_FLOOR thins against about 5,000 offers a year.  On the
+# reference scenario 750 attempts at one posting time draw about 1,600
+# candidates, so each posting time runs as one batch.
+_CHUNK_CANDIDATES = 1 << 13
 
-    Immediate sale at the first offer whose value meets the list price
-    at its arrival; otherwise, at t_star, the best offer above R that
-    has not been withdrawn; otherwise no sale.
+
+class _Batch(NamedTuple):
+    """Sale attempts run together: the accepted offers of all of them,
+    ordered by (rep, arrival) with rep the attempt's index in the batch,
+    and one outcome per attempt (price and time NaN where no sale)."""
+
+    rep: np.ndarray
+    arrival: np.ndarray
+    value: np.ndarray
+    delay: np.ndarray
+    sold: np.ndarray
+    price: np.ndarray
+    time: np.ndarray
+
+
+def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
+               delay: np.ndarray, n: int, schedule, R: float,
+               t_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sold, price, time) for n attempts from their offers, ordered by
+    (rep, arrival).
+
+    Immediate sale at an attempt's first offer whose value meets the list
+    price at its arrival; otherwise, at t_star, its best offer above R
+    that has not been withdrawn; otherwise no sale.
     """
-    for arrival, value, _ in offers:
-        if value >= float(schedule(arrival)):
-            return SaleOutcome(True, value, arrival)
-    best = None
-    for arrival, value, delay in offers:
-        if value >= R and delay >= t_star - arrival:
-            if best is None or value > best:
-                best = value
-    if best is not None:
-        return SaleOutcome(True, best, t_star)
-    return SaleOutcome(False)
+    price = np.full(n, math.nan)
+    time = np.full(n, math.nan)
+    alive = (value >= R) & (delay >= t_star - arrival)
+    best = np.full(n, -math.inf)
+    np.maximum.at(best, rep[alive], value[alive])
+    sold = best >= R
+    price[sold] = best[sold]
+    time[sold] = t_star
+    # a crossing overrides the deadline auction; the first one per rep wins
+    cross = np.flatnonzero(value >= np.asarray(schedule(arrival), dtype=float))
+    rc = rep[cross]
+    leads = np.ones(rc.size, dtype=bool)
+    leads[1:] = rc[1:] != rc[:-1]
+    first = cross[leads]
+    won = rep[first]
+    sold[won] = True
+    price[won] = value[first]
+    time[won] = arrival[first]
+    return sold, price, time
+
+
+def _sale_attempts(ctx: PathContext, t_star: float, rngs):
+    """Run one sale attempt per generator of rngs and yield them in
+    batches of about _CHUNK_CANDIDATES candidate offers.
+
+    Each generator draws, in order: the thinning candidates and their
+    acceptance uniforms, then one offer value and one withdrawal delay
+    per candidate.  The intensity, its domination check and the sale
+    rule then run once per batch, so an attempt's outcome depends only
+    on its own generator, never on the batch it falls in.
+    """
+    if not (t_star > 0):
+        raise ValueError("t_star must be positive")
+    # the rate is linear between the path's nodes and the list only falls
+    r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
+    bound = float(ctx.demand.intensity(r_min, float(ctx.list_schedule(t_star))))
+    draws, n_cand = [], 0
+    for rng in rngs:
+        cands, u = _thinning_candidates(rng, t_star, bound)
+        draws.append((cands, u, ctx.offers.sample(rng, cands.size),
+                      ctx.withdrawals.sample(rng, cands.size)))
+        n_cand += cands.size
+        if n_cand >= _CHUNK_CANDIDATES:
+            yield _resolve(ctx, t_star, bound, draws)
+            draws, n_cand = [], 0
+    if draws:
+        yield _resolve(ctx, t_star, bound, draws)
+
+
+def _resolve(ctx: PathContext, t_star: float, bound: float, draws: list) -> _Batch:
+    cands, u, value, delay = (np.concatenate(col) for col in zip(*draws))
+    rep = np.repeat(np.arange(len(draws)), [d[0].size for d in draws])
+    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
+    rep, arrival, value, delay = rep[keep], cands[keep], value[keep], delay[keep]
+    sold, price, time = _sale_rule(rep, arrival, value, delay, len(draws),
+                                   ctx.list_schedule, ctx.reservation, t_star)
+    return _Batch(rep, arrival, value, delay, sold, price, time)
 
 
 def run_sale_attempt(ctx: PathContext, t_star: float,
@@ -167,21 +238,22 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
     """One sale attempt on a local context whose clock starts at posting,
     at the context's reservation price.
 
-    Offers are generated over the whole committed window [0, t_star];
-    the stored offer list is truncated at the resolution time so the log
-    never contains arrivals after the sale.
+    Offers arrive over the whole committed window [0, t_star], thinned
+    from a Poisson stream at k1/max(min r on ctx.path's nodes, RATE_FLOOR)
+    + k2/L(t_star), which dominates the demand because the rate is
+    linear between nodes and the list price only falls.  The stored
+    offer list is truncated at the resolution time so the log never
+    contains arrivals after the sale.
     """
-    if not (t_star > 0):
-        raise ValueError("t_star must be positive")
-    bound = ctx.demand.intensity(RATE_FLOOR, ctx.reservation)
-    arrivals = sample_nhpp(ctx.intensity, t_star, bound, rng)
-    values = ctx.offers.sample(rng, arrivals.size)
-    delays = ctx.withdrawals.sample(rng, arrivals.size)
-    offers = list(zip(arrivals.tolist(), values.tolist(), delays.tolist()))
-    outcome = resolve_attempt(offers, ctx.list_schedule, ctx.reservation, t_star)
-    horizon = outcome.time if outcome.sold else t_star
-    kept = [o for o in offers if o[0] <= horizon]
-    return SaleAttempt(kept, outcome)
+    (b,) = _sale_attempts(ctx, t_star, [rng])
+    if b.sold[0]:
+        outcome = SaleOutcome(True, float(b.price[0]), float(b.time[0]))
+    else:
+        outcome = SaleOutcome(False)
+    kept = b.arrival <= (outcome.time if outcome.sold else t_star)
+    offers = list(zip(b.arrival[kept].tolist(), b.value[kept].tolist(),
+                      b.delay[kept].tolist()))
+    return SaleAttempt(offers, outcome)
 
 
 def update_prices(reservation: float, attempt: SaleAttempt, p_min: float,
@@ -401,12 +473,10 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     for qi, t_post in enumerate(times.tolist()):
         t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
                                     cfg.initial_list)
-        prices = []
-        for j in range(n_reps):
-            att = run_sale_attempt(ctx, t_star, substream(seed, "price", qi, j))
-            if att.outcome.sold:
-                prices.append(att.outcome.price)
-        n_sales = len(prices)
+        rngs = (substream(seed, "price", qi, j) for j in range(n_reps))
+        prices = np.concatenate([b.price[b.sold]
+                                 for b in _sale_attempts(ctx, t_star, rngs)])
+        n_sales = prices.size
         mean = float(np.mean(prices)) if n_sales else math.nan
         stderr = (float(np.std(prices, ddof=1) / math.sqrt(n_sales))
                   if n_sales >= 2 else math.nan)

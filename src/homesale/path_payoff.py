@@ -340,8 +340,9 @@ def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
     L_a = np.asarray(ctx.list_schedule(a), dtype=float)
     F_L = np.asarray(ctx.offers.cdf(L_a), dtype=float)
     phi = min(max(float(w @ (lam * F_L)) / big_lam, 0.0), 1.0)
-    # a runs from 0 to t exactly: its ends give L(0), L(t) and disc(t)
-    cum_a = np.asarray(ctx.path.cumulative_rate(a), dtype=float)
+    # a runs from 0 to t exactly: its ends give L(0), L(t) and disc(t);
+    # ctx.intensity(a) in _a_grid has checked its span
+    cum_a = np.asarray(ctx.path._cumulative(a), dtype=float)
     disc_t = math.exp(-float(cum_a[-1]))
     no_cross = math.exp(big_lam * (phi - 1.0))
     L0 = float(L_a[0])
@@ -421,7 +422,8 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     crossing = 0.0
     if F_L < _SATURATED:
         mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
-        disc_a = np.exp(-np.asarray(ctx.path.cumulative_rate(a), dtype=float))
+        # ctx.intensity(a) in _a_grid has checked a's span
+        disc_a = np.exp(-np.asarray(ctx.path._cumulative(a), dtype=float))
         survive = np.exp(-_above_list_hazard(ctx, t, lambda s: L))
         crossing = mean_above * (1.0 - F_L) * float(w @ (lam * survive * disc_a))
     return best_standing + crossing

@@ -133,6 +133,11 @@ class RatePath:
         """Integral of the rate from 0 to t (trapezoid on the native grid);
         raises outside [0, horizon]."""
         self._check_span(t)
+        return self._cumulative(t)
+
+    def _cumulative(self, t):
+        # cumulative_rate without the span check, for a grid whose span
+        # rate_at has already checked
         return np.interp(t, self.times, self._cum)
 
     def shifted(self, start: float, horizon: float) -> "RatePath":
@@ -224,12 +229,41 @@ def demand_intensity(r, L, d: DemandParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _thinning_candidates(rng: np.random.Generator, horizon: float,
+                         bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dominating Poisson(bound) stream on [0, horizon]: a count, the
+    sorted candidate times, then one acceptance uniform per candidate."""
+    n_cand = rng.poisson(bound * horizon)
+    cands = np.sort(rng.uniform(0.0, horizon, n_cand))
+    return cands, rng.uniform(0.0, 1.0, n_cand)
+
+
+def _thin(vals: np.ndarray, cands: np.ndarray, u: np.ndarray,
+          bound: float) -> np.ndarray:
+    """Which candidates thinning keeps: those with u * bound < intensity.
+
+    vals is the intensity at every candidate; one above the bound aborts
+    rather than silently under-sampling.
+    """
+    bad = vals > bound * (1.0 + 1e-12)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"intensity {vals[i]:.6g} exceeds bound {bound:.6g} at t={cands[i]:.6g}")
+    return u * bound < vals
+
+
 def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
                 seed=0) -> np.ndarray:
     """Arrival times of a non-homogeneous Poisson process on [0, horizon].
 
     Thinning of a dominating homogeneous Poisson(intensity_bound)
-    stream: candidates are kept with probability intensity(t)/bound.
+    stream: candidates are kept with probability intensity(t)/bound
+    (Lewis & Shedler 1979), so the work is the bound times the horizon
+    and a bound close to the intensity wastes few candidates.  Sale
+    attempts thin the offer demand k1/max(r, RATE_FLOOR) + k2/L(a)
+    against k1/max(min r on the path's nodes, RATE_FLOOR) + k2/L(t): the
+    rate is linear between nodes and the list price only falls.
     The intensity takes the array of candidate times and returns an
     array of the same shape.
     The bound must dominate the intensity everywhere; a detected
@@ -239,14 +273,6 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     if not (intensity_bound > 0) or not math.isfinite(intensity_bound):
         raise ValueError(f"intensity_bound must be positive and finite, got {intensity_bound}")
-    rng = _as_rng(seed)
-    n_cand = rng.poisson(intensity_bound * horizon)
-    cands = np.sort(rng.uniform(0.0, horizon, n_cand))
-    u = rng.uniform(0.0, 1.0, n_cand)
+    cands, u = _thinning_candidates(_as_rng(seed), horizon, intensity_bound)
     vals = np.asarray(intensity(cands), dtype=float)
-    bad = vals > intensity_bound * (1.0 + 1e-12)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"intensity {vals[i]:.6g} exceeds bound {intensity_bound:.6g} at t={cands[i]:.6g}")
-    return cands[u * intensity_bound < vals]
+    return cands[_thin(vals, cands, u, intensity_bound)]

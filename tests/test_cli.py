@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import pathlib
 import re
@@ -426,6 +427,18 @@ class TestExpectedPriceCommand:
                    "--n-reps", "50", "--seed", "1", "--workers", "1"])
         assert rc == 0
         assert (tmp_path / "expected_price.csv").read_bytes() == golden.read_bytes()
+
+    def test_output_passes_the_benchmark_price_check(self, tmp_path):
+        # the price workload's check: mean prices and no-sale shares agree
+        # with an independent Monte Carlo of the same attempts
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_checks", pathlib.Path(__file__).parents[1] / "perfbench" / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        rc = main(["expected-price", "--out", str(tmp_path), "--times", "2,4,6,8,10",
+                   "--n-reps", "750", "--seed", "3", "--workers", "1"])
+        assert rc == 0
+        assert checks.check_price(tmp_path, 3, np.random.default_rng(3), 750) == []
 
     def test_list_above_offer_support_is_config_error(self, tmp_path):
         f = tmp_path / "s.cfg"

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import three_sigma
+from homesale import market_sim
 from homesale.market_sim import (EvolutionConfig, compute_owt_frozen, draw_crisis,
                                  draw_occupation, expected_price_curve,
-                                 list_schedule, resolve_attempt, run_evolution,
+                                 list_schedule, run_evolution,
                                  run_sale_attempt, time_to_posting,
                                  update_prices, SaleAttempt, SaleOutcome)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   UniformOffers)
-from homesale.stochastic import (CirParams, DemandParams, RatePath, simulate_cir,
+from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
+                                 _thinning_candidates, sample_nhpp, simulate_cir,
                                  substream)
 
 DEMAND = DemandParams(0.5, 1000.0)
@@ -120,50 +124,265 @@ class TestFrozenOwt:
         assert abs(res.t_star - t_dense) <= 1e-4 + 20.0 / 200_000
 
 
-class TestResolveAttempt:
+def reference_rule(offers, schedule, R, t_star) -> SaleOutcome:
+    """The sale rule as a loop over one attempt's (arrival, value,
+    withdrawal delay) offers in arrival order.
+
+    Immediate sale at the first offer whose value meets the list price
+    at its arrival; otherwise, at t_star, the best offer above R that
+    has not been withdrawn; otherwise no sale.
+    """
+    for arrival, value, _ in offers:
+        if value >= float(schedule(arrival)):
+            return SaleOutcome(True, value, arrival)
+    best = None
+    for arrival, value, delay in offers:
+        if value >= R and delay >= t_star - arrival:
+            if best is None or value > best:
+                best = value
+    if best is not None:
+        return SaleOutcome(True, best, t_star)
+    return SaleOutcome(False)
+
+
+def engine_rules(attempts, schedule, R, t_star) -> list[SaleOutcome]:
+    """The engine's array rule on several attempts at once, one outcome
+    per attempt."""
+    rows = [(i, *o) for i, offers in enumerate(attempts) for o in offers]
+    rep, a, v, d = (np.array(c, dtype=float) for c in zip(*rows)) if rows \
+        else (np.empty(0),) * 4
+    sold, price, time = market_sim._sale_rule(rep.astype(np.int64), a, v, d, len(attempts),
+                                              schedule, R, t_star)
+    return [SaleOutcome(True, float(p), float(t)) if s else SaleOutcome(False)
+            for s, p, t in zip(sold, price, time)]
+
+
+def engine_rule(offers, schedule, R, t_star) -> SaleOutcome:
+    return engine_rules([offers], schedule, R, t_star)[0]
+
+
+def same_outcome(a: SaleOutcome, b: SaleOutcome) -> bool:
+    # bitwise: NaN price and time of a no-sale compare equal
+    return (a.sold, np.float64(a.price).tobytes(), np.float64(a.time).tobytes()) == \
+        (b.sold, np.float64(b.price).tobytes(), np.float64(b.time).tobytes())
+
+
+@pytest.mark.parametrize("rule", [reference_rule, engine_rule], ids=["reference", "engine"])
+class TestSaleRule:
     SCHED = staticmethod(list_schedule(140.0, 200.0, 1.0))
 
-    def test_no_offers_no_sale(self):
-        out = resolve_attempt([], self.SCHED, 140.0, 1.0)
+    def test_no_offers_no_sale(self, rule):
+        out = rule([], self.SCHED, 140.0, 1.0)
         assert not out.sold
 
-    def test_first_list_crossing_wins(self):
+    def test_first_list_crossing_wins(self, rule):
         offers = [(0.2, 150.0, 9.9), (0.5, 199.0, 9.9), (0.7, 185.0, 9.9)]
-        out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.SCHED, 140.0, 1.0)
         assert out.sold and out.time < 1.0  # a list crossing, before t_star
         assert out.price == 199.0 and out.time == 0.5
 
-    def test_all_below_reservation_fails(self):
+    def test_all_below_reservation_fails(self, rule):
         offers = [(0.2, 120.0, 9.9), (0.6, 135.0, 9.9)]
-        out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.SCHED, 140.0, 1.0)
         assert not out.sold
 
-    def test_best_survivor_at_deadline(self):
+    def test_best_survivor_at_deadline(self, rule):
         offers = [(0.2, 150.0, 9.9), (0.5, 160.0, 9.9)]
-        out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.SCHED, 140.0, 1.0)
         assert out.sold and out.time == 1.0  # the end-of-window sale, at t_star
         assert out.price == 160.0 and out.time == 1.0
 
-    def test_withdrawn_offers_do_not_count(self):
+    def test_withdrawn_offers_do_not_count(self, rule):
         offers = [(0.2, 150.0, 0.1), (0.5, 160.0, 0.1)]
-        out = resolve_attempt(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.SCHED, 140.0, 1.0)
         assert not out.sold
 
+
+@st.composite
+def attempt_sets(draw):
+    """A schedule, R, t_star and a few attempts' offers in arrival order,
+    with values that tie the list or R, and withdrawal delays that are
+    infinite (mu = 0), zero or random."""
+    R = draw(st.floats(100.0, 190.0))
+    L0 = draw(st.floats(R, 200.0))
+    schedule = list_schedule(R, L0, draw(st.sampled_from([0.0, 0.5, 3.0])))
+    t_star = draw(st.floats(0.01, 3.0))
+    attempts = []
+    for _ in range(draw(st.integers(1, 6))):
+        never_withdrawn = draw(st.booleans())
+        offers = []
+        for a in sorted(draw(st.lists(st.floats(0.0, t_star), max_size=6))):
+            kind = draw(st.sampled_from(["free", "list", "reservation"]))
+            if kind == "list":
+                v = float(schedule(a))
+            elif kind == "reservation":
+                v = R
+            else:
+                v = draw(st.floats(100.0, 200.0))
+            d = math.inf if never_withdrawn else draw(
+                st.sampled_from([0.0, draw(st.floats(0.0, 2.0 * t_star))]))
+            offers.append((a, v, d))
+        attempts.append(offers)
+    return schedule, R, t_star, attempts
+
+
+class TestEngineRule:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(attempt_sets())
+    def test_agrees_with_reference_per_attempt(self, case):
+        schedule, R, t_star, attempts = case
+        got = engine_rules(attempts, schedule, R, t_star)
+        want = [reference_rule(o, schedule, R, t_star) for o in attempts]
+        assert all(same_outcome(g, w) for g, w in zip(got, want)), (got, want)
+
+
+def flat_context(rate=0.09, schedule=None, mu=10.0):
+    path = RatePath(1.0 / 252.0, np.full(600, rate))
+    return PathContext(path=path, list_schedule=schedule or list_schedule(140.0, 200.0, 1.0),
+                       offers=UniformOffers(100.0, 200.0),
+                       withdrawals=ExponentialWithdrawals(mu),
+                       reservation=140.0, demand=DEMAND)
+
+
+def cir_context():
+    path = simulate_cir(CirParams(0.25, 0.1, 0.3, 0.09), 2.0, 1.0 / 252.0, seed=4)
+    return PathContext(path=path, list_schedule=list_schedule(140.0, 200.0, 1.0),
+                       offers=UniformOffers(100.0, 200.0),
+                       withdrawals=ExponentialWithdrawals(10.0),
+                       reservation=140.0, demand=DEMAND)
+
+
+def batch_fields(batches, n_reps):
+    """Per attempt: its accepted offers' bytes and its outcome's bytes."""
+    out = []
+    for b in batches:
+        for j in range(b.sold.size):
+            sel = b.rep == j
+            out.append(tuple(x.tobytes() for x in (b.arrival[sel], b.value[sel],
+                                                   b.delay[sel], b.sold[j], b.price[j],
+                                                   b.time[j])))
+    assert len(out) == n_reps
+    return out
+
+
+def run_engine(ctx, t_star, n_reps, seed=7):
+    gens = (substream(seed, "engine", j) for j in range(n_reps))
+    return batch_fields(list(market_sim._sale_attempts(ctx, t_star, gens)), n_reps)
+
+
+class TestSaleAttempts:
     def test_crossing_price_at_least_list_at_sale(self):
         rng = substream(5, "attempt")
-        path = RatePath(1.0 / 252.0, np.full(600, 0.09))
-        ctx = PathContext(path=path, list_schedule=self.SCHED,
-                          offers=UniformOffers(100.0, 200.0),
-                          withdrawals=ExponentialWithdrawals(10.0),
-                          reservation=140.0, demand=DEMAND)
+        sched = list_schedule(140.0, 200.0, 1.0)
+        ctx = flat_context()
         for _ in range(200):
             att = run_sale_attempt(ctx, 2.0, rng)
             if not att.outcome.sold:
                 continue
             if att.outcome.time < 2.0:  # a list crossing, before t_star
-                assert att.outcome.price >= float(self.SCHED(att.outcome.time)) - 1e-12
+                assert att.outcome.price >= float(sched(att.outcome.time)) - 1e-12
             else:
                 assert att.outcome.price >= 140.0
+
+    def test_growing_a_run_past_the_budget_keeps_earlier_attempts(self):
+        # a zero rate thins at the RATE_FLOOR bound, so the short run fits
+        # in one batch and the long one needs several
+        ctx, t_star = flat_context(rate=0.0), 0.2
+        per_rep = t_star * float(DEMAND.intensity(RATE_FLOOR, 140.0))
+        n_short = int(0.5 * market_sim._CHUNK_CANDIDATES / per_rep)
+        n_long = int(3.0 * market_sim._CHUNK_CANDIDATES / per_rep)
+        assert n_short >= 2
+        short, long_ = run_engine(ctx, t_star, n_short), run_engine(ctx, t_star, n_long)
+        assert long_[:n_short] == short
+
+    @pytest.mark.parametrize("budget", [1, 300])
+    def test_batching_never_changes_an_attempt(self, monkeypatch, budget):
+        ctx = cir_context()
+        whole = run_engine(ctx, 1.5, 40)
+        monkeypatch.setattr(market_sim, "_CHUNK_CANDIDATES", budget)
+        assert run_engine(ctx, 1.5, 40) == whole
+
+    def test_run_sale_attempt_is_the_one_generator_batch(self):
+        # attempt j alone, inside a 30-attempt batch, and through
+        # run_sale_attempt: the same offers and outcome, bit for bit
+        ctx, t_star = cir_context(), 1.5
+        many = run_engine(ctx, t_star, 30, seed=8)
+        for j in range(30):
+            one, = market_sim._sale_attempts(ctx, t_star, [substream(8, "engine", j)])
+            assert batch_fields([one], 1) == [many[j]]
+            att = run_sale_attempt(ctx, t_star, substream(8, "engine", j))
+            assert same_outcome(att.outcome, SaleOutcome(bool(one.sold[0]), float(one.price[0]),
+                                                         float(one.time[0])))
+            kept = one.arrival <= (att.outcome.time if att.outcome.sold else t_star)
+            assert att.offers == list(zip(one.arrival[kept].tolist(), one.value[kept].tolist(),
+                                          one.delay[kept].tolist()))
+
+    def test_increasing_list_raises(self):
+        ctx = flat_context(schedule=lambda T: 200.0 - 60.0 * np.exp(-np.asarray(T, dtype=float)))
+        with pytest.raises(ValueError, match="exceeds bound"):
+            list(market_sim._sale_attempts(ctx, 1.0, (substream(9, "up", j)
+                                                       for j in range(50))))
+
+    def test_guard_sees_every_candidate(self):
+        # the list dips below L(t_star) only on [0.5, 0.51): an attempt
+        # must fail exactly when one of its candidates lands there
+        def dip(T):
+            T = np.asarray(T, dtype=float)
+            return np.where((T >= 0.5) & (T < 0.51), 140.0, 200.0)
+
+        ctx = flat_context(schedule=dip)
+        bound = float(DEMAND.intensity(0.09, 200.0))
+        outcomes = []
+        for j in range(300):
+            cands, _ = _thinning_candidates(substream(10, "dip", j), 1.0, bound)
+            in_dip = bool(np.any((cands >= 0.5) & (cands < 0.51)))
+            try:
+                run_sale_attempt(ctx, 1.0, substream(10, "dip", j))
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == in_dip
+            outcomes.append(raised)
+        assert 0 < sum(outcomes) < len(outcomes)
+        with pytest.raises(ValueError, match="exceeds bound"):
+            list(market_sim._sale_attempts(ctx, 1.0, (substream(10, "dip", j)
+                                                       for j in range(300))))
+
+    def test_rejects_non_positive_t_star(self):
+        with pytest.raises(ValueError, match="t_star"):
+            run_sale_attempt(flat_context(), 0.0, substream(1, "x"))
+
+
+def test_tight_bound_matches_rate_floor_bound_in_distribution():
+    # the old sampler, rebuilt: thinning at k1/RATE_FLOOR + k2/R with one
+    # value and one delay per kept offer, resolved by the reference rule
+    ctx, t_star, n = cir_context(), 1.0, 2000
+    floor_bound = float(DEMAND.intensity(RATE_FLOOR, ctx.reservation))
+    old_counts, old_outcomes = [], []
+    for j in range(n):
+        rng = substream(12, "floor-bound", j)
+        arrivals = sample_nhpp(ctx.intensity, t_star, floor_bound, rng)
+        values = ctx.offers.sample(rng, arrivals.size)
+        delays = ctx.withdrawals.sample(rng, arrivals.size)
+        old_counts.append(arrivals.size)
+        old_outcomes.append(reference_rule(list(zip(arrivals, values, delays)),
+                                           ctx.list_schedule, ctx.reservation, t_star))
+    gens = (substream(12, "tight-bound", j) for j in range(n))
+    batches = list(market_sim._sale_attempts(ctx, t_star, gens))
+    new_counts = np.concatenate([np.bincount(b.rep, minlength=b.sold.size) for b in batches])
+    new_sold = np.concatenate([b.sold for b in batches])
+    new_prices = np.concatenate([b.price[b.sold] for b in batches])
+    old_prices = np.array([o.price for o in old_outcomes if o.sold])
+
+    def close(label, x, y):
+        se = math.hypot(np.std(x, ddof=1) / math.sqrt(len(x)),
+                        np.std(y, ddof=1) / math.sqrt(len(y)))
+        three_sigma(label, np.mean(x), np.mean(y), se, sigmas=4.0)
+
+    close("offer count", np.array(old_counts, dtype=float), new_counts.astype(float))
+    close("sale price", old_prices, new_prices)
+    close("no-sale share", np.array([not o.sold for o in old_outcomes], dtype=float),
+          (~new_sold).astype(float))
 
 
 class TestUpdatePrices:
