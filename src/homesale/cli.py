@@ -101,12 +101,9 @@ class ScenarioConfig:
     def cir_params(self) -> CirParams:
         return CirParams(self.kappa, self.theta, self.sigma, self.r0)
 
-    def demand_params(self) -> DemandParams:
-        return DemandParams(self.k1, self.k2)
-
     def evolution_config(self) -> market_sim.EvolutionConfig:
         return market_sim.EvolutionConfig(
-            cir=self.cir_params(), demand=self.demand_params(),
+            cir=self.cir_params(), demand=DemandParams(self.k1, self.k2),
             mu=self.sim_withdrawal_intensity, gamma=self.sim_waiting_averseness,
             zeta=self.zeta, p_min=self.p_min, p_max=self.p_max,
             initial_reservation=self.initial_reservation_price,
@@ -170,6 +167,11 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _stamp(cfg: ScenarioConfig) -> str:
+    """The leading comment line of every output file."""
+    return f"# homesale config_hash={config_hash(cfg)} seed={cfg.seed}\n"
+
+
 def _fmt(x) -> str:
     if type(x) is not float:  # floats, the bulk of every CSV, skip this chain
         if isinstance(x, str):
@@ -187,7 +189,7 @@ def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str],
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            fh.write(f"# homesale config_hash={config_hash(cfg)} seed={cfg.seed}\n")
+            fh.write(_stamp(cfg))
             if extra_comment:
                 fh.write(f"# {extra_comment}\n")
             writer = csv.writer(fh, lineterminator="\n")
@@ -274,8 +276,7 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
                           "demand_intensity", "owner_index", "attempt_index"], rows)
     stream = Path(cfg.out_dir) / "events.txt"
     try:
-        head = f"# homesale config_hash={config_hash(cfg)} seed={cfg.seed}\n"
-        stream.write_text(head + "".join(line + "\n" for line in log.to_event_lines()))
+        stream.write_text(_stamp(cfg) + "".join(line + "\n" for line in log.to_event_lines()))
     except OSError as e:
         raise ConfigError(f"cannot write {stream}: {e}") from e
     rates = Path(cfg.out_dir) / "rates.csv"
@@ -314,16 +315,14 @@ def cmd_expected_price(cfg: ScenarioConfig, args) -> int:
 def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
     """Conditional payoff curves along rate paths (single path or MC mean)."""
     ev = cfg.evolution_config()
-    R = ev.initial_reservation
     zeta = 0.0 if args.mode == "constant" else ev.zeta
-    schedule = market_sim.list_schedule(R, ev.initial_list, zeta)
 
     def ctx_factory(path):
         return path_payoff.PathContext(
-            path=path, list_schedule=schedule,
+            path=path, list_price=ev.initial_list, zeta=zeta,
             offers=path_payoff.UniformOffers(ev.p_min, ev.p_max),
             withdrawals=path_payoff.ExponentialWithdrawals(ev.mu),
-            reservation=R, demand=ev.demand)
+            reservation=ev.initial_reservation, demand=ev.demand)
 
     n_paths = cfg.path_replications if args.n_paths is None else args.n_paths
     grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)

@@ -28,8 +28,7 @@ import numpy as np
 
 from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
-from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
-                          list_schedule)
+from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
 from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _thin,
                          _thinning_candidates, demand_intensity, sample_nhpp,
@@ -45,7 +44,6 @@ __all__ = [
     "draw_occupation",
     "draw_crisis",
     "time_to_posting",
-    "list_schedule",
     "compute_owt_frozen",
     "run_sale_attempt",
     "update_prices",
@@ -165,10 +163,10 @@ class _Batch(NamedTuple):
 
 
 def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
-               delay: np.ndarray, n: int, schedule, R: float,
+               delay: np.ndarray, n: int, listed: np.ndarray, R: float,
                t_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sold, price, time) for n attempts from their offers, ordered by
-    (rep, arrival).
+    (rep, arrival), with listed the list price at each offer's arrival.
 
     Immediate sale at an attempt's first offer whose value meets the list
     price at its arrival; otherwise, at t_star, its best offer above R
@@ -183,7 +181,7 @@ def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
     price[sold] = best[sold]
     time[sold] = t_star
     # a crossing overrides the deadline auction; the first one per rep wins
-    cross = np.flatnonzero(value >= np.asarray(schedule(arrival), dtype=float))
+    cross = np.flatnonzero(value >= listed)
     rc = rep[cross]
     leads = np.ones(rc.size, dtype=bool)
     leads[1:] = rc[1:] != rc[:-1]
@@ -209,7 +207,7 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
         raise ValueError("t_star must be positive")
     # the rate is linear between the path's nodes and the list only falls
     r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
-    bound = float(ctx.demand.intensity(r_min, float(ctx.list_schedule(t_star))))
+    bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
     draws, n_cand = [], 0
     for rng in rngs:
         cands, u = _thinning_candidates(rng, t_star, bound)
@@ -229,7 +227,7 @@ def _resolve(ctx: PathContext, t_star: float, bound: float, draws: list) -> _Bat
     keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
     rep, arrival, value, delay = rep[keep], cands[keep], value[keep], delay[keep]
     sold, price, time = _sale_rule(rep, arrival, value, delay, len(draws),
-                                   ctx.list_schedule, ctx.reservation, t_star)
+                                   ctx.list_at(arrival), ctx.reservation, t_star)
     return _Batch(rep, arrival, value, delay, sold, price, time)
 
 
@@ -347,7 +345,8 @@ def _posting_step(cfg: EvolutionConfig, path: RatePath, post_time: float,
     t_star = max(owt.t_star, cfg.tol)
     ctx = PathContext(
         path=path.shifted(post_time, t_star),
-        list_schedule=list_schedule(R, L0, cfg.zeta),
+        list_price=L0,
+        zeta=cfg.zeta,
         offers=UniformOffers(cfg.p_min, cfg.p_max),
         withdrawals=ExponentialWithdrawals(cfg.mu),
         reservation=R,
@@ -399,7 +398,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
         sold = False
         while not sold and post_t < horizon:
             t_star, ctx = _posting_step(cfg, path, post_t, cur_R, cur_L0)
-            emit(post_t, "PostForSale", price=ctx.initial_list,
+            emit(post_t, "PostForSale", price=ctx.list_price,
                  demand=float(ctx.intensity(0.0)), owner=owner_idx, attempt=attempt_idx)
             attempt = run_sale_attempt(ctx, t_star,
                                        substream(seed, "offers", owner_idx, attempt_idx))

@@ -29,7 +29,7 @@ from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff_changing_list,
                           conditional_payoff_changing_list_exact,
                           conditional_payoff_constant_list,
-                          conditional_payoff_no_list, list_schedule)
+                          conditional_payoff_no_list)
 from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
                          simulate_cir, substream)
 
@@ -183,7 +183,7 @@ def _path_tools(ctx: PathContext):
 
     def intensity(a):
         r = np.maximum(np.interp(a, times, rates), RATE_FLOOR)
-        return ctx.demand.k1 / r + ctx.demand.k2 / np.asarray(ctx.list_schedule(a), dtype=float)
+        return ctx.demand.k1 / r + ctx.demand.k2 / ctx.list_at(a)
 
     mids = (rates[1:] + rates[:-1]) / 2.0 * path.dt
     cum = np.concatenate(([0.0], np.cumsum(mids)))
@@ -201,7 +201,7 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
     Offer arrivals are drawn by thinning a dominating homogeneous
     stream under the context's demand intensity; values and withdrawals
     come from the context's distributions.  mode "changing"/"constant"
-    plays the list-crossing rule against the context's schedule, mode
+    plays the list-crossing rule against the context's list price, mode
     "none" keeps only the end-of-window auction.
     """
     if mode not in ("changing", "constant", "none"):
@@ -225,7 +225,7 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
         alive = (value >= R) & (delay >= t - a)
         if mode == "none":
             return disc_t * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
-        above = value >= np.asarray(ctx.list_schedule(a), dtype=float)
+        above = value >= ctx.list_at(a)
         return _list_rule(counts, a, value, above, alive & ~above,
                           lambda s: np.exp(-cum_rate(s)), disc_t)
 
@@ -287,9 +287,8 @@ def table2_context(path: RatePath, constant_list: bool = False,
     """Path context at the simulation defaults: uniform offers on
     (100, 200), Exponential(10) withdrawals, reservation 140, and a list
     decaying at rate 1 or constant."""
-    return PathContext(path=path,
-                       list_schedule=list_schedule(140.0, initial_list,
-                                                   0.0 if constant_list else 1.0),
+    return PathContext(path=path, list_price=initial_list,
+                       zeta=0.0 if constant_list else 1.0,
                        offers=UniformOffers(100.0, 200.0),
                        withdrawals=ExponentialWithdrawals(10.0),
                        reservation=140.0, demand=DemandParams(0.5, 1000.0))

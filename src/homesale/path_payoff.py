@@ -1,10 +1,12 @@
 """Expected discounted payoffs along a realized rate path.
 
 The offer stream is a non-homogeneous Poisson process whose intensity is
-driven by the rate path and the (non-increasing) list schedule.  The
-three conditional payoff evaluations cover a decaying list price, a
-constant list price, and no list price at all; each integrates the
-published probability structure with nested composite Simpson rules.
+driven by the rate path and the list price.  A PathContext holds the
+list as data, (list_price, zeta): it starts at list_price and decays
+toward the reservation price at rate zeta, so it never rises.  The three
+conditional payoff evaluations cover a decaying list price, a constant
+list price, and no list price at all; each integrates the published
+probability structure with nested composite Simpson rules.
 Expectations over random rate paths are plain Monte Carlo averages of
 the conditional values.
 
@@ -13,7 +15,7 @@ density lam(a)/Lambda(t), which the simulated model does not: there the
 first above-list offer is front-loaded.  The no-list payoff has no
 crossing branch and is exact.  conditional_payoff_changing_list_exact
 and conditional_payoff_constant_list integrate the true first-crossing
-density and match simulation for any list schedule and any flat list.
+density and match simulation for any decay rate zeta, zero included.
 
 Every Simpson grid has DEFAULT_NODES nodes, read when an evaluation
 runs; grids that do not depend on the rate path are built once per
@@ -44,7 +46,6 @@ __all__ = [
     "UniformOffers",
     "ExponentialWithdrawals",
     "PathContext",
-    "list_schedule",
     "below_list_probability",
     "surviving_offer_tail",
     "crossing_survival",
@@ -107,52 +108,41 @@ class ExponentialWithdrawals:
         return rng.exponential(1.0 / self.mu, size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathContext:
     """Everything a conditional payoff evaluation needs.
 
-    list_schedule maps elapsed time to the posted list price; it must be
-    non-increasing with values >= reservation, vectorized over numpy
-    arrays.  Rates feeding the demand function are clamped below at
-    RATE_FLOOR because the intensity is singular at zero.
+    The list price starts at list_price (L0) and decays toward the
+    reservation price R at rate zeta: list_at(T) = R + (L0 - R)
+    exp(-zeta T), so it never rises and never falls below R, and zeta ==
+    0 keeps it at L0.  Both are checked here: a finite L0 >= R > 0 and a
+    finite zeta >= 0.  Rates feeding the demand function are clamped
+    below at RATE_FLOOR because the intensity is singular at zero.
     """
 
     path: RatePath
-    list_schedule: Callable
+    list_price: float
+    zeta: float
     offers: UniformOffers
     withdrawals: ExponentialWithdrawals
     reservation: float
     demand: DemandParams
 
     def __post_init__(self):
-        L0 = float(self.list_schedule(0.0))
-        if not (L0 >= self.reservation > 0):
-            raise ValueError(f"need L(0) >= reservation > 0, got L0={L0}, R={self.reservation}")
+        L0, R = self.list_price, self.reservation
+        if not (math.isfinite(L0) and L0 >= R > 0):
+            raise ValueError(f"need finite list_price >= reservation > 0, got L0={L0}, R={R}")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0):
+            raise ValueError(f"zeta must be finite and non-negative, got {self.zeta}")
 
-    @property
-    def initial_list(self) -> float:
-        return float(self.list_schedule(0.0))
+    def list_at(self, T):
+        """The posted list price T after posting, vectorized over T."""
+        R = self.reservation
+        return R + (self.list_price - R) * np.exp(-self.zeta * np.asarray(T, dtype=float))
 
     def intensity(self, a):
         r = np.maximum(self.path.rate_at(a), RATE_FLOOR)
-        return self.demand.intensity(r, np.asarray(self.list_schedule(a), dtype=float))
-
-
-def list_schedule(R: float, L0: float, zeta: float):
-    """Posted-price trajectory L(T) = R + (L0 - R) * exp(-zeta*T).
-
-    Starts at L0 and decays toward the reservation price; zeta == 0
-    keeps the list constant at L0.
-    """
-    if L0 < R:
-        raise ValueError("initial list must be at or above the reservation price")
-    if zeta < 0:
-        raise ValueError("zeta must be non-negative")
-
-    def schedule(T):
-        return R + (L0 - R) * np.exp(-zeta * np.asarray(T, dtype=float))
-
-    return schedule
+        return self.demand.intensity(r, self.list_at(a))
 
 
 # The grids below depend on the horizon, the prices and mu, not on the
@@ -198,7 +188,7 @@ def _a_grid(ctx: PathContext, t: float):
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
     a, w, held, _ = _arrivals(float(t), ctx.withdrawals, DEFAULT_NODES)
-    lam = np.asarray(ctx.intensity(a), dtype=float)
+    lam = ctx.intensity(a)
     big_lam = float(w @ lam)
     return a, w, held, lam, big_lam
 
@@ -212,7 +202,7 @@ def below_list_probability(ctx: PathContext, t: float) -> float:
     a, w, _, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
-    p = float(w @ (lam * ctx.offers.cdf(ctx.list_schedule(a)))) / big_lam
+    p = float(w @ (lam * ctx.offers.cdf(ctx.list_at(a)))) / big_lam
     return min(max(p, 0.0), 1.0)
 
 
@@ -228,8 +218,8 @@ def surviving_offer_tail(ctx: PathContext, t: float, y):
     a, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         raise ValueError("cumulative intensity is zero; probability undefined")
-    F_L = np.asarray(ctx.offers.cdf(ctx.list_schedule(a)), dtype=float)
-    out = np.where(y_arr >= ctx.initial_list, 0.0,
+    F_L = ctx.offers.cdf(ctx.list_at(a))
+    out = np.where(y_arr >= ctx.list_price, 0.0,
                    _offer_tail(ctx, w, held, lam, big_lam, F_L)(y_arr))
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
@@ -317,8 +307,7 @@ def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray
     as the payoff's own, not a trapezoid over the nodes.
     """
     s = _arrivals(float(t), ctx.withdrawals, DEFAULT_NODES)[3]
-    h = (np.asarray(ctx.intensity(s), dtype=float)
-         * (1.0 - np.asarray(ctx.offers.cdf(beat(s)), dtype=float)))
+    h = ctx.intensity(s) * (1.0 - ctx.offers.cdf(beat(s)))
     panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
     return np.concatenate(([0.0], np.cumsum(panels)))
 
@@ -337,8 +326,8 @@ def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
     a, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
-    L_a = np.asarray(ctx.list_schedule(a), dtype=float)
-    F_L = np.asarray(ctx.offers.cdf(L_a), dtype=float)
+    L_a = ctx.list_at(a)
+    F_L = ctx.offers.cdf(L_a)
     phi = min(max(float(w @ (lam * F_L)) / big_lam, 0.0), 1.0)
     # a runs from 0 to t exactly: its ends give L(0), L(t) and disc(t);
     # ctx.intensity(a) in _a_grid has checked its span
@@ -355,7 +344,7 @@ def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
     mean_above = _mean_above_list(ctx, L_a, F_L)
     if exact:
         first_cross = lam * (1.0 - F_L) * np.exp(
-            -_above_list_hazard(ctx, t, ctx.list_schedule))
+            -_above_list_hazard(ctx, t, ctx.list_at))
         return best_standing + float(w @ (first_cross * disc_a * mean_above))
     crossing = (1.0 - no_cross) * float(w @ (lam * disc_a * mean_above)) / big_lam
     return best_standing + crossing
@@ -395,7 +384,7 @@ def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
 def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     """Changing-list payoff specialized to a constant list price.
 
-    Uses L = list_schedule(0); the below-list probability collapses to
+    Uses L = list_price; the below-list probability collapses to
     F(L) and the survivor tail factorizes into a value band times a
     not-withdrawn weight.  Offers beat L at rate lam(a) (1 - F(L)), so
     the first crossing has density lam(a) (1 - F(L)) exp(-H(a)) with H
@@ -405,7 +394,7 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     a, w, held, lam, big_lam = _a_grid(ctx, t)
     if big_lam <= 0.0:
         return 0.0
-    L = ctx.initial_list
+    L = ctx.list_price
     F_L = float(ctx.offers.cdf(np.array([L]))[0])
     standing_weight = 1.0 - float(w @ (lam * held)) / big_lam
     disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))

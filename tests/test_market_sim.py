@@ -9,8 +9,7 @@ from conftest import three_sigma
 from homesale import market_sim
 from homesale.market_sim import (EvolutionConfig, compute_owt_frozen, draw_crisis,
                                  draw_occupation, expected_price_curve,
-                                 list_schedule, run_evolution,
-                                 run_sale_attempt, time_to_posting,
+                                 run_evolution, run_sale_attempt, time_to_posting,
                                  update_prices, SaleAttempt, SaleOutcome)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   UniformOffers)
@@ -25,6 +24,22 @@ def make_config(**kw):
     defaults = dict(cir=CirParams(0.25, 0.1, 0.08, 0.09), demand=DEMAND)
     defaults.update(kw)
     return EvolutionConfig(**defaults)
+
+
+def flat_context(rate=0.09, list_price=200.0, zeta=1.0, mu=10.0, reservation=140.0):
+    path = RatePath(1.0 / 252.0, np.full(600, rate))
+    return PathContext(path=path, list_price=list_price, zeta=zeta,
+                       offers=UniformOffers(100.0, 200.0),
+                       withdrawals=ExponentialWithdrawals(mu),
+                       reservation=reservation, demand=DEMAND)
+
+
+def cir_context():
+    path = simulate_cir(CirParams(0.25, 0.1, 0.3, 0.09), 2.0, 1.0 / 252.0, seed=4)
+    return PathContext(path=path, list_price=200.0, zeta=1.0,
+                       offers=UniformOffers(100.0, 200.0),
+                       withdrawals=ExponentialWithdrawals(10.0),
+                       reservation=140.0, demand=DEMAND)
 
 
 class TestDraws:
@@ -76,26 +91,23 @@ class TestTimeToPosting:
         assert time == pytest.approx(5.5)  # first grid point past O
 
 
-class TestListSchedule:
+class TestListAt:
     def test_starts_at_initial_list(self):
-        sched = list_schedule(140.0, 200.0, 1.0)
-        assert float(sched(0.0)) == 200.0
+        assert float(flat_context().list_at(0.0)) == 200.0
 
     def test_decays_to_reservation(self):
-        sched = list_schedule(140.0, 200.0, 1.0)
-        assert float(sched(80.0)) == pytest.approx(140.0, abs=1e-12)
+        assert float(flat_context().list_at(80.0)) == pytest.approx(140.0, abs=1e-12)
 
     def test_reference_point(self):
-        sched = list_schedule(140.0, 200.0, 1.0)
-        assert float(sched(1.0)) == pytest.approx(162.07276647028654, rel=1e-12)
+        assert float(flat_context().list_at(1.0)) == pytest.approx(162.07276647028654,
+                                                                   rel=1e-12)
 
     def test_zero_decay_is_constant(self):
-        sched = list_schedule(140.0, 200.0, 0.0)
-        assert float(sched(5.0)) == 200.0
+        assert float(flat_context(zeta=0.0).list_at(5.0)) == 200.0
 
     def test_rejects_inverted_prices(self):
         with pytest.raises(ValueError):
-            list_schedule(200.0, 140.0, 1.0)
+            flat_context(list_price=140.0, reservation=200.0)
 
 
 class TestFrozenOwt:
@@ -124,7 +136,7 @@ class TestFrozenOwt:
         assert abs(res.t_star - t_dense) <= 1e-4 + 20.0 / 200_000
 
 
-def reference_rule(offers, schedule, R, t_star) -> SaleOutcome:
+def reference_rule(offers, list_at, R, t_star) -> SaleOutcome:
     """The sale rule as a loop over one attempt's (arrival, value,
     withdrawal delay) offers in arrival order.
 
@@ -133,7 +145,7 @@ def reference_rule(offers, schedule, R, t_star) -> SaleOutcome:
     has not been withdrawn; otherwise no sale.
     """
     for arrival, value, _ in offers:
-        if value >= float(schedule(arrival)):
+        if value >= float(list_at(arrival)):
             return SaleOutcome(True, value, arrival)
     best = None
     for arrival, value, delay in offers:
@@ -145,20 +157,20 @@ def reference_rule(offers, schedule, R, t_star) -> SaleOutcome:
     return SaleOutcome(False)
 
 
-def engine_rules(attempts, schedule, R, t_star) -> list[SaleOutcome]:
+def engine_rules(attempts, list_at, R, t_star) -> list[SaleOutcome]:
     """The engine's array rule on several attempts at once, one outcome
     per attempt."""
     rows = [(i, *o) for i, offers in enumerate(attempts) for o in offers]
     rep, a, v, d = (np.array(c, dtype=float) for c in zip(*rows)) if rows \
         else (np.empty(0),) * 4
     sold, price, time = market_sim._sale_rule(rep.astype(np.int64), a, v, d, len(attempts),
-                                              schedule, R, t_star)
+                                              list_at(a), R, t_star)
     return [SaleOutcome(True, float(p), float(t)) if s else SaleOutcome(False)
             for s, p, t in zip(sold, price, time)]
 
 
-def engine_rule(offers, schedule, R, t_star) -> SaleOutcome:
-    return engine_rules([offers], schedule, R, t_star)[0]
+def engine_rule(offers, list_at, R, t_star) -> SaleOutcome:
+    return engine_rules([offers], list_at, R, t_star)[0]
 
 
 def same_outcome(a: SaleOutcome, b: SaleOutcome) -> bool:
@@ -169,43 +181,44 @@ def same_outcome(a: SaleOutcome, b: SaleOutcome) -> bool:
 
 @pytest.mark.parametrize("rule", [reference_rule, engine_rule], ids=["reference", "engine"])
 class TestSaleRule:
-    SCHED = staticmethod(list_schedule(140.0, 200.0, 1.0))
+    LIST_AT = staticmethod(flat_context().list_at)
 
     def test_no_offers_no_sale(self, rule):
-        out = rule([], self.SCHED, 140.0, 1.0)
+        out = rule([], self.LIST_AT, 140.0, 1.0)
         assert not out.sold
 
     def test_first_list_crossing_wins(self, rule):
         offers = [(0.2, 150.0, 9.9), (0.5, 199.0, 9.9), (0.7, 185.0, 9.9)]
-        out = rule(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.LIST_AT, 140.0, 1.0)
         assert out.sold and out.time < 1.0  # a list crossing, before t_star
         assert out.price == 199.0 and out.time == 0.5
 
     def test_all_below_reservation_fails(self, rule):
         offers = [(0.2, 120.0, 9.9), (0.6, 135.0, 9.9)]
-        out = rule(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.LIST_AT, 140.0, 1.0)
         assert not out.sold
 
     def test_best_survivor_at_deadline(self, rule):
         offers = [(0.2, 150.0, 9.9), (0.5, 160.0, 9.9)]
-        out = rule(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.LIST_AT, 140.0, 1.0)
         assert out.sold and out.time == 1.0  # the end-of-window sale, at t_star
         assert out.price == 160.0 and out.time == 1.0
 
     def test_withdrawn_offers_do_not_count(self, rule):
         offers = [(0.2, 150.0, 0.1), (0.5, 160.0, 0.1)]
-        out = rule(offers, self.SCHED, 140.0, 1.0)
+        out = rule(offers, self.LIST_AT, 140.0, 1.0)
         assert not out.sold
 
 
 @st.composite
 def attempt_sets(draw):
-    """A schedule, R, t_star and a few attempts' offers in arrival order,
+    """A list, R, t_star and a few attempts' offers in arrival order,
     with values that tie the list or R, and withdrawal delays that are
     infinite (mu = 0), zero or random."""
     R = draw(st.floats(100.0, 190.0))
     L0 = draw(st.floats(R, 200.0))
-    schedule = list_schedule(R, L0, draw(st.sampled_from([0.0, 0.5, 3.0])))
+    list_at = flat_context(list_price=L0, zeta=draw(st.sampled_from([0.0, 0.5, 3.0])),
+                           reservation=R).list_at
     t_star = draw(st.floats(0.01, 3.0))
     attempts = []
     for _ in range(draw(st.integers(1, 6))):
@@ -214,7 +227,7 @@ def attempt_sets(draw):
         for a in sorted(draw(st.lists(st.floats(0.0, t_star), max_size=6))):
             kind = draw(st.sampled_from(["free", "list", "reservation"]))
             if kind == "list":
-                v = float(schedule(a))
+                v = float(list_at(a))
             elif kind == "reservation":
                 v = R
             else:
@@ -223,33 +236,17 @@ def attempt_sets(draw):
                 st.sampled_from([0.0, draw(st.floats(0.0, 2.0 * t_star))]))
             offers.append((a, v, d))
         attempts.append(offers)
-    return schedule, R, t_star, attempts
+    return list_at, R, t_star, attempts
 
 
 class TestEngineRule:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(attempt_sets())
     def test_agrees_with_reference_per_attempt(self, case):
-        schedule, R, t_star, attempts = case
-        got = engine_rules(attempts, schedule, R, t_star)
-        want = [reference_rule(o, schedule, R, t_star) for o in attempts]
+        list_at, R, t_star, attempts = case
+        got = engine_rules(attempts, list_at, R, t_star)
+        want = [reference_rule(o, list_at, R, t_star) for o in attempts]
         assert all(same_outcome(g, w) for g, w in zip(got, want)), (got, want)
-
-
-def flat_context(rate=0.09, schedule=None, mu=10.0):
-    path = RatePath(1.0 / 252.0, np.full(600, rate))
-    return PathContext(path=path, list_schedule=schedule or list_schedule(140.0, 200.0, 1.0),
-                       offers=UniformOffers(100.0, 200.0),
-                       withdrawals=ExponentialWithdrawals(mu),
-                       reservation=140.0, demand=DEMAND)
-
-
-def cir_context():
-    path = simulate_cir(CirParams(0.25, 0.1, 0.3, 0.09), 2.0, 1.0 / 252.0, seed=4)
-    return PathContext(path=path, list_schedule=list_schedule(140.0, 200.0, 1.0),
-                       offers=UniformOffers(100.0, 200.0),
-                       withdrawals=ExponentialWithdrawals(10.0),
-                       reservation=140.0, demand=DEMAND)
 
 
 def batch_fields(batches, n_reps):
@@ -273,14 +270,13 @@ def run_engine(ctx, t_star, n_reps, seed=7):
 class TestSaleAttempts:
     def test_crossing_price_at_least_list_at_sale(self):
         rng = substream(5, "attempt")
-        sched = list_schedule(140.0, 200.0, 1.0)
         ctx = flat_context()
         for _ in range(200):
             att = run_sale_attempt(ctx, 2.0, rng)
             if not att.outcome.sold:
                 continue
             if att.outcome.time < 2.0:  # a list crossing, before t_star
-                assert att.outcome.price >= float(sched(att.outcome.time)) - 1e-12
+                assert att.outcome.price >= float(ctx.list_at(att.outcome.time)) - 1e-12
             else:
                 assert att.outcome.price >= 140.0
 
@@ -317,20 +313,24 @@ class TestSaleAttempts:
             assert att.offers == list(zip(one.arrival[kept].tolist(), one.value[kept].tolist(),
                                           one.delay[kept].tolist()))
 
-    def test_increasing_list_raises(self):
-        ctx = flat_context(schedule=lambda T: 200.0 - 60.0 * np.exp(-np.asarray(T, dtype=float)))
+    def test_increasing_list_raises(self, monkeypatch):
+        # PathContext cannot hold a rising list, so one is patched in
+        monkeypatch.setattr(PathContext, "list_at",
+                            lambda self, T: 200.0 - 60.0 * np.exp(-np.asarray(T, dtype=float)))
+        ctx = flat_context()
         with pytest.raises(ValueError, match="exceeds bound"):
             list(market_sim._sale_attempts(ctx, 1.0, (substream(9, "up", j)
                                                        for j in range(50))))
 
-    def test_guard_sees_every_candidate(self):
+    def test_guard_sees_every_candidate(self, monkeypatch):
         # the list dips below L(t_star) only on [0.5, 0.51): an attempt
         # must fail exactly when one of its candidates lands there
-        def dip(T):
+        def dip(self, T):
             T = np.asarray(T, dtype=float)
             return np.where((T >= 0.5) & (T < 0.51), 140.0, 200.0)
 
-        ctx = flat_context(schedule=dip)
+        monkeypatch.setattr(PathContext, "list_at", dip)
+        ctx = flat_context()
         bound = float(DEMAND.intensity(0.09, 200.0))
         outcomes = []
         for j in range(300):
@@ -366,7 +366,7 @@ def test_tight_bound_matches_rate_floor_bound_in_distribution():
         delays = ctx.withdrawals.sample(rng, arrivals.size)
         old_counts.append(arrivals.size)
         old_outcomes.append(reference_rule(list(zip(arrivals, values, delays)),
-                                           ctx.list_schedule, ctx.reservation, t_star))
+                                           ctx.list_at, ctx.reservation, t_star))
     gens = (substream(12, "tight-bound", j) for j in range(n))
     batches = list(market_sim._sale_attempts(ctx, t_star, gens))
     new_counts = np.concatenate([np.bincount(b.rep, minlength=b.sold.size) for b in batches])

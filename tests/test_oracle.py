@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from homesale import oracle
@@ -57,8 +56,7 @@ class TestMcPath:
 
     def test_no_list_with_unreachable_reservation(self):
         path = sigma0_table2_path(1.5)
-        sched = lambda T: 200.0 * np.ones_like(np.asarray(T, dtype=float))
-        ctx = PathContext(path=path, list_schedule=sched,
+        ctx = PathContext(path=path, list_price=200.0, zeta=0.0,
                           offers=UniformOffers(100.0, 200.0),
                           withdrawals=ExponentialWithdrawals(10.0),
                           reservation=200.0, demand=DemandParams(0.5, 1000.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -16,7 +17,7 @@ from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathCon
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
                                   conditional_payoff_no_list, crossing_survival,
-                                  expected_payoff, list_schedule, surviving_offer_tail)
+                                  expected_payoff, surviving_offer_tail)
 from homesale.quadrature import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                                  simulate_cir, substream)
@@ -35,15 +36,14 @@ def const_ctx():
     return table2_context(sigma0_table2_path(2.5), constant_list=True)
 
 
-def flat_rate_ctx(schedule=None, withdrawals=None, reservation=140.0,
+def flat_rate_ctx(list_price=200.0, withdrawals=None, reservation=140.0,
                   demand=None, horizon=2.5):
-    """Constant rate 0.1; defaults give a constant offer intensity of 5."""
+    """Constant rate 0.1 and a flat list; defaults give a constant offer
+    intensity of 5."""
     n = int(horizon / 0.005)
     path = RatePath(0.005, np.full(n + 1, 0.1))
-    if schedule is None:
-        schedule = lambda T: 200.0 * np.ones_like(np.asarray(T, dtype=float))
     return PathContext(
-        path=path, list_schedule=schedule,
+        path=path, list_price=list_price, zeta=0.0,
         offers=UniformOffers(100.0, 200.0),
         withdrawals=withdrawals if withdrawals is not None else ExponentialWithdrawals(5.0),
         reservation=reservation,
@@ -56,12 +56,12 @@ def band_tail(ctx, t, ys):
     a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
     lam = ctx.intensity(a)
     big_lam = float(w @ lam)
-    L_a = ctx.list_schedule(a)
+    L_a = ctx.list_at(a)
     standing = 1.0 - ctx.withdrawals.cdf(t - a)
     band = (ctx.offers.cdf(np.maximum(L_a[None, :], ys[:, None]))
             - ctx.offers.cdf(np.maximum(ctx.reservation, ys))[:, None])
     want = (lam[None, :] * standing[None, :] * band) @ w / big_lam
-    return np.where(ys >= ctx.initial_list, 0.0, np.clip(want, 0.0, 1.0))
+    return np.where(ys >= ctx.list_price, 0.0, np.clip(want, 0.0, 1.0))
 
 
 @st.composite
@@ -76,12 +76,12 @@ def tail_cases(draw):
     mu = draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0)))
     t = draw(st.floats(1e-3, 5.0))
     path = RatePath(0.01, np.full(int(math.ceil(t / 0.01)) + 1, draw(st.floats(1e-3, 0.3))))
-    ctx = PathContext(path=path, list_schedule=list_schedule(R, L0, zeta),
+    ctx = PathContext(path=path, list_price=L0, zeta=zeta,
                       offers=UniformOffers(p_min, p_max),
                       withdrawals=ExponentialWithdrawals(mu), reservation=R,
                       demand=DemandParams(0.5, 1000.0))
     ys = draw(st.lists(st.floats(0.0, 1.3 * p_max), min_size=1, max_size=40))
-    kinks = [R, L0, float(ctx.list_schedule(t)), p_min, p_max]
+    kinks = [R, L0, float(ctx.list_at(t)), p_min, p_max]
     return ctx, t, np.sort(np.concatenate((ys, kinks)))
 
 
@@ -125,19 +125,38 @@ class TestExponentialWithdrawals:
         assert rng.uniform() == fresh.uniform()
 
 
+class TestPathContext:
+    @pytest.mark.parametrize("list_price,zeta,reservation", [
+        (math.nan, 1.0, 140.0), (math.inf, 1.0, 140.0),   # L0 not finite
+        (130.0, 1.0, 140.0),                              # L0 < R
+        (200.0, math.nan, 140.0), (200.0, math.inf, 140.0),
+        (200.0, -0.5, 140.0),                             # zeta not finite or < 0
+        (200.0, 1.0, 0.0), (200.0, 1.0, math.nan),        # R not positive
+    ])
+    def test_rejects_a_list_that_could_rise_or_fall_below_r(self, list_price, zeta,
+                                                             reservation):
+        with pytest.raises(ValueError):
+            dataclasses.replace(flat_rate_ctx(), list_price=list_price, zeta=zeta,
+                                reservation=reservation)
+
+    def test_is_frozen(self):
+        ctx = flat_rate_ctx()
+        with pytest.raises(AttributeError):
+            ctx.list_price = 100.0
+
+
 class TestBelowListProbability:
     def test_list_at_top_of_support(self):
         ctx = flat_rate_ctx()
         assert below_list_probability(ctx, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_list_collapses_to_cdf(self):
-        L = 180.0
-        ctx = flat_rate_ctx(schedule=lambda T: L * np.ones_like(np.asarray(T, dtype=float)))
+        ctx = flat_rate_ctx(list_price=180.0)
         assert below_list_probability(ctx, 1.0) == pytest.approx(0.8, rel=1e-10)
 
     def test_against_pooled_simulation(self, decay_ctx):
         a, values, _ = pooled_offers(decay_ctx, 1.0, 400_000, seed=3)
-        hits = (values < np.asarray(decay_ctx.list_schedule(a))).astype(float)
+        hits = (values < decay_ctx.list_at(a)).astype(float)
         three_sigma("below-list prob", below_list_probability(decay_ctx, 1.0),
                     hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size))
 
@@ -153,9 +172,7 @@ class TestSurvivingOfferTail:
         assert surviving_offer_tail(decay_ctx, 1.0, 250.0) == 0.0
 
     def test_no_withdrawals_constant_list(self):
-        ctx = flat_rate_ctx(
-            schedule=lambda T: 180.0 * np.ones_like(np.asarray(T, dtype=float)),
-            withdrawals=ExponentialWithdrawals(0.0))
+        ctx = flat_rate_ctx(list_price=180.0, withdrawals=ExponentialWithdrawals(0.0))
         # value band (140, 180) of a uniform on (100, 200)
         assert surviving_offer_tail(ctx, 1.0, 0.0) == pytest.approx(0.4, rel=1e-10)
 
@@ -163,7 +180,7 @@ class TestSurvivingOfferTail:
         y = 150.0
         t = 1.0
         a, values, delays = pooled_offers(decay_ctx, t, 400_000, seed=4)
-        L_a = np.asarray(decay_ctx.list_schedule(a))
+        L_a = decay_ctx.list_at(a)
         product = values * ((values >= 140.0) & (values < L_a)) * (delays >= t - a)
         hits = (product > y).astype(float)
         three_sigma("survivor tail", surviving_offer_tail(decay_ctx, t, y),
@@ -198,7 +215,7 @@ class TestSurvivingOfferTail:
         got = surviving_offer_tail(ctx, t, ys)
         assert np.max(np.abs(got - band_tail(ctx, t, ys))) <= 32 * EPS
         assert np.all(np.diff(got) <= 0.0)
-        assert np.all(got[ys >= ctx.initial_list] == 0.0)
+        assert np.all(got[ys >= ctx.list_price] == 0.0)
         assert np.all(got <= below_list_probability(ctx, t) + 1e-12)
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [150.0, math.nan],
@@ -227,7 +244,7 @@ class TestCrossingSurvival:
             if arrivals.size != 3:
                 continue
             values = decay_ctx.offers.sample(rng, 3)
-            hits.append(float(np.all(values < np.asarray(decay_ctx.list_schedule(arrivals)))))
+            hits.append(float(np.all(values < decay_ctx.list_at(arrivals))))
         hits = np.array(hits)
         assert hits.size > 2000
         three_sigma("no-crossing given 3 offers", crossing_survival(decay_ctx, t, 3),
@@ -266,17 +283,15 @@ class TestConditionalPayoffs:
     def test_reservation_at_list_ignores_withdrawals(self):
         # empty in-band region: only the crossing branch remains, which
         # never depends on the withdrawal law
-        sched = lambda T: 180.0 * np.ones_like(np.asarray(T, dtype=float))
         a = conditional_payoff_constant_list(
-            flat_rate_ctx(schedule=sched, reservation=180.0), 1.5)
+            flat_rate_ctx(list_price=180.0, reservation=180.0), 1.5)
         b = conditional_payoff_constant_list(
-            flat_rate_ctx(schedule=sched, reservation=180.0,
+            flat_rate_ctx(list_price=180.0, reservation=180.0,
                           withdrawals=ExponentialWithdrawals(0.0)), 1.5)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_no_list_zero_when_reservation_tops_support(self):
-        sched = lambda T: 220.0 * np.ones_like(np.asarray(T, dtype=float))
-        ctx = flat_rate_ctx(schedule=sched, reservation=220.0)
+        ctx = flat_rate_ctx(list_price=220.0, reservation=220.0)
         assert conditional_payoff_no_list(ctx, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_monte_carlo_no_list(self, decay_ctx):
@@ -325,7 +340,7 @@ class TestExactChangingList:
             a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
             big_lam = float(w @ decay_ctx.intensity(a))
             no_cross = math.exp(big_lam * (below_list_probability(decay_ctx, t) - 1.0))
-            hazard = _above_list_hazard(decay_ctx, t, decay_ctx.list_schedule)
+            hazard = _above_list_hazard(decay_ctx, t, decay_ctx.list_at)
             assert hazard.shape == w.shape
             assert np.all(np.diff(hazard) >= 0.0)
             assert math.exp(-hazard[-1]) == pytest.approx(no_cross, rel=1e-8)
@@ -362,10 +377,9 @@ class TestExpectedPayoff:
         demand = DemandParams(0.5, 1000.0)
         offers = UniformOffers(100.0, 200.0)
         withdrawals = ExponentialWithdrawals(10.0)
-        sched = lambda T: 140.0 + 60.0 * np.exp(-np.asarray(T, dtype=float))
 
         def factory(path):
-            return PathContext(path=path, list_schedule=sched, offers=offers,
+            return PathContext(path=path, list_price=200.0, zeta=1.0, offers=offers,
                                withdrawals=withdrawals, reservation=140.0,
                                demand=demand)
 
@@ -420,13 +434,12 @@ class TestExpectedPayoff:
         # horizon grids are cached and shared by every path, context and
         # later call.  Each horizon's value, computed alone from empty
         # caches, must come out to the last bit when two contexts with
-        # different schedules, offers and withdrawals take turns, on
+        # different lists, offers and withdrawals take turns, on
         # reordered and extended horizon grids
         times, mine = [0.5, 1.0, 2.0], self.ctx_factory()
-        sched = lambda T: 150.0 + 90.0 * np.exp(-2.0 * np.asarray(T, dtype=float))
 
         def other(path):
-            return PathContext(path=path, list_schedule=sched,
+            return PathContext(path=path, list_price=240.0, zeta=2.0,
                                offers=UniformOffers(120.0, 260.0),
                                withdrawals=ExponentialWithdrawals(3.0),
                                reservation=150.0, demand=DemandParams(0.5, 1000.0))

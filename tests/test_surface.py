@@ -32,7 +32,11 @@ def test_benchmark_tracer_finds_every_binding():
     # rather than leaving wrappers behind in this one
     paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
     script = (f"import json, sys\nsys.path[:0] = {paths!r}\nimport tracing\n"
-              "t = tracing.Tracer()\ntracing.install(t)\nprint(json.dumps(t.missing))")
+              "t = tracing.Tracer()\ntracing.install(t)\n"
+              "print(json.dumps([t.missing, t.names, tracing.LAYERS]))")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, cwd=ROOT)
-    assert json.loads(out.stdout) == []
+    missing, spans, layers = json.loads(out.stdout)
+    assert missing == []
+    # every layer the benchmark reports has at least one span to time
+    assert sorted({s.split(".", 1)[0] for s in spans}) == sorted(layers)
