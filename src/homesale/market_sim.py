@@ -30,8 +30,8 @@ from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
-from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _thin,
-                         _thinning_candidates, demand_intensity, sample_nhpp,
+from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _substreams,
+                         _thin, _thinning_candidates, demand_intensity, sample_nhpp,
                          simulate_cir, substream)
 
 __all__ = [
@@ -199,9 +199,10 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
 
     Each generator draws, in order: the thinning candidates and their
     acceptance uniforms, then one offer value and one withdrawal delay
-    per candidate.  The intensity, its domination check and the sale
-    rule then run once per batch, so an attempt's outcome depends only
-    on its own generator, never on the batch it falls in.
+    per candidate, before the next generator is taken from rngs.  The
+    intensity, its domination check and the sale rule then run once per
+    batch, so an attempt's outcome depends only on its own generator,
+    never on the batch it falls in.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
@@ -459,8 +460,10 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
 
     Each query runs n_reps independent sale attempts at the configured
     (reservation, list) pair on the same rate path -- no occupation or
-    shock machinery.  Replication j of query i draws from its own
-    substream, so adding queries or replications never changes others.
+    shock machinery.  Replication j of query i draws from
+    substream(seed, "price", i, j), so adding queries or replications
+    never changes others; _substreams seeds a query's replications in
+    one batch, bit for bit.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -472,7 +475,7 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     for qi, t_post in enumerate(times.tolist()):
         t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
                                     cfg.initial_list)
-        rngs = (substream(seed, "price", qi, j) for j in range(n_reps))
+        rngs = _substreams(seed, "price", qi, count=n_reps)
         prices = np.concatenate([b.price[b.sold]
                                  for b in _sale_attempts(ctx, t_star, rngs)])
         n_sales = prices.size

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from homesale.closed_form import MarketParams
-from homesale.stochastic import CirParams, DemandParams
+from homesale.stochastic import CirParams, DemandParams, _cir_steps
 
 # Reference defaults used across the suite: the waiting-time analysis
 # block and the simulation block.
@@ -31,3 +33,28 @@ def three_sigma(label, analytic, mean, stderr, sigmas=3.0):
     z = (analytic - mean) / stderr
     assert abs(z) <= sigmas, (
         f"{label}: analytic={analytic:.6f} mc={mean:.6f}+-{stderr:.6f} z={z:.2f}")
+
+
+def cir_ensemble(p, horizon, dt, n_paths, seed):
+    """The rates of n_paths independent full-truncation Euler paths, one
+    fresh vector per grid time t = 0, dt, 2*dt, ...; each step draws
+    standard_normal(n_paths) from one generator."""
+    rng = np.random.default_rng(seed)
+    sdt = math.sqrt(dt)
+    cur = np.full(n_paths, p.r0)
+    yield cur
+    for _ in range(_cir_steps(horizon, dt)):
+        pos = np.maximum(cur, 0.0)
+        cur = cur + p.kappa * (p.theta - pos) * dt + p.sigma * np.sqrt(pos) * sdt \
+            * rng.standard_normal(n_paths)
+        np.maximum(cur, 0.0, out=cur)
+        yield cur
+
+
+def cir_ensemble_finals(p, horizon, dt, n_paths, seed):
+    """(final rates, minimum over every path and time) of cir_ensemble,
+    holding one step's vector at a time."""
+    low = math.inf
+    for cur in cir_ensemble(p, horizon, dt, n_paths, seed):
+        low = np.minimum(low, cur.min())  # keeps a NaN
+    return cur, float(low)

@@ -535,3 +535,15 @@ class TestExpectedPriceCurve:
         p_high = expected_price_curve(cfg, [1.0], 4000, seed=10, path=high)[0]
         assert p_low.mean_price > p_high.mean_price
         assert p_low.no_sale_fraction < p_high.no_sale_fraction
+
+    def test_batch_seeding_equals_explicit_substreams(self, monkeypatch):
+        # a reference run that hands _sale_attempts one substream(seed,
+        # "price", qi, j) per replication must give the same curve, field
+        # for field, as the batch-seeded one
+        cfg, seed = make_config(), 2**40 + 7
+        got = expected_price_curve(cfg, [2.0, 9.0, 16.0], 1500, seed)
+        monkeypatch.setattr(market_sim, "_substreams", lambda seed, *prefix, count: (
+            substream(seed, *prefix, j) for j in range(count)))
+        want = expected_price_curve(cfg, [2.0, 9.0, 16.0], 1500, seed)
+        assert all(p.n_sales >= 2 for p in want)  # no NaN field
+        assert got == want

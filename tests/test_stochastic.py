@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import three_sigma
+from conftest import cir_ensemble, cir_ensemble_finals, three_sigma
+from homesale import stochastic
 from homesale.path_payoff import ExponentialWithdrawals, UniformOffers
 from homesale.quadrature import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
-                                 demand_intensity, sample_nhpp, simulate_cir,
-                                 simulate_cir_ensemble, substream)
+                                 _substreams, demand_intensity, sample_nhpp,
+                                 simulate_cir, substream)
 
 
 def simpson_integral(f, t, n_nodes=201):
@@ -28,8 +31,7 @@ class TestCir:
         assert abs(path.values[-1] - ode) < dt
 
     def test_ensemble_mean_matches_analytic(self, sim_cir):
-        ens = simulate_cir_ensemble(sim_cir, 10.0, 1.0 / 252.0, 20_000, seed=2)
-        finals = ens[:, -1]
+        finals, _ = cir_ensemble_finals(sim_cir, 10.0, 1.0 / 252.0, 20_000, seed=2)
         three_sigma("cir mean", sim_cir.mean_at(10.0), finals.mean(),
                     finals.std(ddof=1) / math.sqrt(finals.size))
 
@@ -65,7 +67,7 @@ class TestCir:
     def test_single_path_equals_one_path_ensemble_bitwise(self, sim_cir, sigma, seed):
         p = CirParams(sim_cir.kappa, sim_cir.theta, sigma, sim_cir.r0)
         one = simulate_cir(p, 20.0, DEFAULT_DT, seed).values
-        ens = simulate_cir_ensemble(p, 20.0, DEFAULT_DT, 1, seed)[0]
+        ens = np.concatenate(list(cir_ensemble(p, 20.0, DEFAULT_DT, 1, seed)))
         assert one.tobytes() == ens.tobytes()  # sign bits of floored zeros too
         if sigma > 1:
             assert np.any(one == 0.0)
@@ -259,3 +261,79 @@ class TestSamplers:
         np.testing.assert_array_equal(a, a2)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
+
+
+def draws(rng):
+    # three float32 draws go last and leave half a 64-bit word buffered
+    # in the bit generator
+    return (rng.poisson(3.0, 3), rng.uniform(size=3), rng.standard_normal(3),
+            rng.exponential(size=2), rng.integers(0, 2**40, 2),
+            rng.random(3, dtype=np.float32))
+
+
+def same_draws(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(draws(a), draws(b)))
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+# str parts, one-word ints and ints of two or three 32-bit words; five
+# parts make more than SeedSequence's pool of four words
+PREFIXES = st.lists(st.one_of(st.text(max_size=6), st.integers(0, 2**32 - 1),
+                              st.integers(2**32, 2**70)), max_size=5).map(tuple)
+
+
+class TestBatchSubstreams:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES,
+           count=st.sampled_from([0, 1, 2, stochastic._SEED_BLOCK + 2]))
+    @example(seed=2**64 - 1, prefix=("price", 2**33), count=stochastic._SEED_BLOCK + 2)
+    @example(seed=0, prefix=(), count=3)
+    def test_every_generator_equals_substream_bitwise(self, seed, prefix, count):
+        n = 0
+        for j, rng in enumerate(_substreams(seed, *prefix, count=count)):
+            assert same_draws(rng, substream(seed, *prefix, j)), (seed, prefix, j)
+            n += 1
+        assert n == count
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(max_value=-1), prefix=PREFIXES)
+    def test_negative_seed_raises_like_substream(self, seed, prefix):
+        want = raised(lambda: substream(seed, *prefix, 0))
+        assert raised(lambda: _substreams(seed, *prefix, count=1)) is want
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES, where=st.integers(0, 5),
+           bad=st.one_of(st.floats(), st.integers(max_value=-1)))
+    def test_bad_key_part_raises_like_substream(self, seed, prefix, where, bad):
+        key = prefix[:where] + (bad,) + prefix[where:]
+        want = raised(lambda: substream(seed, *key, 0))
+        assert raised(lambda: _substreams(seed, *key, count=1)) is want
+
+    def test_states_are_derived_in_fixed_blocks(self, monkeypatch):
+        sizes, derive = [], stochastic._pcg64_states
+        monkeypatch.setattr(stochastic, "_pcg64_states",
+                            lambda head, lo, hi: sizes.append(hi - lo) or derive(head, lo, hi))
+        block = stochastic._SEED_BLOCK
+        gens = _substreams(3, "price", 0, count=10**12)
+        next(gens)
+        assert sizes == [block]  # one block, however large count is
+        for _ in zip(range(2 * block), gens):
+            pass
+        assert sizes == [block] * 3
+        sizes.clear()
+        assert sum(1 for _ in _substreams(3, "x", count=2 * block + 5)) == 2 * block + 5
+        assert sizes == [block, block, 5]
+
+    def test_keys_past_one_word_fall_back_to_substream(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_ONE_WORD", 3)
+        n = 0
+        for j, rng in enumerate(_substreams(9, "far", count=6)):
+            assert same_draws(rng, substream(9, "far", j))
+            n += 1
+        assert n == 6
