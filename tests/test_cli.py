@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -564,6 +565,25 @@ class TestPayoffPathCommand:
                    "--seed", "1", "--workers", "1"])
         assert rc == 0
         assert (tmp_path / "payoff_path.csv").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("opts,digest", [
+        # the README run: 200 paths x 40 horizons
+        (["--mode", "changing", "--t-steps", "40", "--n-paths", "200"],
+         "5af314202535be0a76d7f5a2b373c46d3138ebe707d03c5c7f07c4a57781785a"),
+        (["--mode", "constant", "--t-steps", "10", "--n-paths", "20"],
+         "b276b32fd474f1da2ec4b5da51feeeef7ae847e07e0bb1547c26b4051821a7af"),
+        (["--mode", "none", "--t-steps", "10", "--n-paths", "20"],
+         "1fd42535e8ba15af7cff883dc38dfbe1c4d8160319ca69c55353da37c93cf378"),
+    ])
+    def test_payoff_path_digest(self, tmp_path, opts, digest):
+        # the goldens above hold at most 3 paths x 7 horizons; these runs
+        # are too large to keep as files, so their SHA-256 is pinned
+        # instead (taken before horizons were evaluated in path batches)
+        rc = main(["payoff-path", "--out", str(tmp_path), *opts,
+                   "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        got = hashlib.sha256((tmp_path / "payoff_path.csv").read_bytes()).hexdigest()
+        assert got == digest
 
 
 class TestValidateCommand:
