@@ -17,11 +17,16 @@ crossing branch and is exact.  conditional_payoff_changing_list_exact
 and conditional_payoff_constant_list integrate the true first-crossing
 density and match simulation for any decay rate zeta, zero included.
 
-Every Simpson grid has DEFAULT_NODES nodes, read when an evaluation
-runs; grids that do not depend on the rate path are built once per
-horizon and shared read-only.  The changing-list survivor tail sorts
-F(L(a)) and reads each y off suffix sums: O(n log n), within 32 eps of
-the O(n^2) (y, a) band product.  Withdrawals follow one law,
+Each mode has one body, which evaluates one horizon on a batch of
+contexts that differ only in path: what depends on the horizon alone
+(the list, F(L(a)) and its sort order, the Simpson grids, the y grid
+and its searchsorted indices) is computed once, and the rate-driven
+parts are (paths x nodes) arrays reduced row by row.  A path's value is
+the same to the bit in any batch; the one-context public functions are
+the one-path case.  Every Simpson grid has DEFAULT_NODES nodes, read
+when an evaluation runs.  The changing-list survivor tail sorts F(L(a))
+and reads each y off suffix sums: O(n log n), within 32 eps of the
+O(n^2) (y, a) band product.  Withdrawals follow one law,
 ExponentialWithdrawals(mu); mu == 0 means offers never retract.
 
 The rate integral inside the discount factor uses the path's native
@@ -31,8 +36,8 @@ discretization error on top of the quadrature error.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -141,56 +146,96 @@ class PathContext:
         return R + (self.list_price - R) * np.exp(-self.zeta * np.asarray(T, dtype=float))
 
     def intensity(self, a):
-        r = np.maximum(self.path.rate_at(a), RATE_FLOOR)
-        return self.demand.intensity(r, self.list_at(a))
+        return self._demand_at(self.path.rate_at(a), a)
+
+    def _demand_at(self, r, a):
+        """The offer intensity at times a where the rate is r, r floored at
+        RATE_FLOOR; r may hold one row per path, each as long as a."""
+        return self.demand.intensity(np.maximum(r, RATE_FLOOR), self.list_at(a))
 
 
-# The grids below depend on the horizon, the prices and mu, not on the
-# rate path.  An evaluation reads one entry of each cache, and
-# expected_payoff runs one horizon on every path before the next, so a
-# few entries serve any number of paths.
-@functools.lru_cache(maxsize=8)
-def _arrivals(t: float, withdrawals: ExponentialWithdrawals, n: int) -> tuple:
-    """The n Simpson nodes a on [0, t], their weights, the withdrawn share
-    withdrawals.cdf(t - a), and the 2n - 1 point grid of the hazard."""
-    a, w = simpson_nodes(0.0, t, n)
-    grids = a, w, withdrawals.cdf(t - a), np.linspace(0.0, t, 2 * n - 1)
-    for g in grids:
-        g.flags.writeable = False
-    return grids
+# What a batch of contexts must share: everything but the rate path.
+_SHARED = operator.attrgetter("list_price", "zeta", "offers", "withdrawals",
+                              "reservation", "demand")
 
 
-@functools.lru_cache(maxsize=8)
-def _y_grid(L0: float, breaks: tuple[float, ...], n: int) -> tuple:
-    """[0, L0] cut at the breaks into panels of width >= 1e-12, for
-    _best_standing_integral: the first panel's width; its left end, then
-    the n Simpson nodes of each later panel; each later panel's weights.
-    With no such panel (L0 < 1e-12), one of width 0 integrates to 0."""
-    pts = sorted({0.0, *[min(max(b, 0.0), L0) for b in breaks], L0})
-    panels = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if hi - lo >= 1e-12]
-    (lo, hi), *rest = panels or [(0.0, 0.0)]
-    grids = [simpson_nodes(*p, n) for p in rest]
-    y = np.concatenate([[lo], *(x for x, _ in grids)])
-    weights = [w for _, w in grids]
-    for g in (y, *weights):
-        g.flags.writeable = False
-    return hi - lo, y, *weights
+@dataclass(frozen=True)
+class _Arrivals:
+    """One horizon's arrival grid on a batch of rate paths.
+
+    ctx carries everything the batch shares.  The Simpson nodes a on
+    [0, t], their weights w and the withdrawn share held =
+    withdrawals.cdf(t - a) depend on the horizon only.  lam(a) and
+    Lambda(t) = w @ lam hold one row (entry) per live path, a path on
+    which some offer can arrive by t; live marks them in batch order and
+    ctxs lists their contexts.
+    """
+
+    t: float
+    ctx: PathContext
+    ctxs: list
+    a: np.ndarray
+    w: np.ndarray
+    held: np.ndarray
+    lam: np.ndarray
+    big_lam: np.ndarray
+    live: np.ndarray
+
+    def scatter(self, vals) -> np.ndarray:
+        """The live paths' values in batch order, 0.0 on the others."""
+        out = np.zeros(self.live.size)
+        out[self.live] = vals
+        return out
+
+    def cumulative(self, x) -> np.ndarray:
+        """The integrated rate at the times x in [0, t], one row per live
+        path; _arrivals has checked that every path spans [0, t]."""
+        return np.array([c.path._cumulative(x) for c in self.ctxs])
 
 
-def _a_grid(ctx: PathContext, t: float):
-    """Arrival nodes a on [0, t], their Simpson weights w, the withdrawn
-    share held = withdrawals.cdf(t - a), the offer intensity lam(a) and
-    Lambda(t) = w @ lam.
+def _arrivals(ctxs: list, t: float) -> _Arrivals:
+    """The arrival grid of horizon t on contexts that differ only in path.
 
-    Every evaluation at a horizon t builds this grid first, so the
-    horizon check lives here: t must be positive (NaN is rejected).
+    Every evaluation at a horizon builds this grid first, so the checks
+    live here: t must be positive (NaN is rejected), and a context that
+    differs from the first in anything but its path raises ValueError.
     """
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
-    a, w, held, _ = _arrivals(float(t), ctx.withdrawals, DEFAULT_NODES)
-    lam = ctx.intensity(a)
-    big_lam = float(w @ lam)
-    return a, w, held, lam, big_lam
+    t = float(t)
+    ctx = ctxs[0]
+    shared = _SHARED(ctx)
+    if any(_SHARED(c) != shared for c in ctxs):
+        raise ValueError("the contexts of one batch must differ only in path")
+    for c in ctxs:
+        c.path._check_ends(0.0, t)
+    a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
+    lam = ctx._demand_at(np.array([c.path._rate(a) for c in ctxs]), a)
+    big_lam = np.array([float(w @ row) for row in lam])
+    live = big_lam > 0.0
+    return _Arrivals(t, ctx, [c for c, keep in zip(ctxs, live) if keep], a, w,
+                     ctx.withdrawals.cdf(t - a), lam[live], big_lam[live], live)
+
+
+def _one(ctx: PathContext, t: float) -> _Arrivals:
+    """The arrival grid of one context; raises when no offer can arrive."""
+    arr = _arrivals([ctx], t)
+    if not arr.live[0]:
+        raise ValueError("cumulative intensity is zero; probability undefined")
+    return arr
+
+
+def _below_list(arr: _Arrivals, F_L: np.ndarray) -> list[float]:
+    """(1/Lambda) Int lam(a) F_L(a) da per live path, clipped to [0, 1]."""
+    return [min(max(float(arr.w @ row) / bl, 0.0), 1.0)
+            for row, bl in zip(arr.lam * F_L, arr.big_lam)]
+
+
+def _standing_weight(arr: _Arrivals) -> np.ndarray:
+    """The chance that an offer arriving by t still stands at t, per live
+    path: 1 - (1/Lambda) Int lam(a) held(a) da."""
+    return np.array([1.0 - float(arr.w @ row) / bl
+                     for row, bl in zip(arr.lam * arr.held, arr.big_lam)])
 
 
 def below_list_probability(ctx: PathContext, t: float) -> float:
@@ -199,11 +244,8 @@ def below_list_probability(ctx: PathContext, t: float) -> float:
     Arrival times condition to density lam(a)/Lambda(t), so this is
     (1/Lambda) Int lam(a) F(L(a)) da.
     """
-    a, w, _, lam, big_lam = _a_grid(ctx, t)
-    if big_lam <= 0.0:
-        raise ValueError("cumulative intensity is zero; probability undefined")
-    p = float(w @ (lam * ctx.offers.cdf(ctx.list_at(a)))) / big_lam
-    return min(max(p, 0.0), 1.0)
+    arr = _one(ctx, t)
+    return _below_list(arr, ctx.offers.cdf(ctx.list_at(arr.a)))[0]
 
 
 def surviving_offer_tail(ctx: PathContext, t: float, y):
@@ -215,37 +257,38 @@ def surviving_offer_tail(ctx: PathContext, t: float, y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if not (np.isfinite(y_arr).all() and (y_arr >= 0).all()):
         raise ValueError("y must be finite and non-negative")
-    a, w, held, lam, big_lam = _a_grid(ctx, t)
-    if big_lam <= 0.0:
-        raise ValueError("cumulative intensity is zero; probability undefined")
-    F_L = ctx.offers.cdf(ctx.list_at(a))
-    out = np.where(y_arr >= ctx.list_price, 0.0,
-                   _offer_tail(ctx, w, held, lam, big_lam, F_L)(y_arr))
+    arr = _one(ctx, t)
+    F_L = ctx.offers.cdf(ctx.list_at(arr.a))
+    out = np.where(y_arr >= ctx.list_price, 0.0, _offer_tail(arr, F_L)(y_arr)[0])
     return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
 
-def _offer_tail(ctx: PathContext, w: np.ndarray, held: np.ndarray, lam: np.ndarray,
-                big_lam: float, F_L: np.ndarray) -> Callable:
-    """surviving_offer_tail as a function of a 1-D y array, on an arrival
-    grid the caller has already built (big_lam > 0, y >= 0 unchecked).
+def _offer_tail(arr: _Arrivals, F_L: np.ndarray) -> Callable:
+    """surviving_offer_tail as a function of a 1-D y array, one row per
+    live path (y >= 0 unchecked).
 
     With F_L = F(L(a)) >= F(R) and f = F(max(R, y)), Lambda tail(y) sums
     c (F_L - f), c = lam (1 - held) w, over the nodes with F_L > f: on F
     sorted ascending, G[k] + (F[k] - f) S0[k] at k = searchsorted(F, f,
     "right"), S0 and G the suffix sums of c and (F[m+1] - F[m]) S0[m+1].
-    No term is negative, so the tail is exactly non-increasing in y and
-    within 32 eps of the band product (4 eps on Table 2 paths).
+    F_L, its order and k depend on the horizon only; a cumulative sum
+    along a row adds in the same order as on a 1-D array.  No term is
+    negative, so the tail is exactly non-increasing in y and within 32
+    eps of the band product (4 eps on Table 2 paths).
     """
-    c = lam * (1.0 - held) * w
+    ctx = arr.ctx
+    c = arr.lam * (1.0 - arr.held) * arr.w
     order = np.argsort(F_L, kind="stable")
     F = np.concatenate((F_L[order], [1.0]))
-    S0 = np.concatenate(([0.0], c[order][::-1])).cumsum()[::-1]
-    G = np.concatenate(([0.0, 0.0], ((F[1:-1] - F[:-2]) * S0[1:-1])[::-1])).cumsum()[::-1]
+    zero = np.zeros((len(c), 1))
+    S0 = np.concatenate((zero, c[:, order][:, ::-1]), axis=1).cumsum(axis=1)[:, ::-1]
+    G = np.concatenate((zero, zero, ((F[1:-1] - F[:-2]) * S0[:, 1:-1])[:, ::-1]),
+                       axis=1).cumsum(axis=1)[:, ::-1]
 
     def tail(y_arr):
         f = ctx.offers.cdf(np.maximum(ctx.reservation, y_arr))
         k = F[:-1].searchsorted(f, side="right")
-        return np.minimum((G[k] + (F[k] - f) * S0[k]) / big_lam, 1.0)
+        return np.minimum((G[:, k] + (F[k] - f) * S0[:, k]) / arr.big_lam[:, None], 1.0)
 
     return tail
 
@@ -261,25 +304,37 @@ def crossing_survival(ctx: PathContext, t: float, n: int) -> float:
     return below_list_probability(ctx, t) ** n
 
 
-def _best_standing_integral(L0: float, breaks: list[float], big_lam: float,
-                            tail_fn: Callable, complement: bool = False) -> float:
-    """Int_0^{L0} exp(-Lambda * tail(y)) dy with nodes pinned at the kinks.
+def _best_standing_integral(L0: float, breaks: list[float], big_lam: np.ndarray,
+                            tail_fn: Callable, complement: bool = False) -> list[float]:
+    """Int_0^{L0} exp(-Lambda * tail(y)) dy with nodes pinned at the kinks,
+    per live path: tail_fn maps the y grid to one row per path.
 
-    The tail is constant in y below the first break (the reservation
-    price), so that panel is exact; the others get a Simpson grid each,
-    all fed to one tail_fn call.  complement integrates 1 - exp(-Lambda
-    tail(y)) instead, through expm1 so that small tails keep precision.
+    [0, L0] is cut at the breaks into panels of width >= 1e-12.  The
+    tail is constant in y below the first break (the reservation price),
+    so that panel is exact (one of width 0 when L0 < 1e-12); the others
+    get a Simpson grid each, all fed to one tail_fn call.  complement
+    integrates 1 - exp(-Lambda tail(y)) instead, through expm1 so that
+    small tails keep precision.
     """
     if complement:
         scalar_f, array_f = (lambda x: -math.expm1(x)), (lambda x: -np.expm1(x))
     else:
         scalar_f, array_f = math.exp, np.exp
-    width, y, *weights = _y_grid(L0, tuple(breaks), DEFAULT_NODES)
-    x = -big_lam * tail_fn(y)
-    total = width * scalar_f(float(x[0]))
-    for wy, row in zip(weights, x[1:].reshape(len(weights), DEFAULT_NODES)):
-        total += float(wy @ array_f(row))
-    return total
+    pts = sorted({0.0, *[min(max(b, 0.0), L0) for b in breaks], L0})
+    panels = [(lo, hi) for lo, hi in zip(pts, pts[1:]) if hi - lo >= 1e-12]
+    (lo, hi), *rest = panels or [(0.0, 0.0)]
+    grids = [simpson_nodes(*p, DEFAULT_NODES) for p in rest]
+    x = -big_lam[:, None] * tail_fn(np.concatenate([[lo], *(y for y, _ in grids)]))
+    # one C-ordered row per path: a dot over a strided row sums in
+    # another order than over a contiguous one
+    x = np.ascontiguousarray(x)
+    totals = []
+    for x0, row in zip(x[:, 0], array_f(x[:, 1:])):
+        total = (hi - lo) * scalar_f(float(x0))
+        for (_, wy), panel in zip(grids, row.reshape(len(grids), DEFAULT_NODES)):
+            total += float(wy @ panel)
+        totals.append(total)
+    return totals
 
 
 def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray) -> np.ndarray:
@@ -298,22 +353,26 @@ def _mean_above_list(ctx: PathContext, L_a: np.ndarray, F_L: np.ndarray) -> np.n
     return out
 
 
-def _above_list_hazard(ctx: PathContext, t: float, beat: Callable) -> np.ndarray:
+def _above_list_hazard(arr: _Arrivals, beat: Callable) -> np.ndarray:
     """H(a) = Int_0^a lam(s) (1 - F(beat(s))) ds at the DEFAULT_NODES
-    arrival nodes, beat(s) being the list an offer arriving at s must meet.
+    arrival nodes, one row per live path, beat(s) being the list an offer
+    arriving at s must meet.
 
     Each gap between neighbouring nodes is one Simpson panel through its
     midpoint, so the running total is a Simpson quadrature as accurate
     as the payoff's own, not a trapezoid over the nodes.
     """
-    s = _arrivals(float(t), ctx.withdrawals, DEFAULT_NODES)[3]
-    h = ctx.intensity(s) * (1.0 - ctx.offers.cdf(beat(s)))
-    panels = (h[:-2:2] + 4.0 * h[1:-1:2] + h[2::2]) * (s[1] - s[0]) / 3.0
-    return np.concatenate(([0.0], np.cumsum(panels)))
+    ctx = arr.ctx
+    s = np.linspace(0.0, arr.t, 2 * DEFAULT_NODES - 1)
+    lam = ctx._demand_at(np.array([c.path._rate(s) for c in arr.ctxs]), s)
+    h = lam * (1.0 - ctx.offers.cdf(beat(s)))
+    panels = (h[:, :-2:2] + 4.0 * h[:, 1:-1:2] + h[:, 2::2]) * (s[1] - s[0]) / 3.0
+    return np.concatenate((np.zeros((len(h), 1)), np.cumsum(panels, axis=1)), axis=1)
 
 
-def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
-    """The one changing-list body; 0.0 when no offer can arrive by t.
+def _changing_list(ctxs: list, t: float, exact: bool) -> np.ndarray:
+    """The one changing-list body, at horizon t on contexts that differ
+    only in path; 0.0 on a path where no offer can arrive by t.
 
     The above-list and below-list offers are independent thinned Poisson
     streams (marking theorem), so the no-crossing branch -- the chance
@@ -322,32 +381,39 @@ def _changing_list(ctx: PathContext, t: float, exact: bool) -> float:
     exact selects the crossing branch: the first-crossing density
     h(a) exp(-H(a)) with h(a) = lam(a) (1 - F(L(a))), or the published
     lam(a)/Lambda(t) spread scaled by the crossing chance.
-    """
-    a, w, held, lam, big_lam = _a_grid(ctx, t)
-    if big_lam <= 0.0:
-        return 0.0
-    L_a = ctx.list_at(a)
-    F_L = ctx.offers.cdf(L_a)
-    phi = min(max(float(w @ (lam * F_L)) / big_lam, 0.0), 1.0)
-    # a runs from 0 to t exactly: its ends give L(0), L(t) and disc(t);
-    # ctx.intensity(a) in _a_grid has checked its span
-    cum_a = np.asarray(ctx.path._cumulative(a), dtype=float)
-    disc_t = math.exp(-float(cum_a[-1]))
-    no_cross = math.exp(big_lam * (phi - 1.0))
-    L0 = float(L_a[0])
-    integral = _best_standing_integral(
-        L0, [ctx.reservation, float(L_a[-1])], big_lam,
-        _offer_tail(ctx, w, held, lam, big_lam, F_L))
-    best_standing = disc_t * no_cross * (L0 - integral)
 
+    The list and everything it fixes are computed once; the rate-driven
+    parts are (paths x nodes) arrays, and every per-path scalar is a 1-D
+    dot or a float expression in the order of a one-path evaluation.
+    """
+    arr = _arrivals(ctxs, t)
+    if not arr.ctxs:
+        return arr.scatter([])
+    ctx, w, lam = arr.ctx, arr.w, arr.lam
+    L_a = ctx.list_at(arr.a)
+    F_L = ctx.offers.cdf(L_a)
+    # a runs from 0 to t exactly: its ends give L(0), L(t) and disc(t)
+    cum_a = arr.cumulative(arr.a)
+    L0 = float(L_a[0])
+    integrals = _best_standing_integral(L0, [ctx.reservation, float(L_a[-1])],
+                                        arr.big_lam, _offer_tail(arr, F_L))
     disc_a = np.exp(-cum_a)
     mean_above = _mean_above_list(ctx, L_a, F_L)
     if exact:
-        first_cross = lam * (1.0 - F_L) * np.exp(
-            -_above_list_hazard(ctx, t, ctx.list_at))
-        return best_standing + float(w @ (first_cross * disc_a * mean_above))
-    crossing = (1.0 - no_cross) * float(w @ (lam * disc_a * mean_above)) / big_lam
-    return best_standing + crossing
+        first_cross = lam * (1.0 - F_L) * np.exp(-_above_list_hazard(arr, ctx.list_at))
+        crossing = first_cross * disc_a * mean_above
+    else:
+        crossing = lam * disc_a * mean_above
+    vals = []
+    for bl, phi, cum_t, integral, row in zip(arr.big_lam, _below_list(arr, F_L),
+                                             cum_a[:, -1], integrals, crossing):
+        no_cross = math.exp(bl * (phi - 1.0))
+        best_standing = math.exp(-float(cum_t)) * no_cross * (L0 - integral)
+        if exact:
+            vals.append(best_standing + float(w @ row))
+        else:
+            vals.append(best_standing + (1.0 - no_cross) * float(w @ row) / bl)
+    return arr.scatter(vals)
 
 
 def conditional_payoff_changing_list(ctx: PathContext, t: float) -> float:
@@ -364,7 +430,7 @@ def conditional_payoff_changing_list(ctx: PathContext, t: float) -> float:
     quantifies the signed gap; conditional_payoff_changing_list_exact is
     the variant that matches.
     """
-    return _changing_list(ctx, t, exact=False)
+    return float(_changing_list([ctx], t, exact=False)[0])
 
 
 def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
@@ -378,7 +444,43 @@ def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
     E[offer | offer >= L(a)] da.  Under a flat list at or above p_max
     nothing crosses and this equals conditional_payoff_constant_list.
     """
-    return _changing_list(ctx, t, exact=True)
+    return float(_changing_list([ctx], t, exact=True)[0])
+
+
+def _changing_published(ctxs: list, t: float) -> np.ndarray:
+    return _changing_list(ctxs, t, exact=False)
+
+
+def _constant_list(ctxs: list, t: float) -> np.ndarray:
+    """The constant-list body, at horizon t on contexts that differ only
+    in path; see conditional_payoff_constant_list."""
+    arr = _arrivals(ctxs, t)
+    if not arr.ctxs:
+        return arr.scatter([])
+    ctx, w = arr.ctx, arr.w
+    L = ctx.list_price
+    F_L = float(ctx.offers.cdf(np.array([L]))[0])
+    standing = _standing_weight(arr)
+
+    def tail(y):
+        band = (ctx.offers.cdf(np.maximum(L, y))
+                - ctx.offers.cdf(np.maximum(ctx.reservation, y)))
+        return band * standing[:, None]
+
+    integrals = _best_standing_integral(L, [ctx.reservation], arr.big_lam, tail)
+    crossing = [0.0] * len(arr.ctxs)
+    if F_L < _SATURATED:
+        mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
+        disc_a = np.exp(-arr.cumulative(arr.a))
+        survive = np.exp(-_above_list_hazard(arr, lambda s: L))
+        crossing = [mean_above * (1.0 - F_L) * float(w @ row)
+                    for row in arr.lam * survive * disc_a]
+    vals = []
+    for bl, cum_t, integral, cross in zip(arr.big_lam, arr.cumulative(t), integrals,
+                                          crossing):
+        no_cross = math.exp(bl * (F_L - 1.0))
+        vals.append(math.exp(-float(cum_t)) * no_cross * (L - integral) + cross)
+    return arr.scatter(vals)
 
 
 def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
@@ -391,31 +493,27 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     the running hazard of the flat list; a list at p_max or above admits
     no crossing.
     """
-    a, w, held, lam, big_lam = _a_grid(ctx, t)
-    if big_lam <= 0.0:
-        return 0.0
-    L = ctx.list_price
-    F_L = float(ctx.offers.cdf(np.array([L]))[0])
-    standing_weight = 1.0 - float(w @ (lam * held)) / big_lam
-    disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))
-    no_cross = math.exp(big_lam * (F_L - 1.0))
+    return float(_constant_list([ctx], t)[0])
+
+
+def _no_list(ctxs: list, t: float) -> np.ndarray:
+    """The no-list body, at horizon t on contexts that differ only in
+    path; see conditional_payoff_no_list."""
+    arr = _arrivals(ctxs, t)
+    if not arr.ctxs:
+        return arr.scatter([])
+    ctx = arr.ctx
+    standing = _standing_weight(arr)
 
     def tail(y):
-        band = (ctx.offers.cdf(np.maximum(L, y))
-                - ctx.offers.cdf(np.maximum(ctx.reservation, y)))
-        return band * standing_weight
+        return (1.0 - ctx.offers.cdf(np.maximum(ctx.reservation, y))) * standing[:, None]
 
-    integral = _best_standing_integral(L, [ctx.reservation], big_lam, tail)
-    best_standing = disc_t * no_cross * (L - integral)
-
-    crossing = 0.0
-    if F_L < _SATURATED:
-        mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
-        # ctx.intensity(a) in _a_grid has checked a's span
-        disc_a = np.exp(-np.asarray(ctx.path._cumulative(a), dtype=float))
-        survive = np.exp(-_above_list_hazard(ctx, t, lambda s: L))
-        crossing = mean_above * (1.0 - F_L) * float(w @ (lam * survive * disc_a))
-    return best_standing + crossing
+    # E[best] = Int_0^inf P(best > y) dy, and P(best > y) vanishes beyond
+    # the offer support, so the integral stops at p_max
+    integrals = _best_standing_integral(ctx.offers.p_max, [ctx.reservation],
+                                        arr.big_lam, tail, complement=True)
+    return arr.scatter([math.exp(-float(cum_t)) * integral
+                        for cum_t, integral in zip(arr.cumulative(t), integrals)])
 
 
 def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
@@ -424,33 +522,26 @@ def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
     The seller simply keeps the best offer above the reservation price
     that is still standing at t.
     """
-    _, w, held, lam, big_lam = _a_grid(ctx, t)
-    if big_lam <= 0.0:
-        return 0.0
-    standing_weight = 1.0 - float(w @ (lam * held)) / big_lam
-    disc_t = math.exp(-float(ctx.path.cumulative_rate(t)))
-
-    def tail(y):
-        return (1.0 - ctx.offers.cdf(np.maximum(ctx.reservation, y))) * standing_weight
-
-    # E[best] = Int_0^inf P(best > y) dy, and P(best > y) vanishes beyond
-    # the offer support, so the integral stops at p_max
-    return disc_t * _best_standing_integral(ctx.offers.p_max, [ctx.reservation],
-                                            big_lam, tail, complement=True)
+    return float(_no_list([ctx], t)[0])
 
 
+# mode -> body: each takes one horizon's contexts and returns an array
 _MODES = {
-    "changing": conditional_payoff_changing_list,
-    "constant": conditional_payoff_constant_list,
-    "none": conditional_payoff_no_list,
+    "changing": _changing_published,
+    "constant": _constant_list,
+    "none": _no_list,
 }
+
+# Paths simulated and evaluated together: the paths held and one
+# horizon's batch arrays have at most this many rows, whatever n_paths is.
+_CHUNK = 256
 
 
 def conditional_payoff(ctx: PathContext, t: float, mode: str) -> float:
     """Dispatch to the changing/constant/no-list conditional payoff."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    return _MODES[mode](ctx, t)
+    return float(_MODES[mode]([ctx], t)[0])
 
 
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
@@ -460,11 +551,14 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     """Monte Carlo mean of a conditional payoff over independent rate
     paths, at every horizon of the 1-D grid times.
 
-    ctx_factory builds the evaluation context for each simulated path.
-    Each replication simulates one path, to the largest horizon, and
-    each horizon is evaluated on every path in turn: a shorter path is
-    an exact prefix of a longer one from the same substream, so a
-    horizon's value does not depend on the rest of the grid.  Returns
+    ctx_factory builds the evaluation context for each simulated path;
+    the contexts must differ only in path.  Each replication simulates
+    one path, to the largest horizon: a shorter path is an exact prefix
+    of a longer one from the same substream, so a horizon's value does
+    not depend on the rest of the grid.  The paths are simulated _CHUNK
+    at a time, and each horizon is evaluated on a chunk in one batch,
+    every path's value bit for bit its one-path conditional payoff; so
+    only the (horizons x paths) values grow with n_paths.  Returns
     (means, standard errors), one entry per horizon; path i is drawn
     from its own substream of the seed, so adding paths never changes
     earlier ones.  A single path reports path 0 with standard error 0.0.
@@ -477,17 +571,18 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid of horizons")
     dt = DEFAULT_DT if dt is None else dt
-    conditional = _MODES[mode]
+    body = _MODES[mode]
 
-    # row k holds horizon k's path values, contiguous for the reductions;
-    # one horizon runs on every path before the next, so it reuses grids
+    # row k holds horizon k's path values, contiguous for the reductions
     vals = np.empty((times.size, n_paths))
     if times.size:
         horizon = max(float(times.max()), dt)
-        ctxs = [ctx_factory(simulate_cir(cir, horizon, dt, substream(seed, "payoff-path", i)))
-                for i in range(n_paths)]
-        for k, t in enumerate(times):
-            vals[k] = [conditional(ctx, t) for ctx in ctxs]
+        for lo in range(0, n_paths, _CHUNK):
+            ctxs = [ctx_factory(simulate_cir(cir, horizon, dt,
+                                             substream(seed, "payoff-path", i)))
+                    for i in range(lo, min(lo + _CHUNK, n_paths))]
+            for k, t in enumerate(times):
+                vals[k, lo:lo + _CHUNK] = body(ctxs, t)
     means = np.array([np.mean(v) for v in vals])
     if n_paths == 1:
         return means, np.zeros(times.size)

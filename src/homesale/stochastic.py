@@ -41,10 +41,21 @@ RATE_FLOOR = 1e-4
 DEFAULT_DT = 1.0 / 252.0
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but True would silently alias seed 1
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _seed(seed) -> int:
+    if not _is_int(seed):
+        raise TypeError(f"substream seed must be an int, got {type(seed)}")
+    return int(seed)
+
+
 def _encode_key(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("utf-8"))
-    if isinstance(part, (int, np.integer)):
+    if _is_int(part):
         return int(part)
     raise TypeError(f"substream key parts must be str or int, got {type(part)}")
 
@@ -53,9 +64,11 @@ def substream(seed: int, *key) -> np.random.Generator:
     """Independent generator for (seed, key...) under a counter scheme.
 
     Distinct keys give statistically independent streams; the same key
-    always reproduces the same stream.
+    always reproduces the same stream.  The seed and int key parts must
+    be ints (numpy integers included, bool excluded): a float or bool
+    raises TypeError rather than share the stream of its int value.
     """
-    entropy = [int(seed)] + [_encode_key(p) for p in key]
+    entropy = [_seed(seed)] + [_encode_key(p) for p in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -138,7 +151,7 @@ def _substreams(seed: int, *prefix, count: int):
     is reused: each yielded one is valid only until the next is drawn,
     so consume it before advancing the iterator.
     """
-    head = _words(int(seed))  # raises here, as substream would, not at the first draw
+    head = _words(_seed(seed))  # raises here, as substream would, not at the first draw
     for part in prefix:
         head += _words(_encode_key(part))
 
@@ -216,12 +229,13 @@ class RatePath:
         return np.concatenate(([0.0], np.cumsum(mids)))
 
     def _check_span(self, t) -> None:
-        # a relative slack of 1e-12 absorbs rounding in callers' grids
         t = np.asarray(t, dtype=float)
-        if t.size == 0:
-            return
+        if t.size:
+            self._check_ends(float(t.min()), float(t.max()))
+
+    def _check_ends(self, lo: float, hi: float) -> None:
+        # a relative slack of 1e-12 absorbs rounding in callers' grids
         slack = 1e-12 * self.horizon
-        lo, hi = float(t.min()), float(t.max())
         if not (lo >= -slack and hi <= self.horizon + slack):
             raise ValueError(f"time outside the rate path [0, {self.horizon:g}]: "
                              f"got [{lo:g}, {hi:g}]")
@@ -229,6 +243,10 @@ class RatePath:
     def rate_at(self, t):
         """Linear interpolation of the rate; raises outside [0, horizon]."""
         self._check_span(t)
+        return self._rate(t)
+
+    def _rate(self, t):
+        # rate_at without the span check, for times already checked
         return np.interp(t, self.times, self.values)
 
     def cumulative_rate(self, t):
@@ -238,8 +256,7 @@ class RatePath:
         return self._cumulative(t)
 
     def _cumulative(self, t):
-        # cumulative_rate without the span check, for a grid whose span
-        # rate_at has already checked
+        # cumulative_rate without the span check, for times already checked
         return np.interp(t, self.times, self._cum)
 
     def shifted(self, start: float, horizon: float) -> "RatePath":

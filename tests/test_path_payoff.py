@@ -12,7 +12,8 @@ from homesale.closed_form import MarketParams, thinned_payoff
 from homesale.oracle import mc_path_payoff, sigma0_table2_path, table2_context
 from homesale import path_payoff
 from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathContext,
-                                  UniformOffers, _above_list_hazard, below_list_probability,
+                                  UniformOffers, _above_list_hazard, _arrivals,
+                                  below_list_probability,
                                   conditional_payoff_changing_list,
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
@@ -340,7 +341,7 @@ class TestExactChangingList:
             a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
             big_lam = float(w @ decay_ctx.intensity(a))
             no_cross = math.exp(big_lam * (below_list_probability(decay_ctx, t) - 1.0))
-            hazard = _above_list_hazard(decay_ctx, t, decay_ctx.list_at)
+            hazard = _above_list_hazard(_arrivals([decay_ctx], t), decay_ctx.list_at)[0]
             assert hazard.shape == w.shape
             assert np.all(np.diff(hazard) >= 0.0)
             assert math.exp(-hazard[-1]) == pytest.approx(no_cross, rel=1e-8)
@@ -431,11 +432,10 @@ class TestExpectedPayoff:
             assert means[k] == m[0] and stderrs[k] == s[0]
 
     def test_shared_grids_leak_nothing(self, sim_cir):
-        # horizon grids are cached and shared by every path, context and
-        # later call.  Each horizon's value, computed alone from empty
-        # caches, must come out to the last bit when two contexts with
-        # different lists, offers and withdrawals take turns, on
-        # reordered and extended horizon grids
+        # a horizon's grids are shared by every path of its batch.  Each
+        # horizon's value, computed alone, must come out to the last bit
+        # when two contexts with different lists, offers and withdrawals
+        # take turns, on reordered and extended horizon grids
         times, mine = [0.5, 1.0, 2.0], self.ctx_factory()
 
         def other(path):
@@ -449,34 +449,133 @@ class TestExpectedPayoff:
             return {t: (m[k], s[k]) for k, t in enumerate(grid)}
 
         for mode in ("changing", "constant", "none"):
-            cold = {}
-            for factory in (mine, other):
-                for t in times:
-                    path_payoff._arrivals.cache_clear()
-                    path_payoff._y_grid.cache_clear()
-                    cold[factory, t] = run(factory, [t], mode)[t]
+            alone = {(factory, t): run(factory, [t], mode)[t]
+                     for factory in (mine, other) for t in times}
             for grid in ([0.25, *times, 1.5], [2.0, 1.0, 0.5],
                          [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]):
                 for factory in (other, mine):
                     got = run(factory, grid, mode)
-                    assert all(got[t] == cold[factory, t] for t in times), (mode, grid)
-        width, *grids = path_payoff._y_grid(200.0, (140.0, 160.0), DEFAULT_NODES)
-        grids += path_payoff._arrivals(1.0, ExponentialWithdrawals(5.0), DEFAULT_NODES)
-        assert width == 140.0 and not any(g.flags.writeable for g in grids)
+                    assert all(got[t] == alone[factory, t] for t in times), (mode, grid)
 
-    def test_grids_built_once_per_horizon(self, sim_cir):
-        # one horizon runs on every path before the next, so caches far
-        # smaller than the horizon grid still build each horizon's grids
-        # once, not once per (path, horizon)
-        path_payoff._arrivals.cache_clear()
-        path_payoff._y_grid.cache_clear()
-        expected_payoff(self.ctx_factory(), sim_cir, np.linspace(0.05, 2.0, 40), 5, seed=3)
-        assert path_payoff._arrivals.cache_info().misses == 40
-        assert path_payoff._y_grid.cache_info().misses == 40
+    def test_grids_built_once_per_horizon(self, sim_cir, monkeypatch):
+        # one body call per horizon and chunk of paths builds the arrival
+        # grid once for all its paths, not once per (path, horizon)
+        built = []
+
+        def counted(ctxs, t):
+            built.append(len(ctxs))
+            return _arrivals(ctxs, t)
+
+        monkeypatch.setattr(path_payoff, "_arrivals", counted)
+        for chunk, calls in ((256, 40), (2, 120)):
+            monkeypatch.setattr(path_payoff, "_CHUNK", chunk)
+            built.clear()
+            expected_payoff(self.ctx_factory(), sim_cir, np.linspace(0.05, 2.0, 40), 5,
+                            seed=3)
+            assert len(built) == calls and sum(built) == 40 * 5 and max(built) <= chunk
 
     def test_empty_grid(self, sim_cir):
         means, stderrs = expected_payoff(self.ctx_factory(), sim_cir, [], 4, seed=0)
         assert means.shape == stderrs.shape == (0,)
+
+
+# Each mode's batch body and the one-path public function that is its
+# one-path case.
+BODIES = [
+    (lambda ctxs, t: path_payoff._changing_list(ctxs, t, exact=False),
+     conditional_payoff_changing_list),
+    (lambda ctxs, t: path_payoff._changing_list(ctxs, t, exact=True),
+     conditional_payoff_changing_list_exact),
+    (path_payoff._constant_list, conditional_payoff_constant_list),
+    (path_payoff._no_list, conditional_payoff_no_list),
+]
+
+
+@st.composite
+def path_batches(draw):
+    """(contexts that differ only in path, horizon): CIR paths of
+    different lengths that all cover t, one of them floored at zero, so
+    below RATE_FLOOR, at its first node and after every third."""
+    p_min = draw(st.floats(50.0, 150.0))
+    p_max = p_min + draw(st.floats(10.0, 150.0))
+    R = draw(st.floats(0.8 * p_min, p_max))
+    L0 = R + draw(st.floats(0.0, 1.0)) * (1.2 * p_max - R)
+    t = draw(st.floats(1e-3, 2.0))
+    dt = draw(st.sampled_from([DEFAULT_DT, 0.01, 0.1]))
+    cir = CirParams(kappa=draw(st.floats(0.05, 2.0)), theta=draw(st.floats(0.005, 0.2)),
+                    sigma=draw(st.floats(0.0, 0.8)), r0=draw(st.floats(1e-3, 0.2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    paths = [simulate_cir(cir, max(t, dt) + draw(st.floats(0.0, 1.0)), dt,
+                          substream(seed, "batch", i))
+             for i in range(draw(st.integers(1, 6)))]
+    floored = paths[0].values.copy()
+    floored[::3] = 0.0
+    paths.insert(draw(st.integers(0, len(paths))), RatePath(dt, floored))
+    offers = UniformOffers(p_min, p_max)
+    withdrawals = ExponentialWithdrawals(draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))))
+    demand = DemandParams(draw(st.floats(0.0, 1.0)), draw(st.floats(1.0, 2000.0)))
+    zeta = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    ctxs = [PathContext(path=p, list_price=L0, zeta=zeta, offers=offers,
+                        withdrawals=withdrawals, reservation=R, demand=demand)
+            for p in paths]
+    return ctxs, t
+
+
+class TestBatchBodies:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(path_batches())
+    def test_batch_equals_one_path(self, case):
+        # every path's value in a batch is its one-path value to the bit,
+        # whatever its row, its length or the other paths
+        ctxs, t = case
+        for body, one_path in BODIES:
+            got = body(ctxs, t)
+            assert got.shape == (len(ctxs),)
+            assert got.tolist() == [one_path(ctx, t) for ctx in ctxs]
+
+    def test_path_without_offers_pays_zero_in_a_batch(self):
+        # k1 = 5e-324 makes lam(a) exactly 0 where r >= 2, while a path
+        # floored at RATE_FLOOR still gets offers
+        ctx = dataclasses.replace(flat_rate_ctx(list_price=180.0),
+                                  demand=DemandParams(5e-324, 0.0))
+        dead = dataclasses.replace(ctx, path=RatePath(0.005, np.full(501, 3.0)))
+        live = dataclasses.replace(ctx, path=RatePath(0.005, np.zeros(501)))
+        for body, one_path in BODIES:
+            assert one_path(dead, 1.0) == 0.0
+            got = body([dead, live, dead], 1.0)
+            assert got.tolist() == [0.0, one_path(live, 1.0), 0.0]
+        with pytest.raises(ValueError, match="cumulative intensity is zero"):
+            below_list_probability(dead, 1.0)
+
+    @pytest.mark.parametrize("change", [{"list_price": 190.0}, {"zeta": 0.5},
+                                        {"reservation": 130.0},
+                                        {"withdrawals": ExponentialWithdrawals(2.0)}])
+    def test_contexts_differing_beyond_path_raise(self, change):
+        path = sigma0_table2_path(2.5)
+        ctx = table2_context(path)
+        bad = dataclasses.replace(table2_context(sigma0_table2_path(3.0)), **change)
+        for body, _ in BODIES:
+            with pytest.raises(ValueError, match="differ only in path"):
+                body([ctx, bad], 1.0)
+
+    @pytest.mark.parametrize("mode", ["changing", "constant", "none"])
+    @pytest.mark.parametrize("n_paths", [1, 3, 4])
+    def test_chunks_equal_one_path(self, sim_cir, monkeypatch, mode, n_paths):
+        # with three paths a chunk: one path, one full chunk, and a full
+        # chunk plus one
+        monkeypatch.setattr(path_payoff, "_CHUNK", 3)
+        factory, times = TestExpectedPayoff().ctx_factory(), [0.3, 1.0, 1.7]
+        means, stderrs = expected_payoff(factory, sim_cir, times, n_paths, seed=5, mode=mode)
+        ctxs = [factory(simulate_cir(sim_cir, 1.7, DEFAULT_DT, substream(5, "payoff-path", i)))
+                for i in range(n_paths)]
+        one_path = {"changing": conditional_payoff_changing_list,
+                    "constant": conditional_payoff_constant_list,
+                    "none": conditional_payoff_no_list}[mode]
+        for k, t in enumerate(times):
+            vals = np.array([one_path(ctx, t) for ctx in ctxs])
+            assert means[k] == np.mean(vals)
+            if n_paths > 1:
+                assert stderrs[k] == np.std(vals, ddof=1) / math.sqrt(n_paths)
 
 
 class TestPathEnd:

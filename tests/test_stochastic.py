@@ -315,6 +315,24 @@ class TestBatchSubstreams:
         want = raised(lambda: substream(seed, *key, 0))
         assert raised(lambda: _substreams(seed, *key, count=1)) is want
 
+    @pytest.mark.parametrize("seed, key", [
+        (1.9, ()), (1.0, ()), (True, ()), (np.True_, ()), (np.float64(1.0), ()),
+        (1, (True,)), (1, ("x", False)), (1, (np.True_,)), (1, (2.0,)),
+    ])
+    def test_float_or_bool_seed_or_key_raises_type_error(self, seed, key):
+        # int(1.9) and True would otherwise share seed 1's stream
+        for call in (lambda: substream(seed, "x", *key),
+                     lambda: _substreams(seed, "x", *key, count=1)):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("seed, key", [(np.int64(7), ("x",)), (np.uint32(7), ("x",)),
+                                           (7, ("x", np.int32(3))), (7, ("x", np.uint64(3)))])
+    def test_numpy_integers_are_ints(self, seed, key):
+        want = substream(int(seed), *(int(k) if not isinstance(k, str) else k for k in key))
+        assert same_draws(substream(seed, *key), want)
+        assert same_draws(next(_substreams(seed, *key, count=1)), substream(seed, *key, 0))
+
     def test_states_are_derived_in_fixed_blocks(self, monkeypatch):
         sizes, derive = [], stochastic._pcg64_states
         monkeypatch.setattr(stochastic, "_pcg64_states",
