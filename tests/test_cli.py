@@ -349,6 +349,21 @@ class TestEvolveCommand:
             golden = data / f"golden_evolve_{scenario}_seed2_{name}"
             assert (tmp_path / "out" / name).read_bytes() == golden.read_bytes(), name
 
+    def test_evolve_digest(self, tmp_path):
+        # the benchmark's evolve run: 55,693 rate rows, far more than the
+        # goldens above hold, so the SHA-256 of each output is pinned
+        rc = main(["evolve", "--out", str(tmp_path), "--horizon", "200",
+                   "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        digests = {
+            "rates.csv": "5c88477ffbc125a16f0e94accc612217be47d1d760ae870f96fa13686590d473",
+            "evolution.csv": "e776ef2192684b9a842461f7e77ae23e9263661fba7ac9ef5d1a6e25904854d9",
+            "events.txt": "fa6442e48360d95853a7b29a8b9dae245078619a52c05f48bb5684baf5d2fcf9",
+        }
+        for name, digest in digests.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, name
+
     @pytest.mark.parametrize("line, field", [("sigma = nan", "sigma"),
                                              ("kappa = inf", "kappa"),
                                              ("k1 = nan", "k1")])
