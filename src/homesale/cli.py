@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import math
 import sys
@@ -173,9 +172,11 @@ def _stamp(cfg: ScenarioConfig) -> str:
 
 
 def _fmt(x) -> str:
-    if type(x) is not float:  # floats, the bulk of every CSV, skip this chain
-        if isinstance(x, str):
-            return x
+    """One CSV field: None and NaN empty, integers exact, other numbers in 17
+    significant digits, text quoted as csv.writer's QUOTE_MINIMAL does."""
+    if type(x) is not float:  # floats, the bulk of every list column, skip this chain
+        if isinstance(x, str):  # quoted when it holds the delimiter, '"' or "\n"
+            return '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\n') else x
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         if x is None:
@@ -184,18 +185,36 @@ def _fmt(x) -> str:
     return "" if math.isnan(x) else f"{x:.17g}"
 
 
-def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str],
-               rows: list[tuple], extra_comment: str = None) -> None:
+_BLOCK_ROWS = 4096  # rows per write: the writer holds one block, whatever the row count
+
+
+def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str], columns: list,
+               extra_comment: str = None) -> None:
+    """Write one CSV from its columns: ndarrays or sequences of one length,
+    or none for a header-only file.
+
+    Each row of a block is one str.format call: a float ndarray block
+    without NaN goes straight into "{:.17g}", every other field through _fmt.
+    """
+    n_rows = len(columns[0]) if columns else 0
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             fh.write(_stamp(cfg))
             if extra_comment:
                 fh.write(f"# {extra_comment}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            fh.write(",".join(map(_fmt, header)) + "\n")
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                specs, values = [], []
+                for column in columns:
+                    block = column[start:start + _BLOCK_ROWS]
+                    floats = (isinstance(block, np.ndarray) and block.dtype.kind == "f"
+                              and not np.isnan(block).any())
+                    if isinstance(block, np.ndarray):
+                        block = block.tolist()
+                    specs.append("{:.17g}" if floats else "{}")
+                    values.append(block if floats else map(_fmt, block))
+                fh.write("".join(map((",".join(specs) + "\n").format, *values)))
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 
@@ -221,20 +240,18 @@ def cmd_owt(cfg: ScenarioConfig, args) -> int:
     else:
         objective = lambda T: expected_utility(T, m, R, L, gamma)
     res = optimal_waiting_time(objective, t_max=t_max, tol=cfg.tol)
-    rows = []
-    for T in _t_grid(t_max, args.t_steps):
-        if args.mode == "no-list":
-            payoff = thinned_payoff(T, m, R)
-            payoff_exact = payoff
-        else:
-            payoff = listed_payoff(T, m, R, L)
-            payoff_exact = listed_payoff_exact(T, m, R, L)
-        rows.append((T, payoff, payoff_exact, math.exp(-gamma * T) * payoff))
+    grid = _t_grid(t_max, args.t_steps)
+    if args.mode == "no-list":
+        payoff = payoff_exact = [thinned_payoff(T, m, R) for T in grid]
+    else:
+        payoff = [listed_payoff(T, m, R, L) for T in grid]
+        payoff_exact = [listed_payoff_exact(T, m, R, L) for T in grid]
+    utility = [math.exp(-gamma * T) * p for T, p in zip(grid, payoff)]
     flag = " boundary=1" if res.boundary else ""
     summary = f"t_star={_fmt(res.t_star)} utility={_fmt(res.utility_at_t_star)}{flag}"
     out = Path(cfg.out_dir) / "owt_curve.csv"
-    _write_csv(out, cfg, ["T", "payoff", "payoff_exact", "utility"], rows,
-               extra_comment=summary)
+    _write_csv(out, cfg, ["T", "payoff", "payoff_exact", "utility"],
+               [grid, payoff, payoff_exact, utility], extra_comment=summary)
     print(f"{summary} -> {out}")
     return 0
 
@@ -256,12 +273,13 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
                      cfg.reservation_price, cfg.list_price, cfg.waiting_averseness,
                      t_max=cfg.t_max, tol=cfg.tol)
     result = sweep_owt(spec)
-    rows = [(xv, yv, result.t_star[i, j])
-            for i, yv in enumerate(result.y_values)
-            for j, xv in enumerate(result.x_values)]
+    # row-major over (y, x), as t_star is stored
+    xs = np.tile(result.x_values, result.y_values.size)
+    ys = np.repeat(result.y_values, result.x_values.size)
     out = Path(cfg.out_dir) / "sweep.csv"
-    _write_csv(out, cfg, [result.x_name, result.y_name, "t_star"], rows)
-    print(f"{len(rows)} cells -> {out}")
+    _write_csv(out, cfg, [result.x_name, result.y_name, "t_star"],
+               [xs, ys, result.t_star.ravel()])
+    print(f"{result.t_star.size} cells -> {out}")
     return 0
 
 
@@ -269,19 +287,18 @@ def cmd_evolve(cfg: ScenarioConfig, args) -> int:
     """Multi-owner price evolution: event CSV plus a diffable event stream."""
     horizon = cfg.horizon if args.horizon is None else args.horizon
     log = market_sim.run_evolution(cfg.evolution_config(), horizon, cfg.seed)
-    rows = [(e.time, e.kind, e.price, e.rate, e.demand, e.owner, e.attempt)
-            for e in log.events]
+    columns = list(zip(*((e.time, e.kind, e.price, e.rate, e.demand, e.owner, e.attempt)
+                         for e in log.events)))
     out = Path(cfg.out_dir) / "evolution.csv"
     _write_csv(out, cfg, ["time", "event_type", "price", "rate",
-                          "demand_intensity", "owner_index", "attempt_index"], rows)
+                          "demand_intensity", "owner_index", "attempt_index"], columns)
     stream = Path(cfg.out_dir) / "events.txt"
     try:
         stream.write_text(_stamp(cfg) + "".join(line + "\n" for line in log.to_event_lines()))
     except OSError as e:
         raise ConfigError(f"cannot write {stream}: {e}") from e
     rates = Path(cfg.out_dir) / "rates.csv"
-    _write_csv(rates, cfg, ["t", "r"],
-               list(zip(log.path.times.tolist(), log.path.values.tolist())))
+    _write_csv(rates, cfg, ["t", "r"], [log.path.times, log.path.values])
     n_sales = sum(1 for e in log.events if e.kind == "Sale")
     print(f"{len(log.events)} events, {n_sales} sales -> {out}, {stream}, {rates}")
     return 0
@@ -303,12 +320,12 @@ def cmd_expected_price(cfg: ScenarioConfig, args) -> int:
     n_reps = cfg.price_replications if args.n_reps is None else args.n_reps
     points = market_sim.expected_price_curve(cfg.evolution_config(), times, n_reps,
                                              cfg.seed)
-    rows = [(p.time, p.t_star, p.mean_price, p.stderr, p.n_sales, p.no_sale_fraction)
-            for p in points]
+    columns = list(zip(*((p.time, p.t_star, p.mean_price, p.stderr, p.n_sales,
+                          p.no_sale_fraction) for p in points)))
     out = Path(cfg.out_dir) / "expected_price.csv"
     _write_csv(out, cfg, ["time", "t_star", "mean_price", "stderr",
-                          "n_sales", "no_sale_fraction"], rows)
-    print(f"{len(rows)} posting times -> {out}")
+                          "n_sales", "no_sale_fraction"], columns)
+    print(f"{len(points)} posting times -> {out}")
     return 0
 
 
@@ -329,7 +346,7 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
     payoffs, stderrs = path_payoff.expected_payoff(
         ctx_factory, ev.cir, grid, n_paths, cfg.seed, mode=args.mode, dt=ev.dt)
     out = Path(cfg.out_dir) / "payoff_path.csv"
-    _write_csv(out, cfg, ["t", "payoff", "stderr"], list(zip(grid, payoffs, stderrs)))
+    _write_csv(out, cfg, ["t", "payoff", "stderr"], [grid, payoffs, stderrs])
     print(f"{grid.size} horizons, mode={args.mode}, n_paths={n_paths} -> {out}")
     return 0
 
@@ -340,7 +357,7 @@ def cmd_validate(cfg: ScenarioConfig, args) -> int:
                                  seed=cfg.seed, workers=args.workers)
     out = Path(cfg.out_dir) / "validation.csv"
     _write_csv(out, cfg, ["check_name", "analytic", "mc_mean", "mc_stderr",
-                          "z", "verdict"], report.to_csv_rows())
+                          "z", "verdict"], list(zip(*report.to_csv_rows())))
     print(report.format_table())
     print(f"-> {out}")
     return 0 if report.passed else 1

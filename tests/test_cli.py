@@ -1,13 +1,19 @@
+import csv
 import hashlib
 import importlib.util
 import math
 import pathlib
 import re
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homesale import cli
 from homesale.cli import ScenarioConfig, _fmt, config_hash, load_config, main
 
 
@@ -657,3 +663,93 @@ class TestFloatFormat:
         assert _fmt(-0.0) == _fmt(np.float64(-0.0)) == "-0"
         assert _fmt(3) == _fmt(np.int64(3)) == "3"
         assert _fmt("Sale") == "Sale" and _fmt(None) == ""
+        assert _fmt('a,"b"') == '"a,""b"""' and _fmt("a\nb") == '"a\nb"'
+
+
+def _row_fmt(x) -> str:
+    """The per-value formatter of the row writer that _write_csv replaced."""
+    if type(x) is not float:
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if x is None:
+            return ""
+        x = float(x)
+    return "" if math.isnan(x) else f"{x:.17g}"
+
+
+def reference_csv(path, cfg, header, columns, extra_comment=None):
+    """The row writer that _write_csv replaced: csv.writer over _row_fmt."""
+    with open(path, "w", newline="") as fh:
+        fh.write(cli._stamp(cfg))
+        if extra_comment:
+            fh.write(f"# {extra_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([_row_fmt(v) for v in row])
+
+
+BLOCK = 4  # the writer's block size in these tests
+
+FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     1.7976931348623157e308]),
+    st.floats())
+FLOAT32S = st.floats(width=32).map(np.float32)
+INT64S = st.integers(-2**63, 2**63 - 1)
+TEXTS = st.text(st.sampled_from('ab ,"\r\n'), max_size=4)
+SCALARS = st.one_of(FLOATS, FLOATS.map(np.float64), FLOAT32S, st.integers(),
+                    INT64S.map(np.int64), st.none(), TEXTS)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): 2-4 columns of one length around the block size."""
+    n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    width = draw(st.integers(2, 4))
+    column = st.one_of(
+        st.lists(FLOATS, min_size=n, max_size=n).map(np.array),
+        st.lists(FLOAT32S, min_size=n, max_size=n).map(lambda v: np.array(v, np.float32)),
+        st.lists(INT64S, min_size=n, max_size=n).map(lambda v: np.array(v, np.int64)),
+        st.lists(FLOATS, min_size=n, max_size=n),
+        st.lists(SCALARS, min_size=n, max_size=n))
+    header = draw(st.lists(TEXTS, min_size=width, max_size=width))
+    return header, [draw(column) for _ in range(width)]
+
+
+class TestCsvWriter:
+    def assert_matches_row_writer(self, tmp_path, header, columns, comment=None):
+        cfg = ScenarioConfig()
+        with mock.patch.object(cli, "_BLOCK_ROWS", BLOCK):
+            cli._write_csv(tmp_path / "new.csv", cfg, header, columns, comment)
+        reference_csv(tmp_path / "old.csv", cfg, header, columns, comment)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tables())
+    def test_equals_the_row_writer(self, tmp_path_factory, table):
+        self.assert_matches_row_writer(tmp_path_factory.mktemp("csv"), *table)
+
+    def test_nan_only_in_the_second_block(self, tmp_path):
+        t = np.arange(BLOCK + 1, dtype=float)
+        r = t / 3.0
+        r[BLOCK] = math.nan
+        self.assert_matches_row_writer(tmp_path, ["t", "r"], [t, r], "t_star=1")
+
+    def test_no_columns_write_the_header_alone(self, tmp_path):
+        self.assert_matches_row_writer(tmp_path, ["time", "event_type"], [])
+        lines = (tmp_path / "new.csv").read_text().splitlines()
+        assert lines[1:] == ["time,event_type"]
+
+    def test_memory_stays_at_one_block(self, tmp_path):
+        t = np.arange(200_000) / 252.0
+        r = np.sqrt(t)
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", ScenarioConfig(), ["t", "r"], [t, r])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
