@@ -635,6 +635,17 @@ class TestValidateCommand:
         assert rc == 0
         assert (tmp_path / "validation.csv").read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_validation_digest(self, tmp_path, workers):
+        # the benchmark's validate run; two of its check rows miss 3
+        # sigma on shared draws, so it exits 1.  Too many replications
+        # for a golden file, so the SHA-256 is pinned instead.
+        rc = main(["validate", "--out", str(tmp_path), "--n", "25000", "--seed", "1",
+                   "--workers", workers])
+        assert rc == 1
+        got = hashlib.sha256((tmp_path / "validation.csv").read_bytes()).hexdigest()
+        assert got == "e7f04211cd430c52d214ffadbfcf725141492485b235fca99437517a7fddf57d"
+
 
 class TestWorkersFlag:
     @pytest.mark.parametrize("workers", ["0", "-1"])

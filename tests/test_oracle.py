@@ -108,6 +108,28 @@ class TestValidateAll:
         assert not report.passed
         assert any(r.verdict == "FAIL" and r.name.startswith("aux") for r in report.rows)
 
+    def test_rows_equal_the_public_estimators(self, monkeypatch):
+        # several chunks, the last one partial: each row's mean and
+        # stderr are exactly those of a separate public call
+        monkeypatch.setattr(oracle, "_CHUNK", 300)
+        n, seed, T, lam, t = 700, 11, 0.5, 3.0, 0.5
+        report = validate_all(n=n, seed=seed, t_values=(T,), lam_values=(lam,),
+                              path_t_values=(t,))
+        rows = {r.name: (r.mc_mean, r.mc_stderr) for r in report.rows}
+        m = MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
+        ctx = table2_context(sigma0_table2_path(t + 0.1))
+        expected = {
+            f"aux T={T} lam={lam}": mc_auxiliary_payoff(T, m, n, seed),
+            f"thinned T={T} lam={lam}": mc_auxiliary_payoff(T, m, n, seed,
+                                                            reservation=140.0),
+            f"listed-exact T={T} lam={lam}": mc_listed_payoff(T, m, 140.0, 180.0,
+                                                              n, seed),
+            f"path-changing-exact t={t}": mc_path_payoff(ctx, t, "changing", n, seed),
+            f"path-no-list t={t}": mc_path_payoff(ctx, t, "none", n, seed),
+        }
+        for name, est in expected.items():
+            assert rows[name] == (est.mean, est.stderr), name
+
     def test_csv_rows_match_schema(self):
         report = self.quick_report(n=2000, include_paths=False)
         for row in report.to_csv_rows():
