@@ -9,7 +9,8 @@ and renders a pass/fail table with z-scores.
 
 Every estimator goes through _replicate: replications are drawn in
 chunks of at most _CHUNK, chunk i from substream(seed, key, i), so
-growing a run never perturbs the replications already drawn.  The
+growing a run never perturbs the replications already drawn; one
+simulation may yield several estimates that read the same draws.  The
 homogeneous offer draw (_offers), the list-crossing settlement
 (_list_rule) and the per-replication reducer (_segment) are each
 written once and shared by the estimators.
@@ -82,15 +83,19 @@ class _Accumulator:
         return McEstimate(mean, math.sqrt(var / self.n), self.n)
 
 
-def _replicate(n: int, seed: int, key: str, chunk_payoff) -> McEstimate:
-    """Mean and standard error of n replications of chunk_payoff(rng, k),
-    which returns the k payoffs of one chunk drawn from rng."""
+def _replicate(n: int, seed: int, key: str, chunk_payoffs) -> list[McEstimate]:
+    """Mean and standard error of n replications of each payoff array
+    chunk_payoffs(rng, k) returns: the k payoffs of one chunk drawn from
+    rng, one array per estimate."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    acc = _Accumulator()
+    accs = []
     for i, done in enumerate(range(0, n, _CHUNK)):
-        acc.add(chunk_payoff(substream(seed, key, i), min(_CHUNK, n - done)))
-    return acc.estimate()
+        payoffs = chunk_payoffs(substream(seed, key, i), min(_CHUNK, n - done))
+        accs = accs or [_Accumulator() for _ in payoffs]
+        for acc, x in zip(accs, payoffs):
+            acc.add(x)
+    return [acc.estimate() for acc in accs]
 
 
 def _segment(ufunc: np.ufunc, vals: np.ndarray, counts: np.ndarray,
@@ -144,12 +149,21 @@ def mc_auxiliary_payoff(T: float, m: MarketParams, n: int, seed: int,
     zero when none survive.
     """
     resv = m.p_min if reservation is None else reservation
+    return _mc_auxiliary(T, m, n, seed, (resv,))[0]
+
+
+def _mc_auxiliary(T: float, m: MarketParams, n: int, seed: int,
+                  reservations: tuple) -> list[McEstimate]:
+    """mc_auxiliary_payoff at each reservation, all read from one
+    simulation of the offers."""
     disc = math.exp(-m.r * T)
 
     def chunk(rng, k):
         counts, arrival, value, delay = _offers(rng, k, m, T)
-        alive = (delay >= T - arrival) & (value >= resv)
-        return disc * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
+        survived = delay >= T - arrival
+        return [disc * _segment(np.maximum, np.where(survived & (value >= resv), value, 0.0),
+                                counts, 0.0)
+                for resv in reservations]
 
     return _replicate(n, seed, "mc-aux", chunk)
 
@@ -168,22 +182,49 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
         counts, arrival, value, delay = _offers(rng, k, m, T)
         above = value >= L
         standing = (delay >= T - arrival) & (value >= R) & ~above
-        return _list_rule(counts, arrival, value, above, standing,
-                          lambda s: np.exp(-m.r * s), disc_T)
+        return [_list_rule(counts, arrival, value, above, standing,
+                           lambda s: np.exp(-m.r * s), disc_T)]
 
-    return _replicate(n, seed, "mc-listed", chunk)
+    return _replicate(n, seed, "mc-listed", chunk)[0]
+
+
+def _grid_interp(a: np.ndarray, dt: float, xp: np.ndarray, fp: np.ndarray,
+                 slopes: np.ndarray) -> np.ndarray:
+    """np.interp(a, xp, fp) bit for bit, for a >= 0 on the uniform grid
+    xp = arange(len(fp)) * dt (at least two nodes), with
+    slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]).
+
+    The node left of each a is found by index, floor(a / dt), and moved
+    at most one node to bracket a exactly; numpy's formula then runs on
+    it.  A node returns its own fp, and the last node and anything past
+    it return fp[-1], as np.interp does.
+    """
+    last = xp.size - 1
+    j = (a / dt).astype(np.intp)
+    np.minimum(j, last - 1, out=j)
+    j -= a < xp[j]
+    j += a >= xp[j + 1]
+    i = np.minimum(j, last - 1)
+    out = a - xp[i]
+    out *= slopes[i]
+    out += fp[i]
+    on_node = (j == last) | (a == xp[j])
+    out[on_node] = fp[j[on_node]]
+    return out
 
 
 def _path_tools(ctx: PathContext):
     """Local intensity and discount machinery, independent of the
-    analytic modules: straight from the context's raw fields."""
+    analytic modules: straight from the context's raw fields.  The
+    intensity takes the list prices at its times from the caller."""
     path = ctx.path
     times = path.times
     rates = path.values
+    slopes = (rates[1:] - rates[:-1]) / (times[1:] - times[:-1])
 
-    def intensity(a):
-        r = np.maximum(np.interp(a, times, rates), RATE_FLOOR)
-        return ctx.demand.k1 / r + ctx.demand.k2 / ctx.list_at(a)
+    def intensity(a, lists):
+        r = np.maximum(_grid_interp(a, path.dt, times, rates, slopes), RATE_FLOOR)
+        return ctx.demand.k1 / r + ctx.demand.k2 / lists
 
     mids = (rates[1:] + rates[:-1]) / 2.0 * path.dt
     cum = np.concatenate(([0.0], np.cumsum(mids)))
@@ -202,13 +243,24 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
     stream under the context's demand intensity; values and withdrawals
     come from the context's distributions.  mode "changing"/"constant"
     plays the list-crossing rule against the context's list price, mode
-    "none" keeps only the end-of-window auction.
+    "none" keeps only the end-of-window auction.  t must lie in
+    (0, horizon of the path]; ValueError otherwise.
     """
-    if mode not in ("changing", "constant", "none"):
-        raise ValueError(f"unknown mode {mode!r}")
+    return _mc_path(ctx, t, (mode,), n, seed)[0]
+
+
+def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
+             seed: int) -> list[McEstimate]:
+    """mc_path_payoff in each mode, all read from one thinned stream."""
+    for mode in modes:
+        if mode not in ("changing", "constant", "none"):
+            raise ValueError(f"unknown mode {mode!r}")
+    if not (t > 0):
+        raise ValueError(f"t must be positive, got {t}")
+    ctx.path._check_ends(0.0, t)
     intensity, cum_rate = _path_tools(ctx)
     grid = np.unique(np.concatenate((ctx.path.times[ctx.path.times <= t], [t])))
-    bound = float(np.max(intensity(grid))) * (1.0 + 1e-6)
+    bound = float(np.max(intensity(grid, ctx.list_at(grid)))) * (1.0 + 1e-6)
     disc_t = math.exp(-float(cum_rate(t)))
     R = ctx.reservation
 
@@ -217,17 +269,19 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
         total = int(n_cand.sum())
         rep_all = np.repeat(np.arange(k), n_cand)
         a_all = rng.uniform(0.0, t, total)
-        keep = rng.uniform(0.0, 1.0, total) * bound < intensity(a_all)
+        lists_all = ctx.list_at(a_all)
+        keep = rng.uniform(0.0, 1.0, total) * bound < intensity(a_all, lists_all)
         a = a_all[keep]
         counts = np.bincount(rep_all[keep], minlength=k)
         value = np.asarray(ctx.offers.sample(rng, a.size), dtype=float)
         delay = np.asarray(ctx.withdrawals.sample(rng, a.size), dtype=float)
         alive = (value >= R) & (delay >= t - a)
-        if mode == "none":
-            return disc_t * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
-        above = value >= ctx.list_at(a)
-        return _list_rule(counts, a, value, above, alive & ~above,
-                          lambda s: np.exp(-cum_rate(s)), disc_t)
+        above = value >= lists_all[keep]
+        return [disc_t * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
+                if mode == "none" else
+                _list_rule(counts, a, value, above, alive & ~above,
+                           lambda s: np.exp(-cum_rate(s)), disc_t)
+                for mode in modes]
 
     return _replicate(n, seed, "mc-path", chunk)
 
@@ -320,34 +374,33 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     approximations by construction -- the plain listed payoff and the
     published changing-list conditional -- are reported with their
     signed gaps instead of a verdict, plus a derived check that the
-    listed-payoff gap keeps one sign across the whole grid.  Each exact
-    changing-list row is judged against the same simulation as its gap
-    row.  Every row comes from one job list run on `workers` threads;
-    each job draws from its own substreams, so the rows do not depend on
-    the worker count.
+    listed-payoff gap keeps one sign across the whole grid.
+
+    Some rows read one simulation, so their misses are not independent
+    3-sigma events: the `aux` and `thinned` rows of a (T, lam) share one
+    offer draw, and the `path-changing-gap`, `path-changing-exact` and
+    `path-no-list` rows of a t share one thinned stream.  Every row
+    comes from one job per (T, lam), one per path t and the gap-sign
+    check, run on at most `workers` threads; each job draws from its own
+    substreams, so the rows do not depend on the worker count.
     """
     R, L = 140.0, 180.0
 
     def market(lam):
         return MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
 
-    def aux(T, lam):
+    def cell(T, lam):
+        # rows: aux, thinned, listed-exact, listed-gap
         m = market(lam)
-        return [_make_row(f"aux T={T} lam={lam}", auxiliary_payoff(T, m),
-                          mc_auxiliary_payoff(T, m, n, seed), "check")]
-
-    def thinned(T, lam):
-        m = market(lam)
-        return [_make_row(f"thinned T={T} lam={lam}", thinned_payoff(T, m, R),
-                          mc_auxiliary_payoff(T, m, n, seed, reservation=R), "check")]
-
-    def listed(T, lam):
-        m = market(lam)
-        est = mc_listed_payoff(T, m, R, L, n, seed)
-        return [_make_row(f"listed-exact T={T} lam={lam}",
-                          listed_payoff_exact(T, m, R, L), est, "check"),
+        est_aux, est_thinned = _mc_auxiliary(T, m, n, seed, (m.p_min, R))
+        est_listed = mc_listed_payoff(T, m, R, L, n, seed)
+        return [_make_row(f"aux T={T} lam={lam}", auxiliary_payoff(T, m), est_aux, "check"),
+                _make_row(f"thinned T={T} lam={lam}", thinned_payoff(T, m, R),
+                          est_thinned, "check"),
+                _make_row(f"listed-exact T={T} lam={lam}",
+                          listed_payoff_exact(T, m, R, L), est_listed, "check"),
                 _make_row(f"listed-gap T={T} lam={lam}",
-                          listed_payoff(T, m, R, L), est, "gap")]
+                          listed_payoff(T, m, R, L), est_listed, "gap")]
 
     def gap_sign():
         # Sign constancy of the listed-payoff truncation gap, judged on
@@ -360,34 +413,36 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
                               math.nan, math.nan, "check",
                               "pass" if constant_sign else "FAIL", False)]
 
-    def path_changing(t):
-        est = mc_path_payoff(ctx_changing, t, "changing", n, seed)
+    def path_rows(t):
+        # the exact changing-list row is judged against the same
+        # simulation as its gap row
+        est_changing, est_none = _mc_path(ctx_changing, t, ("changing", "none"), n, seed)
         return [_make_row(f"path-changing-gap t={t}",
-                          conditional_payoff_changing_list(ctx_changing, t), est, "gap"),
+                          conditional_payoff_changing_list(ctx_changing, t),
+                          est_changing, "gap"),
                 _make_row(f"path-changing-exact t={t}",
                           conditional_payoff_changing_list_exact(ctx_changing, t),
-                          est, "check")]
-
-    def path_constant(t):
-        return [_make_row(f"path-constant t={t}",
+                          est_changing, "check"),
+                _make_row(f"path-constant t={t}",
                           conditional_payoff_constant_list(ctx_constant, t),
-                          mc_path_payoff(ctx_constant, t, "constant", n, seed), "check")]
+                          mc_path_payoff(ctx_constant, t, "constant", n, seed), "check"),
+                _make_row(f"path-no-list t={t}",
+                          conditional_payoff_no_list(ctx_changing, t), est_none, "check")]
 
-    def path_no_list(t):
-        return [_make_row(f"path-no-list t={t}",
-                          conditional_payoff_no_list(ctx_changing, t),
-                          mc_path_payoff(ctx_changing, t, "none", n, seed), "check")]
-
-    jobs = [(job, T, lam) for job in (aux, thinned, listed)
-            for T in t_values for lam in lam_values]
-    jobs.append((gap_sign,))
+    cells = [(cell, T, lam) for T in t_values for lam in lam_values]
+    jobs = cells + [(gap_sign,)]
     if include_paths:
         path = sigma0_table2_path(max(path_t_values) + 0.1)
         ctx_changing = table2_context(path, constant_list=False)
         ctx_constant = table2_context(path, constant_list=True)
-        jobs += [(job, t) for t in path_t_values
-                 for job in (path_changing, path_constant, path_no_list)]
+        jobs += [(path_rows, t) for t in path_t_values]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         chunks = list(pool.map(lambda job: job[0](*job[1:]), jobs))
-    return ValidationReport([row for chunk in chunks for row in chunk], n)
+    # the aux rows of every cell come first, then the thinned rows, then
+    # the listed pairs
+    cell_rows = chunks[:len(cells)]
+    rows = ([c[0] for c in cell_rows] + [c[1] for c in cell_rows]
+            + [r for c in cell_rows for r in c[2:]]
+            + [r for c in chunks[len(cells):] for r in c])
+    return ValidationReport(rows, n)

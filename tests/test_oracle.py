@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homesale import oracle
 from homesale.closed_form import MarketParams, thinned_payoff
@@ -68,6 +71,87 @@ class TestMcPath:
         with pytest.raises(ValueError):
             mc_path_payoff(ctx, 0.2, "bogus", 100, seed=0)
 
+    @pytest.mark.parametrize("t", [3.0, 1.0 + 1e-9, 0.0, -1.0, math.nan])
+    def test_rejects_t_off_the_path(self, t):
+        # the conditional payoffs raise here too; nothing is clamped
+        ctx = table2_context(sigma0_table2_path(1.0))
+        with pytest.raises(ValueError):
+            mc_path_payoff(ctx, t, "changing", 100, seed=0)
+
+    def test_accepts_the_horizon_within_slack(self):
+        path = sigma0_table2_path(1.0)
+        ctx = table2_context(path)
+        for t in (path.horizon, path.horizon * (1.0 + 1e-13)):
+            assert mc_path_payoff(ctx, t, "none", 100, seed=0).n == 100
+
+
+def _context(mu, reservation, list_price):
+    return PathContext(path=sigma0_table2_path(1.5), list_price=list_price, zeta=1.0,
+                       offers=UniformOffers(100.0, 200.0),
+                       withdrawals=ExponentialWithdrawals(mu),
+                       reservation=reservation, demand=DemandParams(0.5, 1000.0))
+
+
+class TestSharedDraws:
+    """The bodies behind validate_all read several estimates from one
+    simulation; each must equal its separate public call exactly."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # several chunks, the last one partial
+        monkeypatch.setattr(oracle, "_CHUNK", 300)
+
+    @pytest.mark.parametrize("mu, R", [(5.0, 140.0), (0.0, 140.0), (5.0, 250.0)])
+    def test_auxiliary(self, mu, R):
+        m = MarketParams(8.0, mu, 0.1, 100.0, 200.0)
+        shared = oracle._mc_auxiliary(0.5, m, 700, 3, (m.p_min, R))
+        assert shared == [mc_auxiliary_payoff(0.5, m, 700, 3),
+                          mc_auxiliary_payoff(0.5, m, 700, 3, reservation=R)]
+        if R > m.p_max:
+            assert shared[1].mean == 0.0
+
+    @pytest.mark.parametrize("mu, R, list_price", [(10.0, 140.0, 200.0),
+                                                   (0.0, 140.0, 180.0),
+                                                   (10.0, 250.0, 260.0)])
+    def test_path(self, mu, R, list_price):
+        ctx = _context(mu, R, list_price)
+        modes = ("changing", "none", "constant")
+        shared = oracle._mc_path(ctx, 1.0, modes, 700, 4)
+        assert shared == [mc_path_payoff(ctx, 1.0, mode, 700, 4) for mode in modes]
+        if R > 200.0:
+            assert all(est.mean == 0.0 for est in shared)
+
+
+@st.composite
+def _grids(draw):
+    """(dt, rates, query points) for a uniform grid of at least two
+    nodes.  Rates include both zeros; the points mix uniform draws,
+    exact nodes, their neighbouring doubles, 0 and the last node."""
+    dt = draw(st.floats(1e-4, 2.0))
+    size = draw(st.integers(2, 60))
+    rates = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                             st.floats(0.0, 5.0)),
+                                   min_size=size, max_size=size)))
+    times = np.arange(size) * dt
+    horizon = float(times[-1])
+    nodes = st.sampled_from(times.tolist())
+    near = st.builds(lambda x, up: np.nextafter(x, np.inf if up else 0.0),
+                     nodes, st.booleans())
+    points = draw(st.lists(st.one_of(st.floats(0.0, horizon), nodes, near,
+                                     st.just(0.0), st.just(horizon)),
+                           min_size=1, max_size=40))
+    return dt, rates, np.array(points)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grids())
+def test_grid_interp_is_np_interp(grid):
+    dt, rates, a = grid
+    times = np.arange(rates.size) * dt
+    slopes = (rates[1:] - rates[:-1]) / (times[1:] - times[:-1])
+    got = oracle._grid_interp(a, dt, times, rates, slopes)
+    assert got.tobytes() == np.interp(a, times, rates).tobytes()
+
 
 class TestValidateAll:
     def quick_report(self, n=40_000, **kw):
@@ -129,6 +213,29 @@ class TestValidateAll:
         }
         for name, est in expected.items():
             assert rows[name] == (est.mean, est.stderr), name
+
+    def test_pool_is_no_larger_than_the_job_list(self, monkeypatch):
+        # one job per (T, lam), the gap-sign check and one per path t
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
+        report = validate_all(n=200, seed=1, t_values=(1.0, 2.0), lam_values=(5.0,),
+                              path_t_values=(0.5,), workers=10**6)
+        assert sizes == [4]
+        assert len(report.rows) == 2 * 4 + 1 + 4
 
     def test_csv_rows_match_schema(self):
         report = self.quick_report(n=2000, include_paths=False)
