@@ -188,17 +188,16 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
     return _replicate(n, seed, "mc-listed", chunk)[0]
 
 
-def _grid_interp(a: np.ndarray, dt: float, xp: np.ndarray, fp: np.ndarray,
-                 slopes: np.ndarray) -> np.ndarray:
+def _grid_interp(a: np.ndarray, dt: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(a, xp, fp) bit for bit, for a >= 0 on the uniform grid
-    xp = arange(len(fp)) * dt (at least two nodes), with
-    slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]).
+    xp = arange(len(fp)) * dt of at least two nodes.
 
     The node left of each a is found by index, floor(a / dt), and moved
     at most one node to bracket a exactly; numpy's formula then runs on
     it.  A node returns its own fp, and the last node and anything past
     it return fp[-1], as np.interp does.
     """
+    slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])
     last = xp.size - 1
     j = (a / dt).astype(np.intp)
     np.minimum(j, last - 1, out=j)
@@ -220,10 +219,9 @@ def _path_tools(ctx: PathContext):
     path = ctx.path
     times = path.times
     rates = path.values
-    slopes = (rates[1:] - rates[:-1]) / (times[1:] - times[:-1])
 
     def intensity(a, lists):
-        r = np.maximum(_grid_interp(a, path.dt, times, rates, slopes), RATE_FLOOR)
+        r = np.maximum(_grid_interp(a, path.dt, times, rates), RATE_FLOOR)
         return ctx.demand.k1 / r + ctx.demand.k2 / lists
 
     mids = (rates[1:] + rates[:-1]) / 2.0 * path.dt
