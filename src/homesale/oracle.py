@@ -14,10 +14,18 @@ simulation may yield several estimates that read the same draws.  The
 homogeneous offer draw (_offers), the list-crossing settlement
 (_list_rule) and the per-replication reducer (_segment) are each
 written once and shared by the estimators.
+
+_offers yields a chunk's offers in blocks of at most _BLOCK, so no array
+grows with lam*T; each field is bit for bit its slice of one draw, as
+values and delays come from copies of the PCG64 advanced by total and
+2*total outputs (a uniform takes one output; the delays, drawn last,
+may take more).  Reductions read only the offers a mask keeps (_kept),
+which is exact because offers are > 0 (p_min > 0) and 0 means none.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +53,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+
+# Offers per block that _offers yields: the bound on every per-offer array.
+_BLOCK = 1 << 15
 
 # A check row passes when its z-score is within this many standard errors.
 _TOLERANCE_SIGMAS = 3.0
@@ -98,42 +109,55 @@ def _replicate(n: int, seed: int, key: str, chunk_payoffs) -> list[McEstimate]:
     return [acc.estimate() for acc in accs]
 
 
-def _segment(ufunc: np.ufunc, vals: np.ndarray, counts: np.ndarray,
+def _segment(ufunc: np.ufunc, vals: np.ndarray, rep: np.ndarray, k: int,
              empty: float) -> np.ndarray:
-    """Per-replication ufunc reduction of a flat array split by counts;
-    `empty` for replications without entries."""
-    out = np.full(counts.size, empty)
-    if vals.size == 0:
-        return out
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    valid = counts > 0
-    out[valid] = ufunc.reduceat(vals, starts[valid])
+    """Per-replication minimum or maximum (ufunc) of vals, entry i
+    belonging to replication rep[i] of k; `empty` for replications
+    without entries."""
+    out = np.full(k, empty)
+    ufunc.at(out, rep, vals)
     return out
+
+
+def _kept(mask: np.ndarray, rep: np.ndarray):
+    """Flat indices of the entries `mask` keeps, and their replications."""
+    idx = np.flatnonzero(mask)
+    return idx, rep.take(idx)
 
 
 def _offers(rng: np.random.Generator, k: int, m: MarketParams, T: float):
     """Offers of k replications on [0, T]: Poisson(lam*T) counts, then
     uniform arrivals, uniform values and Exponential(mu) withdrawal
-    delays (never withdrawn when mu = 0), flat in replication order."""
+    delays (never withdrawn when mu = 0), flat in replication order.
+    Yields (counts, arrival, value, delay) per block of whole
+    replications, at most _BLOCK offers unless one replication has more."""
     counts = rng.poisson(m.lam * T, k)
-    total = int(counts.sum())
-    arrival = rng.uniform(0.0, T, total)
-    value = rng.uniform(m.p_min, m.p_max, total)
-    delay = (rng.exponential(1.0 / m.mu, total) if m.mu > 0
-             else np.full(total, np.inf))
-    return counts, arrival, value, delay
+    ends = np.cumsum(counts)
+    values, delays = (np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
+                      for skip in (int(ends[-1]), 2 * int(ends[-1])))
+    lo = start = 0
+    while lo < k:
+        hi = max(int(np.searchsorted(ends, start + _BLOCK, "right")), lo + 1)
+        size = int(ends[hi - 1]) - start
+        yield (counts[lo:hi], rng.uniform(0.0, T, size),
+               values.uniform(m.p_min, m.p_max, size),
+               delays.exponential(1.0 / m.mu, size) if m.mu > 0 else np.full(size, np.inf))
+        lo, start = hi, start + size
 
 
-def _list_rule(counts, arrival, value, above, standing, disc_at, disc_end):
+def _list_rule(rep, k, arrival, value, above, standing, disc_at, disc_end):
     """Payoff per replication under a public list: the first offer in
     time at or above the list (`above`) sells at its arrival, discounted
     by disc_at; otherwise the best `standing` offer sells at the end,
     discounted by disc_end; otherwise zero."""
-    t_first = _segment(np.minimum, np.where(above, arrival, np.inf), counts, np.inf)
+    idx, rep_above = _kept(above, rep)
+    first = arrival.take(idx)
+    t_first = _segment(np.minimum, first, rep_above, k, np.inf)
     crossed = np.isfinite(t_first)
-    winner = above & (arrival == np.repeat(t_first, counts))
-    win_value = _segment(np.maximum, np.where(winner, value, 0.0), counts, 0.0)
-    fallback = _segment(np.maximum, np.where(standing, value, 0.0), counts, 0.0)
+    win, rep_win = _kept(first == t_first.take(rep_above), rep_above)
+    win_value = _segment(np.maximum, value.take(idx.take(win)), rep_win, k, 0.0)
+    idx, rep_standing = _kept(standing, rep)
+    fallback = _segment(np.maximum, value.take(idx), rep_standing, k, 0.0)
     return np.where(crossed, disc_at(np.where(crossed, t_first, 0.0)) * win_value,
                     disc_end * fallback)
 
@@ -159,11 +183,12 @@ def _mc_auxiliary(T: float, m: MarketParams, n: int, seed: int,
     disc = math.exp(-m.r * T)
 
     def chunk(rng, k):
-        counts, arrival, value, delay = _offers(rng, k, m, T)
-        survived = delay >= T - arrival
-        return [disc * _segment(np.maximum, np.where(survived & (value >= resv), value, 0.0),
-                                counts, 0.0)
-                for resv in reservations]
+        best = []
+        for counts, arrival, value, delay in _offers(rng, k, m, T):
+            idx, rep = _kept(delay >= T - arrival, np.repeat(np.arange(counts.size), counts))
+            best.append(_segment(np.maximum, value.take(idx), rep, counts.size, 0.0))
+        best = np.concatenate(best)
+        return [disc * np.where(best >= resv, best, 0.0) for resv in reservations]
 
     return _replicate(n, seed, "mc-aux", chunk)
 
@@ -179,11 +204,14 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
     disc_T = math.exp(-m.r * T)
 
     def chunk(rng, k):
-        counts, arrival, value, delay = _offers(rng, k, m, T)
-        above = value >= L
-        standing = (delay >= T - arrival) & (value >= R) & ~above
-        return [_list_rule(counts, arrival, value, above, standing,
-                           lambda s: np.exp(-m.r * s), disc_T)]
+        payoff = []
+        for counts, arrival, value, delay in _offers(rng, k, m, T):
+            above = value >= L
+            standing = (delay >= T - arrival) & (value >= R) & ~above
+            payoff.append(_list_rule(np.repeat(np.arange(counts.size), counts),
+                                     counts.size, arrival, value, above, standing,
+                                     lambda s: np.exp(-m.r * s), disc_T))
+        return [np.concatenate(payoff)]
 
     return _replicate(n, seed, "mc-listed", chunk)[0]
 
@@ -265,21 +293,20 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
     def chunk(rng, k):
         n_cand = rng.poisson(bound * t, k)
         total = int(n_cand.sum())
-        rep_all = np.repeat(np.arange(k), n_cand)
         a_all = rng.uniform(0.0, t, total)
         lists_all = ctx.list_at(a_all)
-        keep = rng.uniform(0.0, 1.0, total) * bound < intensity(a_all, lists_all)
-        a = a_all[keep]
-        counts = np.bincount(rep_all[keep], minlength=k)
+        idx, rep = _kept(rng.uniform(0.0, 1.0, total) * bound
+                         < intensity(a_all, lists_all),
+                         np.repeat(np.arange(k), n_cand))
+        a = a_all.take(idx)
         value = np.asarray(ctx.offers.sample(rng, a.size), dtype=float)
         delay = np.asarray(ctx.withdrawals.sample(rng, a.size), dtype=float)
         alive = (value >= R) & (delay >= t - a)
-        above = value >= lists_all[keep]
-        return [disc_t * _segment(np.maximum, np.where(alive, value, 0.0), counts, 0.0)
-                if mode == "none" else
-                _list_rule(counts, a, value, above, alive & ~above,
+        above = value >= lists_all.take(idx)
+        never = np.zeros(a.size, bool)  # no list: one that no offer reaches
+        return [_list_rule(rep, k, a, value, hit, alive & ~hit,
                            lambda s: np.exp(-cum_rate(s)), disc_t)
-                for mode in modes]
+                for hit in (never if mode == "none" else above for mode in modes)]
 
     return _replicate(n, seed, "mc-path", chunk)
 

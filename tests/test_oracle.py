@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,14 +93,19 @@ def _context(mu, reservation, list_price):
                        reservation=reservation, demand=DemandParams(0.5, 1000.0))
 
 
+_DEFAULT_BLOCK = oracle._BLOCK
+
+
 class TestSharedDraws:
     """The bodies behind validate_all read several estimates from one
-    simulation; each must equal its separate public call exactly."""
+    simulation; each must equal its separate public call exactly, and
+    no estimate depends on the block size of the offer draw."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # several chunks, the last one partial
+    def small_sizes(self, monkeypatch):
+        # several chunks, the last one partial, each of many blocks
         monkeypatch.setattr(oracle, "_CHUNK", 300)
+        monkeypatch.setattr(oracle, "_BLOCK", 40)
 
     @pytest.mark.parametrize("mu, R", [(5.0, 140.0), (0.0, 140.0), (5.0, 250.0)])
     def test_auxiliary(self, mu, R):
@@ -120,6 +126,129 @@ class TestSharedDraws:
         assert shared == [mc_path_payoff(ctx, 1.0, mode, 700, 4) for mode in modes]
         if R > 200.0:
             assert all(est.mean == 0.0 for est in shared)
+
+    # lam = 0; mu = 0; R above every offer; 120 offers a replication
+    # against blocks of 40
+    @pytest.mark.parametrize("lam, mu, T, R, L", [(0.0, 5.0, 1.0, 140.0, 180.0),
+                                                  (8.0, 0.0, 0.5, 140.0, 180.0),
+                                                  (8.0, 5.0, 0.5, 250.0, 260.0),
+                                                  (12.0, 5.0, 10.0, 140.0, 180.0)])
+    def test_block_size_never_changes_an_estimate(self, monkeypatch, lam, mu, T, R, L):
+        m = MarketParams(lam, mu, 0.1, 100.0, 200.0)
+        ctx = _context(mu, R, L)
+        modes = ("changing", "none", "constant")
+
+        def estimates():
+            return (oracle._mc_auxiliary(T, m, 700, 5, (m.p_min, R)),
+                    mc_auxiliary_payoff(T, m, 700, 5, reservation=R),
+                    mc_listed_payoff(T, m, R, L, 700, 5),
+                    oracle._mc_path(ctx, 1.0, modes, 700, 5))
+
+        small = estimates()
+        monkeypatch.setattr(oracle, "_BLOCK", _DEFAULT_BLOCK)
+        assert estimates() == small
+        if lam == 0.0 or R > m.p_max:
+            assert small[2].mean == 0.0 and small[1].mean == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 300), block=st.integers(1, 64),
+       lam=st.sampled_from([0.0, 0.4, 3.0, 30.0]), mu=st.sampled_from([0.0, 5.0]))
+def test_blocked_offers_are_the_one_shot_draw(seed, k, block, lam, mu):
+    # the blocks cut one draw of every field, in replication order, so a
+    # change in numpy's PCG64.advance or uniform output shows up here
+    m = MarketParams(lam, mu, 0.1, 100.0, 200.0)
+    T = 1.5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK", block)
+        blocks = list(oracle._offers(np.random.default_rng(seed), k, m, T))
+    ref = np.random.default_rng(seed)
+    counts = ref.poisson(lam * T, k)
+    total = int(counts.sum())
+    one_shot = (counts, ref.uniform(0.0, T, total), ref.uniform(100.0, 200.0, total),
+                ref.exponential(1.0 / mu, total) if mu > 0 else np.full(total, np.inf))
+    for field, expected in zip(zip(*blocks), one_shot):
+        assert np.concatenate(field).tobytes() == expected.tobytes()
+    for block_counts, *fields in blocks:
+        assert all(f.size == block_counts.sum() for f in fields)
+        assert block_counts.sum() <= block or block_counts.size == 1
+    if lam == 0.0:
+        assert len(blocks) == 1
+
+
+@st.composite
+def _masked_offers(draw):
+    """(counts, mask, positive values): replications of 0 to 6 entries,
+    the mask random, all false or all true."""
+    counts = np.array(draw(st.lists(st.integers(0, 6), min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "none", "all"]))
+    total = int(counts.sum())
+    mask = {"random": rng.random(total) < 0.5, "none": np.zeros(total, bool),
+            "all": np.ones(total, bool)}[kind]
+    return counts, mask, rng.uniform(0.5, 3.0, total)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_masked_offers())
+def test_reducing_the_kept_offers_is_reducing_the_masked_ones(offers):
+    counts, mask, x = offers
+    k = counts.size
+    rep = np.repeat(np.arange(k), counts)
+    idx, rep_kept = oracle._kept(mask, rep)
+    for ufunc, fill in ((np.maximum, 0.0), (np.minimum, np.inf)):
+        kept = oracle._segment(ufunc, x.take(idx), rep_kept, k, fill)
+        masked = oracle._segment(ufunc, np.where(mask, x, fill), rep, k, fill)
+        loop = np.array([ufunc.reduce(x[(rep == i) & mask], initial=fill)
+                         for i in range(k)])
+        assert kept.tobytes() == masked.tobytes() == loop.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 200),
+       resv=st.sampled_from([50.0, 100.0, 140.0, 199.9, 200.0, 250.0]))
+def test_one_best_survivor_gives_every_reservation(seed, k, resv):
+    # the best survivor clears a reservation exactly when some survivor
+    # does, and then it is the best of those (offers are > 0)
+    m = MarketParams(5.0, 5.0, 0.1, 100.0, 200.0)
+    T, disc = 0.7, math.exp(-0.07)
+    for counts, arrival, value, delay in oracle._offers(np.random.default_rng(seed), k, m, T):
+        rep = np.repeat(np.arange(counts.size), counts)
+        survived = delay >= T - arrival
+        idx, rep_survived = oracle._kept(survived, rep)
+        best = oracle._segment(np.maximum, value.take(idx), rep_survived, counts.size, 0.0)
+        per_reservation = disc * oracle._segment(
+            np.maximum, np.where(survived & (value >= resv), value, 0.0), rep,
+            counts.size, 0.0)
+        derived = disc * np.where(best >= resv, best, 0.0)
+        assert derived.tobytes() == per_reservation.tobytes()
+
+
+class TestBoundedMemory:
+    """The offer oracles hold one block of offers at a time, so their
+    peak memory does not grow with lam * T."""
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("estimator", ["listed", "auxiliary"])
+    def test_peak_is_flat_in_lambda_T(self, estimator):
+        m = MarketParams(12.0, 5.0, 0.1, 100.0, 200.0)
+
+        def run(T):
+            if estimator == "listed":
+                return lambda: mc_listed_payoff(T, m, 140.0, 180.0, 25_000, 1)
+            return lambda: mc_auxiliary_payoff(T, m, 25_000, 1)
+
+        short, long = self.peak_bytes(run(5.0)), self.peak_bytes(run(50.0))
+        assert long < 16e6
+        assert long <= 2 * short
 
 
 @st.composite
