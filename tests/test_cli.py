@@ -450,6 +450,16 @@ class TestExpectedPriceCommand:
         assert rc == 0
         assert (tmp_path / "expected_price.csv").read_bytes() == golden.read_bytes()
 
+    def test_expected_price_digest(self, tmp_path):
+        # the benchmark's price run: 10 posting times x 750 attempts, far
+        # more than the golden above covers, so its SHA-256 is pinned
+        rc = main(["expected-price", "--out", str(tmp_path),
+                   "--times", "2,4,6,8,10,12,14,16,18,20", "--n-reps", "750",
+                   "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        got = hashlib.sha256((tmp_path / "expected_price.csv").read_bytes()).hexdigest()
+        assert got == "afbf96d765a251d214b70234a100926a625cf1141e6f2cc058c7bb0a37d75082"
+
     def test_output_passes_the_benchmark_price_check(self, tmp_path):
         # the price workload's check: mean prices and no-sale shares agree
         # with an independent Monte Carlo of the same attempts
