@@ -31,8 +31,7 @@ from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
 from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _substreams,
-                         _thin, _thinning_candidates, demand_intensity, sample_nhpp,
-                         simulate_cir, substream)
+                         _thin, sample_nhpp, simulate_cir, substream)
 
 __all__ = [
     "SaleOutcome",
@@ -197,24 +196,28 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
     """Run one sale attempt per generator of rngs and yield them in
     batches of about _CHUNK_CANDIDATES candidate offers.
 
-    Each generator draws, in order: the thinning candidates and their
-    acceptance uniforms, then one offer value and one withdrawal delay
-    per candidate, before the next generator is taken from rngs.  The
-    intensity, its domination check and the sale rule then run once per
-    batch, so an attempt's outcome depends only on its own generator,
-    never on the batch it falls in.
+    Each generator makes three calls, before the next is taken from
+    rngs: a Poisson(bound * t_star) count n, one rng.random(3n), then
+    the n withdrawal delays.  The 3n doubles are laid out as the n
+    candidate times, the n acceptance uniforms, then the n offer values.
+    numpy's uniform(low, high, n) is low + (high - low) * random(), one
+    double per draw, so scaling these slices gives the same bits as the
+    three uniform calls of _thinning_candidates and UniformOffers.sample.
+    The intensity, its domination check and the sale rule then run once
+    per batch, so an attempt's outcome depends only on its own
+    generator, never on the batch it falls in.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
     # the rate is linear between the path's nodes and the list only falls
     r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
     bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
+    mean = bound * t_star
     draws, n_cand = [], 0
     for rng in rngs:
-        cands, u = _thinning_candidates(rng, t_star, bound)
-        draws.append((cands, u, ctx.offers.sample(rng, cands.size),
-                      ctx.withdrawals.sample(rng, cands.size)))
-        n_cand += cands.size
+        n = rng.poisson(mean)
+        draws.append((n, rng.random(3 * n), ctx.withdrawals.sample(rng, n)))
+        n_cand += n
         if n_cand >= _CHUNK_CANDIDATES:
             yield _resolve(ctx, t_star, bound, draws)
             draws, n_cand = [], 0
@@ -223,10 +226,21 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
 
 
 def _resolve(ctx: PathContext, t_star: float, bound: float, draws: list) -> _Batch:
-    cands, u, value, delay = (np.concatenate(col) for col in zip(*draws))
-    rep = np.repeat(np.arange(len(draws)), [d[0].size for d in draws])
-    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
-    rep, arrival, value, delay = rep[keep], cands[keep], value[keep], delay[keep]
+    counts, units, delays = zip(*draws)
+    counts = np.array(counts, dtype=np.int64)
+    x, delay = np.concatenate(units), np.concatenate(delays)
+    rep = np.repeat(np.arange(counts.size), counts)
+    # candidate k of attempt i, which starts at candidate c_i, reads its
+    # time at x[3c_i + j] with j = k - c_i, its uniform n_i later and its
+    # value 2n_i later
+    n = counts[rep]
+    at = np.arange(rep.size) + 2 * (np.cumsum(counts) - counts)[rep]
+    times = t_star * x[at]
+    # each attempt's times sorted, paired by position with the rest
+    cands = times[np.lexsort((times, rep))]
+    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, x[at + n], bound)
+    at, rep, arrival, delay = at[keep], rep[keep], cands[keep], delay[keep]
+    value = ctx.offers.from_unit(x[at + 2 * n[keep]])
     sold, price, time = _sale_rule(rep, arrival, value, delay, len(draws),
                                    ctx.list_at(arrival), ctx.reservation, t_star)
     return _Batch(rep, arrival, value, delay, sold, price, time)
@@ -331,7 +345,7 @@ def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
     approximation: the realized attempt sees the moving rate and the
     decaying list.
     """
-    lam = demand_intensity(max(rate, RATE_FLOOR), initial_list, cfg.demand)
+    lam = cfg.demand.intensity(max(rate, RATE_FLOOR), initial_list)
     m = MarketParams(lam, cfg.mu, rate, cfg.p_min, cfg.p_max)
     return optimal_waiting_time(
         lambda T: expected_utility(T, m, reservation, initial_list, cfg.gamma),

@@ -88,8 +88,15 @@ class UniformOffers:
         lo = np.maximum(np.asarray(cut, dtype=float), self.p_min)
         return (lo + self.p_max) / 2.0
 
+    def from_unit(self, u):
+        """numpy's uniform(p_min, p_max) on the unit draws u, bit for bit:
+        p_min + (p_max - p_min) * u.  An array u is scaled in place."""
+        u *= self.p_max - self.p_min
+        u += self.p_min
+        return u
+
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.uniform(self.p_min, self.p_max, size)
+        return self.from_unit(rng.random(size))
 
 
 @dataclass(frozen=True)

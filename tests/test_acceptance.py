@@ -16,8 +16,8 @@ from homesale.closed_form import (MarketParams, asymptotic_listed_payoff,
                                   thinned_payoff)
 from homesale.market_sim import (EvolutionConfig, expected_price_curve,
                                  run_evolution)
-from homesale.oracle import (mc_auxiliary_payoff, mc_listed_payoff,
-                             mc_path_payoff, sigma0_table2_path,
+from homesale import oracle
+from homesale.oracle import (mc_listed_payoff, mc_path_payoff, sigma0_table2_path,
                              table2_context, validate_all)
 from homesale.owt import SweepAxis, SweepSpec, sweep_owt
 from homesale.path_payoff import (conditional_payoff_changing_list,
@@ -46,19 +46,30 @@ def report(name, ok, detail=""):
     assert ok, f"{name} {detail}"
 
 
-def test_criterion_1_auxiliary_oracle_equivalence():
+@pytest.fixture(scope="module")
+def auxiliary_estimates():
+    """Per (T, lam) cell: the waiting-only oracle at R = p_min and at R,
+    both read from one simulation, as mc_auxiliary_payoff would give
+    them one at a time."""
+    def shared(T, m):
+        return oracle._mc_auxiliary(T, m, N_MC, SEED, (m.p_min, R))
+
+    return {(T, lam): shared(T, table1(lam)) for T in T_GRID for lam in LAM_GRID}
+
+
+def test_criterion_1_auxiliary_oracle_equivalence(auxiliary_estimates):
     worst = 0.0
     for T in T_GRID:
         for lam in LAM_GRID:
             m = table1(lam)
-            est = mc_auxiliary_payoff(T, m, N_MC, SEED)
+            est = auxiliary_estimates[T, lam][0]
             z = est.z_against(auxiliary_payoff(T, m))
             worst = max(worst, abs(z))
     report("criterion 1: waiting-only payoff vs oracle on 5x5 grid",
            worst <= 3.0, f"max |z| = {worst:.2f}")
 
 
-def test_criterion_2_thinned_and_listed_oracle_equivalence():
+def test_criterion_2_thinned_and_listed_oracle_equivalence(auxiliary_estimates):
     worst_thinned = 0.0
     worst_exact = 0.0
     mc_gaps = []
@@ -66,7 +77,7 @@ def test_criterion_2_thinned_and_listed_oracle_equivalence():
     for T in T_GRID:
         for lam in LAM_GRID:
             m = table1(lam)
-            est = mc_auxiliary_payoff(T, m, N_MC, SEED, reservation=R)
+            est = auxiliary_estimates[T, lam][1]
             worst_thinned = max(worst_thinned,
                                 abs(est.z_against(thinned_payoff(T, m, R))))
             est = mc_listed_payoff(T, m, R, L, N_MC, SEED)
@@ -164,6 +175,15 @@ def table2_path():
     return sigma0_table2_path(2.5)
 
 
+@pytest.fixture(scope="module")
+def decaying_list_estimates(table2_path):
+    """Per t: the path oracle's changing-list and no-list estimates on
+    the decaying-list context, both read from one simulation."""
+    ctx = table2_context(table2_path)
+    return {t: oracle._mc_path(ctx, t, ("changing", "none"), N_MC, SEED)
+            for t in (0.5, 1.0, 2.0)}
+
+
 def test_criterion_6_constant_list_vs_oracle(table2_path):
     ctx = table2_context(table2_path, constant_list=True)
     worst = 0.0
@@ -174,11 +194,11 @@ def test_criterion_6_constant_list_vs_oracle(table2_path):
            worst <= 3.0, f"max |z| = {worst:.2f}")
 
 
-def test_criterion_6_no_list_vs_oracle(table2_path):
+def test_criterion_6_no_list_vs_oracle(table2_path, decaying_list_estimates):
     ctx = table2_context(table2_path)
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
-        est = mc_path_payoff(ctx, t, "none", N_MC, SEED)
+        est = decaying_list_estimates[t][1]
         worst = max(worst, abs(est.z_against(conditional_payoff_no_list(ctx, t))))
     report("criterion 6b: no-list conditional payoff vs oracle",
            worst <= 3.0, f"max |z| = {worst:.2f}")
@@ -196,7 +216,7 @@ def test_criterion_6_changing_specializes_to_constant(table2_path):
            f"max rel diff = {worst:.2e}")
 
 
-def test_criterion_6_changing_list_vs_oracle(table2_path):
+def test_criterion_6_changing_list_vs_oracle(table2_path, decaying_list_estimates):
     """The exact changing-list conditional payoff matches the simulated
     definition.  Offers beat the decaying list at rate
     h(a) = lam(a) (1 - F(L(a))), so the first crossing has density
@@ -209,7 +229,7 @@ def test_criterion_6_changing_list_vs_oracle(table2_path):
     all_ok = True
     for t in (0.5, 1.0, 2.0):
         analytic = conditional_payoff_changing_list_exact(ctx, t)
-        est = mc_path_payoff(ctx, t, "changing", N_MC, SEED)
+        est = decaying_list_estimates[t][0]
         z = est.z_against(analytic)
         ok = abs(z) <= 3.0
         all_ok &= ok

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from homesale.market_sim import (EvolutionConfig, compute_owt_frozen, draw_crisi
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   UniformOffers)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
-                                 _thinning_candidates, sample_nhpp, simulate_cir,
+                                 _thin, _thinning_candidates, sample_nhpp, simulate_cir,
                                  substream)
 
 DEMAND = DemandParams(0.5, 1000.0)
@@ -351,6 +354,58 @@ class TestSaleAttempts:
     def test_rejects_non_positive_t_star(self):
         with pytest.raises(ValueError, match="t_star"):
             run_sale_attempt(flat_context(), 0.0, substream(1, "x"))
+
+
+def reference_attempt(ctx, t_star, rng):
+    """One attempt's kept (arrival, value, delay) drawn the unmerged way:
+    the thinning candidates and their uniforms, then the values, then
+    the delays, each from its own call on rng."""
+    r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
+    bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
+    cands, u = _thinning_candidates(rng, t_star, bound)
+    value = ctx.offers.sample(rng, cands.size)
+    delay = ctx.withdrawals.sample(rng, cands.size)
+    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
+    return cands[keep], value[keep], delay[keep]
+
+
+class TestStreamIdentity:
+    """The engine's one random(3n) per attempt against the three uniform
+    calls it replaces, compared by bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), n_reps=st.integers(1, 6),
+           rate=st.sampled_from([0.0, 0.03, 0.09]),
+           scale=st.sampled_from([1e-9, 1.0]),  # 1e-9: almost every count is 0
+           t_star=st.floats(1e-3, 2.0), mu=st.sampled_from([0.0, 10.0]),
+           zeta=st.sampled_from([0.0, 1.0, 4.0]), budget=st.sampled_from([1, 1 << 13]))
+    def test_engine_draws_the_reference_stream(self, seed, n_reps, rate, scale, t_star,
+                                               mu, zeta, budget):
+        ctx = dataclasses.replace(
+            flat_context(rate=rate, mu=mu, zeta=zeta),
+            demand=DemandParams(DEMAND.k1 * scale, DEMAND.k2 * scale))
+        gens = [substream(seed, "identity", j) for j in range(n_reps)]
+        refs = [copy.deepcopy(g) for g in gens]
+        with mock.patch.object(market_sim, "_CHUNK_CANDIDATES", budget):
+            batches = list(market_sim._sale_attempts(ctx, t_star, iter(gens)))
+        got = [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
+               for b in batches for j in range(b.sold.size)]
+        want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, r))
+                for r in refs]
+        assert got == want
+        # and each generator is left where the reference leaves it
+        assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300),
+           p_min=st.floats(1e-3, 1e6), width=st.floats(1e-3, 1e6))
+    def test_from_unit_is_numpy_uniform(self, seed, k, p_min, width):
+        offers = UniformOffers(p_min, p_min + width)
+        a, b = substream(seed, "unit"), substream(seed, "unit")
+        got = offers.from_unit(a.random(k))
+        assert got.tobytes() == b.uniform(offers.p_min, offers.p_max, k).tobytes()
+        assert offers.sample(a) == b.uniform(offers.p_min, offers.p_max)
+        assert offers.sample(a, k).tobytes() == b.uniform(offers.p_min, offers.p_max, k).tobytes()
 
 
 def test_tight_bound_matches_rate_floor_bound_in_distribution():
