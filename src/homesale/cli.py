@@ -123,11 +123,11 @@ _STR_KEYS = {"out_dir"}
 def load_config(path: str) -> ScenarioConfig:
     """Parse a flat key = value scenario file.
 
-    Blank lines and #-comments are skipped; unknown keys are errors so a
-    typo cannot silently change the scenario.
+    Blank lines and #-comments are skipped; unknown keys and keys set
+    twice are errors so a typo cannot silently change the scenario.
     """
     known = {f.name for f in fields(ScenarioConfig)}
-    overrides = {}
+    overrides, set_on = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -143,6 +143,9 @@ def load_config(path: str) -> ScenarioConfig:
         value = value.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             if key in _STR_KEYS:
                 overrides[key] = value

@@ -45,7 +45,6 @@ __all__ = [
     "time_to_posting",
     "compute_owt_frozen",
     "run_sale_attempt",
-    "update_prices",
     "run_evolution",
     "expected_price_curve",
 ]
@@ -269,20 +268,6 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
     return SaleAttempt(offers, outcome)
 
 
-def update_prices(reservation: float, attempt: SaleAttempt, p_min: float,
-                  p_max: float) -> tuple[float, float]:
-    """Next-period (reservation, initial list).
-
-    A sale hands the asset over at the agreed price, and the new owner
-    would relist from the top of the offer support.  A failed attempt
-    splits the difference toward p_min and relists at the old
-    reservation price.
-    """
-    if attempt.outcome.sold:
-        return attempt.outcome.price, p_max
-    return (reservation + p_min) / 2.0, reservation
-
-
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Everything a long-horizon evolution run needs, checked once here.
@@ -433,13 +418,13 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
                 attempt_idx += 1
                 owner_idx += 1
                 tenure_start = sale_t
-                reservation, next_list = update_prices(cur_R, attempt, cfg.p_min,
-                                                       cfg.p_max)
+                # the new owner holds the sale price and would relist at p_max
+                reservation, next_list = attempt.outcome.price, cfg.p_max
                 sold = True
             else:
                 end_t = post_t + t_star
                 emit(end_t, "NoSale", owner=owner_idx, attempt=attempt_idx)
-                cur_R, cur_L0 = update_prices(cur_R, attempt, cfg.p_min, cfg.p_max)
+                cur_R, cur_L0 = (cur_R + cfg.p_min) / 2.0, cur_R
                 emit(end_t, "Reprice", price=cur_R, owner=owner_idx, attempt=attempt_idx)
                 attempt_idx += 1
                 post_t = end_t

@@ -184,6 +184,10 @@ class SweepSpec:
     t_max: float = DEFAULT_T_MAX
     tol: float = DEFAULT_TOL
 
+    def __post_init__(self):
+        if self.axis_x.name == self.axis_y.name:
+            raise ValueError(f"both sweep axes are {self.axis_x.name!r}; choose two parameters")
+
 
 @dataclass
 class SweepResult:

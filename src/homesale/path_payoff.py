@@ -51,9 +51,6 @@ __all__ = [
     "UniformOffers",
     "ExponentialWithdrawals",
     "PathContext",
-    "below_list_probability",
-    "surviving_offer_tail",
-    "crossing_survival",
     "conditional_payoff_changing_list",
     "conditional_payoff_changing_list_exact",
     "conditional_payoff_constant_list",
@@ -224,16 +221,9 @@ def _arrivals(ctxs: list, t: float) -> _Arrivals:
                      ctx.withdrawals.cdf(t - a), lam[live], big_lam[live], live)
 
 
-def _one(ctx: PathContext, t: float) -> _Arrivals:
-    """The arrival grid of one context; raises when no offer can arrive."""
-    arr = _arrivals([ctx], t)
-    if not arr.live[0]:
-        raise ValueError("cumulative intensity is zero; probability undefined")
-    return arr
-
-
 def _below_list(arr: _Arrivals, F_L: np.ndarray) -> list[float]:
-    """(1/Lambda) Int lam(a) F_L(a) da per live path, clipped to [0, 1]."""
+    """The chance that one offer arriving in [0, t] (density lam/Lambda) is
+    below the list: (1/Lambda) Int lam(a) F_L(a) da per live path, in [0, 1]."""
     return [min(max(float(arr.w @ row) / bl, 0.0), 1.0)
             for row, bl in zip(arr.lam * F_L, arr.big_lam)]
 
@@ -245,34 +235,10 @@ def _standing_weight(arr: _Arrivals) -> np.ndarray:
                      for row, bl in zip(arr.lam * arr.held, arr.big_lam)])
 
 
-def below_list_probability(ctx: PathContext, t: float) -> float:
-    """Chance that a single offer arriving in [0, t] is below the list.
-
-    Arrival times condition to density lam(a)/Lambda(t), so this is
-    (1/Lambda) Int lam(a) F(L(a)) da.
-    """
-    arr = _one(ctx, t)
-    return _below_list(arr, ctx.offers.cdf(ctx.list_at(arr.a)))[0]
-
-
-def surviving_offer_tail(ctx: PathContext, t: float, y):
-    """Tail probability that one offer is in [R, L(arrival)), still
-    standing at t, and worth more than y.
-
-    Vectorized over y; identically zero for y >= L(0).
-    """
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if not (np.isfinite(y_arr).all() and (y_arr >= 0).all()):
-        raise ValueError("y must be finite and non-negative")
-    arr = _one(ctx, t)
-    F_L = ctx.offers.cdf(ctx.list_at(arr.a))
-    out = np.where(y_arr >= ctx.list_price, 0.0, _offer_tail(arr, F_L)(y_arr)[0])
-    return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
-
-
 def _offer_tail(arr: _Arrivals, F_L: np.ndarray) -> Callable:
-    """surviving_offer_tail as a function of a 1-D y array, one row per
-    live path (y >= 0 unchecked).
+    """The chance that one offer is in [R, L(arrival)), stands at t and is
+    worth more than y, for a 1-D y array (y >= 0 unchecked), one row per
+    live path.
 
     With F_L = F(L(a)) >= F(R) and f = F(max(R, y)), Lambda tail(y) sums
     c (F_L - f), c = lam (1 - held) w, over the nodes with F_L > f: on F
@@ -298,17 +264,6 @@ def _offer_tail(arr: _Arrivals, F_L: np.ndarray) -> Callable:
         return np.minimum((G[:, k] + (F[k] - f) * S0[:, k]) / arr.big_lam[:, None], 1.0)
 
     return tail
-
-
-def crossing_survival(ctx: PathContext, t: float, n: int) -> float:
-    """Chance that none of n offers beat the list price at arrival.
-
-    n == 0 goes through below_list_probability too (p**0 == 1.0), so
-    every n checks the horizon.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return below_list_probability(ctx, t) ** n
 
 
 def _best_standing_integral(L0: float, breaks: list[float], big_lam: np.ndarray,

@@ -30,7 +30,6 @@ __all__ = [
     "RatePath",
     "DemandParams",
     "simulate_cir",
-    "demand_intensity",
     "sample_nhpp",
 ]
 
@@ -193,10 +192,6 @@ class CirParams:
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
-    def mean_at(self, t: float) -> float:
-        """Exact expectation of the rate at time t."""
-        return self.theta + (self.r0 - self.theta) * math.exp(-self.kappa * t)
-
 
 @dataclass
 class RatePath:
@@ -228,11 +223,6 @@ class RatePath:
         mids = (self.values[1:] + self.values[:-1]) / 2.0 * self.dt
         return np.concatenate(([0.0], np.cumsum(mids)))
 
-    def _check_span(self, t) -> None:
-        t = np.asarray(t, dtype=float)
-        if t.size:
-            self._check_ends(float(t.min()), float(t.max()))
-
     def _check_ends(self, lo: float, hi: float) -> None:
         # a relative slack of 1e-12 absorbs rounding in callers' grids
         slack = 1e-12 * self.horizon
@@ -242,21 +232,16 @@ class RatePath:
 
     def rate_at(self, t):
         """Linear interpolation of the rate; raises outside [0, horizon]."""
-        self._check_span(t)
+        if np.size(t):
+            self._check_ends(float(np.min(t)), float(np.max(t)))
         return self._rate(t)
 
     def _rate(self, t):
         # rate_at without the span check, for times already checked
         return np.interp(t, self.times, self.values)
 
-    def cumulative_rate(self, t):
-        """Integral of the rate from 0 to t (trapezoid on the native grid);
-        raises outside [0, horizon]."""
-        self._check_span(t)
-        return self._cumulative(t)
-
     def _cumulative(self, t):
-        # cumulative_rate without the span check, for times already checked
+        # trapezoid integral of the rate from 0 to t, for times already checked
         return np.interp(t, self.times, self._cum)
 
     def shifted(self, start: float, horizon: float) -> "RatePath":
@@ -282,7 +267,8 @@ class DemandParams:
             raise ValueError("k1 and k2 cannot both be zero")
 
     def intensity(self, r, L):
-        """k1/r + k2/L without input checks; demand_intensity validates."""
+        """k1/r + k2/L, decreasing in both arguments; unchecked, so callers
+        floor r at RATE_FLOOR."""
         return self.k1 / r + self.k2 / L
 
 
@@ -313,20 +299,6 @@ def simulate_cir(p: CirParams, horizon: float, dt: float = DEFAULT_DT,
             cur = 0.0
         values.append(cur)
     return RatePath(dt, values)
-
-
-def demand_intensity(r, L, d: DemandParams):
-    """Offer arrival intensity k1/r + k2/L; decreasing in both arguments.
-
-    Rejects non-positive r or L outright -- clamping rates that touch
-    zero (see RATE_FLOOR) is the caller's responsibility.
-    """
-    r = np.asarray(r, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if np.any(r <= 0) or np.any(L <= 0):
-        raise ValueError("demand_intensity needs r > 0 and L > 0")
-    out = d.intensity(r, L)
-    return float(out) if out.ndim == 0 else out
 
 
 def _thinning_candidates(rng: np.random.Generator, horizon: float,

@@ -35,6 +35,11 @@ def three_sigma(label, analytic, mean, stderr, sigmas=3.0):
         f"{label}: analytic={analytic:.6f} mc={mean:.6f}+-{stderr:.6f} z={z:.2f}")
 
 
+def cir_mean(p, t):
+    """Exact expectation of the CIR short rate at time t."""
+    return p.theta + (p.r0 - p.theta) * math.exp(-p.kappa * t)
+
+
 def cir_ensemble(p, horizon, dt, n_paths, seed):
     """The rates of n_paths independent full-truncation Euler paths, one
     fresh vector per grid time t = 0, dt, 2*dt, ...; each step draws

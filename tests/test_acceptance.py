@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cir_ensemble_finals
+from conftest import cir_ensemble_finals, cir_mean
 from homesale.closed_form import (MarketParams, asymptotic_listed_payoff,
                                   auxiliary_payoff, expected_utility,
                                   listed_payoff, listed_payoff_exact,
@@ -309,7 +309,7 @@ def test_criterion_8_evolution_integrity():
 def test_criterion_9_short_rate_sanity():
     p = CirParams(0.25, 0.1, 0.08, 0.09)
     finals, low = cir_ensemble_finals(p, 10.0, 1.0 / 252.0, 100_000, seed=SEED)
-    target = p.mean_at(10.0)
+    target = cir_mean(p, 10.0)
     se = finals.std(ddof=1) / math.sqrt(finals.size)
     z = (finals.mean() - target) / se
     ok = abs(z) <= 3.0 and low >= 0.0

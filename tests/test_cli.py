@@ -59,6 +59,16 @@ class TestConfig:
         rc = main(["owt", "--config", str(f), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_key_set_twice_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "s.cfg"
+        f.write_text("seed = 3\n# retry\nseed = 5\n")
+        with pytest.raises(cli.ConfigError, match=r"s\.cfg:3: seed already set on line 1"):
+            load_config(str(f))
+        out = tmp_path / "out"
+        assert main(["owt", "--config", str(f), "--out", str(out)]) == 2
+        assert "seed already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_tracks_content(self):
         a = ScenarioConfig()
         b = ScenarioConfig(seed=99)
@@ -278,6 +288,13 @@ class TestSweepCommand:
     def test_bad_axis_spec_is_usage_error(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path), "--x", "lam:1:10", "--y", "r:0:1:2"])
         assert rc == 2
+
+    def test_same_parameter_on_both_axes_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--out", str(out), "--x", "lam:1:12:3", "--y", "lam:1:12:3"])
+        assert rc == 2
+        assert "both sweep axes are 'lam'" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_infinite_axis_is_config_error(self, tmp_path, capsys):
         # numpy used to warn in linspace and write inf/empty cells

@@ -13,7 +13,7 @@ from homesale import market_sim
 from homesale.market_sim import (EvolutionConfig, compute_owt_frozen, draw_crisis,
                                  draw_occupation, expected_price_curve,
                                  run_evolution, run_sale_attempt, time_to_posting,
-                                 update_prices, SaleAttempt, SaleOutcome)
+                                 SaleOutcome)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   UniformOffers)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
@@ -128,10 +128,9 @@ class TestFrozenOwt:
 
     def test_matches_dense_grid(self):
         from homesale.closed_form import MarketParams, expected_utility
-        from homesale.stochastic import demand_intensity
 
         res = compute_owt_frozen(make_config(tol=1e-4), 0.09, 140.0, 200.0)
-        lam = demand_intensity(0.09, 200.0, DEMAND)
+        lam = DEMAND.intensity(0.09, 200.0)
         m = MarketParams(lam, 10.0, 0.09, 100.0, 200.0)
         dense = np.linspace(20.0 / 200_000, 20.0, 200_000)
         vals = [expected_utility(t, m, 140.0, 200.0, 0.8) for t in dense]
@@ -440,25 +439,6 @@ def test_tight_bound_matches_rate_floor_bound_in_distribution():
           (~new_sold).astype(float))
 
 
-class TestUpdatePrices:
-    def sale(self, price):
-        return SaleAttempt([], SaleOutcome(True, price, 0.5))
-
-    def no_sale(self):
-        return SaleAttempt([], SaleOutcome(False))
-
-    def test_sale_resets_to_agreed_price_and_top_list(self):
-        assert update_prices(140.0, self.sale(173.0), 100.0, 200.0) == (173.0, 200.0)
-
-    def test_failure_splits_toward_floor_and_relists_at_reservation(self):
-        assert update_prices(140.0, self.no_sale(), 100.0, 200.0) == (120.0, 140.0)
-
-    def test_two_failures(self):
-        r1, _ = update_prices(140.0, self.no_sale(), 100.0, 200.0)
-        r2, _ = update_prices(r1, self.no_sale(), 100.0, 200.0)
-        assert r2 == 110.0
-
-
 class TestEvolutionConfig:
     def test_equal_neighbours_accepted(self):
         cfg = make_config(p_min=100.0, initial_reservation=100.0, initial_list=200.0,
@@ -539,20 +519,32 @@ class TestRunEvolution:
                 assert repost.time == e.time
 
     def test_reprice_arithmetic_and_reservation_decline(self):
+        # a failed attempt reprices to (R + p_min) / 2 and relists at the
+        # old R; a sale makes its price the next owner's R, listed at p_max
         cfg = make_config()
         log = run_evolution(cfg, 50.0, seed=42)
-        reservation = cfg.initial_reservation
-        for i, e in enumerate(log.events):
+        reservation, list_price = cfg.initial_reservation, cfg.initial_list
+        sale_price = None
+        n_sales = n_relists = 0
+        for e in log.events:
             if e.kind == "OccupationStart":
+                if sale_price is not None:
+                    assert e.price == sale_price
                 reservation = e.price
+            elif e.kind == "PostForSale":
+                assert e.price == list_price
+                n_relists += list_price != cfg.p_max
             elif e.kind == "Reprice":
                 expected = (reservation + cfg.p_min) / 2.0
                 assert e.price == expected
                 assert e.price < reservation
                 assert e.price > cfg.p_min
-                reservation = e.price
+                reservation, list_price = e.price, reservation
             elif e.kind == "Sale":
                 assert e.price >= reservation or math.isclose(e.price, reservation)
+                sale_price, list_price = e.price, cfg.p_max
+                n_sales += 1
+        assert n_sales > 0 and n_relists > 0
 
     def test_event_times_non_decreasing(self):
         log = run_evolution(make_config(), 50.0, seed=42)

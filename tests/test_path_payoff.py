@@ -13,12 +13,11 @@ from homesale.oracle import mc_path_payoff, sigma0_table2_path, table2_context
 from homesale import path_payoff
 from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathContext,
                                   UniformOffers, _above_list_hazard, _arrivals,
-                                  below_list_probability,
+                                  _below_list, _offer_tail,
                                   conditional_payoff_changing_list,
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
-                                  conditional_payoff_no_list, crossing_survival,
-                                  expected_payoff, surviving_offer_tail)
+                                  conditional_payoff_no_list, expected_payoff)
 from homesale.quadrature import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                                  simulate_cir, substream)
@@ -49,6 +48,20 @@ def flat_rate_ctx(list_price=200.0, withdrawals=None, reservation=140.0,
         withdrawals=withdrawals if withdrawals is not None else ExponentialWithdrawals(5.0),
         reservation=reservation,
         demand=demand if demand is not None else DemandParams(0.0, 1000.0))
+
+
+def below_list(ctx, t):
+    """_below_list on the one-path arrival grid, given the F(L(a)) that
+    _changing_list hands it."""
+    arr = _arrivals([ctx], t)
+    return _below_list(arr, ctx.offers.cdf(ctx.list_at(arr.a)))[0]
+
+
+def offer_tail(ctx, t, ys):
+    """_offer_tail at the 1-D y values ys on the one-path arrival grid, given
+    the F(L(a)) that _changing_list hands it."""
+    arr = _arrivals([ctx], t)
+    return _offer_tail(arr, ctx.offers.cdf(ctx.list_at(arr.a)))(np.asarray(ys, float))[0]
 
 
 def band_tail(ctx, t, ys):
@@ -149,33 +162,27 @@ class TestPathContext:
 class TestBelowListProbability:
     def test_list_at_top_of_support(self):
         ctx = flat_rate_ctx()
-        assert below_list_probability(ctx, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert below_list(ctx, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_list_collapses_to_cdf(self):
         ctx = flat_rate_ctx(list_price=180.0)
-        assert below_list_probability(ctx, 1.0) == pytest.approx(0.8, rel=1e-10)
+        assert below_list(ctx, 1.0) == pytest.approx(0.8, rel=1e-10)
 
     def test_against_pooled_simulation(self, decay_ctx):
         a, values, _ = pooled_offers(decay_ctx, 1.0, 400_000, seed=3)
         hits = (values < decay_ctx.list_at(a)).astype(float)
-        three_sigma("below-list prob", below_list_probability(decay_ctx, 1.0),
+        three_sigma("below-list prob", below_list(decay_ctx, 1.0),
                     hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size))
-
-    def test_rejects_zero_mass(self):
-        ctx = flat_rate_ctx()
-        with pytest.raises(ValueError):
-            below_list_probability(ctx, 0.0)
 
 
 class TestSurvivingOfferTail:
     def test_zero_above_initial_list(self, decay_ctx):
-        assert surviving_offer_tail(decay_ctx, 1.0, 200.0) == 0.0
-        assert surviving_offer_tail(decay_ctx, 1.0, 250.0) == 0.0
+        assert offer_tail(decay_ctx, 1.0, [200.0, 250.0]).tolist() == [0.0, 0.0]
 
     def test_no_withdrawals_constant_list(self):
         ctx = flat_rate_ctx(list_price=180.0, withdrawals=ExponentialWithdrawals(0.0))
         # value band (140, 180) of a uniform on (100, 200)
-        assert surviving_offer_tail(ctx, 1.0, 0.0) == pytest.approx(0.4, rel=1e-10)
+        assert offer_tail(ctx, 1.0, [0.0])[0] == pytest.approx(0.4, rel=1e-10)
 
     def test_against_pooled_simulation(self, decay_ctx):
         y = 150.0
@@ -184,13 +191,13 @@ class TestSurvivingOfferTail:
         L_a = decay_ctx.list_at(a)
         product = values * ((values >= 140.0) & (values < L_a)) * (delays >= t - a)
         hits = (product > y).astype(float)
-        three_sigma("survivor tail", surviving_offer_tail(decay_ctx, t, y),
+        three_sigma("survivor tail", offer_tail(decay_ctx, t, [y])[0],
                     hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size))
 
     def test_dominated_by_below_list_probability(self, decay_ctx):
-        phi = below_list_probability(decay_ctx, 1.5)
+        phi = below_list(decay_ctx, 1.5)
         ys = np.linspace(0.0, 210.0, 64)
-        tails = surviving_offer_tail(decay_ctx, 1.5, ys)
+        tails = offer_tail(decay_ctx, 1.5, ys)
         assert np.all(tails <= phi + 1e-12)
         assert np.all(tails >= 0.0)
         assert np.all(np.diff(tails) <= 1e-12)
@@ -200,7 +207,7 @@ class TestSurvivingOfferTail:
         # the tail is a probability, so the pin is absolute: near-zero
         # tails differ by more ulps than their size makes worth counting
         ys = np.concatenate((np.linspace(0.0, 210.0, 4001), [140.0, 150.0, 199.999]))
-        got = surviving_offer_tail(decay_ctx, t, ys)
+        got = offer_tail(decay_ctx, t, ys)
         assert np.max(np.abs(got - band_tail(decay_ctx, t, ys))) <= 4 * EPS
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -213,25 +220,14 @@ class TestSurvivingOfferTail:
         # At each break of the sorted F(L(a)) the suffix sums hand over
         # exactly, so the tail never rises, not even by an ulp.
         ctx, t, ys = case
-        got = surviving_offer_tail(ctx, t, ys)
+        got = offer_tail(ctx, t, ys)
         assert np.max(np.abs(got - band_tail(ctx, t, ys))) <= 32 * EPS
         assert np.all(np.diff(got) <= 0.0)
         assert np.all(got[ys >= ctx.list_price] == 0.0)
-        assert np.all(got <= below_list_probability(ctx, t) + 1e-12)
-
-    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [150.0, math.nan],
-                                   [150.0, math.inf], [150.0, -1.0]])
-    def test_rejects_non_finite_or_negative_y(self, decay_ctx, y):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            surviving_offer_tail(decay_ctx, 1.0, y)
+        assert np.all(got <= below_list(ctx, t) + 1e-12)
 
 
 class TestCrossingSurvival:
-    def test_zero_and_one_offers(self, decay_ctx):
-        assert crossing_survival(decay_ctx, 1.0, 0) == 1.0
-        assert crossing_survival(decay_ctx, 1.0, 1) == \
-            below_list_probability(decay_ctx, 1.0)
-
     def test_three_offer_runs(self, decay_ctx):
         from homesale.stochastic import sample_nhpp
 
@@ -248,7 +244,7 @@ class TestCrossingSurvival:
             hits.append(float(np.all(values < decay_ctx.list_at(arrivals))))
         hits = np.array(hits)
         assert hits.size > 2000
-        three_sigma("no-crossing given 3 offers", crossing_survival(decay_ctx, t, 3),
+        three_sigma("no-crossing given 3 offers", below_list(decay_ctx, t) ** 3,
                     hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size))
 
 
@@ -340,7 +336,7 @@ class TestExactChangingList:
         for t in (0.5, 1.0, 2.0):
             a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
             big_lam = float(w @ decay_ctx.intensity(a))
-            no_cross = math.exp(big_lam * (below_list_probability(decay_ctx, t) - 1.0))
+            no_cross = math.exp(big_lam * (below_list(decay_ctx, t) - 1.0))
             hazard = _above_list_hazard(_arrivals([decay_ctx], t), decay_ctx.list_at)[0]
             assert hazard.shape == w.shape
             assert np.all(np.diff(hazard) >= 0.0)
@@ -544,8 +540,6 @@ class TestBatchBodies:
             assert one_path(dead, 1.0) == 0.0
             got = body([dead, live, dead], 1.0)
             assert got.tolist() == [0.0, one_path(live, 1.0), 0.0]
-        with pytest.raises(ValueError, match="cumulative intensity is zero"):
-            below_list_probability(dead, 1.0)
 
     @pytest.mark.parametrize("change", [{"list_price": 190.0}, {"zeta": 0.5},
                                         {"reservation": 130.0},

@@ -8,13 +8,12 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cir_ensemble, cir_ensemble_finals, three_sigma
+from conftest import cir_ensemble, cir_ensemble_finals, cir_mean, three_sigma
 from homesale import stochastic
 from homesale.path_payoff import ExponentialWithdrawals, UniformOffers
 from homesale.quadrature import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
-                                 _substreams, demand_intensity, sample_nhpp,
-                                 simulate_cir, substream)
+                                 _substreams, sample_nhpp, simulate_cir, substream)
 
 
 def simpson_integral(f, t, n_nodes=201):
@@ -32,7 +31,7 @@ class TestCir:
 
     def test_ensemble_mean_matches_analytic(self, sim_cir):
         finals, _ = cir_ensemble_finals(sim_cir, 10.0, 1.0 / 252.0, 20_000, seed=2)
-        three_sigma("cir mean", sim_cir.mean_at(10.0), finals.mean(),
+        three_sigma("cir mean", cir_mean(sim_cir, 10.0), finals.mean(),
                     finals.std(ddof=1) / math.sqrt(finals.size))
 
     def test_single_step_horizon(self, sim_cir):
@@ -58,8 +57,8 @@ class TestCir:
         long = simulate_cir(sim_cir, 2.0, dt, substream(5, "payoff-path", 3))
         assert long.values.size > short.values.size
         assert np.array_equal(long.values[:short.values.size], short.values)
-        np.testing.assert_array_equal(long.cumulative_rate(short.times),
-                                      short.cumulative_rate(short.times))
+        np.testing.assert_array_equal(long._cumulative(short.times),
+                                      short._cumulative(short.times))
 
 
     @pytest.mark.parametrize("sigma", [0.08, 1.5])
@@ -95,7 +94,7 @@ class TestRatePath:
         path = RatePath(0.5, np.array([0.1, 0.2, 0.1]))
         assert path.horizon == 1.0
         assert path.rate_at(0.25) == pytest.approx(0.15)
-        assert path.cumulative_rate(1.0) == pytest.approx(0.15)
+        assert path._cumulative(1.0) == pytest.approx(0.15)
         shifted = path.shifted(0.5, 0.5)
         assert shifted.values[0] == pytest.approx(0.2)
 
@@ -113,15 +112,13 @@ class TestRatePath:
         for t in (1.01, -0.01, np.array([0.5, 1.5]), np.nan):
             with pytest.raises(ValueError):
                 path.rate_at(t)
-            with pytest.raises(ValueError):
-                path.cumulative_rate(t)
 
     def test_rounding_slack_and_empty_input(self):
         path = RatePath(0.5, np.array([0.1, 0.2, 0.1]))
         assert path.rate_at(1.0 + 1e-13) == pytest.approx(0.1)
-        assert path.cumulative_rate(-1e-13) == pytest.approx(0.0, abs=1e-12)
+        assert path._cumulative(-1e-13) == pytest.approx(0.0, abs=1e-12)
         assert path.rate_at(np.array([])).size == 0
-        assert path.cumulative_rate(np.array([])).size == 0
+        assert path._cumulative(np.array([])).size == 0
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -135,14 +132,13 @@ class TestRatePath:
 
 class TestDemand:
     def test_single_term(self, sim_demand):
-        assert demand_intensity(1.0, 200.0, DemandParams(0.0, 1000.0)) == 5.0
+        assert DemandParams(0.0, 1000.0).intensity(1.0, 200.0) == 5.0
 
     def test_reference_point(self, sim_demand):
-        assert demand_intensity(0.09, 200.0, sim_demand) == pytest.approx(10.5556, abs=1e-4)
+        assert sim_demand.intensity(0.09, 200.0) == pytest.approx(10.5556, abs=1e-4)
 
     def test_decreasing_in_rate(self, sim_demand):
-        assert demand_intensity(0.06, 200.0, sim_demand) > \
-            demand_intensity(0.12, 200.0, sim_demand)
+        assert sim_demand.intensity(0.06, 200.0) > sim_demand.intensity(0.12, 200.0)
 
     @pytest.mark.parametrize("k1, k2, field", [(math.nan, 1000.0, "k1"),
                                                (0.5, math.inf, "k2"),
@@ -150,12 +146,6 @@ class TestDemand:
     def test_params_reject_non_finite(self, k1, k2, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             DemandParams(k1, k2)
-
-    def test_rejects_nonpositive_args(self, sim_demand):
-        with pytest.raises(ValueError):
-            demand_intensity(0.0, 200.0, sim_demand)
-        with pytest.raises(ValueError):
-            demand_intensity(0.1, 0.0, sim_demand)
 
 
 class TestSimpsonNodes:
@@ -169,7 +159,7 @@ class TestSimpsonNodes:
     def test_refinement_oracle_on_demand_curve(self, sim_cir, sim_demand):
         p = CirParams(sim_cir.kappa, sim_cir.theta, 0.0, sim_cir.r0)
         path = simulate_cir(p, 5.0, 1.0 / 252.0, seed=0)
-        lam = lambda s: demand_intensity(np.maximum(path.rate_at(s), 1e-4), 200.0, sim_demand)
+        lam = lambda s: sim_demand.intensity(np.maximum(path.rate_at(s), 1e-4), 200.0)
         coarse = simpson_integral(lam, 5.0, 201)
         fine = simpson_integral(lam, 5.0, 401)
         assert abs(coarse - fine) / fine < 1e-8
@@ -210,7 +200,7 @@ class TestNhpp:
         # mean count equals the integrated intensity
         p = CirParams(sim_cir.kappa, sim_cir.theta, 0.0, sim_cir.r0)
         path = simulate_cir(p, 5.0, 1.0 / 252.0, seed=0)
-        lam = lambda s: demand_intensity(np.maximum(path.rate_at(s), 1e-4), 200.0, sim_demand)
+        lam = lambda s: sim_demand.intensity(np.maximum(path.rate_at(s), 1e-4), 200.0)
         target = simpson_integral(lam, 5.0)
         rng = substream(17, "nhpp-rescale")
         counts = np.array([sample_nhpp(lam, 5.0, 12.0, rng).size
