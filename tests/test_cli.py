@@ -59,14 +59,20 @@ class TestConfig:
         rc = main(["owt", "--config", str(f), "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_key_set_twice_is_an_error(self, tmp_path, capsys):
+    # an int, a float and a string key; the repeat is reported before its
+    # value is parsed, so a bad second value names the repeat too
+    @pytest.mark.parametrize("key, first, second", [("seed", "3", "5"),
+                                                    ("interest_rate", "0.1", "0.2"),
+                                                    ("out_dir", "a", "b"),
+                                                    ("seed", "3", "oops")])
+    def test_key_set_twice_is_an_error(self, tmp_path, capsys, key, first, second):
         f = tmp_path / "s.cfg"
-        f.write_text("seed = 3\n# retry\nseed = 5\n")
-        with pytest.raises(cli.ConfigError, match=r"s\.cfg:3: seed already set on line 1"):
+        f.write_text(f"{key} = {first}\n# retry\n{key} = {second}\n")
+        with pytest.raises(cli.ConfigError, match=rf"s\.cfg:3: {key} already set on line 1"):
             load_config(str(f))
         out = tmp_path / "out"
         assert main(["owt", "--config", str(f), "--out", str(out)]) == 2
-        assert "seed already set on line 1" in capsys.readouterr().err
+        assert f"{key} already set on line 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_hash_tracks_content(self):

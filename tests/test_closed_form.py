@@ -9,6 +9,8 @@ from homesale.closed_form import (SMALL_ARG, MarketParams, asymptotic_listed_pay
                                   auxiliary_payoff, expected_utility, listed_payoff,
                                   listed_payoff_exact, thinned_payoff,
                                   withdrawal_fraction)
+from homesale.oracle import mc_path_payoff, table2_context
+from homesale.stochastic import CirParams
 
 ASYMPTOTE_TABLE1 = 172.72727272727272  # ((200+180)/2) * 1/(1+0.1)
 
@@ -243,8 +245,9 @@ class TestExpectedUtility:
             expected_utility(1.0, market, R_DEFAULT, L_DEFAULT, -0.1)
 
 
-# Every public entry that takes a horizon, closed form or path payoff,
-# called on the reference market or the simulation-default context.
+# Every entry that takes a horizon -- closed form, path payoff, the
+# batch bodies the path commands run, or the path oracle -- called on the
+# reference market or the simulation-default context.
 HORIZON_ENTRIES = {
     "withdrawal_fraction": lambda m, ctx, T: withdrawal_fraction(T, m.mu),
     "auxiliary_payoff": lambda m, ctx, T: auxiliary_payoff(T, m),
@@ -264,13 +267,21 @@ HORIZON_ENTRIES = {
         ctx, T),
     "conditional_payoff_no_list": lambda m, ctx, T: pp.conditional_payoff_no_list(ctx, T),
     "conditional_payoff": lambda m, ctx, T: pp.conditional_payoff(ctx, T, "changing"),
+    "_changing_list batch": lambda m, ctx, T: pp._changing_list([ctx, ctx], T, exact=False),
+    "_changing_list exact batch": lambda m, ctx, T: pp._changing_list([ctx, ctx], T,
+                                                                      exact=True),
+    "_constant_list batch": lambda m, ctx, T: pp._constant_list([ctx, ctx], T),
+    "_no_list batch": lambda m, ctx, T: pp._no_list([ctx, ctx], T),
+    "expected_payoff": lambda m, ctx, T: pp.expected_payoff(
+        table2_context, CirParams(0.25, 0.1, 0.0, 0.09), [T], 1, seed=1),
+    "mc_path_payoff": lambda m, ctx, T: mc_path_payoff(ctx, T, "changing", 10, seed=1),
 }
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("entry", sorted(HORIZON_ENTRIES))
 def test_every_horizon_entry_rejects_non_positive_horizon(market, entry, T):
-    from homesale.oracle import sigma0_table2_path, table2_context
+    from homesale.oracle import sigma0_table2_path
 
     ctx = table2_context(sigma0_table2_path(2.5))
     with pytest.raises(ValueError):

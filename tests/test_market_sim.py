@@ -439,6 +439,42 @@ def test_tight_bound_matches_rate_floor_bound_in_distribution():
           (~new_sold).astype(float))
 
 
+class TestUpdatePrices:
+    """The reprice rule run_evolution applies after each sale attempt, read
+    off the pricing events of one run: its first attempt fails at R = 140,
+    and one owner fails twice in a row."""
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        log = run_evolution(make_config(), 50.0, seed=42)
+        return [e for e in log.events
+                if e.kind in ("OccupationStart", "PostForSale", "Sale", "Reprice")]
+
+    def test_sale_resets_to_agreed_price_and_top_list(self, steps):
+        cfg = make_config()
+        after = [steps[i:i + 3] for i, e in enumerate(steps[:-2]) if e.kind == "Sale"]
+        assert len(after) >= 3
+        for sale, start, post in after:
+            assert (start.kind, start.owner, start.price) == \
+                ("OccupationStart", sale.owner + 1, sale.price)
+            assert (post.kind, post.owner, post.price) == \
+                ("PostForSale", sale.owner + 1, cfg.p_max)
+
+    def test_failure_splits_toward_floor_and_relists_at_reservation(self, steps):
+        assert [(e.kind, e.price) for e in steps[:4]] == [
+            ("OccupationStart", 140.0), ("PostForSale", 200.0),
+            ("Reprice", 120.0), ("PostForSale", 140.0)]
+
+    def test_two_failures(self, steps):
+        p_min = make_config().p_min
+        twice = [steps[i:i + 4] for i in range(len(steps) - 3)
+                 if [e.kind for e in steps[i:i + 3]] == ["Reprice", "PostForSale", "Reprice"]]
+        assert twice
+        for first, _, second, relist in twice:
+            assert second.price == (first.price + p_min) / 2.0
+            assert (relist.kind, relist.price) == ("PostForSale", first.price)
+
+
 class TestEvolutionConfig:
     def test_equal_neighbours_accepted(self):
         cfg = make_config(p_min=100.0, initial_reservation=100.0, initial_list=200.0,

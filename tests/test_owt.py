@@ -6,8 +6,8 @@ import pytest
 
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT
 from homesale.closed_form import MarketParams, expected_utility, listed_payoff
-from homesale.owt import (SweepAxis, SweepSpec, _cell_params, _grid, _scan,
-                          optimal_waiting_time, sweep_owt)
+from homesale.owt import (_AXIS_NAMES, SweepAxis, SweepSpec, _cell_params, _grid,
+                          _scan, optimal_waiting_time, sweep_owt)
 
 
 def table1_objective(market):
@@ -161,6 +161,13 @@ class TestSweep:
         surf = sweep_owt(spec)
         assert np.isnan(surf.t_star[:, -1]).all()
         assert np.isfinite(surf.t_star[:, 0]).all()
+
+    @pytest.mark.parametrize("name", _AXIS_NAMES)
+    def test_rejects_same_parameter_on_both_axes(self, market, name):
+        # _cell_params sets x then y, so y would silently overwrite x
+        ax = SweepAxis(name, 1.0, 2.0, 2)
+        with pytest.raises(ValueError, match=f"both sweep axes are {name!r}"):
+            self.make_spec(market, ax, SweepAxis(name, 1.0, 2.0, 2))
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):

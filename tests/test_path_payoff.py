@@ -174,6 +174,19 @@ class TestBelowListProbability:
         three_sigma("below-list prob", below_list(decay_ctx, 1.0),
                     hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size))
 
+    def test_zero_mass_path_is_left_out(self):
+        # Lambda(t) = 0 where no offer can arrive by t (k1 = 5e-324 at
+        # r = 3): _arrivals marks the path dead, so _below_list never
+        # divides by its mass and gives the live path its one-path value
+        ctx = dataclasses.replace(flat_rate_ctx(list_price=180.0),
+                                  demand=DemandParams(5e-324, 0.0))
+        dead = dataclasses.replace(ctx, path=RatePath(0.005, np.full(501, 3.0)))
+        live = dataclasses.replace(ctx, path=RatePath(0.005, np.zeros(501)))
+        arr = _arrivals([dead, live, dead], 1.0)
+        assert arr.live.tolist() == [False, True, False]
+        F_L = ctx.offers.cdf(ctx.list_at(arr.a))
+        assert _below_list(arr, F_L) == [below_list(live, 1.0)]
+
 
 class TestSurvivingOfferTail:
     def test_zero_above_initial_list(self, decay_ctx):
