@@ -116,17 +116,15 @@ class ConfigError(Exception):
     pass
 
 
-_INT_KEYS = {"seed", "mc_replications", "price_replications", "path_replications"}
-_STR_KEYS = {"out_dir"}
-
-
 def load_config(path: str) -> ScenarioConfig:
     """Parse a flat key = value scenario file.
 
     Blank lines and #-comments are skipped; unknown keys and keys set
     twice are errors so a typo cannot silently change the scenario.
     """
-    known = {f.name for f in fields(ScenarioConfig)}
+    # annotations are strings here (from __future__ import annotations)
+    parsers = {f.name: {"int": int, "str": str}.get(f.type, float)
+               for f in fields(ScenarioConfig)}
     overrides, set_on = {}, {}
     try:
         text = Path(path).read_text()
@@ -141,18 +139,13 @@ def load_config(path: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in parsers:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in set_on:
             raise ConfigError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
-            if key in _STR_KEYS:
-                overrides[key] = value
-            elif key in _INT_KEYS:
-                overrides[key] = int(value)
-            else:
-                overrides[key] = float(value)
+            overrides[key] = parsers[key](value)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from e
     try:
@@ -314,6 +307,8 @@ def _parse_times(text: str) -> np.ndarray:
         raise ConfigError(f"bad --times list {text!r}") from e
     if times.size == 0:
         raise ConfigError(f"--times needs at least one posting time, got {text!r}")
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ConfigError(f"--times must be finite and non-negative, got {text!r}")
     return times
 
 
@@ -338,11 +333,7 @@ def cmd_payoff_path(cfg: ScenarioConfig, args) -> int:
     zeta = 0.0 if args.mode == "constant" else ev.zeta
 
     def ctx_factory(path):
-        return path_payoff.PathContext(
-            path=path, list_price=ev.initial_list, zeta=zeta,
-            offers=path_payoff.UniformOffers(ev.p_min, ev.p_max),
-            withdrawals=path_payoff.ExponentialWithdrawals(ev.mu),
-            reservation=ev.initial_reservation, demand=ev.demand)
+        return ev.context(path, ev.initial_reservation, ev.initial_list, zeta)
 
     n_paths = cfg.path_replications if args.n_paths is None else args.n_paths
     grid = _t_grid(2.0 if args.t_max is None else args.t_max, args.t_steps)

@@ -30,8 +30,8 @@ from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
-from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _substreams,
-                         _thin, sample_nhpp, simulate_cir, substream)
+from .stochastic import (CirParams, DemandParams, RatePath, _substreams, _thin,
+                         sample_nhpp, simulate_cir, substream)
 
 __all__ = [
     "SaleOutcome",
@@ -196,11 +196,12 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
     batches of about _CHUNK_CANDIDATES candidate offers.
 
     Each generator makes three calls, before the next is taken from
-    rngs: a Poisson(bound * t_star) count n, one rng.random(3n), then
-    the n withdrawal delays.  The 3n doubles are laid out as the n
-    candidate times, the n acceptance uniforms, then the n offer values.
+    rngs: a Poisson(bound * t_star) count n, one rng.random((3, n)), then
+    the n withdrawal delays.  The rows of the (3, n) draw are the n
+    candidate times, the n acceptance uniforms, then the n offer values;
+    it fills in C order, so its doubles are those of random(3n).
     numpy's uniform(low, high, n) is low + (high - low) * random(), one
-    double per draw, so scaling these slices gives the same bits as the
+    double per draw, so scaling these rows gives the same bits as the
     three uniform calls of _thinning_candidates and UniformOffers.sample.
     The intensity, its domination check and the sale rule then run once
     per batch, so an attempt's outcome depends only on its own
@@ -209,13 +210,13 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
     # the rate is linear between the path's nodes and the list only falls
-    r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
-    bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
+    bound = float(ctx.demand.intensity(float(ctx.path.values.min()),
+                                       float(ctx.list_at(t_star))))
     mean = bound * t_star
     draws, n_cand = [], 0
     for rng in rngs:
         n = rng.poisson(mean)
-        draws.append((n, rng.random(3 * n), ctx.withdrawals.sample(rng, n)))
+        draws.append((rng.random((3, n)), ctx.withdrawals.sample(rng, n)))
         n_cand += n
         if n_cand >= _CHUNK_CANDIDATES:
             yield _resolve(ctx, t_star, bound, draws)
@@ -225,21 +226,15 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
 
 
 def _resolve(ctx: PathContext, t_star: float, bound: float, draws: list) -> _Batch:
-    counts, units, delays = zip(*draws)
-    counts = np.array(counts, dtype=np.int64)
-    x, delay = np.concatenate(units), np.concatenate(delays)
-    rep = np.repeat(np.arange(counts.size), counts)
-    # candidate k of attempt i, which starts at candidate c_i, reads its
-    # time at x[3c_i + j] with j = k - c_i, its uniform n_i later and its
-    # value 2n_i later
-    n = counts[rep]
-    at = np.arange(rep.size) + 2 * (np.cumsum(counts) - counts)[rep]
-    times = t_star * x[at]
+    units, delays = zip(*draws)
+    x, delay = np.concatenate(units, axis=1), np.concatenate(delays)
+    rep = np.repeat(np.arange(len(units)), [u.shape[1] for u in units])
+    times = t_star * x[0]
     # each attempt's times sorted, paired by position with the rest
     cands = times[np.lexsort((times, rep))]
-    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, x[at + n], bound)
-    at, rep, arrival, delay = at[keep], rep[keep], cands[keep], delay[keep]
-    value = ctx.offers.from_unit(x[at + 2 * n[keep]])
+    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, x[1], bound)
+    rep, arrival, delay = rep[keep], cands[keep], delay[keep]
+    value = ctx.offers.from_unit(x[2][keep])
     sold, price, time = _sale_rule(rep, arrival, value, delay, len(draws),
                                    ctx.list_at(arrival), ctx.reservation, t_star)
     return _Batch(rep, arrival, value, delay, sold, price, time)
@@ -251,8 +246,8 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
     at the context's reservation price.
 
     Offers arrive over the whole committed window [0, t_star], thinned
-    from a Poisson stream at k1/max(min r on ctx.path's nodes, RATE_FLOOR)
-    + k2/L(t_star), which dominates the demand because the rate is
+    from a Poisson stream at ctx.demand.intensity(min r on ctx.path's
+    nodes, L(t_star)), which dominates the demand because the rate is
     linear between nodes and the list price only falls.  The stored
     offer list is truncated at the resolution time so the log never
     contains arrivals after the sale.
@@ -319,6 +314,15 @@ class EvolutionConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
+    def context(self, path: RatePath, reservation: float, list_price: float,
+                zeta: float) -> PathContext:
+        """The posting context on path: this config's offers, withdrawals
+        and demand, at the given reservation, list price and decay rate."""
+        return PathContext(path=path, list_price=list_price, zeta=zeta,
+                           offers=UniformOffers(self.p_min, self.p_max),
+                           withdrawals=ExponentialWithdrawals(self.mu),
+                           reservation=reservation, demand=self.demand)
+
 
 def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
                        initial_list: float) -> OwtResult:
@@ -330,7 +334,7 @@ def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
     approximation: the realized attempt sees the moving rate and the
     decaying list.
     """
-    lam = cfg.demand.intensity(max(rate, RATE_FLOOR), initial_list)
+    lam = float(cfg.demand.intensity(rate, initial_list))
     m = MarketParams(lam, cfg.mu, rate, cfg.p_min, cfg.p_max)
     return optimal_waiting_time(
         lambda T: expected_utility(T, m, reservation, initial_list, cfg.gamma),
@@ -343,16 +347,7 @@ def _posting_step(cfg: EvolutionConfig, path: RatePath, post_time: float,
     build the attempt's context on the path from there."""
     owt = compute_owt_frozen(cfg, float(path.rate_at(post_time)), R, L0)
     t_star = max(owt.t_star, cfg.tol)
-    ctx = PathContext(
-        path=path.shifted(post_time, t_star),
-        list_price=L0,
-        zeta=cfg.zeta,
-        offers=UniformOffers(cfg.p_min, cfg.p_max),
-        withdrawals=ExponentialWithdrawals(cfg.mu),
-        reservation=R,
-        demand=cfg.demand,
-    )
-    return t_star, ctx
+    return t_star, cfg.context(path.shifted(post_time, t_star), R, L0, cfg.zeta)
 
 
 def _rate_path(cfg: EvolutionConfig, end: float, seed: int) -> RatePath:

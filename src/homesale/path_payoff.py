@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .quadrature import simpson_nodes
-from .stochastic import (DEFAULT_DT, RATE_FLOOR, CirParams, DemandParams,
-                         RatePath, simulate_cir, substream)
+from .stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
+                         simulate_cir, substream)
 
 __all__ = [
     "UniformOffers",
@@ -125,8 +125,8 @@ class PathContext:
     reservation price R at rate zeta: list_at(T) = R + (L0 - R)
     exp(-zeta T), so it never rises and never falls below R, and zeta ==
     0 keeps it at L0.  Both are checked here: a finite L0 >= R > 0 and a
-    finite zeta >= 0.  Rates feeding the demand function are clamped
-    below at RATE_FLOOR because the intensity is singular at zero.
+    finite zeta >= 0.  The demand clamps the rates it reads below at
+    RATE_FLOOR, because the intensity is singular at zero.
     """
 
     path: RatePath
@@ -150,17 +150,11 @@ class PathContext:
         return R + (self.list_price - R) * np.exp(-self.zeta * np.asarray(T, dtype=float))
 
     def intensity(self, a):
-        return self._demand_at(self.path.rate_at(a), a)
-
-    def _demand_at(self, r, a):
-        """The offer intensity at times a where the rate is r, r floored at
-        RATE_FLOOR; r may hold one row per path, each as long as a."""
-        return self.demand.intensity(np.maximum(r, RATE_FLOOR), self.list_at(a))
+        return self.demand.intensity(self.path.rate_at(a), self.list_at(a))
 
 
 # What a batch of contexts must share: everything but the rate path.
-_SHARED = operator.attrgetter("list_price", "zeta", "offers", "withdrawals",
-                              "reservation", "demand")
+_SHARED = operator.attrgetter(*(f.name for f in fields(PathContext) if f.name != "path"))
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ def _arrivals(ctxs: list, t: float) -> _Arrivals:
     for c in ctxs:
         c.path._check_ends(0.0, t)
     a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
-    lam = ctx._demand_at(np.array([c.path._rate(a) for c in ctxs]), a)
+    lam = ctx.demand.intensity(np.array([c.path._rate(a) for c in ctxs]), ctx.list_at(a))
     big_lam = np.array([float(w @ row) for row in lam])
     live = big_lam > 0.0
     return _Arrivals(t, ctx, [c for c, keep in zip(ctxs, live) if keep], a, w,
@@ -326,7 +320,8 @@ def _above_list_hazard(arr: _Arrivals, beat: Callable) -> np.ndarray:
     """
     ctx = arr.ctx
     s = np.linspace(0.0, arr.t, 2 * DEFAULT_NODES - 1)
-    lam = ctx._demand_at(np.array([c.path._rate(s) for c in arr.ctxs]), s)
+    lam = ctx.demand.intensity(np.array([c.path._rate(s) for c in arr.ctxs]),
+                               ctx.list_at(s))
     h = lam * (1.0 - ctx.offers.cdf(beat(s)))
     panels = (h[:, :-2:2] + 4.0 * h[:, 1:-1:2] + h[:, 2::2]) * (s[1] - s[0]) / 3.0
     return np.concatenate((np.zeros((len(h), 1)), np.cumsum(panels, axis=1)), axis=1)

@@ -33,7 +33,7 @@ __all__ = [
     "sample_nhpp",
 ]
 
-# Rates are clamped here before feeding the demand function, which is
+# DemandParams.intensity clamps rates here, because the demand function is
 # singular at zero.
 RATE_FLOOR = 1e-4
 
@@ -267,9 +267,9 @@ class DemandParams:
             raise ValueError("k1 and k2 cannot both be zero")
 
     def intensity(self, r, L):
-        """k1/r + k2/L, decreasing in both arguments; unchecked, so callers
-        floor r at RATE_FLOOR."""
-        return self.k1 / r + self.k2 / L
+        """k1/r + k2/L, r floored at RATE_FLOOR because k1/r is singular at
+        zero; decreasing in both arguments, broadcast over arrays of r and L."""
+        return self.k1 / np.maximum(r, RATE_FLOOR) + self.k2 / L
 
 
 def _cir_steps(horizon: float, dt: float) -> int:
@@ -333,9 +333,10 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
     stream: candidates are kept with probability intensity(t)/bound
     (Lewis & Shedler 1979), so the work is the bound times the horizon
     and a bound close to the intensity wastes few candidates.  Sale
-    attempts thin the offer demand k1/max(r, RATE_FLOOR) + k2/L(a)
-    against k1/max(min r on the path's nodes, RATE_FLOOR) + k2/L(t): the
-    rate is linear between nodes and the list price only falls.
+    attempts thin the offer demand DemandParams.intensity(r(a), L(a))
+    against its value at the least r on the path's nodes and L(t), the
+    rate floored at RATE_FLOOR in both: the rate is linear between nodes
+    and the list price only falls.
     The intensity takes the array of candidate times and returns an
     array of the same shape.
     The bound must dominate the intensity everywhere; a detected

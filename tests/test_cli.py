@@ -48,10 +48,14 @@ class TestConfig:
 
     def test_file_overrides_and_comments(self, tmp_path):
         f = tmp_path / "s.cfg"
-        f.write_text("# scenario\nwaiting_averseness = 0.0\nseed = 7\n")
+        f.write_text("# scenario\nwaiting_averseness = 0.0\nseed = 7\n"
+                     "price_replications = 5\nout_dir = x\n")
         cfg = load_config(str(f))
         assert cfg.waiting_averseness == 0.0
         assert cfg.seed == 7
+        # each key parses as its field's type
+        assert type(cfg.price_replications) is int and cfg.price_replications == 5
+        assert type(cfg.out_dir) is str and cfg.out_dir == "x"
 
     def test_unknown_key_is_an_error(self, tmp_path):
         f = tmp_path / "s.cfg"
@@ -504,11 +508,14 @@ class TestExpectedPriceCommand:
         assert rc == 2
         assert not out.exists()
 
-    def test_infinite_posting_time_is_config_error(self, tmp_path):
+    # the flag reports every bad entry, so the error names --times
+    @pytest.mark.parametrize("times", ["2,inf", "-1", "nan", "2,-0.5"])
+    def test_infinite_posting_time_is_config_error(self, tmp_path, capsys, times):
         out = tmp_path / "out"
-        rc = main(["expected-price", "--out", str(out), "--times", "2,inf",
+        rc = main(["expected-price", "--out", str(out), "--times", times,
                    "--n-reps", "30"])
         assert rc == 2
+        assert "--times" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("times", ["", ","])

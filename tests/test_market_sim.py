@@ -369,7 +369,7 @@ def reference_attempt(ctx, t_star, rng):
 
 
 class TestStreamIdentity:
-    """The engine's one random(3n) per attempt against the three uniform
+    """The engine's one random((3, n)) per attempt against the three uniform
     calls it replaces, compared by bytes."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -140,6 +140,18 @@ class TestDemand:
     def test_decreasing_in_rate(self, sim_demand):
         assert sim_demand.intensity(0.06, 200.0) > sim_demand.intensity(0.12, 200.0)
 
+    def test_rate_floored_at_rate_floor(self, sim_demand):
+        floor = sim_demand.intensity(stochastic.RATE_FLOOR, 200.0)
+        assert sim_demand.intensity(0.0, 200.0) == floor
+        got = sim_demand.intensity(np.array([0.0, stochastic.RATE_FLOOR / 2]), 200.0)
+        assert got.tolist() == [floor, floor]
+
+    @pytest.mark.parametrize("r", [stochastic.RATE_FLOOR, 2e-4, 0.09, 0.3])
+    def test_above_the_floor_is_the_plain_formula(self, sim_demand, r):
+        assert sim_demand.intensity(r, 200.0) == sim_demand.k1 / r + sim_demand.k2 / 200.0
+        got = sim_demand.intensity(np.array([r, r]), np.array([150.0, 200.0]))
+        assert got.tolist() == [sim_demand.k1 / r + sim_demand.k2 / L for L in (150.0, 200.0)]
+
     @pytest.mark.parametrize("k1, k2, field", [(math.nan, 1000.0, "k1"),
                                                (0.5, math.inf, "k2"),
                                                (-math.inf, 1000.0, "k1")])

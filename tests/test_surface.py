@@ -3,8 +3,10 @@
 A deleted function whose name stays in an __all__ list, or whose
 binding the benchmark tracer wraps, fails here instead of going
 unnoticed: the tracer itself only records a lost binding and carries on.
+An import that its module no longer reads fails here too.
 """
 
+import ast
 import importlib
 import json
 import pathlib
@@ -18,6 +20,9 @@ import homesale
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(homesale.__path__))
+# imported only so that the benchmark tracer has a binding to wrap
+TRACER_ONLY = {"cli": {"simulate_cir"}, "owt": {"expected_utility"},
+               "market_sim": {"sample_nhpp"}}
 
 
 @pytest.mark.parametrize("module", ["homesale"] + [f"homesale.{m}" for m in MODULES])
@@ -40,3 +45,15 @@ def test_benchmark_tracer_finds_every_binding():
     assert missing == []
     # every layer the benchmark reports has at least one span to time
     assert sorted({s.split(".", 1)[0] for s in spans}) == sorted(layers)
+
+
+@pytest.mark.parametrize("module", ["__init__"] + MODULES)
+def test_every_import_is_read(module):
+    tree = ast.parse((ROOT / "src" / "homesale" / f"{module}.py").read_text())
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set(importlib.import_module(
+        "homesale" if module == "__init__" else f"homesale.{module}").__all__)
+    assert imported - read - exported <= TRACER_ONLY.get(module, set())
