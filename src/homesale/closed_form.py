@@ -11,8 +11,8 @@ All functions are pure maps of the horizon T, a float or an ndarray of
 horizons, and safe to call concurrently.  Each public function checks
 its arguments once, on entry, and computes through private kernels
 (_listed, _best_survivor, _em1mx_over_x, _withdrawn) that take checked
-values and check nothing again.  Each kernel is written once, for
-floats and for arrays alike.
+values and check nothing again.  Each kernel is written once, over the
+three namespaces of elementwise operations described at _FLOAT.
 """
 
 from __future__ import annotations
@@ -87,13 +87,19 @@ def _check_horizon(T) -> None:
 
 
 # The kernels are written once over a namespace of exp, expm1, where,
-# minimum and abs: numpy for an ndarray T, and for a float math plus a
+# minimum, abs and any: numpy for an ndarray T; for a float, math plus a
 # conditional, so that float results never depend on numpy's exp (which
-# can differ from math.exp by an ulp).  where() has evaluated both its
-# branches, so each branch is fed arguments that keep it finite.
-_FLOAT = SimpleNamespace(exp=math.exp, expm1=math.expm1, abs=abs,
+# can differ from math.exp by an ulp); and _EXACT, numpy with math's exp
+# and expm1 mapped over a 1-D array, which gives each element the bits
+# _FLOAT gives it.  where() has evaluated both its branches, so each
+# branch is fed arguments that keep it finite.
+_FLOAT = SimpleNamespace(exp=math.exp, expm1=math.expm1, abs=abs, any=bool,
                          where=lambda cond, a, b: a if cond else b,
                          minimum=lambda a, b: b if b < a else a)
+_EXACT = SimpleNamespace(
+    exp=lambda a: np.fromiter(map(math.exp, a.tolist()), float, a.size),
+    expm1=lambda a: np.fromiter(map(math.expm1, a.tolist()), float, a.size),
+    abs=np.abs, any=np.any, where=np.where, minimum=np.minimum)
 
 
 def _ops(T):

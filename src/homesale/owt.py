@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 # expected_utility is not called here; the benchmark tracer wraps owt.expected_utility
-from .closed_form import _FLOAT, MarketParams, _listed, expected_utility
+from .closed_form import _EXACT, _FLOAT, MarketParams, _listed, expected_utility
 
 __all__ = ["OwtResult", "SweepAxis", "SweepSpec", "SweepResult",
            "optimal_waiting_time", "sweep_owt"]
@@ -24,6 +24,8 @@ __all__ = ["OwtResult", "SweepAxis", "SweepSpec", "SweepResult",
 COARSE_POINTS = 256
 # Cells per array scan in sweep_owt: 16 x 256 = 4,096 values per temporary.
 _CHUNK_CELLS = 16
+# Valid cells per lockstep refinement in sweep_owt.
+_BLOCK_CELLS = 256
 DEFAULT_T_MAX = 20.0
 DEFAULT_TOL = 1e-4
 
@@ -48,33 +50,44 @@ class OwtResult:
     diff_sign_changes: int
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi] to bracket width tol."""
-    evals = 0
+def _golden_max(f: Callable, lo, hi, tol: float, ops=_FLOAT):
+    """Golden-section maximization on [lo, hi] to bracket width tol.
+
+    On floats (ops=_FLOAT) it is a scalar loop.  On arrays (_EXACT) it
+    refines every cell in lockstep, with each cell's float bits; a cell
+    whose bracket is at or below tol stays frozen.  A non-finite value
+    of a refining cell, or of the result, raises.
+    """
     h = hi - lo
     c = hi - _INVPHI * h
     d = lo + _INVPHI * h
-    fc, fd = f(c), f(d)
-    evals += 2
-    while h > tol:
+    go = h > tol
+    fc, fd = _finite(f(c), c, go, ops), _finite(f(d), d, go, ops)
+    evals = 2
+    while ops.any(go):
         # ties shrink from the right so flat stretches resolve to the
-        # earliest maximizer
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = hi - _INVPHI * h
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + _INVPHI * h
-            fd = f(d)
+        # earliest maximizer; c, d, fc and fd of a frozen cell are unread
+        left = go & (fc >= fd)
+        hi = ops.where(left, d, hi)
+        lo = ops.where(go ^ left, c, lo)
+        h = hi - lo
+        p = ops.where(left, hi - _INVPHI * h, lo + _INVPHI * h)
+        fp = _finite(f(p), p, go, ops)
+        c, d = ops.where(left, p, d), ops.where(left, c, p)
+        fc, fd = ops.where(left, fp, fd), ops.where(left, fc, fp)
+        go = h > tol
         evals += 1
     t = (lo + hi) / 2.0
-    ft = f(t)
-    evals += 1
-    return t, ft, evals
+    return t, _finite(f(t), t, True, ops), evals + 1
+
+
+def _finite(v, T, live, ops):
+    """v, once the values of the live cells are checked finite at T."""
+    bad = (live & (ops.abs(v) < math.inf)) != live  # live, and inf or NaN
+    if ops.any(bad):
+        raise ValueError(f"objective returned non-finite value {np.extract(bad, v)[0]} "
+                         f"at T={np.extract(bad, T)[0]}")
+    return v
 
 
 def _grid(t_max: float, tol: float) -> np.ndarray:
@@ -93,10 +106,7 @@ def _scan(vals: np.ndarray, grid: np.ndarray):
     sign before them) and the bracket (lo, hi) around the argmax.  Raises
     on a non-finite value.
     """
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        at = tuple(np.argwhere(bad)[0])
-        raise ValueError(f"objective returned non-finite value {vals[at]} at T={grid[at[-1]]}")
+    _finite(vals, np.broadcast_to(grid, vals.shape), True, np)
     idx = vals.argmax(axis=-1)
     s = np.sign(np.diff(vals, axis=-1))
     last = np.maximum.accumulate(np.where(s != 0, np.arange(s.shape[-1]), 0), axis=-1)
@@ -227,11 +237,13 @@ def _cell_params(spec: SweepSpec, xv: float, yv: float) -> tuple | None:
 def sweep_owt(spec: SweepSpec) -> SweepResult:
     """Optimal waiting time over a 2-D parameter grid.
 
-    Invalid combinations become NaN cells.  The valid cells are scanned
-    through the array kernel _CHUNK_CELLS at a time, so no temporary
-    holds more than _CHUNK_CELLS x COARSE_POINTS values whatever the
-    grid size, and each is refined on the float path as
-    optimal_waiting_time would.
+    Invalid combinations become NaN cells.  The valid cells are taken
+    _BLOCK_CELLS at a time and scanned through the array kernel
+    _CHUNK_CELLS at a time, so no temporary holds more than
+    _CHUNK_CELLS x COARSE_POINTS values whatever the grid size.  The
+    block's cells off the boundary are then refined in one lockstep
+    golden section on the _EXACT namespace, which gives each cell the
+    bits optimal_waiting_time gives it.
     """
     grid = _grid(spec.t_max, spec.tol)
     xs = spec.axis_x.values
@@ -241,13 +253,18 @@ def sweep_owt(spec: SweepSpec) -> SweepResult:
     cells = ((k, _cell_params(spec, xv, yv))
              for k, (yv, xv) in enumerate(itertools.product(ys, xs)))
     valid = ((k, p) for k, p in cells if p is not None)
-    while chunk := list(itertools.islice(valid, _CHUNK_CELLS)):
-        cols = np.array([p for _, p in chunk]).T[:, :, None]
-        edge, _, lo, hi = _scan(_listed(grid, *cols, True, np), grid)
-        for (k, p), e, a, b in zip(chunk, edge.tolist(), lo.tolist(), hi.tolist()):
-            boundary[k] = e
-            t_star[k] = spec.t_max if e else _golden_max(
-                lambda T: _listed(T, *p, True, _FLOAT), a, b, spec.tol)[0]
+    while block := list(itertools.islice(valid, _BLOCK_CELLS)):
+        ks = np.array([k for k, _ in block])
+        cols = np.array([p for _, p in block]).T
+        scans = [_scan(_listed(grid, *cols[:, s:s + _CHUNK_CELLS, None], True, np), grid)
+                 for s in range(0, len(block), _CHUNK_CELLS)]
+        edge, _, lo, hi = (np.concatenate(a) for a in zip(*scans))
+        boundary[ks] = edge
+        t_star[ks] = spec.t_max
+        inner = ~edge
+        cols = cols[:, inner]
+        t_star[ks[inner]] = _golden_max(lambda T: _listed(T, *cols, True, _EXACT),
+                                        lo[inner], hi[inner], spec.tol, _EXACT)[0]
     shape = (len(ys), len(xs))
     return SweepResult(spec.axis_x.name, spec.axis_y.name, xs, ys,
                        t_star.reshape(shape), boundary.reshape(shape))

@@ -295,6 +295,15 @@ class TestSweepCommand:
         assert rc == 0
         assert (tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
 
+    def test_sweep_digest(self, tmp_path):
+        # the benchmark's surface run: 576 cells in three refinement blocks,
+        # far more than the goldens above hold, so its SHA-256 is pinned
+        rc = main(["sweep", "--out", str(tmp_path), "--x", "lam:1:12:24",
+                   "--y", "r:0.02:0.3:24", "--seed", "1", "--workers", "1"])
+        assert rc == 0
+        got = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert got == "c5b4b2243c517711477c109a6c5279a034d52a709ef085a746ce1700a189fc55"
+
     def test_bad_axis_spec_is_usage_error(self, tmp_path):
         rc = main(["sweep", "--out", str(tmp_path), "--x", "lam:1:10", "--y", "r:0:1:2"])
         assert rc == 2

@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GAMMA_DEFAULT, L_DEFAULT, R_DEFAULT
-from homesale.closed_form import MarketParams, expected_utility, listed_payoff
-from homesale.owt import (_AXIS_NAMES, SweepAxis, SweepSpec, _cell_params, _grid,
-                          _scan, optimal_waiting_time, sweep_owt)
+from homesale.closed_form import (_EXACT, _FLOAT, MarketParams, _listed, expected_utility,
+                                  listed_payoff)
+from homesale.owt import (_AXIS_NAMES, _BLOCK_CELLS, SweepAxis, SweepSpec, _cell_params,
+                          _golden_max, _grid, _scan, optimal_waiting_time, sweep_owt)
 
 
 def table1_objective(market):
@@ -39,6 +42,18 @@ class TestOptimalWaitingTime:
     def test_non_finite_objective_aborts(self):
         with pytest.raises(ValueError, match="non-finite"):
             optimal_waiting_time(lambda T: math.nan, t_max=5.0)
+
+    def test_non_finite_value_during_refinement_aborts(self):
+        # finite on every grid node (the nearest are 0.9375 and 1.015625),
+        # NaN between them: the scan passes and the refinement meets it,
+        # where it used to return utility_at_t_star = nan
+        def objective(T):
+            v = np.where(np.abs(T - 1.0) < 0.01, math.nan, -(T - 1.0) ** 2)
+            return v if isinstance(T, np.ndarray) else float(v)
+
+        with pytest.raises(ValueError, match="non-finite value nan at T=") as err:
+            optimal_waiting_time(objective, t_max=20.0)
+        assert abs(float(str(err.value).rsplit("T=", 1)[1]) - 1.0) < 0.01
 
     def test_reproducible_bit_for_bit(self, market):
         objective = table1_objective(market)
@@ -89,6 +104,63 @@ class TestOptimalWaitingTime:
         assert seen[0].tolist() == [20.0 / 256 * i for i in range(1, 257)]
         assert all(type(T) is float for T in seen[1:])
         assert res.evaluations == 256 + len(seen) - 1
+
+
+def float_and_array_refinements(objective, lo, hi, tol):
+    """_golden_max per cell on floats, and on all cells in lockstep on arrays."""
+    floats = [_golden_max(lambda T, i=i: objective(T, i, _FLOAT), a, b, tol)[:2]
+              for i, (a, b) in enumerate(zip(lo, hi))]
+    t, ft, _ = _golden_max(lambda T: objective(T, slice(None), _EXACT),
+                           np.array(lo), np.array(hi), tol, _EXACT)
+    return floats, list(zip(t.tolist(), ft.tolist()))
+
+
+@st.composite
+def refinements(draw):
+    """Cells of random markets with brackets of unequal width, one tol."""
+    intensity = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
+    cells, lo, hi = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        p_min = draw(st.floats(1.0, 500.0))
+        p_max = p_min + draw(st.floats(1.0, 500.0))
+        R = p_min + draw(st.floats(0.0, 1.0)) * (p_max - p_min)
+        L = min(R + draw(st.floats(0.0, 1.0)) * (p_max - R), p_max)
+        lam, mu, r, gamma = (draw(intensity), draw(intensity), draw(st.floats(0.0, 0.5)),
+                             draw(st.floats(0.0, 0.5)))
+        cells.append((lam, mu, r, p_min, p_max, R, L, gamma))
+        lo.append(draw(st.floats(0.0, 20.0)))
+        hi.append(lo[-1] + draw(st.floats(1e-6, 2.0)))
+    tol = 10.0 ** draw(st.floats(-9.0, -1.0))
+    return np.array(cells).T, lo, hi, tol, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(refinements())
+def test_lockstep_refinement_equals_the_float_path(case):
+    # the cells stop at different iterations, and a flat objective ties
+    # every comparison, which resolves to the earliest maximizer
+    cols, lo, hi, tol, exact, flat = case
+
+    def objective(T, i, ops):
+        return 0.0 * T + 3.0 if flat else _listed(T, *cols[:, i], exact, ops)
+
+    floats, arrays = float_and_array_refinements(objective, lo, hi, tol)
+    assert [(t.hex(), f.hex()) for t, f in floats] == [(t.hex(), f.hex()) for t, f in arrays]
+
+
+def test_lockstep_checks_only_the_cells_still_refining():
+    # the first cell's bracket is below tol from the start; its right
+    # interior point (about 10 + 0.618e-6), which a frozen cell keeps
+    # evaluating, is NaN, and its midpoint is not; the second cell refines
+    # on finite values
+    peak = lambda T, i, ops: ops.where(T > 10.0 + 0.55e-6, math.nan, -(T - 1.0) ** 2)
+    floats, arrays = float_and_array_refinements(peak, [10.0, 0.5], [10.0 + 1e-6, 1.5], 1e-4)
+    assert [(t.hex(), f.hex()) for t, f in floats] == [(t.hex(), f.hex()) for t, f in arrays]
+    # the same NaN in the second cell, which is still refining, raises
+    for ops, lo, hi in ((_FLOAT, 9.5, 10.5), (_EXACT, np.array([10.0, 9.5]),
+                                              np.array([10.0 + 1e-6, 10.5]))):
+        with pytest.raises(ValueError, match="non-finite value nan at T="):
+            _golden_max(lambda T: peak(T, None, ops), lo, hi, 1e-4, ops)
 
 
 def ref_read_scan(values, grid):
@@ -188,17 +260,24 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             sweep_owt(spec)
 
-    @pytest.mark.parametrize("axes, r", [
+    @pytest.mark.parametrize("axes, r, tol", [
         # 7 x 5 = 35 cells: two full scan chunks and a partial one; gamma = 0
         # puts the maximizer on the horizon, and reservations above the
         # list price of 180 are NaN cells
-        ((SweepAxis("gamma", 0.0, 0.3, 7), SweepAxis("reservation", 110.0, 190.0, 5)), 0.1),
-        ((SweepAxis("gamma", 0.0, 0.3, 7), SweepAxis("reservation", 110.0, 190.0, 5)), 0.0),
-        ((SweepAxis("lam", 1.0, 12.0, 9), SweepAxis("mu", 0.0, 10.0, 4)), 0.1),
+        ((SweepAxis("gamma", 0.0, 0.3, 7), SweepAxis("reservation", 110.0, 190.0, 5)), 0.1, 1e-4),
+        ((SweepAxis("gamma", 0.0, 0.3, 7), SweepAxis("reservation", 110.0, 190.0, 5)), 0.0, 1e-4),
+        ((SweepAxis("lam", 1.0, 12.0, 9), SweepAxis("mu", 0.0, 10.0, 4)), 0.1, 1e-4),
+        ((SweepAxis("lam", 1.0, 12.0, 9), SweepAxis("mu", 0.0, 10.0, 4)), 0.1, 1e-9),
+        # 384 valid cells, more than one refinement block: list prices below
+        # the reservation of 140 and above p_max are NaN rows before and
+        # after the block edge, and gamma = 0 is a boundary cell in the rows
+        # of list prices 172 to 196, on both sides of it
+        ((SweepAxis("gamma", 0.0, 0.3, 24), SweepAxis("list_price", 100.0, 220.0, 31)),
+         0.1, 1e-4),
     ])
-    def test_batched_scan_equals_one_solve_per_cell(self, market, axes, r):
+    def test_batched_scan_equals_one_solve_per_cell(self, market, axes, r, tol):
         m = MarketParams(market.lam, market.mu, r, market.p_min, market.p_max)
-        spec = self.make_spec(m, *axes)
+        spec = self.make_spec(m, *axes, tol=tol)
         surf = sweep_owt(spec)
         for i, yv in enumerate(surf.y_values):
             for j, xv in enumerate(surf.x_values):
@@ -214,17 +293,27 @@ class TestSweep:
                 assert surf.boundary[i, j] == res.boundary, (xv, yv)
         if spec.axis_y.name == "reservation":
             assert np.isnan(surf.t_star).any() and surf.boundary.any()
+        valid = np.flatnonzero(~np.isnan(surf.t_star))
+        if valid.size > _BLOCK_CELLS:
+            edge = valid[_BLOCK_CELLS]
+            for part in (slice(None, edge), slice(edge, None)):
+                assert np.isnan(surf.t_star.ravel()[part]).any()
+                assert surf.boundary.ravel()[part].any()
 
     def test_memory_does_not_grow_with_the_grid(self, market):
-        # the scan holds at most 16 cells x 256 horizons per temporary;
-        # with all 3,600 cells at once each temporary alone would be 7.4 MB
-        spec = self.make_spec(market, SweepAxis("lam", 1.0, 12.0, 60),
-                              SweepAxis("r", 0.02, 0.3, 60))
-        tracemalloc.start()
-        try:
-            surf = sweep_owt(spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.isfinite(surf.t_star).all()
-        assert peak < 1_000_000
+        # the scan holds at most 16 cells x 256 horizons per temporary and
+        # the refinement 256 cells per array; with all 3,600 cells at once
+        # each scan temporary alone would be 7.4 MB
+        peaks = {}
+        for n in (60, 90):
+            spec = self.make_spec(market, SweepAxis("lam", 1.0, 12.0, n),
+                                  SweepAxis("r", 0.02, 0.3, n))
+            tracemalloc.start()
+            try:
+                surf = sweep_owt(spec)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.isfinite(surf.t_star).all()
+        assert peaks[60] < 1_000_000
+        assert peaks[90] < 1.5 * peaks[60], peaks
