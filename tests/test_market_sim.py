@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -537,6 +538,21 @@ class TestRunEvolution:
         kinds = {e.kind for e in log.events}
         assert "PostForSale" not in kinds
         assert kinds == {"OccupationStart"}
+
+    def test_horizon_ends_an_owner_who_never_sells(self):
+        # demand near zero: one owner posts at a crisis and fails every
+        # attempt until one posted before the horizon ends past it
+        cfg = EvolutionConfig(cir=CirParams(0.25, 0.1, 0.08, 0.09),
+                              demand=DemandParams(1e-9, 1e-9))
+        log = run_evolution(cfg, 12.0, seed=5)
+        assert len(log.events) == 68
+        assert [e.kind for e in log.events].count("OccupationStart") == 1
+        assert {e.owner for e in log.events} == {0}
+        assert [e.kind for e in log.events[-2:]] == ["NoSale", "Reprice"]
+        assert log.events[-1].time > 12.0
+        text = "\n".join(log.to_event_lines()).encode()
+        assert hashlib.sha256(text).hexdigest() == \
+            "de7fc1a273ced8a8fc0549c5fc7637f43ebd9634e87a2ae86255922c46f5f212"
 
     def test_every_no_sale_repriced_and_reposted(self):
         cfg = make_config()
