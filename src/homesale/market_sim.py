@@ -40,8 +40,6 @@ __all__ = [
     "EvolutionLog",
     "EvolutionConfig",
     "PricePoint",
-    "draw_occupation",
-    "draw_crisis",
     "time_to_posting",
     "compute_owt_frozen",
     "run_sale_attempt",
@@ -100,16 +98,6 @@ class EvolutionLog:
         return out
 
 
-def draw_occupation(rng: np.random.Generator, lo: float = 4.0, hi: float = 6.0) -> float:
-    """Years an owner lives in the house before considering a sale."""
-    return float(rng.uniform(lo, hi))
-
-
-def draw_crisis(rng: np.random.Generator, mean: float = 10.0) -> float:
-    """Waiting time until a personal crisis forces a sale (mean in years)."""
-    return float(rng.exponential(mean))
-
-
 def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
                     threshold: float, search_end: float) -> tuple[float, str | None]:
     """First moment the asset goes on the market, as (time, cause).
@@ -124,13 +112,11 @@ def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
     end = min(search_end, path.horizon)
     profit_time = math.inf
     start_idx = int(math.ceil(occupation_end / path.dt - 1e-9))
-    if start_idx < path.values.size:
-        window = path.values[start_idx:]
-        hits = np.nonzero(window <= threshold)[0]
-        if hits.size:
-            cand = (start_idx + int(hits[0])) * path.dt
-            if cand <= end:
-                profit_time = cand
+    hits = np.flatnonzero(path.values[start_idx:] <= threshold)
+    if hits.size:
+        cand = (start_idx + int(hits[0])) * path.dt
+        if cand <= end:
+            profit_time = cand
     crisis_time = crisis_time if crisis_time <= end else math.inf
     t = min(crisis_time, profit_time)
     if not math.isfinite(t):
@@ -375,13 +361,13 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
     owner_idx = 0
     attempt_idx = 0
     tenure_start = 0.0
-    reservation = cfg.initial_reservation
-    next_list = cfg.initial_list
+    # the owner's reservation price and the list price of their next posting
+    R, L0 = cfg.initial_reservation, cfg.initial_list
     while tenure_start < horizon:
         rng_owner = substream(seed, "owner", owner_idx)
-        occupation = draw_occupation(rng_owner, cfg.occupation_lo, cfg.occupation_hi)
-        crisis = draw_crisis(rng_owner, cfg.crisis_mean)
-        emit(tenure_start, "OccupationStart", price=reservation, owner=owner_idx)
+        occupation = rng_owner.uniform(cfg.occupation_lo, cfg.occupation_hi)
+        crisis = rng_owner.exponential(cfg.crisis_mean)
+        emit(tenure_start, "OccupationStart", price=R, owner=owner_idx)
         post_t, cause = time_to_posting(tenure_start + occupation, tenure_start + crisis,
                                         path, cfg.rate_threshold, horizon)
         if cause is None:
@@ -389,15 +375,14 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
         emit(post_t, "CrisisShock" if cause == "crisis" else "ProfitOpportunity",
              owner=owner_idx)
 
-        cur_R, cur_L0 = reservation, next_list
-        sold = False
-        while not sold and post_t < horizon:
-            t_star, ctx = _posting_step(cfg, path, post_t, cur_R, cur_L0)
+        while post_t < horizon:
+            t_star, ctx = _posting_step(cfg, path, post_t, R, L0)
             emit(post_t, "PostForSale", price=ctx.list_price,
                  demand=float(ctx.intensity(0.0)), owner=owner_idx, attempt=attempt_idx)
             attempt = run_sale_attempt(ctx, t_star,
                                        substream(seed, "offers", owner_idx, attempt_idx))
-            resolution = attempt.outcome.time if attempt.outcome.sold else t_star
+            outcome = attempt.outcome
+            resolution = outcome.time if outcome.sold else t_star
             for arrival, value, delay in attempt.offers:
                 emit(post_t + arrival, "OfferReceived", price=value,
                      demand=float(ctx.intensity(arrival)), owner=owner_idx,
@@ -406,25 +391,22 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
                 if gone < resolution:
                     emit(post_t + gone, "OfferWithdrawn", price=value,
                          owner=owner_idx, attempt=attempt_idx)
-            if attempt.outcome.sold:
-                sale_t = post_t + attempt.outcome.time
-                emit(sale_t, "Sale", price=attempt.outcome.price,
-                     owner=owner_idx, attempt=attempt_idx)
-                attempt_idx += 1
-                owner_idx += 1
-                tenure_start = sale_t
-                # the new owner holds the sale price and would relist at p_max
-                reservation, next_list = attempt.outcome.price, cfg.p_max
-                sold = True
-            else:
-                end_t = post_t + t_star
-                emit(end_t, "NoSale", owner=owner_idx, attempt=attempt_idx)
-                cur_R, cur_L0 = (cur_R + cfg.p_min) / 2.0, cur_R
-                emit(end_t, "Reprice", price=cur_R, owner=owner_idx, attempt=attempt_idx)
-                attempt_idx += 1
-                post_t = end_t
-        if not sold:
-            break
+            if outcome.sold:
+                break
+            post_t += t_star
+            emit(post_t, "NoSale", owner=owner_idx, attempt=attempt_idx)
+            R, L0 = (R + cfg.p_min) / 2.0, R
+            emit(post_t, "Reprice", price=R, owner=owner_idx, attempt=attempt_idx)
+            attempt_idx += 1
+        else:
+            break  # the horizon came before a sale
+        tenure_start = post_t + outcome.time
+        emit(tenure_start, "Sale", price=outcome.price, owner=owner_idx,
+             attempt=attempt_idx)
+        attempt_idx += 1
+        owner_idx += 1
+        # the new owner holds the sale price and would relist at p_max
+        R, L0 = outcome.price, cfg.p_max
 
     # emission order is causal; the stable sort keeps it for ties
     events.sort(key=lambda e: e.time)

@@ -47,7 +47,7 @@ def _is_int(x) -> bool:
 
 def _seed(seed) -> int:
     if not _is_int(seed):
-        raise TypeError(f"substream seed must be an int, got {type(seed)}")
+        raise TypeError(f"seed must be an int, got {type(seed)}")
     return int(seed)
 
 
@@ -173,7 +173,7 @@ def _substreams(seed: int, *prefix, count: int):
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_seed(seed))
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ class RatePath:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("values must be a non-empty 1-D array")
         if not np.all((self.values >= 0) & (self.values < np.inf)):

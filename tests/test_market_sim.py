@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import three_sigma
 from homesale import market_sim
-from homesale.market_sim import (EvolutionConfig, compute_owt_frozen, draw_crisis,
-                                 draw_occupation, expected_price_curve,
-                                 run_evolution, run_sale_attempt, time_to_posting,
-                                 SaleOutcome)
-from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
-                                  UniformOffers)
+from homesale.market_sim import (EvolutionConfig, compute_owt_frozen,
+                                 expected_price_curve, run_evolution, run_sale_attempt,
+                                 time_to_posting, SaleOutcome)
+from homesale.path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
+                                  conditional_payoff_changing_list_exact)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
-                                 _thin, _thinning_candidates, sample_nhpp, simulate_cir,
-                                 substream)
+                                 _substreams, _thin, _thinning_candidates, sample_nhpp,
+                                 simulate_cir, substream)
 
 DEMAND = DemandParams(0.5, 1000.0)
 
@@ -46,22 +45,48 @@ def cir_context():
                        reservation=140.0, demand=DEMAND)
 
 
+def owner_draws(cfg, seed, count):
+    """Each owner's (occupation, crisis) years, drawn as run_evolution
+    draws them from substream(seed, "owner", i), for i < count."""
+    return np.array([(g.uniform(cfg.occupation_lo, cfg.occupation_hi),
+                      g.exponential(cfg.crisis_mean))
+                     for g in _substreams(seed, "owner", count=count)])
+
+
 class TestDraws:
     def test_occupation_support(self):
-        rng = substream(1, "occ")
-        draws = [draw_occupation(rng) for _ in range(5000)]
-        assert min(draws) >= 4.0 and max(draws) <= 6.0
+        cfg = make_config()
+        draws = owner_draws(cfg, 1, 5000)[:, 0]
+        assert draws.min() >= cfg.occupation_lo and draws.max() <= cfg.occupation_hi
 
     def test_crisis_mean(self):
-        rng = substream(2, "crisis")
-        draws = np.array([draw_crisis(rng) for _ in range(100_000)])
-        three_sigma("crisis mean", 10.0, draws.mean(),
+        cfg = make_config()
+        draws = owner_draws(cfg, 2, 100_000)[:, 1]
+        three_sigma("crisis mean", cfg.crisis_mean, draws.mean(),
                     draws.std(ddof=1) / math.sqrt(draws.size))
 
     def test_distinct_streams_give_independent_draws(self):
-        a = np.array([draw_crisis(substream(3, "s", i)) for i in range(0, 20000)])
-        b = np.array([draw_crisis(substream(3, "t", i)) for i in range(0, 20000)])
-        assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
+        # owner i's crisis against owner i + 1's
+        crisis = owner_draws(make_config(), 3, 20001)[:, 1]
+        assert abs(np.corrcoef(crisis[:-1], crisis[1:])[0, 1]) < 0.02
+
+    def test_every_posting_replays_from_its_owner_draws(self):
+        cfg, seed, horizon = make_config(), 42, 200.0
+        log = run_evolution(cfg, horizon, seed)
+        starts = [e for e in log.events if e.kind == "OccupationStart"]
+        posts = {e.owner: e for e in log.events
+                 if e.kind in ("CrisisShock", "ProfitOpportunity")}
+        assert len(starts) > 20
+        kinds = {"crisis": "CrisisShock", "profit": "ProfitOpportunity"}
+        for start, (occupation, crisis) in zip(starts, owner_draws(cfg, seed, len(starts))):
+            t, cause = time_to_posting(start.time + occupation, start.time + crisis,
+                                       log.path, cfg.rate_threshold, horizon)
+            if cause is None:
+                assert start.owner not in posts
+            else:
+                post = posts.pop(start.owner)
+                assert (post.time, post.kind) == (t, kinds[cause])
+        assert posts == {}
 
 
 class TestTimeToPosting:
@@ -438,6 +463,30 @@ def test_tight_bound_matches_rate_floor_bound_in_distribution():
     close("sale price", old_prices, new_prices)
     close("no-sale share", np.array([not o.sold for o in old_outcomes], dtype=float),
           (~new_sold).astype(float))
+
+
+@pytest.mark.parametrize("i, t_post, window", [(0, 2.0, None), (1, 10.0, 1.0),
+                                                (2, 18.0, 2.0)])
+def test_engine_mean_payoff_is_the_exact_conditional_payoff(i, t_post, window):
+    # posting on the seed-1 path at the frozen t_star, and with windows of
+    # one and two years, in which an attempt crosses the decaying list
+    # more than once often enough to tell the first crossing from another
+    cfg, n = make_config(), 100_000
+    path = market_sim._rate_path(cfg, 20.0, 1)
+    R, L0 = cfg.initial_reservation, cfg.initial_list
+    if window is None:
+        window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
+    ctx = cfg.context(path.shifted(t_post, window), R, L0, cfg.zeta)
+    rngs = _substreams(99, "engine-exact", i, count=n)
+    payoff = []
+    for b in market_sim._sale_attempts(ctx, window, rngs):
+        discount = np.exp(-ctx.path._cumulative(np.where(b.sold, b.time, 0.0)))
+        payoff.append(np.where(b.sold, b.price * discount, 0.0))  # no sale pays 0
+    payoff = np.concatenate(payoff)
+    assert payoff.size == n
+    three_sigma(f"discounted payoff posted at {t_post}",
+                conditional_payoff_changing_list_exact(ctx, window), payoff.mean(),
+                payoff.std(ddof=1) / math.sqrt(n))
 
 
 class TestUpdatePrices:

@@ -129,6 +129,11 @@ class TestRatePath:
         with pytest.raises(ValueError, match="finite and non-negative"):
             RatePath(1.0 / 252.0, [0.1, bad])
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match=f"dt must be finite and positive, got {dt}"):
+            RatePath(dt, [0.1, 0.2, 0.3])
+
 
 class TestDemand:
     def test_single_term(self, sim_demand):
@@ -263,6 +268,21 @@ class TestSamplers:
         np.testing.assert_array_equal(a, a2)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
+
+    @pytest.mark.parametrize("seed", [True, 1.0, None])
+    def test_samplers_reject_a_seed_that_is_not_an_int(self, seed):
+        # True would alias seed 1 and None would draw fresh entropy
+        p = CirParams(0.25, 0.1, 0.08, 0.09)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            simulate_cir(p, 1.0, seed=seed)
+        with pytest.raises(TypeError, match="seed must be an int"):
+            sample_nhpp(lambda t: np.ones_like(t), 1.0, 1.0, seed=seed)
+
+    def test_samplers_take_numpy_ints_and_generators(self):
+        p = CirParams(0.25, 0.1, 0.08, 0.09)
+        want = simulate_cir(p, 1.0, seed=1).values.tobytes()
+        assert simulate_cir(p, 1.0, seed=np.int64(1)).values.tobytes() == want
+        assert simulate_cir(p, 1.0, seed=np.random.default_rng(1)).values.tobytes() == want
 
 
 def draws(rng):
