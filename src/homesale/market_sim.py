@@ -109,6 +109,10 @@ def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
     If neither happens by search_end (capped at the path horizon) the
     tenure stays open: the result is (that end, None).
     """
+    if not 0 <= occupation_end < math.inf:
+        raise ValueError(f"occupation_end must be finite and non-negative, got {occupation_end}")
+    if not crisis_time >= 0:
+        raise ValueError(f"crisis_time must be non-negative (inf for none), got {crisis_time}")
     end = min(search_end, path.horizon)
     profit_time = math.inf
     start_idx = int(math.ceil(occupation_end / path.dt - 1e-9))
@@ -187,8 +191,8 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
     candidate times, the n acceptance uniforms, then the n offer values;
     it fills in C order, so its doubles are those of random(3n).
     numpy's uniform(low, high, n) is low + (high - low) * random(), one
-    double per draw, so scaling these rows gives the same bits as the
-    three uniform calls of _thinning_candidates and UniformOffers.sample.
+    double per draw, so scaling the rows gives the same bits as three
+    calls: uniform(0, t_star, n), uniform(0, 1, n), uniform(p_min, p_max, n).
     The intensity, its domination check and the sale rule then run once
     per batch, so an attempt's outcome depends only on its own
     generator, never on the batch it falls in.
@@ -425,7 +429,6 @@ class PricePoint:
     t_star: float
     mean_price: float
     stderr: float
-    n_reps: int
     n_sales: int
     no_sale_fraction: float
 
@@ -458,6 +461,6 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
         mean = float(np.mean(prices)) if n_sales else math.nan
         stderr = (float(np.std(prices, ddof=1) / math.sqrt(n_sales))
                   if n_sales >= 2 else math.nan)
-        points.append(PricePoint(t_post, t_star, mean, stderr, n_reps, n_sales,
+        points.append(PricePoint(t_post, t_star, mean, stderr, n_sales,
                                  1.0 - n_sales / n_reps))
     return points

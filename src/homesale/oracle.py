@@ -318,8 +318,7 @@ class ValidationRow:
     mc_mean: float
     mc_stderr: float
     z: float
-    kind: str       # "check" gets a pass/fail verdict, "gap" is informational
-    verdict: str    # "pass" | "FAIL" | "report"
+    verdict: str    # "pass" | "FAIL" for a check, "report" for an informational gap
     low_power: bool
 
 
@@ -346,7 +345,7 @@ class ValidationReport:
                 f"{r.name:<34} {r.analytic:>12.4f} {r.mc_mean:>12.4f} "
                 f"{r.mc_stderr:>10.4f} {r.z:>8.2f}  {r.verdict}{flag}")
         lines.append("-" * len(header))
-        n_checks = sum(1 for r in self.rows if r.kind == "check")
+        n_checks = sum(1 for r in self.rows if r.verdict != "report")
         lines.append(f"{n_checks - len(self.failures)}/{n_checks} checks passed "
                      f"at {_TOLERANCE_SIGMAS} sigma, n={self.n}")
         return "\n".join(lines)
@@ -380,15 +379,13 @@ def _make_row(name: str, analytic: float, est: McEstimate, kind: str) -> Validat
         verdict = "report"
     else:
         verdict = "pass" if abs(z) <= _TOLERANCE_SIGMAS else "FAIL"
-    return ValidationRow(name, analytic, est.mean, est.stderr, z, kind,
-                         verdict, low_power)
+    return ValidationRow(name, analytic, est.mean, est.stderr, z, verdict, low_power)
 
 
 def validate_all(n: int = 1_000_000, seed: int = 20240817,
                  t_values: tuple = (0.25, 0.5, 1.0, 2.0, 5.0),
                  lam_values: tuple = (1.0, 2.0, 5.0, 8.0, 12.0),
                  path_t_values: tuple = (0.5, 1.0, 2.0),
-                 include_paths: bool = True,
                  workers: int = 1) -> ValidationReport:
     """Full oracle-vs-analytic comparison matrix.
 
@@ -405,9 +402,10 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     3-sigma events: the `aux` and `thinned` rows of a (T, lam) share one
     offer draw, and the `path-changing-gap`, `path-changing-exact` and
     `path-no-list` rows of a t share one thinned stream.  Every row
-    comes from one job per (T, lam), one per path t and the gap-sign
-    check, run on at most `workers` threads; each job draws from its own
-    substreams, so the rows do not depend on the worker count.
+    comes from one job per (T, lam), one per path t (an empty
+    path_t_values skips the path rows) and the gap-sign check, run on at
+    most `workers` threads; each job draws from its own substreams, so
+    the rows do not depend on the worker count.
     """
     R, L = 140.0, 180.0
 
@@ -435,7 +433,7 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
                 for T in t_values for m in map(market, lam_values)]
         constant_sign = all(g < 0 for g in gaps) or all(g > 0 for g in gaps)
         return [ValidationRow("listed-gap-sign-constant", max(gaps), math.nan,
-                              math.nan, math.nan, "check",
+                              math.nan, math.nan,
                               "pass" if constant_sign else "FAIL", False)]
 
     def path_rows(t):
@@ -454,13 +452,11 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
                 _make_row(f"path-no-list t={t}",
                           conditional_payoff_no_list(ctx_changing, t), est_none, "check")]
 
+    path = sigma0_table2_path(max(path_t_values, default=0.0) + 0.1)
+    ctx_changing = table2_context(path, constant_list=False)
+    ctx_constant = table2_context(path, constant_list=True)
     cells = [(cell, T, lam) for T in t_values for lam in lam_values]
-    jobs = cells + [(gap_sign,)]
-    if include_paths:
-        path = sigma0_table2_path(max(path_t_values) + 0.1)
-        ctx_changing = table2_context(path, constant_list=False)
-        ctx_constant = table2_context(path, constant_list=True)
-        jobs += [(path_rows, t) for t in path_t_values]
+    jobs = cells + [(gap_sign,)] + [(path_rows, t) for t in path_t_values]
 
     with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         chunks = list(pool.map(lambda job: job[0](*job[1:]), jobs))

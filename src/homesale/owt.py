@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -211,7 +211,7 @@ class SweepResult:
     x_values: np.ndarray
     y_values: np.ndarray
     t_star: np.ndarray
-    boundary: np.ndarray = field(default=None)
+    boundary: np.ndarray
 
 
 def _cell_params(spec: SweepSpec, xv: float, yv: float) -> tuple | None:

@@ -504,7 +504,7 @@ def conditional_payoff(ctx: PathContext, t: float, mode: str) -> float:
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
                     cir: CirParams, times, n_paths: int, seed: int,
                     mode: str = "changing",
-                    dt: float = None) -> tuple[np.ndarray, np.ndarray]:
+                    dt: float = DEFAULT_DT) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean of a conditional payoff over independent rate
     paths, at every horizon of the 1-D grid times.
 
@@ -527,7 +527,6 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid of horizons")
-    dt = DEFAULT_DT if dt is None else dt
     body = _MODES[mode]
 
     # row k holds horizon k's path values, contiguous for the reductions

@@ -12,7 +12,7 @@ import numpy as np
 __all__ = ["simpson_nodes"]
 
 
-def simpson_nodes(a: float, b: float, n: int = 201) -> tuple[np.ndarray, np.ndarray]:
+def simpson_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Simpson rule on [a, b].
 
     n must be odd and >= 3 so the panel count is whole.

@@ -301,15 +301,6 @@ def simulate_cir(p: CirParams, horizon: float, dt: float = DEFAULT_DT,
     return RatePath(dt, values)
 
 
-def _thinning_candidates(rng: np.random.Generator, horizon: float,
-                         bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """The dominating Poisson(bound) stream on [0, horizon]: a count, the
-    sorted candidate times, then one acceptance uniform per candidate."""
-    n_cand = rng.poisson(bound * horizon)
-    cands = np.sort(rng.uniform(0.0, horizon, n_cand))
-    return cands, rng.uniform(0.0, 1.0, n_cand)
-
-
 def _thin(vals: np.ndarray, cands: np.ndarray, u: np.ndarray,
           bound: float) -> np.ndarray:
     """Which candidates thinning keeps: those with u * bound < intensity.
@@ -336,16 +327,20 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
     attempts thin the offer demand DemandParams.intensity(r(a), L(a))
     against its value at the least r on the path's nodes and L(t), the
     rate floored at RATE_FLOOR in both: the rate is linear between nodes
-    and the list price only falls.
+    and the list price only falls.  The generator draws the count n of
+    candidates, their n sorted times, then n acceptance uniforms.
     The intensity takes the array of candidate times and returns an
     array of the same shape.
     The bound must dominate the intensity everywhere; a detected
     violation aborts rather than silently under-sampling.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and non-negative, got {horizon}")
     if not (intensity_bound > 0) or not math.isfinite(intensity_bound):
         raise ValueError(f"intensity_bound must be positive and finite, got {intensity_bound}")
-    cands, u = _thinning_candidates(_as_rng(seed), horizon, intensity_bound)
+    rng = _as_rng(seed)
+    n_cand = rng.poisson(intensity_bound * horizon)
+    cands = np.sort(rng.uniform(0.0, horizon, n_cand))
+    u = rng.uniform(0.0, 1.0, n_cand)
     vals = np.asarray(intensity(cands), dtype=float)
     return cands[_thin(vals, cands, u, intensity_bound)]

@@ -272,8 +272,8 @@ def test_criterion_8_evolution_integrity():
 
     # the validation matrix is the one threaded entry point; its rows
     # must not depend on worker count (NaN cells compare equal)
-    a = validate_all(n=2000, include_paths=False, workers=1).to_csv_rows()
-    b = validate_all(n=2000, include_paths=False, workers=2).to_csv_rows()
+    a = validate_all(n=2000, path_t_values=(), workers=1).to_csv_rows()
+    b = validate_all(n=2000, path_t_values=(), workers=2).to_csv_rows()
     same = len(a) == len(b) and all(
         x == y or (isinstance(x, float) and isinstance(y, float)
                    and math.isnan(x) and math.isnan(y))

@@ -663,7 +663,7 @@ class TestValidateCommand:
         original = oracle_mod.validate_all
 
         def quick(**kw):
-            kw.update(t_values=(1.0,), lam_values=(5.0,), include_paths=False)
+            kw.update(t_values=(1.0,), lam_values=(5.0,), path_t_values=())
             return original(**kw)
 
         monkeypatch.setattr("homesale.cli.oracle.validate_all", quick)

@@ -17,8 +17,7 @@ from homesale.market_sim import (EvolutionConfig, compute_owt_frozen,
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                                   conditional_payoff_changing_list_exact)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
-                                 _substreams, _thin, _thinning_candidates, sample_nhpp,
-                                 simulate_cir, substream)
+                                 _substreams, _thin, sample_nhpp, simulate_cir, substream)
 
 DEMAND = DemandParams(0.5, 1000.0)
 
@@ -118,6 +117,21 @@ class TestTimeToPosting:
         time, cause = time_to_posting(5.25, 1e9, path, 0.06, search_end=path.horizon)
         assert cause == "profit"
         assert time == pytest.approx(5.5)  # first grid point past O
+
+    @pytest.mark.parametrize("occupation_end, crisis_time, name", [
+        (-3.0, 1e9, "occupation_end"),  # used to post at -3.0, before the path
+        (math.nan, 1e9, "occupation_end"),
+        (math.inf, 1e9, "occupation_end"),
+        (5.0, math.nan, "crisis_time"),  # used to read as no crisis
+        (5.0, -1.0, "crisis_time")])
+    def test_rejects_bad_times(self, occupation_end, crisis_time, name):
+        path = RatePath(0.5, np.full(41, 0.05))
+        with pytest.raises(ValueError, match=name):
+            time_to_posting(occupation_end, crisis_time, path, 0.06, 20.0)
+
+    def test_infinite_crisis_time_is_no_crisis(self):
+        path = RatePath(0.5, np.full(41, 0.2))
+        assert time_to_posting(5.0, math.inf, path, 0.06, 20.0) == (20.0, None)
 
 
 class TestListAt:
@@ -362,7 +376,8 @@ class TestSaleAttempts:
         bound = float(DEMAND.intensity(0.09, 200.0))
         outcomes = []
         for j in range(300):
-            cands, _ = _thinning_candidates(substream(10, "dip", j), 1.0, bound)
+            rng = substream(10, "dip", j)
+            cands = np.sort(rng.uniform(0.0, 1.0, rng.poisson(bound)))
             in_dip = bool(np.any((cands >= 0.5) & (cands < 0.51)))
             try:
                 run_sale_attempt(ctx, 1.0, substream(10, "dip", j))
@@ -387,7 +402,9 @@ def reference_attempt(ctx, t_star, rng):
     the delays, each from its own call on rng."""
     r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
     bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
-    cands, u = _thinning_candidates(rng, t_star, bound)
+    n = rng.poisson(bound * t_star)
+    cands = np.sort(rng.uniform(0.0, t_star, n))
+    u = rng.uniform(0.0, 1.0, n)
     value = ctx.offers.sample(rng, cands.size)
     delay = ctx.withdrawals.sample(rng, cands.size)
     keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -282,9 +284,9 @@ def test_grid_interp_is_np_interp(grid):
 
 
 class TestValidateAll:
-    def quick_report(self, n=40_000, **kw):
+    def quick_report(self, n=40_000, path_t_values=(1.0,), **kw):
         return validate_all(n=n, seed=123, t_values=(1.0,), lam_values=(5.0,),
-                            path_t_values=(1.0,), **kw)
+                            path_t_values=path_t_values, **kw)
 
     def test_default_checks_pass(self):
         report = self.quick_report()
@@ -293,17 +295,18 @@ class TestValidateAll:
         assert any(n.startswith("listed-gap") for n in names)
         assert any(n.startswith("path-changing-gap") for n in names)
         exact = [r for r in report.rows if r.name.startswith("path-changing-exact")]
-        assert exact and all(r.kind == "check" and r.verdict == "pass" for r in exact)
+        assert exact and all(r.verdict == "pass" for r in exact)
 
     def test_gap_rows_are_informational(self):
         report = self.quick_report()
-        for row in report.rows:
-            if row.kind == "gap":
-                assert row.verdict == "report"
+        gaps = [r for r in report.rows
+                if r.name.startswith(("listed-gap ", "path-changing-gap "))]
+        assert len(gaps) == 2
+        assert all(r.verdict == "report" for r in gaps)
 
     def test_low_replication_run_is_flagged_not_vacuously_green(self):
-        report = self.quick_report(n=400, include_paths=False)
-        assert any(r.low_power for r in report.rows if r.kind == "check")
+        report = self.quick_report(n=400, path_t_values=())
+        assert any(r.low_power for r in report.rows if r.verdict != "report")
         table = report.format_table()
         assert "low power" in table
 
@@ -316,7 +319,7 @@ class TestValidateAll:
             lambda T, m: original(T, MarketParams(m.lam * 1.05, m.mu, m.r,
                                                   m.p_min, m.p_max)))
         report = validate_all(n=100_000, seed=123, t_values=(1.0,),
-                              lam_values=(5.0,), include_paths=False)
+                              lam_values=(5.0,), path_t_values=())
         assert not report.passed
         assert any(r.verdict == "FAIL" and r.name.startswith("aux") for r in report.rows)
 
@@ -365,8 +368,24 @@ class TestValidateAll:
         assert sizes == [4]
         assert len(report.rows) == 2 * 4 + 1 + 4
 
+    def test_empty_path_grid_drops_only_the_path_rows(self):
+        # bit for bit, and the footer counts exactly the pass/FAIL rows
+        def bits(rows):
+            return [tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                          for v in dataclasses.astuple(r)) for r in rows]
+
+        full = validate_all(n=2000, seed=1)
+        no_paths = validate_all(n=2000, seed=1, path_t_values=())
+        assert bits(no_paths.rows) == bits(
+            [r for r in full.rows if not r.name.startswith("path-")])
+        for report in (full, no_paths):
+            checks = [r for r in report.rows if r.verdict in ("pass", "FAIL")]
+            passed = sum(r.verdict == "pass" for r in checks)
+            footer = report.format_table().splitlines()[-1]
+            assert footer.startswith(f"{passed}/{len(checks)} checks passed ")
+
     def test_csv_rows_match_schema(self):
-        report = self.quick_report(n=2000, include_paths=False)
+        report = self.quick_report(n=2000, path_t_values=())
         for row in report.to_csv_rows():
             assert len(row) == 6
             name, analytic, mc_mean, mc_stderr, z, verdict = row

@@ -245,6 +245,12 @@ class TestNhpp:
         with pytest.raises(ValueError):
             sample_nhpp(lambda t: t, 1.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_horizon(self, horizon):
+        # NaN and inf used to fail inside numpy's Poisson draw
+        with pytest.raises(ValueError, match="horizon"):
+            sample_nhpp(lambda t: np.ones_like(t), horizon, 1.0, seed=0)
+
 
 class TestSamplers:
     def test_uniform_moment(self):
