@@ -198,13 +198,23 @@ def _listed(T, lam, mu, r, p_min, p_max, R, L, gamma, exact: bool, ops):
     return ops.exp(-gamma * T) * (crossing + ops.exp(-lam_y * T) * in_band)
 
 
-def _checked_listed(T, m: MarketParams, R: float, L: float, gamma: float, exact: bool):
+def _listed_args(m: MarketParams, R: float, L: float, gamma: float) -> tuple:
+    """_listed's (lam, mu, r, p_min, p_max, R, L, gamma), checked as every
+    listed form and every sweep cell checks them."""
+    _require_finite(gamma=gamma)
+    if gamma < 0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     _require_finite(R=R, L=L)
     if not (m.p_min <= R <= L <= m.p_max):
         raise ValueError(
             f"need p_min <= R <= L <= p_max, got p_min={m.p_min}, R={R}, L={L}, p_max={m.p_max}")
+    return m.lam, m.mu, m.r, m.p_min, m.p_max, R, L, gamma
+
+
+def _checked_listed(T, m: MarketParams, R: float, L: float, gamma: float, exact: bool):
+    args = _listed_args(m, R, L, gamma)
     _check_horizon(T)
-    return _listed(T, m.lam, m.mu, m.r, m.p_min, m.p_max, R, L, gamma, exact, _ops(T))
+    return _listed(T, *args, exact, _ops(T))
 
 
 def listed_payoff(T: float | np.ndarray, m: MarketParams, R: float,
@@ -251,7 +261,4 @@ def expected_utility(T: float | np.ndarray, m: MarketParams, R: float, L: float,
     exact selects listed_payoff_exact as the base; the default matches
     the plain listed payoff used for the curve figures.
     """
-    _require_finite(gamma=gamma)
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
     return _checked_listed(T, m, R, L, gamma, exact)

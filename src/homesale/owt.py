@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 # expected_utility is not called here; the benchmark tracer wraps owt.expected_utility
-from .closed_form import _EXACT, _FLOAT, MarketParams, _listed, expected_utility
+from .closed_form import _EXACT, _FLOAT, MarketParams, _listed, _listed_args, expected_utility
 
 __all__ = ["OwtResult", "SweepAxis", "SweepSpec", "SweepResult",
            "optimal_waiting_time", "sweep_owt"]
@@ -226,12 +226,9 @@ def _cell_params(spec: SweepSpec, xv: float, yv: float) -> tuple | None:
     }
     try:
         m = MarketParams(base["lam"], base["mu"], base["r"], base["p_min"], base["p_max"])
+        return _listed_args(m, base["reservation"], base["list_price"], base["gamma"])
     except ValueError:
         return None
-    R, L, gamma = base["reservation"], base["list_price"], base["gamma"]
-    if not (m.p_min <= R <= L <= m.p_max) or gamma < 0:
-        return None
-    return m.lam, m.mu, m.r, m.p_min, m.p_max, R, L, gamma
 
 
 def sweep_owt(spec: SweepSpec) -> SweepResult:

@@ -17,17 +17,18 @@ crossing branch and is exact.  conditional_payoff_changing_list_exact
 and conditional_payoff_constant_list integrate the true first-crossing
 density and match simulation for any decay rate zeta, zero included.
 
-Each mode has one body, which evaluates one horizon on a batch of
-contexts that differ only in path: what depends on the horizon alone
-(the list, F(L(a)) and its sort order, the Simpson grids, the y grid
-and its searchsorted indices) is computed once, and the rate-driven
-parts are (paths x nodes) arrays reduced row by row.  A path's value is
-the same to the bit in any batch; the one-context public functions are
-the one-path case.  Every Simpson grid has DEFAULT_NODES nodes, read
-when an evaluation runs.  The changing-list survivor tail sorts F(L(a))
-and reads each y off suffix sums: O(n log n), within 32 eps of the
-O(n^2) (y, a) band product.  Withdrawals follow one law,
-ExponentialWithdrawals(mu); mu == 0 means offers never retract.
+A batch is one context and its rate paths.  Each mode has one body,
+which evaluates one horizon on a batch: what depends on the horizon
+alone (the list, F(L(a)) and its sort order, the Simpson grids, the y
+grid and its searchsorted indices) is computed once, and the
+rate-driven parts are (paths x nodes) arrays reduced row by row.  A
+path's value is the same to the bit in any batch; the one-context
+public functions are the one-path case.  Every Simpson grid has
+DEFAULT_NODES nodes, read when an evaluation runs.  The changing-list
+survivor tail sorts F(L(a)) and reads each y off suffix sums:
+O(n log n), within 32 eps of the O(n^2) (y, a) band product.
+Withdrawals follow one law, ExponentialWithdrawals(mu); mu == 0 means
+offers never retract.
 
 The rate integral inside the discount factor uses the path's native
 grid (trapezoid), so conditional values carry an O(dt^2) path
@@ -36,6 +37,7 @@ discretization error on top of the quadrature error.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -153,7 +155,7 @@ class PathContext:
         return self.demand.intensity(self.path.rate_at(a), self.list_at(a))
 
 
-# What a batch of contexts must share: everything but the rate path.
+# What the contexts of one expected_payoff chunk must share: all but the path.
 _SHARED = operator.attrgetter(*(f.name for f in fields(PathContext) if f.name != "path"))
 
 
@@ -161,17 +163,17 @@ _SHARED = operator.attrgetter(*(f.name for f in fields(PathContext) if f.name !=
 class _Arrivals:
     """One horizon's arrival grid on a batch of rate paths.
 
-    ctx carries everything the batch shares.  The Simpson nodes a on
-    [0, t], their weights w and the withdrawn share held =
-    withdrawals.cdf(t - a) depend on the horizon only.  lam(a) and
-    Lambda(t) = w @ lam hold one row (entry) per live path, a path on
-    which some offer can arrive by t; live marks them in batch order and
-    ctxs lists their contexts.
+    ctx carries everything the batch shares; its own path is not read.
+    The Simpson nodes a on [0, t], their weights w and the withdrawn
+    share held = withdrawals.cdf(t - a) depend on the horizon only.
+    lam(a) and Lambda(t) = w @ lam hold one row (entry) per live path, a
+    path on which some offer can arrive by t; live marks them in batch
+    order and paths lists them.
     """
 
     t: float
     ctx: PathContext
-    ctxs: list
+    paths: list
     a: np.ndarray
     w: np.ndarray
     held: np.ndarray
@@ -179,54 +181,44 @@ class _Arrivals:
     big_lam: np.ndarray
     live: np.ndarray
 
-    def scatter(self, vals) -> np.ndarray:
-        """The live paths' values in batch order, 0.0 on the others."""
-        out = np.zeros(self.live.size)
-        out[self.live] = vals
-        return out
-
     def cumulative(self, x) -> np.ndarray:
         """The integrated rate at the times x in [0, t], one row per live
         path; _arrivals has checked that every path spans [0, t]."""
-        return np.array([c.path._cumulative(x) for c in self.ctxs])
+        return np.array([p._cumulative(x) for p in self.paths])
 
 
-def _arrivals(ctxs: list, t: float) -> _Arrivals:
-    """The arrival grid of horizon t on contexts that differ only in path.
-
-    Every evaluation at a horizon builds this grid first, so the checks
-    live here: t must be positive (NaN is rejected), and a context that
-    differs from the first in anything but its path raises ValueError.
-    """
+def _arrivals(ctx: PathContext, paths: list, t: float) -> _Arrivals:
+    """The arrival grid of horizon t on the rate paths under ctx.  Every
+    evaluation builds it first, so the checks live here: t must be
+    positive (NaN is rejected) and every path must span [0, t]."""
     if not (t > 0):
         raise ValueError(f"t must be positive, got {t}")
     t = float(t)
-    ctx = ctxs[0]
-    shared = _SHARED(ctx)
-    if any(_SHARED(c) != shared for c in ctxs):
-        raise ValueError("the contexts of one batch must differ only in path")
-    for c in ctxs:
-        c.path._check_ends(0.0, t)
+    for p in paths:
+        p._check_ends(0.0, t)
     a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
-    lam = ctx.demand.intensity(np.array([c.path._rate(a) for c in ctxs]), ctx.list_at(a))
+    lam = ctx.demand.intensity(np.array([p._rate(a) for p in paths]), ctx.list_at(a))
     big_lam = np.array([float(w @ row) for row in lam])
     live = big_lam > 0.0
-    return _Arrivals(t, ctx, [c for c, keep in zip(ctxs, live) if keep], a, w,
+    return _Arrivals(t, ctx, [p for p, keep in zip(paths, live) if keep], a, w,
                      ctx.withdrawals.cdf(t - a), lam[live], big_lam[live], live)
 
 
-def _below_list(arr: _Arrivals, F_L: np.ndarray) -> list[float]:
-    """The chance that one offer arriving in [0, t] (density lam/Lambda) is
-    below the list: (1/Lambda) Int lam(a) F_L(a) da per live path, in [0, 1]."""
-    return [min(max(float(arr.w @ row) / bl, 0.0), 1.0)
-            for row, bl in zip(arr.lam * F_L, arr.big_lam)]
+def _evaluate(body: Callable, ctx: PathContext, paths: list, t: float, **kw) -> np.ndarray:
+    """The values at horizon t on the rate paths, in batch order: body(arr,
+    **kw) gives the live paths' values on the arrival grid arr, and a
+    path on which no offer can arrive by t pays 0.0."""
+    arr = _arrivals(ctx, paths, t)
+    out = np.zeros(len(paths))
+    if arr.paths:
+        out[arr.live] = body(arr, **kw)
+    return out
 
 
-def _standing_weight(arr: _Arrivals) -> np.ndarray:
-    """The chance that an offer arriving by t still stands at t, per live
-    path: 1 - (1/Lambda) Int lam(a) held(a) da."""
-    return np.array([1.0 - float(arr.w @ row) / bl
-                     for row, bl in zip(arr.lam * arr.held, arr.big_lam)])
+def _arrival_mean(arr: _Arrivals, x: np.ndarray) -> np.ndarray:
+    """The mean of x(a) over one offer's arrival time in [0, t], density
+    lam/Lambda: (1/Lambda) Int lam(a) x(a) da per live path."""
+    return np.array([float(arr.w @ row) for row in arr.lam * x]) / arr.big_lam
 
 
 def _offer_tail(arr: _Arrivals, F_L: np.ndarray) -> Callable:
@@ -320,16 +312,15 @@ def _above_list_hazard(arr: _Arrivals, beat: Callable) -> np.ndarray:
     """
     ctx = arr.ctx
     s = np.linspace(0.0, arr.t, 2 * DEFAULT_NODES - 1)
-    lam = ctx.demand.intensity(np.array([c.path._rate(s) for c in arr.ctxs]),
+    lam = ctx.demand.intensity(np.array([p._rate(s) for p in arr.paths]),
                                ctx.list_at(s))
     h = lam * (1.0 - ctx.offers.cdf(beat(s)))
     panels = (h[:, :-2:2] + 4.0 * h[:, 1:-1:2] + h[:, 2::2]) * (s[1] - s[0]) / 3.0
     return np.concatenate((np.zeros((len(h), 1)), np.cumsum(panels, axis=1)), axis=1)
 
 
-def _changing_list(ctxs: list, t: float, exact: bool) -> np.ndarray:
-    """The one changing-list body, at horizon t on contexts that differ
-    only in path; 0.0 on a path where no offer can arrive by t.
+def _changing_list(arr: _Arrivals, exact: bool) -> list[float]:
+    """The one changing-list body: the live paths' values on arr.
 
     The above-list and below-list offers are independent thinned Poisson
     streams (marking theorem), so the no-crossing branch -- the chance
@@ -343,9 +334,6 @@ def _changing_list(ctxs: list, t: float, exact: bool) -> np.ndarray:
     parts are (paths x nodes) arrays, and every per-path scalar is a 1-D
     dot or a float expression in the order of a one-path evaluation.
     """
-    arr = _arrivals(ctxs, t)
-    if not arr.ctxs:
-        return arr.scatter([])
     ctx, w, lam = arr.ctx, arr.w, arr.lam
     L_a = ctx.list_at(arr.a)
     F_L = ctx.offers.cdf(L_a)
@@ -361,16 +349,17 @@ def _changing_list(ctxs: list, t: float, exact: bool) -> np.ndarray:
         crossing = first_cross * disc_a * mean_above
     else:
         crossing = lam * disc_a * mean_above
+    below = np.clip(_arrival_mean(arr, F_L), 0.0, 1.0)  # the chance an offer is below L
     vals = []
-    for bl, phi, cum_t, integral, row in zip(arr.big_lam, _below_list(arr, F_L),
-                                             cum_a[:, -1], integrals, crossing):
+    for bl, phi, cum_t, integral, row in zip(arr.big_lam, below, cum_a[:, -1], integrals,
+                                             crossing):
         no_cross = math.exp(bl * (phi - 1.0))
         best_standing = math.exp(-float(cum_t)) * no_cross * (L0 - integral)
         if exact:
             vals.append(best_standing + float(w @ row))
         else:
             vals.append(best_standing + (1.0 - no_cross) * float(w @ row) / bl)
-    return arr.scatter(vals)
+    return vals
 
 
 def conditional_payoff_changing_list(ctx: PathContext, t: float) -> float:
@@ -387,7 +376,7 @@ def conditional_payoff_changing_list(ctx: PathContext, t: float) -> float:
     quantifies the signed gap; conditional_payoff_changing_list_exact is
     the variant that matches.
     """
-    return float(_changing_list([ctx], t, exact=False)[0])
+    return float(_evaluate(_changing_list, ctx, [ctx.path], t, exact=False)[0])
 
 
 def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
@@ -401,23 +390,16 @@ def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
     E[offer | offer >= L(a)] da.  Under a flat list at or above p_max
     nothing crosses and this equals conditional_payoff_constant_list.
     """
-    return float(_changing_list([ctx], t, exact=True)[0])
+    return float(_evaluate(_changing_list, ctx, [ctx.path], t, exact=True)[0])
 
 
-def _changing_published(ctxs: list, t: float) -> np.ndarray:
-    return _changing_list(ctxs, t, exact=False)
-
-
-def _constant_list(ctxs: list, t: float) -> np.ndarray:
-    """The constant-list body, at horizon t on contexts that differ only
-    in path; see conditional_payoff_constant_list."""
-    arr = _arrivals(ctxs, t)
-    if not arr.ctxs:
-        return arr.scatter([])
+def _constant_list(arr: _Arrivals) -> list[float]:
+    """The constant-list body: the live paths' values on arr; see
+    conditional_payoff_constant_list."""
     ctx, w = arr.ctx, arr.w
     L = ctx.list_price
     F_L = float(ctx.offers.cdf(np.array([L]))[0])
-    standing = _standing_weight(arr)
+    standing = 1.0 - _arrival_mean(arr, arr.held)
 
     def tail(y):
         band = (ctx.offers.cdf(np.maximum(L, y))
@@ -425,7 +407,7 @@ def _constant_list(ctxs: list, t: float) -> np.ndarray:
         return band * standing[:, None]
 
     integrals = _best_standing_integral(L, [ctx.reservation], arr.big_lam, tail)
-    crossing = [0.0] * len(arr.ctxs)
+    crossing = [0.0] * len(arr.paths)
     if F_L < _SATURATED:
         mean_above = _mean_above_list(ctx, np.array([L]), np.array([F_L]))[0]
         disc_a = np.exp(-arr.cumulative(arr.a))
@@ -433,11 +415,11 @@ def _constant_list(ctxs: list, t: float) -> np.ndarray:
         crossing = [mean_above * (1.0 - F_L) * float(w @ row)
                     for row in arr.lam * survive * disc_a]
     vals = []
-    for bl, cum_t, integral, cross in zip(arr.big_lam, arr.cumulative(t), integrals,
+    for bl, cum_t, integral, cross in zip(arr.big_lam, arr.cumulative(arr.t), integrals,
                                           crossing):
         no_cross = math.exp(bl * (F_L - 1.0))
         vals.append(math.exp(-float(cum_t)) * no_cross * (L - integral) + cross)
-    return arr.scatter(vals)
+    return vals
 
 
 def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
@@ -450,17 +432,14 @@ def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     the running hazard of the flat list; a list at p_max or above admits
     no crossing.
     """
-    return float(_constant_list([ctx], t)[0])
+    return float(_evaluate(_constant_list, ctx, [ctx.path], t)[0])
 
 
-def _no_list(ctxs: list, t: float) -> np.ndarray:
-    """The no-list body, at horizon t on contexts that differ only in
-    path; see conditional_payoff_no_list."""
-    arr = _arrivals(ctxs, t)
-    if not arr.ctxs:
-        return arr.scatter([])
+def _no_list(arr: _Arrivals) -> list[float]:
+    """The no-list body: the live paths' values on arr; see
+    conditional_payoff_no_list."""
     ctx = arr.ctx
-    standing = _standing_weight(arr)
+    standing = 1.0 - _arrival_mean(arr, arr.held)
 
     def tail(y):
         return (1.0 - ctx.offers.cdf(np.maximum(ctx.reservation, y))) * standing[:, None]
@@ -469,8 +448,8 @@ def _no_list(ctxs: list, t: float) -> np.ndarray:
     # the offer support, so the integral stops at p_max
     integrals = _best_standing_integral(ctx.offers.p_max, [ctx.reservation],
                                         arr.big_lam, tail, complement=True)
-    return arr.scatter([math.exp(-float(cum_t)) * integral
-                        for cum_t, integral in zip(arr.cumulative(t), integrals)])
+    return [math.exp(-float(cum_t)) * integral
+            for cum_t, integral in zip(arr.cumulative(arr.t), integrals)]
 
 
 def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
@@ -479,14 +458,14 @@ def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
     The seller simply keeps the best offer above the reservation price
     that is still standing at t.
     """
-    return float(_no_list([ctx], t)[0])
+    return float(_evaluate(_no_list, ctx, [ctx.path], t)[0])
 
 
-# mode -> body: each takes one horizon's contexts and returns an array
+# mode -> batch evaluation: each takes (ctx, paths, t) and returns an array
 _MODES = {
-    "changing": _changing_published,
-    "constant": _constant_list,
-    "none": _no_list,
+    "changing": functools.partial(_evaluate, _changing_list, exact=False),
+    "constant": functools.partial(_evaluate, _constant_list),
+    "none": functools.partial(_evaluate, _no_list),
 }
 
 # Paths simulated and evaluated together: the paths held and one
@@ -498,7 +477,7 @@ def conditional_payoff(ctx: PathContext, t: float, mode: str) -> float:
     """Dispatch to the changing/constant/no-list conditional payoff."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    return float(_MODES[mode]([ctx], t)[0])
+    return float(_MODES[mode](ctx, [ctx.path], t)[0])
 
 
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
@@ -509,13 +488,14 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     paths, at every horizon of the 1-D grid times.
 
     ctx_factory builds the evaluation context for each simulated path;
-    the contexts must differ only in path.  Each replication simulates
-    one path, to the largest horizon: a shorter path is an exact prefix
-    of a longer one from the same substream, so a horizon's value does
-    not depend on the rest of the grid.  The paths are simulated _CHUNK
-    at a time, and each horizon is evaluated on a chunk in one batch,
-    every path's value bit for bit its one-path conditional payoff; so
-    only the (horizons x paths) values grow with n_paths.  Returns
+    the contexts must differ only in path (ValueError otherwise).  Each
+    replication simulates one path, to the largest horizon: a shorter
+    path is an exact prefix of a longer one from the same substream, so
+    a horizon's value does not depend on the rest of the grid.  The
+    paths are simulated _CHUNK at a time, and each horizon is evaluated
+    in one batch of a chunk's first context and its paths, every path's
+    value bit for bit its one-path conditional payoff; so only the
+    (horizons x paths) values grow with n_paths.  Returns
     (means, standard errors), one entry per horizon; path i is drawn
     from its own substream of the seed, so adding paths never changes
     earlier ones.  A single path reports path 0 with standard error 0.0.
@@ -537,8 +517,11 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
             ctxs = [ctx_factory(simulate_cir(cir, horizon, dt,
                                              substream(seed, "payoff-path", i)))
                     for i in range(lo, min(lo + _CHUNK, n_paths))]
+            if any(_SHARED(c) != _SHARED(ctxs[0]) for c in ctxs):
+                raise ValueError("the contexts of one batch must differ only in path")
+            paths = [c.path for c in ctxs]
             for k, t in enumerate(times):
-                vals[k, lo:lo + _CHUNK] = body(ctxs, t)
+                vals[k, lo:lo + _CHUNK] = body(ctxs[0], paths, t)
     means = np.array([np.mean(v) for v in vals])
     if n_paths == 1:
         return means, np.zeros(times.size)

@@ -267,11 +267,13 @@ HORIZON_ENTRIES = {
         ctx, T),
     "conditional_payoff_no_list": lambda m, ctx, T: pp.conditional_payoff_no_list(ctx, T),
     "conditional_payoff": lambda m, ctx, T: pp.conditional_payoff(ctx, T, "changing"),
-    "_changing_list batch": lambda m, ctx, T: pp._changing_list([ctx, ctx], T, exact=False),
-    "_changing_list exact batch": lambda m, ctx, T: pp._changing_list([ctx, ctx], T,
-                                                                      exact=True),
-    "_constant_list batch": lambda m, ctx, T: pp._constant_list([ctx, ctx], T),
-    "_no_list batch": lambda m, ctx, T: pp._no_list([ctx, ctx], T),
+    "_changing_list batch": lambda m, ctx, T: pp._evaluate(
+        pp._changing_list, ctx, [ctx.path, ctx.path], T, exact=False),
+    "_changing_list exact batch": lambda m, ctx, T: pp._evaluate(
+        pp._changing_list, ctx, [ctx.path, ctx.path], T, exact=True),
+    "_constant_list batch": lambda m, ctx, T: pp._evaluate(
+        pp._constant_list, ctx, [ctx.path, ctx.path], T),
+    "_no_list batch": lambda m, ctx, T: pp._evaluate(pp._no_list, ctx, [ctx.path, ctx.path], T),
     "expected_payoff": lambda m, ctx, T: pp.expected_payoff(
         table2_context, CirParams(0.25, 0.1, 0.0, 0.09), [T], 1, seed=1),
     "mc_path_payoff": lambda m, ctx, T: mc_path_payoff(ctx, T, "changing", 10, seed=1),

@@ -234,6 +234,17 @@ class TestSweep:
         assert np.isnan(surf.t_star[:, -1]).all()
         assert np.isfinite(surf.t_star[:, 0]).all()
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_cells_become_nan(self, market, gamma):
+        # a cell is checked as expected_utility checks its arguments: an
+        # infinite gamma used to give t_star = 3.54e-05 in every cell, and a
+        # NaN one stopped the sweep on a non-finite objective value
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            expected_utility(1.0, market, R_DEFAULT, L_DEFAULT, gamma)
+        surf = sweep_owt(SweepSpec(SweepAxis("lam", 1.0, 10.0, 3), SweepAxis("r", 0.05, 0.1, 2),
+                                   market, R_DEFAULT, L_DEFAULT, gamma))
+        assert np.isnan(surf.t_star).all() and not surf.boundary.any()
+
     @pytest.mark.parametrize("name", _AXIS_NAMES)
     def test_rejects_same_parameter_on_both_axes(self, market, name):
         # _cell_params sets x then y, so y would silently overwrite x

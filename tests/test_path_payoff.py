@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from homesale.closed_form import MarketParams, thinned_payoff
 from homesale.oracle import mc_path_payoff, sigma0_table2_path, table2_context
 from homesale import path_payoff
 from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathContext,
-                                  UniformOffers, _above_list_hazard, _arrivals,
-                                  _below_list, _offer_tail,
+                                  UniformOffers, _above_list_hazard, _arrival_mean,
+                                  _arrivals, _offer_tail,
                                   conditional_payoff_changing_list,
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
@@ -50,17 +51,22 @@ def flat_rate_ctx(list_price=200.0, withdrawals=None, reservation=140.0,
         demand=demand if demand is not None else DemandParams(0.0, 1000.0))
 
 
+def clamped_below(arr, ctx):
+    """The below-list chance _changing_list reads on the arrival grid arr:
+    _arrival_mean of F(L(a)), clamped to [0, 1], per live path."""
+    F_L = ctx.offers.cdf(ctx.list_at(arr.a))
+    return [min(max(float(m), 0.0), 1.0) for m in _arrival_mean(arr, F_L)]
+
+
 def below_list(ctx, t):
-    """_below_list on the one-path arrival grid, given the F(L(a)) that
-    _changing_list hands it."""
-    arr = _arrivals([ctx], t)
-    return _below_list(arr, ctx.offers.cdf(ctx.list_at(arr.a)))[0]
+    """clamped_below on the one-path arrival grid of ctx."""
+    return clamped_below(_arrivals(ctx, [ctx.path], t), ctx)[0]
 
 
 def offer_tail(ctx, t, ys):
     """_offer_tail at the 1-D y values ys on the one-path arrival grid, given
     the F(L(a)) that _changing_list hands it."""
-    arr = _arrivals([ctx], t)
+    arr = _arrivals(ctx, [ctx.path], t)
     return _offer_tail(arr, ctx.offers.cdf(ctx.list_at(arr.a)))(np.asarray(ys, float))[0]
 
 
@@ -176,16 +182,15 @@ class TestBelowListProbability:
 
     def test_zero_mass_path_is_left_out(self):
         # Lambda(t) = 0 where no offer can arrive by t (k1 = 5e-324 at
-        # r = 3): _arrivals marks the path dead, so _below_list never
+        # r = 3): _arrivals marks the path dead, so _arrival_mean never
         # divides by its mass and gives the live path its one-path value
         ctx = dataclasses.replace(flat_rate_ctx(list_price=180.0),
                                   demand=DemandParams(5e-324, 0.0))
         dead = dataclasses.replace(ctx, path=RatePath(0.005, np.full(501, 3.0)))
         live = dataclasses.replace(ctx, path=RatePath(0.005, np.zeros(501)))
-        arr = _arrivals([dead, live, dead], 1.0)
+        arr = _arrivals(ctx, [dead.path, live.path, dead.path], 1.0)
         assert arr.live.tolist() == [False, True, False]
-        F_L = ctx.offers.cdf(ctx.list_at(arr.a))
-        assert _below_list(arr, F_L) == [below_list(live, 1.0)]
+        assert clamped_below(arr, ctx) == [below_list(live, 1.0)]
 
 
 class TestSurvivingOfferTail:
@@ -350,7 +355,8 @@ class TestExactChangingList:
             a, w = simpson_nodes(0.0, t, DEFAULT_NODES)
             big_lam = float(w @ decay_ctx.intensity(a))
             no_cross = math.exp(big_lam * (below_list(decay_ctx, t) - 1.0))
-            hazard = _above_list_hazard(_arrivals([decay_ctx], t), decay_ctx.list_at)[0]
+            hazard = _above_list_hazard(_arrivals(decay_ctx, [decay_ctx.path], t),
+                                        decay_ctx.list_at)[0]
             assert hazard.shape == w.shape
             assert np.all(np.diff(hazard) >= 0.0)
             assert math.exp(-hazard[-1]) == pytest.approx(no_cross, rel=1e-8)
@@ -471,9 +477,9 @@ class TestExpectedPayoff:
         # grid once for all its paths, not once per (path, horizon)
         built = []
 
-        def counted(ctxs, t):
-            built.append(len(ctxs))
-            return _arrivals(ctxs, t)
+        def counted(ctx, paths, t):
+            built.append(len(paths))
+            return _arrivals(ctx, paths, t)
 
         monkeypatch.setattr(path_payoff, "_arrivals", counted)
         for chunk, calls in ((256, 40), (2, 120)):
@@ -488,23 +494,24 @@ class TestExpectedPayoff:
         assert means.shape == stderrs.shape == (0,)
 
 
-# Each mode's batch body and the one-path public function that is its
-# one-path case.
+# Each mode's batch body, evaluated on one context and its paths, and the
+# one-path public function that is its one-path case.
 BODIES = [
-    (lambda ctxs, t: path_payoff._changing_list(ctxs, t, exact=False),
+    (partial(path_payoff._evaluate, path_payoff._changing_list, exact=False),
      conditional_payoff_changing_list),
-    (lambda ctxs, t: path_payoff._changing_list(ctxs, t, exact=True),
+    (partial(path_payoff._evaluate, path_payoff._changing_list, exact=True),
      conditional_payoff_changing_list_exact),
-    (path_payoff._constant_list, conditional_payoff_constant_list),
-    (path_payoff._no_list, conditional_payoff_no_list),
+    (partial(path_payoff._evaluate, path_payoff._constant_list), conditional_payoff_constant_list),
+    (partial(path_payoff._evaluate, path_payoff._no_list), conditional_payoff_no_list),
 ]
 
 
 @st.composite
 def path_batches(draw):
-    """(contexts that differ only in path, horizon): CIR paths of
-    different lengths that all cover t, one of them floored at zero, so
-    below RATE_FLOOR, at its first node and after every third."""
+    """(context, its paths, horizon): CIR paths of different lengths that
+    all cover t, one of them floored at zero, so below RATE_FLOOR, at its
+    first node and after every third.  The context carries the first
+    path, which the batch does not read."""
     p_min = draw(st.floats(50.0, 150.0))
     p_max = p_min + draw(st.floats(10.0, 150.0))
     R = draw(st.floats(0.8 * p_min, p_max))
@@ -524,10 +531,9 @@ def path_batches(draw):
     withdrawals = ExponentialWithdrawals(draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))))
     demand = DemandParams(draw(st.floats(0.0, 1.0)), draw(st.floats(1.0, 2000.0)))
     zeta = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
-    ctxs = [PathContext(path=p, list_price=L0, zeta=zeta, offers=offers,
-                        withdrawals=withdrawals, reservation=R, demand=demand)
-            for p in paths]
-    return ctxs, t
+    ctx = PathContext(path=paths[0], list_price=L0, zeta=zeta, offers=offers,
+                      withdrawals=withdrawals, reservation=R, demand=demand)
+    return ctx, paths, t
 
 
 class TestBatchBodies:
@@ -536,11 +542,12 @@ class TestBatchBodies:
     def test_batch_equals_one_path(self, case):
         # every path's value in a batch is its one-path value to the bit,
         # whatever its row, its length or the other paths
-        ctxs, t = case
+        ctx, paths, t = case
         for body, one_path in BODIES:
-            got = body(ctxs, t)
-            assert got.shape == (len(ctxs),)
-            assert got.tolist() == [one_path(ctx, t) for ctx in ctxs]
+            got = body(ctx, paths, t)
+            assert got.shape == (len(paths),)
+            assert got.tolist() == [one_path(dataclasses.replace(ctx, path=p), t)
+                                    for p in paths]
 
     def test_path_without_offers_pays_zero_in_a_batch(self):
         # k1 = 5e-324 makes lam(a) exactly 0 where r >= 2, while a path
@@ -551,19 +558,25 @@ class TestBatchBodies:
         live = dataclasses.replace(ctx, path=RatePath(0.005, np.zeros(501)))
         for body, one_path in BODIES:
             assert one_path(dead, 1.0) == 0.0
-            got = body([dead, live, dead], 1.0)
+            got = body(ctx, [dead.path, live.path, dead.path], 1.0)
             assert got.tolist() == [0.0, one_path(live, 1.0), 0.0]
 
     @pytest.mark.parametrize("change", [{"list_price": 190.0}, {"zeta": 0.5},
                                         {"reservation": 130.0},
                                         {"withdrawals": ExponentialWithdrawals(2.0)}])
-    def test_contexts_differing_beyond_path_raise(self, change):
-        path = sigma0_table2_path(2.5)
-        ctx = table2_context(path)
-        bad = dataclasses.replace(table2_context(sigma0_table2_path(3.0)), **change)
-        for body, _ in BODIES:
+    def test_contexts_differing_beyond_path_raise(self, sim_cir, change):
+        # the factory is the one place contexts come from user code: a
+        # context that differs from the first of its chunk in anything but
+        # its path raises, whatever the mode
+        def factory(path):
+            ctx = table2_context(path)
+            built.append(ctx)
+            return ctx if len(built) == 1 else dataclasses.replace(ctx, **change)
+
+        for mode in ("changing", "constant", "none"):
+            built = []
             with pytest.raises(ValueError, match="differ only in path"):
-                body([ctx, bad], 1.0)
+                expected_payoff(factory, sim_cir, [1.0], 2, seed=1, mode=mode)
 
     @pytest.mark.parametrize("mode", ["changing", "constant", "none"])
     @pytest.mark.parametrize("n_paths", [1, 3, 4])
