@@ -801,6 +801,15 @@ class TestCsvWriter:
         r[BLOCK] = math.nan
         self.assert_matches_row_writer(tmp_path, ["t", "r"], [t, r], "t_star=1")
 
+    def test_percent_signs_in_the_data_are_text(self, tmp_path):
+        # a '%' in a header or a field is data, never a format directive
+        texts = ["%", "%s", "%%", "%.17g", "a,%s", '"%%"', "100%"]
+        n = len(texts)
+        self.assert_matches_row_writer(
+            tmp_path, ["%", "%s", "%%", "%.17g"],
+            [texts, np.arange(n) / 3.0, [1.5, math.nan] * 3 + [0.25], texts[::-1]],
+            "t_star=%s")
+
     def test_no_columns_write_the_header_alone(self, tmp_path):
         self.assert_matches_row_writer(tmp_path, ["time", "event_type"], [])
         lines = (tmp_path / "new.csv").read_text().splitlines()

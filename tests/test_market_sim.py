@@ -620,6 +620,18 @@ class TestRunEvolution:
         assert hashlib.sha256(text).hexdigest() == \
             "de7fc1a273ced8a8fc0549c5fc7637f43ebd9634e87a2ae86255922c46f5f212"
 
+    @pytest.mark.parametrize("cfg, horizon, seed", [
+        (make_config(), 50.0, 1),
+        (make_config(), 50.0, 2),
+        # the no-sale horizon run above: its last events lie past the horizon
+        (make_config(demand=DemandParams(1e-9, 1e-9)), 12.0, 5),
+    ])
+    def test_every_event_rate_is_its_scalar_lookup(self, cfg, horizon, seed):
+        log = run_evolution(cfg, horizon, seed)
+        assert len(log.events) > 1
+        assert [e.rate.hex() for e in log.events] == \
+            [float(log.path.rate_at(e.time)).hex() for e in log.events]
+
     def test_every_no_sale_repriced_and_reposted(self):
         cfg = make_config()
         log = run_evolution(cfg, 50.0, seed=42)
