@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -189,8 +190,9 @@ def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str], columns: list
     """Write one CSV from its columns: ndarrays or sequences of one length,
     or none for a header-only file.
 
-    Each row of a block is one str.format call: a float ndarray block
-    without NaN goes straight into "{:.17g}", every other field through _fmt.
+    Each block is one % operation on its row template repeated once per
+    row: a float ndarray block without NaN goes straight into "%.17g",
+    every other field through _fmt into "%s".
     """
     n_rows = len(columns[0]) if columns else 0
     try:
@@ -208,9 +210,11 @@ def _write_csv(path: Path, cfg: ScenarioConfig, header: list[str], columns: list
                               and not np.isnan(block).any())
                     if isinstance(block, np.ndarray):
                         block = block.tolist()
-                    specs.append("{:.17g}" if floats else "{}")
+                    specs.append("%.17g" if floats else "%s")
                     values.append(block if floats else map(_fmt, block))
-                fh.write("".join(map((",".join(specs) + "\n").format, *values)))
+                row = ",".join(specs) + "\n"
+                fh.write((row * min(_BLOCK_ROWS, n_rows - start))
+                         % tuple(itertools.chain.from_iterable(zip(*values))))
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
 

@@ -359,8 +359,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
     events: list[Event] = []
 
     def emit(time, kind, price=math.nan, demand=math.nan, owner=-1, attempt=-1):
-        events.append(Event(time, kind, price, float(path.rate_at(time)),
-                            demand, owner, attempt))
+        events.append(Event(time, kind, price, math.nan, demand, owner, attempt))
 
     owner_idx = 0
     attempt_idx = 0
@@ -414,6 +413,10 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
 
     # emission order is causal; the stable sort keeps it for ties
     events.sort(key=lambda e: e.time)
+    # every event's rate from one lookup: np.interp gives each time the
+    # bits its scalar call would
+    for e, rate in zip(events, path.rate_at(np.array([e.time for e in events])).tolist()):
+        e.rate = rate
     return EvolutionLog(events, path)
 
 

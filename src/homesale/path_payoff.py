@@ -517,7 +517,9 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
             ctxs = [ctx_factory(simulate_cir(cir, horizon, dt,
                                              substream(seed, "payoff-path", i)))
                     for i in range(lo, min(lo + _CHUNK, n_paths))]
-            if any(_SHARED(c) != _SHARED(ctxs[0]) for c in ctxs):
+            if lo == 0:
+                shared = _SHARED(ctxs[0])
+            if any(_SHARED(c) != shared for c in ctxs):
                 raise ValueError("the contexts of one batch must differ only in path")
             paths = [c.path for c in ctxs]
             for k, t in enumerate(times):

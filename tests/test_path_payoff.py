@@ -578,6 +578,19 @@ class TestBatchBodies:
             with pytest.raises(ValueError, match="differ only in path"):
                 expected_payoff(factory, sim_cir, [1.0], 2, seed=1, mode=mode)
 
+    def test_contexts_differing_across_chunks_raise(self, sim_cir):
+        # path 256 opens the second chunk; its list price differs from the
+        # first chunk's, which no comparison within one chunk can see
+        def factory(path):
+            built.append(path)
+            ctx = table2_context(path)
+            return ctx if len(built) <= 256 else dataclasses.replace(ctx, list_price=190.0)
+
+        built = []
+        assert path_payoff._CHUNK == 256
+        with pytest.raises(ValueError, match="differ only in path"):
+            expected_payoff(factory, sim_cir, [1.0], 257, seed=1)
+
     @pytest.mark.parametrize("mode", ["changing", "constant", "none"])
     @pytest.mark.parametrize("n_paths", [1, 3, 4])
     def test_chunks_equal_one_path(self, sim_cir, monkeypatch, mode, n_paths):
