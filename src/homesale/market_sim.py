@@ -413,8 +413,7 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
 
     # emission order is causal; the stable sort keeps it for ties
     events.sort(key=lambda e: e.time)
-    # every event's rate from one lookup: np.interp gives each time the
-    # bits its scalar call would
+    # one lookup fills every rate: np.interp gives each time its scalar call's bits
     for e, rate in zip(events, path.rate_at(np.array([e.time for e in events])).tolist()):
         e.rate = rate
     return EvolutionLog(events, path)
