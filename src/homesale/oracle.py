@@ -401,69 +401,64 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     Some rows read one simulation, so their misses are not independent
     3-sigma events: the `aux` and `thinned` rows of a (T, lam) share one
     offer draw, and the `path-changing-gap`, `path-changing-exact` and
-    `path-no-list` rows of a t share one thinned stream.  Every row
-    comes from one job per (T, lam), one per path t (an empty
-    path_t_values skips the path rows) and the gap-sign check, run on at
-    most `workers` threads; each job draws from its own substreams, so
-    the rows do not depend on the worker count.
+    `path-no-list` rows of a t share one thinned stream.  The jobs are
+    the simulations, one per (T, lam) and one per path t, run on at most
+    `workers` threads from their own substreams, so the rows do not
+    depend on the worker count.  One pass then builds the rows, the
+    gap-sign row from the listed rows; an empty grid skips its rows.
     """
     R, L = 140.0, 180.0
-
-    def market(lam):
-        return MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
-
-    def cell(T, lam):
-        # rows: aux, thinned, listed-exact, listed-gap
-        m = market(lam)
-        est_aux, est_thinned = _mc_auxiliary(T, m, n, seed, (m.p_min, R))
-        est_listed = mc_listed_payoff(T, m, R, L, n, seed)
-        return [_make_row(f"aux T={T} lam={lam}", auxiliary_payoff(T, m), est_aux, "check"),
-                _make_row(f"thinned T={T} lam={lam}", thinned_payoff(T, m, R),
-                          est_thinned, "check"),
-                _make_row(f"listed-exact T={T} lam={lam}",
-                          listed_payoff_exact(T, m, R, L), est_listed, "check"),
-                _make_row(f"listed-gap T={T} lam={lam}",
-                          listed_payoff(T, m, R, L), est_listed, "gap")]
-
-    def gap_sign():
-        # Sign constancy of the listed-payoff truncation gap, judged on
-        # the analytic difference (the MC gap drowns in noise where the
-        # bias is tiny).
-        gaps = [listed_payoff(T, m, R, L) - listed_payoff_exact(T, m, R, L)
-                for T in t_values for m in map(market, lam_values)]
-        constant_sign = all(g < 0 for g in gaps) or all(g > 0 for g in gaps)
-        return [ValidationRow("listed-gap-sign-constant", max(gaps), math.nan,
-                              math.nan, math.nan,
-                              "pass" if constant_sign else "FAIL", False)]
-
-    def path_rows(t):
-        # the exact changing-list row is judged against the same
-        # simulation as its gap row
-        est_changing, est_none = _mc_path(ctx_changing, t, ("changing", "none"), n, seed)
-        return [_make_row(f"path-changing-gap t={t}",
-                          conditional_payoff_changing_list(ctx_changing, t),
-                          est_changing, "gap"),
-                _make_row(f"path-changing-exact t={t}",
-                          conditional_payoff_changing_list_exact(ctx_changing, t),
-                          est_changing, "check"),
-                _make_row(f"path-constant t={t}",
-                          conditional_payoff_constant_list(ctx_constant, t),
-                          mc_path_payoff(ctx_constant, t, "constant", n, seed), "check"),
-                _make_row(f"path-no-list t={t}",
-                          conditional_payoff_no_list(ctx_changing, t), est_none, "check")]
-
+    cells = [(T, lam, MarketParams(lam, 5.0, 0.1, 100.0, 200.0))
+             for T in t_values for lam in lam_values]
     path = sigma0_table2_path(max(path_t_values, default=0.0) + 0.1)
     ctx_changing = table2_context(path, constant_list=False)
     ctx_constant = table2_context(path, constant_list=True)
-    cells = [(cell, T, lam) for T in t_values for lam in lam_values]
-    jobs = cells + [(gap_sign,)] + [(path_rows, t) for t in path_t_values]
 
-    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        chunks = list(pool.map(lambda job: job[0](*job[1:]), jobs))
-    # the aux rows of every cell come first, then the thinned rows, then
-    # the listed pairs
-    cell_rows = chunks[:len(cells)]
-    rows = ([c[0] for c in cell_rows] + [c[1] for c in cell_rows]
-            + [r for c in cell_rows for r in c[2:]]
-            + [r for c in chunks[len(cells):] for r in c])
+    def simulate_cell(T, m):
+        # aux, thinned, listed
+        return (*_mc_auxiliary(T, m, n, seed, (m.p_min, R)),
+                mc_listed_payoff(T, m, R, L, n, seed))
+
+    def simulate_path(t):
+        # changing, none, constant
+        return (*_mc_path(ctx_changing, t, ("changing", "none"), n, seed),
+                mc_path_payoff(ctx_constant, t, "constant", n, seed))
+
+    jobs = ([(simulate_cell, T, m) for T, _, m in cells]
+            + [(simulate_path, t) for t in path_t_values])
+    with ThreadPoolExecutor(max_workers=min(workers, max(len(jobs), 1))) as pool:
+        ests = list(pool.map(lambda job: job[0](*job[1:]), jobs))
+
+    rows = [_make_row(f"aux T={T} lam={lam}", auxiliary_payoff(T, m), est[0], "check")
+            for (T, lam, m), est in zip(cells, ests)]
+    rows += [_make_row(f"thinned T={T} lam={lam}", thinned_payoff(T, m, R), est[1], "check")
+             for (T, lam, m), est in zip(cells, ests)]
+    gaps = []
+    for (T, lam, m), (_, _, est_listed) in zip(cells, ests):
+        exact, plain = listed_payoff_exact(T, m, R, L), listed_payoff(T, m, R, L)
+        gaps.append(plain - exact)
+        rows += [_make_row(f"listed-exact T={T} lam={lam}", exact, est_listed, "check"),
+                 _make_row(f"listed-gap T={T} lam={lam}", plain, est_listed, "gap")]
+    if gaps:
+        # Sign constancy of the listed-payoff truncation gap, judged on
+        # the analytic difference (the MC gap drowns in noise where the
+        # bias is tiny).
+        constant_sign = all(g < 0 for g in gaps) or all(g > 0 for g in gaps)
+        rows.append(ValidationRow("listed-gap-sign-constant", max(gaps), math.nan,
+                                  math.nan, math.nan,
+                                  "pass" if constant_sign else "FAIL", False))
+    for t, (est_changing, est_none, est_constant) in zip(path_t_values, ests[len(cells):]):
+        # the exact changing-list row is judged against the same
+        # simulation as its gap row
+        rows += [_make_row(f"path-changing-gap t={t}",
+                           conditional_payoff_changing_list(ctx_changing, t),
+                           est_changing, "gap"),
+                 _make_row(f"path-changing-exact t={t}",
+                           conditional_payoff_changing_list_exact(ctx_changing, t),
+                           est_changing, "check"),
+                 _make_row(f"path-constant t={t}",
+                           conditional_payoff_constant_list(ctx_constant, t),
+                           est_constant, "check"),
+                 _make_row(f"path-no-list t={t}",
+                           conditional_payoff_no_list(ctx_changing, t), est_none, "check")]
     return ValidationReport(rows, n)

@@ -276,7 +276,11 @@ def _cir_steps(horizon: float, dt: float) -> int:
     _require_finite(horizon=horizon, dt=dt)
     if not (horizon >= dt > 0):
         raise ValueError(f"need horizon >= dt > 0, got horizon={horizon}, dt={dt}")
-    return int(math.ceil(horizon / dt - 1e-12))
+    steps = horizon / dt - 1e-12
+    if not steps < np.iinfo(np.intp).max:
+        raise ValueError(f"horizon / dt steps do not fit an array index, "
+                         f"got horizon={horizon}, dt={dt}")
+    return int(math.ceil(steps))
 
 
 def simulate_cir(p: CirParams, horizon: float, dt: float = DEFAULT_DT,

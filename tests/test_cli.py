@@ -160,6 +160,26 @@ def test_every_command_rejects_every_bad_key(tmp_path, capsys, command, text, ke
     assert not out.exists()
 
 
+# The three commands that simulate a rate path: a flag whose count of dt
+# steps is infinite at the default dt, then a scenario dt that makes a
+# finite count too large for any array index.
+@pytest.mark.parametrize("command, scenario, args", [
+    ("evolve", "", ["--horizon", "1e308"]),
+    ("payoff-path", "", ["--t-max", "1e308", "--t-steps", "2", "--n-paths", "2"]),
+    ("expected-price", "", ["--times", "1e308", "--n-reps", "2"]),
+] + [(command, "dt = 1e-300\n", COMMANDS[command])
+     for command in ("evolve", "payoff-path", "expected-price")])
+def test_overflowing_step_count_is_config_error(tmp_path, capsys, command, scenario, args):
+    f = tmp_path / "s.cfg"
+    f.write_text(scenario)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(f), "--out", str(out), *args])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.search(r"\bhorizon\b", err) and re.search(r"\bdt\b", err)
+    assert not out.exists()
+
+
 class TestOwtCommand:
     def test_no_list_curve_rises_then_falls(self, tmp_path):
         rc = main(["owt", "--mode", "no-list", "--out", str(tmp_path),

@@ -346,7 +346,7 @@ class TestValidateAll:
             assert rows[name] == (est.mean, est.stderr), name
 
     def test_pool_is_no_larger_than_the_job_list(self, monkeypatch):
-        # one job per (T, lam), the gap-sign check and one per path t
+        # one simulation job per (T, lam) and one per path t
         sizes = []
 
         class SerialPool:
@@ -365,8 +365,40 @@ class TestValidateAll:
         monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
         report = validate_all(n=200, seed=1, t_values=(1.0, 2.0), lam_values=(5.0,),
                               path_t_values=(0.5,), workers=10**6)
-        assert sizes == [4]
+        assert sizes == [3]
         assert len(report.rows) == 2 * 4 + 1 + 4
+
+    def test_gap_sign_row_is_read_from_the_listed_rows(self, monkeypatch):
+        # the listed-gap analytic minus the listed-exact analytic of each
+        # cell, all read from the same report; each listed form is
+        # evaluated once per cell
+        calls = []
+        for name in ("listed_payoff", "listed_payoff_exact"):
+            def counted(*args, _f=getattr(oracle, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        report = validate_all(n=200, seed=1, t_values=(0.5, 2.0), lam_values=(1.0, 8.0),
+                              path_t_values=())
+        analytic = {r.name: r.analytic for r in report.rows}
+        gaps = [analytic[f"listed-gap {cell}"] - analytic[f"listed-exact {cell}"]
+                for cell in (f"T={T} lam={lam}" for T in (0.5, 2.0) for lam in (1.0, 8.0))]
+        (row,) = [r for r in report.rows if r.name == "listed-gap-sign-constant"]
+        assert row.analytic == max(gaps)
+        one_sign = all(g < 0 for g in gaps) or all(g > 0 for g in gaps)
+        assert row.verdict == ("pass" if one_sign else "FAIL")
+        assert sorted(calls) == ["listed_payoff"] * 4 + ["listed_payoff_exact"] * 4
+
+    @pytest.mark.parametrize("t_values, lam_values, path_t_values", [
+        ((), (5.0,), (0.5, 1.0)), ((1.0,), (), (0.5, 1.0)), ((), (), (0.5,)), ((), (), ())])
+    def test_empty_cell_grid_leaves_only_the_path_rows(self, t_values, lam_values,
+                                                       path_t_values):
+        report = validate_all(n=200, seed=1, t_values=t_values, lam_values=lam_values,
+                              path_t_values=path_t_values)
+        full = validate_all(n=200, seed=1, t_values=(1.0,), lam_values=(5.0,),
+                            path_t_values=path_t_values)
+        assert report.rows == [r for r in full.rows if r.name.startswith("path-")]
+        assert len(report.rows) == 4 * len(path_t_values)
 
     def test_empty_path_grid_drops_only_the_path_rows(self):
         # bit for bit, and the footer counts exactly the pass/FAIL rows

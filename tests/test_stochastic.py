@@ -51,6 +51,12 @@ class TestCir:
         with pytest.raises(ValueError):
             simulate_cir(sim_cir, 0.5, 1.0, seed=0)
 
+    @pytest.mark.parametrize("horizon, dt", [(1e308, 1.0 / 252.0), (50.0, 1e-300),
+                                             (2.0 ** 63, 1.0)])
+    def test_rejects_a_step_count_beyond_any_index(self, sim_cir, horizon, dt):
+        with pytest.raises(ValueError, match=r"horizon.*dt"):
+            simulate_cir(sim_cir, horizon, dt, seed=0)
+
     def test_shorter_horizon_is_exact_prefix(self, sim_cir):
         dt = 1.0 / 252.0
         short = simulate_cir(sim_cir, 0.5, dt, substream(5, "payoff-path", 3))
