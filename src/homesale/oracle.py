@@ -15,12 +15,16 @@ homogeneous offer draw (_offers), the list-crossing settlement
 (_list_rule) and the per-replication reducer (_segment) are each
 written once and shared by the estimators.
 
-_offers yields a chunk's offers in blocks of at most _BLOCK, so no array
-grows with lam*T; each field is bit for bit its slice of one draw, as
-values and delays come from copies of the PCG64 advanced by total and
-2*total outputs (a uniform takes one output; the delays, drawn last,
-may take more).  Reductions read only the offers a mask keeps (_kept),
-which is exact because offers are > 0 (p_min > 0) and 0 means none.
+_offers and _mc_path draw a chunk in blocks of whole replications of
+at most _BLOCK entries (_blocks), so no array grows with lam*T or
+bound*t.  Each field is bit for bit its slice of one draw: the later
+fields come from copies of the PCG64 advanced past the earlier ones
+(_ahead; a uniform takes one output, and the delays, drawn last, may
+take more).  _mc_path places its delays after a first pass that counts
+the kept candidates; a squeeze, a lower bound on the intensity, keeps
+most candidates without evaluating it.  Reductions read only the
+offers a mask keeps (_kept), which is exact because offers are > 0
+(p_min > 0) and 0 means none.
 """
 
 from __future__ import annotations
@@ -77,36 +81,22 @@ class McEstimate:
         return (analytic - self.mean) / self.stderr
 
 
-class _Accumulator:
-    def __init__(self):
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.n = 0
-
-    def add(self, x: np.ndarray) -> None:
-        self.total += float(x.sum())
-        self.total_sq += float((x * x).sum())
-        self.n += x.size
-
-    def estimate(self) -> McEstimate:
-        mean = self.total / self.n
-        var = max(self.total_sq - self.n * mean * mean, 0.0) / (self.n - 1)
-        return McEstimate(mean, math.sqrt(var / self.n), self.n)
-
-
 def _replicate(n: int, seed: int, key: str, chunk_payoffs) -> list[McEstimate]:
     """Mean and standard error of n replications of each payoff array
     chunk_payoffs(rng, k) returns: the k payoffs of one chunk drawn from
     rng, one array per estimate."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    accs = []
+    sums = 0.0  # per estimate: the sum of the payoffs and of their squares
     for i, done in enumerate(range(0, n, _CHUNK)):
         payoffs = chunk_payoffs(substream(seed, key, i), min(_CHUNK, n - done))
-        accs = accs or [_Accumulator() for _ in payoffs]
-        for acc, x in zip(accs, payoffs):
-            acc.add(x)
-    return [acc.estimate() for acc in accs]
+        sums = sums + np.array([(float(x.sum()), float((x * x).sum())) for x in payoffs])
+    ests = []
+    for total, total_sq in sums.tolist():
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        ests.append(McEstimate(mean, math.sqrt(var / n), n))
+    return ests
 
 
 def _segment(ufunc: np.ufunc, vals: np.ndarray, rep: np.ndarray, k: int,
@@ -125,24 +115,35 @@ def _kept(mask: np.ndarray, rep: np.ndarray):
     return idx, rep.take(idx)
 
 
+def _ahead(rng: np.random.Generator, skip: int) -> np.random.Generator:
+    """A copy of rng advanced past its next `skip` outputs."""
+    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
+
+
+def _blocks(counts: np.ndarray):
+    """(counts, entries) per block of whole replications: at most _BLOCK
+    entries, or one replication that has more."""
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    lo = 0
+    while lo < counts.size:
+        hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
+        yield counts[lo:hi], int(edges[hi] - edges[lo])
+        lo = hi
+
+
 def _offers(rng: np.random.Generator, k: int, m: MarketParams, T: float):
     """Offers of k replications on [0, T]: Poisson(lam*T) counts, then
     uniform arrivals, uniform values and Exponential(mu) withdrawal
     delays (never withdrawn when mu = 0), flat in replication order.
-    Yields (counts, arrival, value, delay) per block of whole
-    replications, at most _BLOCK offers unless one replication has more."""
+    Yields (counts, arrival, value, delay) per block of _blocks."""
     counts = rng.poisson(m.lam * T, k)
-    ends = np.cumsum(counts)
-    values, delays = (np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
-                      for skip in (int(ends[-1]), 2 * int(ends[-1])))
-    lo = start = 0
-    while lo < k:
-        hi = max(int(np.searchsorted(ends, start + _BLOCK, "right")), lo + 1)
-        size = int(ends[hi - 1]) - start
-        yield (counts[lo:hi], rng.uniform(0.0, T, size),
-               values.uniform(m.p_min, m.p_max, size),
-               delays.exponential(1.0 / m.mu, size) if m.mu > 0 else np.full(size, np.inf))
-        lo, start = hi, start + size
+    total = int(counts.sum())
+    values, delays = _ahead(rng, total), _ahead(rng, 2 * total)
+    for block, size in _blocks(counts):
+        yield (block, rng.random(size) * T,
+               values.random(size) * (m.p_max - m.p_min) + m.p_min,
+               delays.standard_exponential(size) * (1.0 / m.mu) if m.mu > 0
+               else np.full(size, np.inf))
 
 
 def _list_rule(rep, k, arrival, value, above, standing, disc_at, disc_end):
@@ -287,26 +288,36 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
     intensity, cum_rate = _path_tools(ctx)
     grid = np.unique(np.concatenate((ctx.path.times[ctx.path.times <= t], [t])))
     bound = float(np.max(intensity(grid, ctx.list_at(grid)))) * (1.0 + 1e-6)
+    squeeze = (ctx.demand.k1 / max(float(np.max(ctx.path.values)), RATE_FLOOR)
+               + ctx.demand.k2 / ctx.list_price) * (1.0 - 1e-9)  # rate floored, list <= L0
     disc_t = math.exp(-float(cum_rate(t)))
     R = ctx.reservation
 
     def chunk(rng, k):
         n_cand = rng.poisson(bound * t, k)
         total = int(n_cand.sum())
-        a_all = rng.uniform(0.0, t, total)
-        lists_all = ctx.list_at(a_all)
-        idx, rep = _kept(rng.uniform(0.0, 1.0, total) * bound
-                         < intensity(a_all, lists_all),
-                         np.repeat(np.arange(k), n_cand))
-        a = a_all.take(idx)
-        value = np.asarray(ctx.offers.sample(rng, a.size), dtype=float)
-        delay = np.asarray(ctx.withdrawals.sample(rng, a.size), dtype=float)
-        alive = (value >= R) & (delay >= t - a)
-        above = value >= lists_all.take(idx)
-        never = np.zeros(a.size, bool)  # no list: one that no offer reaches
-        return [_list_rule(rep, k, a, value, hit, alive & ~hit,
-                           lambda s: np.exp(-cum_rate(s)), disc_t)
-                for hit in (never if mode == "none" else above for mode in modes)]
+
+        def accepted(times):
+            # per block: candidate counts, times and which are kept
+            accept = _ahead(times, total)
+            for block, size in _blocks(n_cand):
+                a, u = times.random(size) * t, accept.random(size) * bound
+                keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
+                keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
+                yield block, a, keep
+
+        kept = sum(int(np.count_nonzero(keep)) for *_, keep in accepted(_ahead(rng, 0)))
+        values, delays = _ahead(rng, 2 * total), _ahead(rng, 2 * total + kept)
+        payoffs = []
+        for block, a, keep in accepted(rng):
+            idx, rep = _kept(keep, np.repeat(np.arange(block.size), block))
+            a, value = a.take(idx), ctx.offers.sample(values, idx.size)
+            alive = (value >= R) & (ctx.withdrawals.sample(delays, idx.size) >= t - a)
+            above = value >= ctx.list_at(a)  # mode "none" has no list to be above
+            payoffs.append([_list_rule(rep, block.size, a, value, hit, alive & ~hit,
+                                       lambda s: np.exp(-cum_rate(s)), disc_t)
+                            for hit in (above & (mode != "none") for mode in modes)])
+        return [np.concatenate(x) for x in zip(*payoffs)]
 
     return _replicate(n, seed, "mc-path", chunk)
 
@@ -404,8 +415,10 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     `path-no-list` rows of a t share one thinned stream.  The jobs are
     the simulations, one per (T, lam) and one per path t, run on at most
     `workers` threads from their own substreams, so the rows do not
-    depend on the worker count.  One pass then builds the rows, the
-    gap-sign row from the listed rows; an empty grid skips its rows.
+    depend on the worker count; each holds one block of draws at a time,
+    so its memory grows with neither lam*T nor t.  One pass then builds
+    the rows, the gap-sign row from the listed rows; an empty grid skips
+    its rows.
     """
     R, L = 140.0, 180.0
     cells = [(T, lam, MarketParams(lam, 5.0, 0.1, 100.0, 200.0))

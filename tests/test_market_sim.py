@@ -449,6 +449,18 @@ class TestStreamIdentity:
         assert offers.sample(a) == b.uniform(offers.p_min, offers.p_max)
         assert offers.sample(a, k).tobytes() == b.uniform(offers.p_min, offers.p_max, k).tobytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300),
+           scale=st.floats(1e-6, 1e6))
+    def test_scaled_fills_are_numpy_uniform_and_exponential(self, seed, k, scale):
+        # the offer oracles draw through the fill kernels and scale after:
+        # uniform(0, T) is T * random() and exponential(s) is
+        # s * standard_exponential(), bit for bit
+        a, b = substream(seed, "fill"), substream(seed, "fill")
+        assert (a.random(k) * scale).tobytes() == b.uniform(0.0, scale, k).tobytes()
+        assert ((a.standard_exponential(k) * scale).tobytes()
+                == b.exponential(scale, k).tobytes())
+
 
 def test_tight_bound_matches_rate_floor_bound_in_distribution():
     # the old sampler, rebuilt: thinning at k1/RATE_FLOOR + k2/R with one

@@ -15,7 +15,8 @@ from homesale.oracle import (McEstimate, ValidationReport, mc_auxiliary_payoff,
                              sigma0_table2_path, table2_context, validate_all)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   UniformOffers)
-from homesale.stochastic import DemandParams, RatePath
+from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
+                                 simulate_cir)
 
 
 class TestMcAuxiliary:
@@ -147,10 +148,111 @@ class TestSharedDraws:
                     oracle._mc_path(ctx, 1.0, modes, 700, 5))
 
         small = estimates()
+        with monkeypatch.context() as mp:
+            calls = _record_blocks(mp)
+            oracle._mc_path(ctx, 1.0, modes, 700, 5)
+        # three chunks, each read in two passes, each pass in several blocks
+        assert len(calls) == 6 and all(len(blocks) > 1 for blocks in calls)
         monkeypatch.setattr(oracle, "_BLOCK", _DEFAULT_BLOCK)
         assert estimates() == small
         if lam == 0.0 or R > m.p_max:
             assert small[2].mean == 0.0 and small[1].mean == 0.0
+
+
+def _record_blocks(mp):
+    """Make oracle._blocks record each call's blocks, (counts, entries),
+    in the list this returns."""
+    calls, blocks = [], oracle._blocks
+
+    def record(counts):
+        calls.append(list(blocks(counts)))
+        return iter(calls[-1])
+
+    mp.setattr(oracle, "_blocks", record)
+    return calls
+
+
+def _one_piece_path(ctx, t, modes, n, seed):
+    """The path oracle as it was before its draws were blocked: a chunk's
+    candidate times, acceptance uniforms, values and delays each drawn in
+    one piece, and every candidate tested against the intensity."""
+    intensity, cum_rate = oracle._path_tools(ctx)
+    grid = np.unique(np.concatenate((ctx.path.times[ctx.path.times <= t], [t])))
+    bound = float(np.max(intensity(grid, ctx.list_at(grid)))) * (1.0 + 1e-6)
+    disc_t = math.exp(-float(cum_rate(t)))
+    R = ctx.reservation
+
+    def chunk(rng, k):
+        n_cand = rng.poisson(bound * t, k)
+        total = int(n_cand.sum())
+        a_all = rng.uniform(0.0, t, total)
+        lists_all = ctx.list_at(a_all)
+        idx, rep = oracle._kept(rng.uniform(0.0, 1.0, total) * bound
+                                < intensity(a_all, lists_all),
+                                np.repeat(np.arange(k), n_cand))
+        a = a_all.take(idx)
+        value = np.asarray(ctx.offers.sample(rng, a.size), dtype=float)
+        delay = np.asarray(ctx.withdrawals.sample(rng, a.size), dtype=float)
+        alive = (value >= R) & (delay >= t - a)
+        above = value >= lists_all.take(idx)
+        never = np.zeros(a.size, bool)
+        return [oracle._list_rule(rep, k, a, value, hit, alive & ~hit,
+                                  lambda s: np.exp(-cum_rate(s)), disc_t)
+                for hit in (never if mode == "none" else above for mode in modes)]
+
+    return oracle._replicate(n, seed, "mc-path", chunk)
+
+
+# Contexts that stress the squeeze, the lower bound on the intensity
+# under which a candidate is kept without evaluating the intensity.
+_SQUEEZE_CASES = {
+    "rate floor": dict(path=simulate_cir(CirParams(0.5, 0.02, 0.5, 0.05), 1.5, seed=1),
+                       demand=DemandParams(0.001, 1000.0)),
+    "k1 = 0": dict(demand=DemandParams(0.0, 1000.0)),
+    "k2 = 0": dict(demand=DemandParams(0.5, 0.0)),
+    "constant list": dict(zeta=0.0),
+    # a constant intensity: the squeeze keeps every candidate it can
+    "k1 = 0, constant list": dict(demand=DemandParams(0.0, 1000.0), zeta=0.0),
+    "large zeta": dict(zeta=50.0),
+    # the intensity is k1/0.1, the squeeze's base, on [0, 0.5] and twice
+    # that after: a squeeze a hair too high keeps candidates it must not
+    "tight squeeze": dict(path=RatePath(0.1, np.r_[np.full(6, 0.1), np.full(10, 0.05)]),
+                          demand=DemandParams(2.0, 0.0)),
+    "mu = 0": dict(withdrawals=ExponentialWithdrawals(0.0)),
+    "R above every offer": dict(reservation=250.0, list_price=260.0),
+}
+
+
+class TestBlockedPathOracle:
+    """The path oracle draws each chunk in blocks, in two passes, and
+    evaluates the intensity only where the squeeze does not decide; its
+    estimates are those of the one-piece draw, bit for bit."""
+
+    MODES = ("changing", "none", "constant")
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK", 300)
+
+    @pytest.mark.parametrize("block", [7, _DEFAULT_BLOCK])
+    @pytest.mark.parametrize("case", list(_SQUEEZE_CASES))
+    def test_equals_the_one_piece_draw(self, monkeypatch, case, block):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        ctx = dataclasses.replace(_context(10.0, 140.0, 200.0), **_SQUEEZE_CASES[case])
+        if case == "rate floor":
+            assert ctx.path.values[ctx.path.times <= 1.0].min() < RATE_FLOOR
+        got = oracle._mc_path(ctx, 1.0, self.MODES, 700, 9)
+        assert got == _one_piece_path(ctx, 1.0, self.MODES, 700, 9)
+        if case == "R above every offer":
+            assert all(est.mean == 0.0 for est in got)
+
+    def test_a_chunk_without_candidates(self, monkeypatch):
+        ctx = _context(10.0, 140.0, 200.0)
+        calls = _record_blocks(monkeypatch)
+        got = oracle._mc_path(ctx, 1e-9, self.MODES, 50, 9)
+        assert calls and all(size == 0 for blocks in calls for _, size in blocks)
+        assert got == [McEstimate(0.0, 0.0, 50)] * 3
+        assert got == _one_piece_path(ctx, 1e-9, self.MODES, 50, 9)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -227,8 +329,9 @@ def test_one_best_survivor_gives_every_reservation(seed, k, resv):
 
 
 class TestBoundedMemory:
-    """The offer oracles hold one block of offers at a time, so their
-    peak memory does not grow with lam * T."""
+    """The offer oracles hold one block of offers at a time, and the path
+    oracle one block of candidates, so their peak memory grows with
+    neither lam * T nor bound * t."""
 
     @staticmethod
     def peak_bytes(call):
@@ -249,6 +352,16 @@ class TestBoundedMemory:
             return lambda: mc_auxiliary_payoff(T, m, 25_000, 1)
 
         short, long = self.peak_bytes(run(5.0)), self.peak_bytes(run(50.0))
+        assert long < 16e6
+        assert long <= 2 * short
+
+    def test_path_peak_is_flat_in_t(self):
+        ctx = table2_context(sigma0_table2_path(20.5))
+
+        def run(t):
+            return lambda: oracle._mc_path(ctx, t, ("changing", "none"), 25_000, 1)
+
+        short, long = self.peak_bytes(run(2.0)), self.peak_bytes(run(20.0))
         assert long < 16e6
         assert long <= 2 * short
 
