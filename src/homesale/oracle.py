@@ -21,10 +21,14 @@ bound*t.  Each field is bit for bit its slice of one draw: the later
 fields come from copies of the PCG64 advanced past the earlier ones
 (_ahead; a uniform takes one output, and the delays, drawn last, may
 take more).  _mc_path places its delays after a first pass that counts
-the kept candidates; a squeeze, a lower bound on the intensity, keeps
-most candidates without evaluating it.  Reductions read only the
-offers a mask keeps (_kept), which is exact because offers are > 0
-(p_min > 0) and 0 means none.
+the kept candidates.  It thins under a bracket squeeze <= lambda <=
+bound of the intensity on [0, t] (_bracket), the sale engine's argument
+re-derived here: the rate is linear between nodes and the list only
+falls, so on the nodes 0 through the first at or after t, the least
+rate (floored) and L(t) give the bound, the largest rate and L0 the
+squeeze.  Candidates under the squeeze are kept unread.  Reductions
+read only the offers a mask keeps (_kept), which is exact because
+offers are > 0 (p_min > 0) and 0 means none.
 """
 
 from __future__ import annotations
@@ -217,30 +221,6 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
     return _replicate(n, seed, "mc-listed", chunk)[0]
 
 
-def _grid_interp(a: np.ndarray, dt: float, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(a, xp, fp) bit for bit, for a >= 0 on the uniform grid
-    xp = arange(len(fp)) * dt of at least two nodes.
-
-    The node left of each a is found by index, floor(a / dt), and moved
-    at most one node to bracket a exactly; numpy's formula then runs on
-    it.  A node returns its own fp, and the last node and anything past
-    it return fp[-1], as np.interp does.
-    """
-    slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])
-    last = xp.size - 1
-    j = (a / dt).astype(np.intp)
-    np.minimum(j, last - 1, out=j)
-    j -= a < xp[j]
-    j += a >= xp[j + 1]
-    i = np.minimum(j, last - 1)
-    out = a - xp[i]
-    out *= slopes[i]
-    out += fp[i]
-    on_node = (j == last) | (a == xp[j])
-    out[on_node] = fp[j[on_node]]
-    return out
-
-
 def _path_tools(ctx: PathContext):
     """Local intensity and discount machinery, independent of the
     analytic modules: straight from the context's raw fields.  The
@@ -250,7 +230,7 @@ def _path_tools(ctx: PathContext):
     rates = path.values
 
     def intensity(a, lists):
-        r = np.maximum(_grid_interp(a, path.dt, times, rates), RATE_FLOOR)
+        r = np.maximum(np.interp(a, times, rates), RATE_FLOOR)
         return ctx.demand.k1 / r + ctx.demand.k2 / lists
 
     mids = (rates[1:] + rates[:-1]) / 2.0 * path.dt
@@ -262,12 +242,23 @@ def _path_tools(ctx: PathContext):
     return intensity, cum_rate
 
 
+def _bracket(ctx: PathContext, t: float) -> tuple[float, float]:
+    """(squeeze, bound) around the intensity on [0, t], read from the
+    nodes 0 through the first at or after t (module docstring)."""
+    rates = ctx.path.values[:int(np.searchsorted(ctx.path.times, t)) + 1]
+    k1, k2 = ctx.demand.k1, ctx.demand.k2
+    return ((k1 / max(float(rates.max()), RATE_FLOOR) + k2 / ctx.list_price) * (1.0 - 1e-9),
+            (k1 / max(float(rates.min()), RATE_FLOOR) + k2 / float(ctx.list_at(t))) * (1.0 + 1e-6))
+
+
 def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
                    seed: int) -> McEstimate:
     """Simulate the path-payoff definition on a fixed (deterministic) path.
 
-    Offer arrivals are drawn by thinning a dominating homogeneous
-    stream under the context's demand intensity; values and withdrawals
+    Offer arrivals are drawn by thinning (Lewis & Shedler 1979) between
+    k1/max(r_hi, RATE_FLOOR) + k2/L0 <= intensity <= k1/max(r_lo,
+    RATE_FLOOR) + k2/L(t), r_lo and r_hi the least and largest rate on the
+    nodes 0 through the first at or after t.  Values and withdrawals
     come from the context's distributions.  mode "changing"/"constant"
     plays the list-crossing rule against the context's list price, mode
     "none" keeps only the end-of-window auction.  t must lie in
@@ -286,10 +277,7 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
         raise ValueError(f"t must be positive, got {t}")
     ctx.path._check_ends(0.0, t)
     intensity, cum_rate = _path_tools(ctx)
-    grid = np.unique(np.concatenate((ctx.path.times[ctx.path.times <= t], [t])))
-    bound = float(np.max(intensity(grid, ctx.list_at(grid)))) * (1.0 + 1e-6)
-    squeeze = (ctx.demand.k1 / max(float(np.max(ctx.path.values)), RATE_FLOOR)
-               + ctx.demand.k2 / ctx.list_price) * (1.0 - 1e-9)  # rate floored, list <= L0
+    squeeze, bound = _bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
     R = ctx.reservation
 

@@ -713,7 +713,7 @@ class TestValidateCommand:
                    "--workers", workers])
         assert rc == 1
         got = hashlib.sha256((tmp_path / "validation.csv").read_bytes()).hexdigest()
-        assert got == "e7f04211cd430c52d214ffadbfcf725141492485b235fca99437517a7fddf57d"
+        assert got == "06f0fb25c8878d52d13a6079fee07355afce3aeb9a9b5ea8fd42d2d2e8e03882"
 
 
 class TestWorkersFlag:

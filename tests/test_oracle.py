@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homesale import oracle
@@ -14,7 +14,9 @@ from homesale.oracle import (McEstimate, ValidationReport, mc_auxiliary_payoff,
                              mc_listed_payoff, mc_path_payoff,
                              sigma0_table2_path, table2_context, validate_all)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
-                                  UniformOffers)
+                                  UniformOffers,
+                                  conditional_payoff_changing_list_exact,
+                                  conditional_payoff_no_list)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
                                  simulate_cir)
 
@@ -87,6 +89,58 @@ class TestMcPath:
         ctx = table2_context(path)
         for t in (path.horizon, path.horizon * (1.0 + 1e-13)):
             assert mc_path_payoff(ctx, t, "none", 100, seed=0).n == 100
+
+
+class TestBracket:
+    """The path oracle thins against bound and keeps candidates under
+    squeeze unread; both must hold between the path's nodes, not only
+    on them."""
+
+    # The rate rises from node 0 to node 1 while the list falls fast, so
+    # the intensity peaks between them: 1.2266 at its largest on [0, 0.25]
+    # against 1.0482 at most on the nodes and t.
+    CTX = PathContext(path=RatePath(0.25, [0.1, 0.2, 0.3, 0.3, 0.3]), list_price=183.76,
+                      zeta=100.0, offers=UniformOffers(100.0, 200.0),
+                      withdrawals=ExponentialWithdrawals(10.0), reservation=125.28,
+                      demand=DemandParams(0.05, 100.0))
+
+    @pytest.mark.parametrize("t", [0.25, 0.5])
+    def test_oracle_matches_the_exact_forms_between_nodes(self, t):
+        changing, none = oracle._mc_path(self.CTX, t, ("changing", "none"), 400_000, 7)
+        for est, analytic in ((changing, conditional_payoff_changing_list_exact(self.CTX, t)),
+                              (none, conditional_payoff_no_list(self.CTX, t))):
+            assert abs(est.z_against(analytic)) <= 3.0, (est, analytic)
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(context, t): a CIR path with sigma > 0, often at 0 so that the
+    rate floor binds, on one of four steps, and a list decaying at zeta
+    up to 100; t anywhere on the path or on a node."""
+    dt = draw(st.sampled_from([1 / 252, 1 / 52, 0.1, 0.25]))
+    cir = CirParams(kappa=draw(st.floats(0.1, 2.0)), theta=draw(st.floats(0.005, 0.1)),
+                    sigma=draw(st.floats(0.05, 1.5)), r0=draw(st.floats(0.001, 0.15)))
+    path = simulate_cir(cir, draw(st.floats(dt, 3.0)), dt, seed=draw(st.integers(0, 2**32 - 1)))
+    k1, k2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2000.0))
+    assume(k1 > 0 or k2 > 0)
+    R = draw(st.floats(100.0, 200.0))
+    ctx = PathContext(path=path, list_price=draw(st.floats(R, 300.0)),
+                      zeta=draw(st.floats(0.0, 100.0)), offers=UniformOffers(100.0, 200.0),
+                      withdrawals=ExponentialWithdrawals(10.0), reservation=R,
+                      demand=DemandParams(k1, k2))
+    t = draw(st.one_of(st.floats(0.0, path.horizon, exclude_min=True),
+                       st.sampled_from(path.times[1:].tolist())))
+    return ctx, t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bracket_cases())
+def test_bracket_holds_densely_on_the_window(case):
+    ctx, t = case
+    squeeze, bound = oracle._bracket(ctx, t)
+    a = np.linspace(0.0, t, 20_001)
+    lam = oracle._path_tools(ctx)[0](a, ctx.list_at(a))
+    assert squeeze <= lam.min() and lam.max() <= bound
 
 
 def _context(mu, reservation, list_price):
@@ -177,8 +231,7 @@ def _one_piece_path(ctx, t, modes, n, seed):
     candidate times, acceptance uniforms, values and delays each drawn in
     one piece, and every candidate tested against the intensity."""
     intensity, cum_rate = oracle._path_tools(ctx)
-    grid = np.unique(np.concatenate((ctx.path.times[ctx.path.times <= t], [t])))
-    bound = float(np.max(intensity(grid, ctx.list_at(grid)))) * (1.0 + 1e-6)
+    _, bound = oracle._bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
     R = ctx.reservation
 
@@ -364,36 +417,6 @@ class TestBoundedMemory:
         short, long = self.peak_bytes(run(2.0)), self.peak_bytes(run(20.0))
         assert long < 16e6
         assert long <= 2 * short
-
-
-@st.composite
-def _grids(draw):
-    """(dt, rates, query points) for a uniform grid of at least two
-    nodes.  Rates include both zeros; the points mix uniform draws,
-    exact nodes, their neighbouring doubles, 0 and the last node."""
-    dt = draw(st.floats(1e-4, 2.0))
-    size = draw(st.integers(2, 60))
-    rates = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
-                                             st.floats(0.0, 5.0)),
-                                   min_size=size, max_size=size)))
-    times = np.arange(size) * dt
-    horizon = float(times[-1])
-    nodes = st.sampled_from(times.tolist())
-    near = st.builds(lambda x, up: np.nextafter(x, np.inf if up else 0.0),
-                     nodes, st.booleans())
-    points = draw(st.lists(st.one_of(st.floats(0.0, horizon), nodes, near,
-                                     st.just(0.0), st.just(horizon)),
-                           min_size=1, max_size=40))
-    return dt, rates, np.array(points)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_grids())
-def test_grid_interp_is_np_interp(grid):
-    dt, rates, a = grid
-    times = np.arange(rates.size) * dt
-    got = oracle._grid_interp(a, dt, times, rates)
-    assert got.tobytes() == np.interp(a, times, rates).tobytes()
 
 
 class TestValidateAll:
