@@ -260,9 +260,9 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
     RATE_FLOOR) + k2/L(t), r_lo and r_hi the least and largest rate on the
     nodes 0 through the first at or after t.  Values and withdrawals
     come from the context's distributions.  mode "changing"/"constant"
-    plays the list-crossing rule against the context's list price, mode
-    "none" keeps only the end-of-window auction.  t must lie in
-    (0, horizon of the path]; ValueError otherwise.
+    plays the list-crossing rule against the context's own list, flat
+    only at zeta = 0; mode "none" keeps only the end-of-window auction.
+    t must lie in (0, horizon of the path]; ValueError otherwise.
     """
     return _mc_path(ctx, t, (mode,), n, seed)[0]
 
@@ -397,16 +397,19 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     signed gaps instead of a verdict, plus a derived check that the
     listed-payoff gap keeps one sign across the whole grid.
 
-    Some rows read one simulation, so their misses are not independent
-    3-sigma events: the `aux` and `thinned` rows of a (T, lam) share one
-    offer draw, and the `path-changing-gap`, `path-changing-exact` and
-    `path-no-list` rows of a t share one thinned stream.  The jobs are
-    the simulations, one per (T, lam) and one per path t, run on at most
-    `workers` threads from their own substreams, so the rows do not
-    depend on the worker count; each holds one block of draws at a time,
-    so its memory grows with neither lam*T nor t.  One pass then builds
-    the rows, the gap-sign row from the listed rows; an empty grid skips
-    its rows.
+    Rows share draws, so their misses are not independent 3-sigma
+    events: the `aux` and `thinned` rows of a (T, lam) read one offer
+    draw, and the `path-changing-gap`, `path-changing-exact` and
+    `path-no-list` rows of a t one thinned stream.  The stream keys name
+    no cell either: chunk i of every (T, lam) reads substream(seed,
+    "mc-aux", i) and "mc-listed", of every path t "mc-path", so cells
+    with equal lam*T draw the same counts, values and delays, their
+    arrivals scaled by T.  The jobs are the simulations, one per
+    (T, lam) and one per path t, run on at most `workers` threads; each
+    reads only its substreams, so the rows do not depend on the worker
+    count, and holds one block of draws at a time, so its memory grows
+    with neither lam*T nor t.  One pass then builds the rows, the
+    gap-sign row from the listed rows; an empty grid skips its rows.
     """
     R, L = 140.0, 180.0
     cells = [(T, lam, MarketParams(lam, 5.0, 0.1, 100.0, 200.0))

@@ -14,21 +14,21 @@ The published crossing branch spreads the first list crossing with
 density lam(a)/Lambda(t), which the simulated model does not: there the
 first above-list offer is front-loaded.  The no-list payoff has no
 crossing branch and is exact.  conditional_payoff_changing_list_exact
-and conditional_payoff_constant_list integrate the true first-crossing
-density and match simulation for any decay rate zeta, zero included.
+(any decay rate zeta) and conditional_payoff_constant_list (zeta == 0
+only) integrate the true first-crossing density and match simulation.
 
 A batch is one context and its rate paths.  Each mode has one body,
 which evaluates one horizon on a batch: what depends on the horizon
 alone (the list, F(L(a)) and its sort order, the Simpson grids, the y
-grid and its searchsorted indices) is computed once, and the
-rate-driven parts are (paths x nodes) arrays reduced row by row.  A
-path's value is the same to the bit in any batch; the one-context
-public functions are the one-path case.  Every Simpson grid has
-DEFAULT_NODES nodes, read when an evaluation runs.  The changing-list
-survivor tail sorts F(L(a)) and reads each y off suffix sums:
-O(n log n), within 32 eps of the O(n^2) (y, a) band product.
-Withdrawals follow one law, ExponentialWithdrawals(mu); mu == 0 means
-offers never retract.
+grid and its searchsorted indices) is computed once, and the rate-driven
+parts are (paths x nodes) arrays reduced row by row.  A path's value is
+the same to the bit in any batch; the one-context public functions are
+the one-path case.  Every Simpson grid has DEFAULT_NODES nodes, read
+when an evaluation runs; simpson_nodes builds the arrival grid and the
+best-standing panels.  The changing-list survivor tail sorts F(L(a)) and
+reads each y off suffix sums: O(n log n), within 32 eps of the O(n^2)
+(y, a) band product.  Withdrawals follow one law,
+ExponentialWithdrawals(mu); mu == 0 means offers never retract.
 
 The rate integral inside the discount factor uses the path's native
 grid (trapezoid), so conditional values carry an O(dt^2) path
@@ -45,7 +45,6 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import simpson_nodes
 from .stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                          simulate_cir, substream)
 
@@ -59,12 +58,30 @@ __all__ = [
     "conditional_payoff_no_list",
     "conditional_payoff",
     "expected_payoff",
+    "simpson_nodes",
 ]
 
 DEFAULT_NODES = 201
 
 # Treat F(L) this close to one as "no offer can beat the list here".
 _SATURATED = 1.0 - 1e-12
+
+
+def simpson_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Simpson rule on [a, b].
+
+    n must be odd and >= 3 so the panel count is whole.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"Simpson rule needs an odd node count >= 3, got {n}")
+    if not (np.isfinite(a) and np.isfinite(b)) or b < a:
+        raise ValueError(f"bad interval [{a}, {b}]")
+    x = np.linspace(a, b, n)
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (b - a) / (n - 1) / 3.0
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -422,17 +439,24 @@ def _constant_list(arr: _Arrivals) -> list[float]:
     return vals
 
 
+def _evaluate_constant(ctx: PathContext, paths: list, t: float) -> np.ndarray:
+    """_evaluate on _constant_list; zeta != 0 raises after the horizon check."""
+    if t > 0 and ctx.zeta != 0:
+        raise ValueError(f"the constant-list payoff needs zeta == 0, got zeta={ctx.zeta}")
+    return _evaluate(_constant_list, ctx, paths, t)
+
+
 def conditional_payoff_constant_list(ctx: PathContext, t: float) -> float:
     """Changing-list payoff specialized to a constant list price.
 
-    Uses L = list_price; the below-list probability collapses to
-    F(L) and the survivor tail factorizes into a value band times a
-    not-withdrawn weight.  Offers beat L at rate lam(a) (1 - F(L)), so
-    the first crossing has density lam(a) (1 - F(L)) exp(-H(a)) with H
-    the running hazard of the flat list; a list at p_max or above admits
-    no crossing.
+    Uses L = list_price, so zeta must be 0 (ValueError otherwise, offers
+    or none); the below-list probability collapses to F(L) and the
+    survivor tail factorizes into a value band times a not-withdrawn
+    weight.  Offers beat L at rate lam(a) (1 - F(L)), so the first
+    crossing has density lam(a) (1 - F(L)) exp(-H(a)) with H the running
+    hazard of the flat list; a list at p_max or above admits no crossing.
     """
-    return float(_evaluate(_constant_list, ctx, [ctx.path], t)[0])
+    return float(_evaluate_constant(ctx, [ctx.path], t)[0])
 
 
 def _no_list(arr: _Arrivals) -> list[float]:
@@ -464,7 +488,7 @@ def conditional_payoff_no_list(ctx: PathContext, t: float) -> float:
 # mode -> batch evaluation: each takes (ctx, paths, t) and returns an array
 _MODES = {
     "changing": functools.partial(_evaluate, _changing_list, exact=False),
-    "constant": functools.partial(_evaluate, _constant_list),
+    "constant": _evaluate_constant,
     "none": functools.partial(_evaluate, _no_list),
 }
 

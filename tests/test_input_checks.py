@@ -15,7 +15,7 @@ from homesale.market_sim import EvolutionConfig, run_evolution
 from homesale.oracle import McEstimate, mc_auxiliary_payoff, sigma0_table2_path, table2_context
 from homesale.owt import SweepAxis
 from homesale.path_payoff import conditional_payoff, expected_payoff
-from homesale.quadrature import simpson_nodes
+from homesale.path_payoff import simpson_nodes
 from homesale.stochastic import CirParams, DemandParams, RatePath
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -18,7 +18,7 @@ from homesale.path_payoff import (ExponentialWithdrawals, PathContext,
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_no_list)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
-                                 simulate_cir)
+                                 simulate_cir, substream)
 
 
 class TestMcAuxiliary:
@@ -211,6 +211,23 @@ class TestSharedDraws:
         assert estimates() == small
         if lam == 0.0 or R > m.p_max:
             assert small[2].mean == 0.0 and small[1].mean == 0.0
+
+    def test_cells_with_equal_lam_T_share_their_offers(self):
+        # the stream key names no cell: validate_all reads chunk i of every
+        # (T, lam) cell from substream(seed, "mc-aux", i), so two cells with
+        # equal lam*T draw the same counts, values and delays, and arrivals
+        # that differ only by the factor T
+        def offers(lam, T):
+            m = MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
+            return [np.concatenate(f) for f in
+                    zip(*oracle._offers(substream(1, "mc-aux", 0), 300, m, T))]
+
+        (counts, arrival, value, delay), (counts2, arrival2, value2, delay2) = (
+            offers(2.0, 1.0), offers(1.0, 2.0))
+        assert counts.sum() > 0
+        assert np.array_equal(counts, counts2)
+        assert np.array_equal(value, value2) and np.array_equal(delay, delay2)
+        assert np.array_equal(arrival / 1.0, arrival2 / 2.0)
 
 
 def _record_blocks(mp):

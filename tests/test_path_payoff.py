@@ -19,7 +19,7 @@ from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathCon
                                   conditional_payoff_changing_list_exact,
                                   conditional_payoff_constant_list,
                                   conditional_payoff_no_list, expected_payoff)
-from homesale.quadrature import simpson_nodes
+from homesale.path_payoff import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                                  simulate_cir, substream)
 
@@ -389,13 +389,13 @@ def test_poisson_count_weighting_identity():
 
 
 class TestExpectedPayoff:
-    def ctx_factory(self):
+    def ctx_factory(self, zeta=1.0):
         demand = DemandParams(0.5, 1000.0)
         offers = UniformOffers(100.0, 200.0)
         withdrawals = ExponentialWithdrawals(10.0)
 
         def factory(path):
-            return PathContext(path=path, list_price=200.0, zeta=1.0, offers=offers,
+            return PathContext(path=path, list_price=200.0, zeta=zeta, offers=offers,
                                withdrawals=withdrawals, reservation=140.0,
                                demand=demand)
 
@@ -453,8 +453,8 @@ class TestExpectedPayoff:
         # take turns, on reordered and extended horizon grids
         times, mine = [0.5, 1.0, 2.0], self.ctx_factory()
 
-        def other(path):
-            return PathContext(path=path, list_price=240.0, zeta=2.0,
+        def other(path, zeta=2.0):
+            return PathContext(path=path, list_price=240.0, zeta=zeta,
                                offers=UniformOffers(120.0, 260.0),
                                withdrawals=ExponentialWithdrawals(3.0),
                                reservation=150.0, demand=DemandParams(0.5, 1000.0))
@@ -464,11 +464,14 @@ class TestExpectedPayoff:
             return {t: (m[k], s[k]) for k, t in enumerate(grid)}
 
         for mode in ("changing", "constant", "none"):
+            # the constant-list mode needs a flat list
+            pair = ((self.ctx_factory(zeta=0.0), partial(other, zeta=0.0))
+                    if mode == "constant" else (mine, other))
             alone = {(factory, t): run(factory, [t], mode)[t]
-                     for factory in (mine, other) for t in times}
+                     for factory in pair for t in times}
             for grid in ([0.25, *times, 1.5], [2.0, 1.0, 0.5],
                          [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]):
-                for factory in (other, mine):
+                for factory in pair[::-1]:
                     got = run(factory, grid, mode)
                     assert all(got[t] == alone[factory, t] for t in times), (mode, grid)
 
@@ -501,7 +504,7 @@ BODIES = [
      conditional_payoff_changing_list),
     (partial(path_payoff._evaluate, path_payoff._changing_list, exact=True),
      conditional_payoff_changing_list_exact),
-    (partial(path_payoff._evaluate, path_payoff._constant_list), conditional_payoff_constant_list),
+    (path_payoff._evaluate_constant, conditional_payoff_constant_list),
     (partial(path_payoff._evaluate, path_payoff._no_list), conditional_payoff_no_list),
 ]
 
@@ -544,9 +547,12 @@ class TestBatchBodies:
         # whatever its row, its length or the other paths
         ctx, paths, t = case
         for body, one_path in BODIES:
-            got = body(ctx, paths, t)
+            # the constant-list mode needs a flat list
+            c = (dataclasses.replace(ctx, zeta=0.0)
+                 if one_path is conditional_payoff_constant_list else ctx)
+            got = body(c, paths, t)
             assert got.shape == (len(paths),)
-            assert got.tolist() == [one_path(dataclasses.replace(ctx, path=p), t)
+            assert got.tolist() == [one_path(dataclasses.replace(c, path=p), t)
                                     for p in paths]
 
     def test_path_without_offers_pays_zero_in_a_batch(self):
@@ -597,7 +603,9 @@ class TestBatchBodies:
         # with three paths a chunk: one path, one full chunk, and a full
         # chunk plus one
         monkeypatch.setattr(path_payoff, "_CHUNK", 3)
-        factory, times = TestExpectedPayoff().ctx_factory(), [0.3, 1.0, 1.7]
+        # the constant-list mode needs a flat list
+        factory = TestExpectedPayoff().ctx_factory(zeta=0.0 if mode == "constant" else 1.0)
+        times = [0.3, 1.0, 1.7]
         means, stderrs = expected_payoff(factory, sim_cir, times, n_paths, seed=5, mode=mode)
         ctxs = [factory(simulate_cir(sim_cir, 1.7, DEFAULT_DT, substream(5, "payoff-path", i)))
                 for i in range(n_paths)]
@@ -611,13 +619,61 @@ class TestBatchBodies:
                 assert stderrs[k] == np.std(vals, ddof=1) / math.sqrt(n_paths)
 
 
+# The entries of the constant-list mode, each at t = 1 on the context ctx.
+CONSTANT_ENTRIES = {
+    "conditional_payoff_constant_list": lambda ctx, cir: conditional_payoff_constant_list(
+        ctx, 1.0),
+    "conditional_payoff": lambda ctx, cir: path_payoff.conditional_payoff(ctx, 1.0, "constant"),
+    "expected_payoff": lambda ctx, cir: expected_payoff(
+        lambda p: dataclasses.replace(ctx, path=p), cir, [1.0], 2, seed=1, mode="constant"),
+}
+
+
+class TestFlatListOnly:
+    """The constant-list body plays a flat list against the intensity of
+    ctx.list_at.  At zeta = 1 it returned 171.6845 at t = 1, a value of
+    neither model, so the mode rejects zeta != 0."""
+
+    @pytest.fixture
+    def ctx(self):
+        ctx = table2_context(sigma0_table2_path(2.1), initial_list=180.0)
+        assert ctx.zeta == 1.0
+        return ctx
+
+    @pytest.mark.parametrize("entry", sorted(CONSTANT_ENTRIES))
+    def test_every_entry_rejects_a_decaying_list(self, ctx, sim_cir, entry):
+        with pytest.raises(ValueError, match="zeta == 0, got zeta=1.0"):
+            CONSTANT_ENTRIES[entry](ctx, sim_cir)
+
+    def test_rejects_it_where_no_offer_arrives(self, ctx):
+        # k1 = 5e-324 makes lam(a) exactly 0 on a path at rate 3
+        dead = dataclasses.replace(ctx, path=RatePath(0.005, np.full(501, 3.0)),
+                                   demand=DemandParams(5e-324, 0.0))
+        assert conditional_payoff_no_list(dead, 1.0) == 0.0
+        with pytest.raises(ValueError, match="zeta == 0, got zeta=1.0"):
+            conditional_payoff_constant_list(dead, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_horizon_is_checked_first(self, ctx, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            conditional_payoff_constant_list(ctx, t)
+
+    def test_flat_list_is_the_exact_changing_list(self, ctx):
+        # 169.9660 at zeta = 0, to rounding
+        flat = dataclasses.replace(ctx, zeta=0.0)
+        assert conditional_payoff_constant_list(flat, 1.0) == pytest.approx(
+            conditional_payoff_changing_list_exact(flat, 1.0), rel=1e-12, abs=0.0)
+
+
 class TestPathEnd:
     def test_payoff_past_the_path_raises(self):
         # a 1-year path cannot price t = 5; clamping would freeze the
         # discount at t = 1 and return 83.87
         ctx = table2_context(sigma0_table2_path(1.0))
-        for conditional in (conditional_payoff_no_list, conditional_payoff_changing_list,
-                            conditional_payoff_constant_list):
-            with pytest.raises(ValueError):
-                conditional(ctx, 5.0)
+        flat = table2_context(sigma0_table2_path(1.0), constant_list=True)
+        for conditional, c in ((conditional_payoff_no_list, ctx),
+                               (conditional_payoff_changing_list, ctx),
+                               (conditional_payoff_constant_list, flat)):
+            with pytest.raises(ValueError, match="outside the rate path"):
+                conditional(c, 5.0)
         assert conditional_payoff_no_list(ctx, 1.0) > 0.0

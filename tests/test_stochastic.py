@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import cir_ensemble, cir_ensemble_finals, cir_mean, three_sigma
 from homesale import stochastic
 from homesale.path_payoff import ExponentialWithdrawals, UniformOffers
-from homesale.quadrature import simpson_nodes
+from homesale.path_payoff import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
                                  _substreams, sample_nhpp, simulate_cir, substream)
 
