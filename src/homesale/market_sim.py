@@ -15,11 +15,13 @@ and re-checks none of them.
 Evolutions are sequential by nature (each event depends on the last),
 but every random draw comes from a substream keyed by logical indices,
 so logs are reproducible bit for bit regardless of how surrounding code
-schedules work.
+schedules work.  The expected-price curve gives each posting time one
+substream, from which its replications draw in order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -30,8 +32,8 @@ from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
-from .stochastic import (CirParams, DemandParams, RatePath, _substreams, _thin,
-                         sample_nhpp, simulate_cir, substream)
+from .stochastic import (CirParams, DemandParams, RatePath, _thin, sample_nhpp,
+                         simulate_cir, substream)
 
 __all__ = [
     "SaleOutcome",
@@ -187,15 +189,18 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
 
     Each generator makes three calls, before the next is taken from
     rngs: a Poisson(bound * t_star) count n, one rng.random((3, n)), then
-    the n withdrawal delays.  The rows of the (3, n) draw are the n
-    candidate times, the n acceptance uniforms, then the n offer values;
-    it fills in C order, so its doubles are those of random(3n).
+    the n withdrawal delays.  One generator may be passed repeatedly;
+    its attempts then draw in order, each right after the one before.
+    The rows of the (3, n) draw are the n candidate times, the n
+    acceptance uniforms, then the n offer values; it fills in C order,
+    so its doubles are those of random(3n).
     numpy's uniform(low, high, n) is low + (high - low) * random(), one
     double per draw, so scaling the rows gives the same bits as three
     calls: uniform(0, t_star, n), uniform(0, 1, n), uniform(p_min, p_max, n).
     The intensity, its domination check and the sale rule then run once
-    per batch, so an attempt's outcome depends only on its own
-    generator, never on the batch it falls in.
+    per batch and draw nothing, so an attempt's outcome depends only on
+    its generator's state when its turn comes, never on the batch it
+    falls in.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
@@ -441,10 +446,9 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
 
     Each query runs n_reps independent sale attempts at the configured
     (reservation, list) pair on the same rate path -- no occupation or
-    shock machinery.  Replication j of query i draws from
-    substream(seed, "price", i, j), so adding queries or replications
-    never changes others; _substreams seeds a query's replications in
-    one batch, bit for bit.
+    shock machinery.  The replications of query i draw in order from
+    one generator, substream(seed, "price", i), so adding queries or
+    replications never changes the earlier ones.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -456,7 +460,7 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     for qi, t_post in enumerate(times.tolist()):
         t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
                                     cfg.initial_list)
-        rngs = _substreams(seed, "price", qi, count=n_reps)
+        rngs = itertools.repeat(substream(seed, "price", qi), n_reps)
         prices = np.concatenate([b.price[b.sold]
                                  for b in _sale_attempts(ctx, t_star, rngs)])
         n_sales = prices.size

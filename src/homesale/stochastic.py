@@ -3,12 +3,9 @@
 All samplers take either an integer seed or a numpy Generator.  Code
 that needs several independent streams derives them from one root seed
 with substream(), so adding replications never perturbs earlier ones.
-expected_price_curve seeds a posting time's replications in one batch
-(_substreams), which re-derives SeedSequence and PCG64 seeding on arrays
-and equals substream() bit for bit; a property test in
-tests/test_stochastic.py guards that against any numpy change.
-The samplers return plain arrays (a rate path's values, offer arrival
-times); a path's horizon and step must be finite and positive.
+simulate_cir returns a RatePath, the rate's values on a uniform grid
+whose step is finite and positive; sample_nhpp returns the array of
+offer arrival times.
 """
 
 from __future__ import annotations
@@ -69,105 +66,6 @@ def substream(seed: int, *key) -> np.random.Generator:
     """
     entropy = [_seed(seed)] + [_encode_key(p) for p in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-# SeedSequence's hash constants (NumPy NEP 19, numpy/random/bit_generator.pyx)
-# and PCG64's 128-bit multiplier (O'Neill 2014, PCG, HMC-CS-2014-0905)
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_ONE_WORD = 1 << 32      # j below this is one entropy word
-_SEED_BLOCK = 4096       # streams whose states are derived at once
-
-
-def _words(n: int) -> list[int]:
-    """n as SeedSequence reads an entropy int: little-endian 32-bit words."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
-
-
-def _pcg64_states(head: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of SeedSequence(head + [j]) for lo <= j < hi <= 2**32.
-
-    SeedSequence's hash constants do not depend on the data, so its
-    pool mix runs once on uint32 columns, one column per entropy word;
-    array arithmetic wraps modulo 2**32 without warning.
-    """
-    n = hi - lo
-    entropy = [np.full(n, w, dtype=np.uint32) for w in head]
-    entropy.append(np.arange(lo, hi, dtype=np.uint32))
-    const = _INIT_A
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ const
-        const = const * _MULT_A & _MASK32
-        v = v * const
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        v = x * _MIX_L - y * _MIX_R
-        return v ^ (v >> 16)
-
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight words, read as little-endian pairs
-    const, out = _INIT_B, []
-    for i in range(8):
-        v = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK32
-        v = v * const
-        out.append((v ^ (v >> 16)).astype(np.uint64))
-    s_hi, s_lo, q_hi, q_lo = ((out[k + 1] << 32 | out[k]).tolist() for k in (0, 2, 4, 6))
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
-        # pcg64_set_seed: inc = 2*seq + 1; state = (inc + initstate) * MULT + inc
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        states.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _substreams(seed: int, *prefix, count: int):
-    """The generators of substream(seed, *prefix, j) for j < count, bit for bit.
-
-    States are derived _SEED_BLOCK streams at a time, so memory does not
-    grow with count; j >= 2**32 falls back to substream.  One Generator
-    is reused: each yielded one is valid only until the next is drawn,
-    so consume it before advancing the iterator.
-    """
-    head = _words(_seed(seed))  # raises here, as substream would, not at the first draw
-    for part in prefix:
-        head += _words(_encode_key(part))
-
-    def generators():
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        inner = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-        for lo in range(0, min(count, _ONE_WORD), _SEED_BLOCK):
-            for inner["state"], inner["inc"] in _pcg64_states(
-                    head, lo, min(lo + _SEED_BLOCK, count, _ONE_WORD)):
-                bits.state = state
-                yield rng
-        for j in range(_ONE_WORD, count):
-            yield substream(seed, *prefix, j)
-
-    return generators()
 
 
 def _as_rng(seed) -> np.random.Generator:

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from homesale.closed_form import MarketParams
 from homesale.stochastic import CirParams, DemandParams, _cir_steps
+
+# Property tests draw fixed examples and keep no example database, so
+# every run reads the same cases.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 # Reference defaults used across the suite: the waiting-time analysis
 # block and the simulation block.

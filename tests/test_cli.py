@@ -514,7 +514,7 @@ class TestExpectedPriceCommand:
                    "--seed", "1", "--workers", "1"])
         assert rc == 0
         got = hashlib.sha256((tmp_path / "expected_price.csv").read_bytes()).hexdigest()
-        assert got == "afbf96d765a251d214b70234a100926a625cf1141e6f2cc058c7bb0a37d75082"
+        assert got == "d3eec9ac2180f56d25942055a47619f86ea44004f12b8cb7dbc22ada2f377c45"
 
     def test_output_passes_the_benchmark_price_check(self, tmp_path):
         # the price workload's check: mean prices and no-sale shares agree

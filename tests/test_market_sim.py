@@ -16,8 +16,8 @@ from homesale.market_sim import (EvolutionConfig, compute_owt_frozen,
                                  time_to_posting, SaleOutcome)
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                                   conditional_payoff_changing_list_exact)
-from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
-                                 _substreams, _thin, sample_nhpp, simulate_cir, substream)
+from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _thin,
+                                 sample_nhpp, simulate_cir, substream)
 
 DEMAND = DemandParams(0.5, 1000.0)
 
@@ -47,9 +47,9 @@ def cir_context():
 def owner_draws(cfg, seed, count):
     """Each owner's (occupation, crisis) years, drawn as run_evolution
     draws them from substream(seed, "owner", i), for i < count."""
+    gens = (substream(seed, "owner", i) for i in range(count))
     return np.array([(g.uniform(cfg.occupation_lo, cfg.occupation_hi),
-                      g.exponential(cfg.crisis_mean))
-                     for g in _substreams(seed, "owner", count=count)])
+                      g.exponential(cfg.crisis_mean)) for g in gens])
 
 
 class TestDraws:
@@ -426,17 +426,23 @@ class TestStreamIdentity:
         ctx = dataclasses.replace(
             flat_context(rate=rate, mu=mu, zeta=zeta),
             demand=DemandParams(DEMAND.k1 * scale, DEMAND.k2 * scale))
-        gens = [substream(seed, "identity", j) for j in range(n_reps)]
-        refs = [copy.deepcopy(g) for g in gens]
-        with mock.patch.object(market_sim, "_CHUNK_CANDIDATES", budget):
-            batches = list(market_sim._sale_attempts(ctx, t_star, iter(gens)))
-        got = [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
-               for b in batches for j in range(b.sold.size)]
-        want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, r))
-                for r in refs]
-        assert got == want
-        # and each generator is left where the reference leaves it
-        assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+        # one generator per attempt, then one generator handed over n_reps
+        # times, whose attempts the reference draws in order from one copy
+        one = substream(seed, "identity")
+        for gens in ([substream(seed, "identity", j) for j in range(n_reps)],
+                     [one] * n_reps):
+            copies = {id(g): copy.deepcopy(g) for g in gens}
+            refs = [copies[id(g)] for g in gens]
+            with mock.patch.object(market_sim, "_CHUNK_CANDIDATES", budget):
+                batches = list(market_sim._sale_attempts(ctx, t_star, iter(gens)))
+            got = [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
+                   for b in batches for j in range(b.sold.size)]
+            want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, r))
+                    for r in refs]
+            assert got == want
+            # and each generator is left where the reference leaves it
+            assert [g.bit_generator.state for g in gens] == \
+                [r.bit_generator.state for r in refs]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300),
@@ -506,7 +512,7 @@ def test_engine_mean_payoff_is_the_exact_conditional_payoff(i, t_post, window):
     if window is None:
         window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
     ctx = cfg.context(path.shifted(t_post, window), R, L0, cfg.zeta)
-    rngs = _substreams(99, "engine-exact", i, count=n)
+    rngs = (substream(99, "engine-exact", i, j) for j in range(n))
     payoff = []
     for b in market_sim._sale_attempts(ctx, window, rngs):
         discount = np.exp(-ctx.path._cumulative(np.where(b.sold, b.time, 0.0)))
@@ -725,14 +731,34 @@ class TestExpectedPriceCurve:
         assert p_low.mean_price > p_high.mean_price
         assert p_low.no_sale_fraction < p_high.no_sale_fraction
 
-    def test_batch_seeding_equals_explicit_substreams(self, monkeypatch):
-        # a reference run that hands _sale_attempts one substream(seed,
-        # "price", qi, j) per replication must give the same curve, field
-        # for field, as the batch-seeded one
-        cfg, seed = make_config(), 2**40 + 7
-        got = expected_price_curve(cfg, [2.0, 9.0, 16.0], 1500, seed)
-        monkeypatch.setattr(market_sim, "_substreams", lambda seed, *prefix, count: (
-            substream(seed, *prefix, j) for j in range(count)))
-        want = expected_price_curve(cfg, [2.0, 9.0, 16.0], 1500, seed)
-        assert all(p.n_sales >= 2 for p in want)  # no NaN field
-        assert got == want
+    def test_replications_draw_in_order_from_one_substream(self, monkeypatch):
+        # posting time i's attempts in a k- and a 2k-replication run:
+        # the first k agree, and all are the reference attempts drawn in
+        # order from one copy of substream(seed, "price", i)
+        cfg, seed, times, k = make_config(), 2**40 + 7, [2.0, 9.0, 16.0], 150
+        engine, calls = market_sim._sale_attempts, []
+
+        def recorded(ctx, t_star, rngs):
+            offers, outcomes = [], []
+            calls.append((ctx, t_star, offers, outcomes))
+            for b in engine(ctx, t_star, rngs):
+                for j in range(b.sold.size):
+                    offers.append(tuple(x[b.rep == j].tobytes()
+                                        for x in (b.arrival, b.value, b.delay)))
+                    outcomes.append((b.sold[j], b.price[j].tobytes(), b.time[j].tobytes()))
+                yield b
+
+        monkeypatch.setattr(market_sim, "_sale_attempts", recorded)
+        expected_price_curve(cfg, times, k, seed)
+        short = calls[:]
+        calls.clear()
+        points = expected_price_curve(cfg, times, 2 * k, seed)
+        assert all(p.n_sales >= 2 for p in points)
+        assert len(short) == len(calls) == len(times)
+        for i, ((_, _, offers_k, outcomes_k), (ctx, t_star, offers, outcomes)) in \
+                enumerate(zip(short, calls)):
+            assert offers_k == offers[:k] and outcomes_k == outcomes[:k]
+            rng = substream(seed, "price", i)
+            want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, rng))
+                    for _ in range(2 * k)]
+            assert offers == want

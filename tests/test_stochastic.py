@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import cir_ensemble, cir_ensemble_finals, cir_mean, three_sigma
 from homesale import stochastic
 from homesale.path_payoff import ExponentialWithdrawals, UniformOffers
 from homesale.path_payoff import simpson_nodes
 from homesale.stochastic import (DEFAULT_DT, CirParams, DemandParams, RatePath,
-                                 _substreams, sample_nhpp, simulate_cir, substream)
+                                 sample_nhpp, simulate_cir, substream)
 
 
 def simpson_integral(f, t, n_nodes=201):
@@ -309,83 +307,18 @@ def same_draws(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(draws(a), draws(b)))
 
 
-def raised(call):
-    with pytest.raises(Exception) as info:
-        call()
-    return info.type
-
-
-SEEDS = st.integers(0, 2**64 - 1)
-# str parts, one-word ints and ints of two or three 32-bit words; five
-# parts make more than SeedSequence's pool of four words
-PREFIXES = st.lists(st.one_of(st.text(max_size=6), st.integers(0, 2**32 - 1),
-                              st.integers(2**32, 2**70)), max_size=5).map(tuple)
-
-
-class TestBatchSubstreams:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=SEEDS, prefix=PREFIXES,
-           count=st.sampled_from([0, 1, 2, stochastic._SEED_BLOCK + 2]))
-    @example(seed=2**64 - 1, prefix=("price", 2**33), count=stochastic._SEED_BLOCK + 2)
-    @example(seed=0, prefix=(), count=3)
-    def test_every_generator_equals_substream_bitwise(self, seed, prefix, count):
-        n = 0
-        for j, rng in enumerate(_substreams(seed, *prefix, count=count)):
-            assert same_draws(rng, substream(seed, *prefix, j)), (seed, prefix, j)
-            n += 1
-        assert n == count
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(max_value=-1), prefix=PREFIXES)
-    def test_negative_seed_raises_like_substream(self, seed, prefix):
-        want = raised(lambda: substream(seed, *prefix, 0))
-        assert raised(lambda: _substreams(seed, *prefix, count=1)) is want
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=SEEDS, prefix=PREFIXES, where=st.integers(0, 5),
-           bad=st.one_of(st.floats(), st.integers(max_value=-1)))
-    def test_bad_key_part_raises_like_substream(self, seed, prefix, where, bad):
-        key = prefix[:where] + (bad,) + prefix[where:]
-        want = raised(lambda: substream(seed, *key, 0))
-        assert raised(lambda: _substreams(seed, *key, count=1)) is want
-
+class TestSubstreamKeys:
     @pytest.mark.parametrize("seed, key", [
         (1.9, ()), (1.0, ()), (True, ()), (np.True_, ()), (np.float64(1.0), ()),
         (1, (True,)), (1, ("x", False)), (1, (np.True_,)), (1, (2.0,)),
     ])
     def test_float_or_bool_seed_or_key_raises_type_error(self, seed, key):
         # int(1.9) and True would otherwise share seed 1's stream
-        for call in (lambda: substream(seed, "x", *key),
-                     lambda: _substreams(seed, "x", *key, count=1)):
-            with pytest.raises(TypeError):
-                call()
+        with pytest.raises(TypeError):
+            substream(seed, "x", *key)
 
     @pytest.mark.parametrize("seed, key", [(np.int64(7), ("x",)), (np.uint32(7), ("x",)),
                                            (7, ("x", np.int32(3))), (7, ("x", np.uint64(3)))])
     def test_numpy_integers_are_ints(self, seed, key):
         want = substream(int(seed), *(int(k) if not isinstance(k, str) else k for k in key))
         assert same_draws(substream(seed, *key), want)
-        assert same_draws(next(_substreams(seed, *key, count=1)), substream(seed, *key, 0))
-
-    def test_states_are_derived_in_fixed_blocks(self, monkeypatch):
-        sizes, derive = [], stochastic._pcg64_states
-        monkeypatch.setattr(stochastic, "_pcg64_states",
-                            lambda head, lo, hi: sizes.append(hi - lo) or derive(head, lo, hi))
-        block = stochastic._SEED_BLOCK
-        gens = _substreams(3, "price", 0, count=10**12)
-        next(gens)
-        assert sizes == [block]  # one block, however large count is
-        for _ in zip(range(2 * block), gens):
-            pass
-        assert sizes == [block] * 3
-        sizes.clear()
-        assert sum(1 for _ in _substreams(3, "x", count=2 * block + 5)) == 2 * block + 5
-        assert sizes == [block, block, 5]
-
-    def test_keys_past_one_word_fall_back_to_substream(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "_ONE_WORD", 3)
-        n = 0
-        for j, rng in enumerate(_substreams(9, "far", count=6)):
-            assert same_draws(rng, substream(9, "far", j))
-            n += 1
-        assert n == 6
