@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import zlib
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cir_ensemble, cir_ensemble_finals, cir_mean, three_sigma
 from homesale import stochastic
@@ -322,3 +325,59 @@ class TestSubstreamKeys:
     def test_numpy_integers_are_ints(self, seed, key):
         want = substream(int(seed), *(int(k) if not isinstance(k, str) else k for k in key))
         assert same_draws(substream(seed, *key), want)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+# str parts, one-word ints and ints of two or three 32-bit words; five
+# parts make more than SeedSequence's pool of four words
+PREFIXES = st.lists(st.one_of(st.text(max_size=6), st.integers(0, 2**32 - 1),
+                              st.integers(2**32, 2**70)), max_size=5).map(tuple)
+
+
+class TestSubstreamStreams:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(max_value=-1), prefix=PREFIXES)
+    def test_negative_seed_raises_value_error(self, seed, prefix):
+        with pytest.raises(ValueError):
+            substream(seed, *prefix)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES, where=st.integers(0, 5),
+           bad=st.integers(max_value=-1))
+    def test_negative_key_part_raises_value_error(self, seed, prefix, where, bad):
+        with pytest.raises(ValueError):
+            substream(seed, *prefix[:where], bad, *prefix[where:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES)
+    def test_same_key_reproduces_the_stream_bitwise(self, seed, prefix):
+        assert same_draws(substream(seed, *prefix), substream(seed, *prefix))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES, j=st.integers(0, 2**32 - 2))
+    def test_consecutive_counters_give_distinct_streams(self, seed, prefix, j):
+        a = substream(seed, *prefix, j).bit_generator.random_raw(4)
+        b = substream(seed, *prefix, j + 1).bit_generator.random_raw(4)
+        assert not np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, prefix=PREFIXES)
+    def test_key_is_the_seed_sequence_entropy(self, seed, prefix):
+        # str parts enter as the CRC-32 of their UTF-8 bytes, ints as
+        # themselves, after the seed
+        entropy = [seed] + [zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else p
+                            for p in prefix]
+        want = np.random.default_rng(np.random.SeedSequence(entropy))
+        assert same_draws(substream(seed, *prefix), want)
+
+    @pytest.mark.parametrize("key, words", [
+        ((1, "rates"), [0x1749ab8d4edf3c0c, 0x77bc6ec97b6e70b2, 0x737ba0c17b1672]),
+        ((2**64 - 1, "price", 7),
+         [0x64620fb8172022d8, 0xaf39cfd928c1e118, 0xb6a9fa6e994569a7]),
+        ((0, "offers", 3, 2**33),
+         [0x7e4b469713533dea, 0x1bf23e84fde3296d, 0x46326024261eb5c9]),
+    ])
+    def test_known_raw_words(self, key, words):
+        # the golden output files rest on these streams
+        got = substream(*key).bit_generator.random_raw(3)
+        assert [int(w) for w in got] == words
