@@ -1,11 +1,13 @@
 """Brute-force Monte Carlo estimators of every closed form.
 
 These simulate the model definitions directly -- Poisson offer counts,
-uniform arrivals, uniform values, exponential withdrawals -- and share
-no numerical code with the analytic modules beyond the RNG substream
-scheme.  In particular the rate-path integrals and offer intensities
-are recomputed locally.  validate_all runs the whole comparison matrix
-and renders a pass/fail table with z-scores.
+uniform arrivals, uniform values, exponential withdrawals.  They share
+with the analytic modules only the RNG substream scheme and what a path
+context carries: PathContext.list_at (the list schedule, single on
+purpose), UniformOffers.sample, ExponentialWithdrawals.sample and
+RatePath._check_ends.  In particular the rate-path integrals and offer
+intensities are recomputed locally.  validate_all runs the whole
+comparison matrix and renders a pass/fail table with z-scores.
 
 Every estimator goes through _replicate: replications are drawn in
 chunks of at most _CHUNK, chunk i from substream(seed, key, i), so
@@ -15,20 +17,20 @@ homogeneous offer draw (_offers), the list-crossing settlement
 (_list_rule) and the per-replication reducer (_segment) are each
 written once and shared by the estimators.
 
-_offers and _mc_path draw a chunk in blocks of whole replications of
-at most _BLOCK entries (_blocks), so no array grows with lam*T or
-bound*t.  Each field is bit for bit its slice of one draw: the later
-fields come from copies of the PCG64 advanced past the earlier ones
-(_ahead; a uniform takes one output, and the delays, drawn last, may
-take more).  _mc_path places its delays after a first pass that counts
-the kept candidates.  It thins under a bracket squeeze <= lambda <=
-bound of the intensity on [0, t] (_bracket), the sale engine's argument
-re-derived here: the rate is linear between nodes and the list only
-falls, so on the nodes 0 through the first at or after t, the least
-rate (floored) and L(t) give the bound, the largest rate and L0 the
-squeeze.  Candidates under the squeeze are kept unread.  Reductions
-read only the offers a mask keeps (_kept), which is exact because
-offers are > 0 (p_min > 0) and 0 means none.
+_offers and _mc_path draw a chunk in blocks of whole replications of at
+most _BLOCK entries (_blocks), so no array grows with lam*T or bound*t.
+Each field is bit for bit its slice of one draw: the later fields come
+from copies of the PCG64 advanced past the earlier ones (_ahead; a
+uniform takes one output, and the delays, drawn last, may take more).
+_mc_path draws a value and a delay for every candidate, so each block is
+drawn, thinned and reduced once.  It thins under a bracket
+squeeze <= lambda <= bound of the intensity on [0, t] (_bracket), the
+sale engine's argument re-derived here: the rate is linear between nodes
+and the list only falls, so on the nodes 0 through the first at or after
+t, the least rate (floored) and L(t) give the bound, the largest rate
+and L0 the squeeze.  Candidates under the squeeze are kept unread.
+Reductions read only the offers a mask keeps (_kept), which is exact
+because offers are > 0 (p_min > 0) and 0 means none.
 """
 
 from __future__ import annotations
@@ -225,16 +227,13 @@ def _path_tools(ctx: PathContext):
     """Local intensity and discount machinery, independent of the
     analytic modules: straight from the context's raw fields.  The
     intensity takes the list prices at its times from the caller."""
-    path = ctx.path
-    times = path.times
-    rates = path.values
+    times, rates = ctx.path.times, ctx.path.values
 
     def intensity(a, lists):
         r = np.maximum(np.interp(a, times, rates), RATE_FLOOR)
         return ctx.demand.k1 / r + ctx.demand.k2 / lists
 
-    mids = (rates[1:] + rates[:-1]) / 2.0 * path.dt
-    cum = np.concatenate(([0.0], np.cumsum(mids)))
+    cum = np.concatenate(([0.0], np.cumsum((rates[1:] + rates[:-1]) / 2.0 * ctx.path.dt)))
 
     def cum_rate(a):
         return np.interp(a, times, cum)
@@ -279,28 +278,21 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
     intensity, cum_rate = _path_tools(ctx)
     squeeze, bound = _bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
-    R = ctx.reservation
 
     def chunk(rng, k):
         n_cand = rng.poisson(bound * t, k)
         total = int(n_cand.sum())
-
-        def accepted(times):
-            # per block: candidate counts, times and which are kept
-            accept = _ahead(times, total)
-            for block, size in _blocks(n_cand):
-                a, u = times.random(size) * t, accept.random(size) * bound
-                keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
-                keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
-                yield block, a, keep
-
-        kept = sum(int(np.count_nonzero(keep)) for *_, keep in accepted(_ahead(rng, 0)))
-        values, delays = _ahead(rng, 2 * total), _ahead(rng, 2 * total + kept)
+        # per candidate, in stream order: time, acceptance uniform, value, delay
+        accept, values, delays = (_ahead(rng, i * total) for i in (1, 2, 3))
         payoffs = []
-        for block, a, keep in accepted(rng):
+        for block, size in _blocks(n_cand):
+            a, u = rng.random(size) * t, accept.random(size) * bound
+            value, delay = ctx.offers.sample(values, size), ctx.withdrawals.sample(delays, size)
+            keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
+            keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
             idx, rep = _kept(keep, np.repeat(np.arange(block.size), block))
-            a, value = a.take(idx), ctx.offers.sample(values, idx.size)
-            alive = (value >= R) & (ctx.withdrawals.sample(delays, idx.size) >= t - a)
+            a, value = a.take(idx), value.take(idx)
+            alive = (value >= ctx.reservation) & (delay.take(idx) >= t - a)
             above = value >= ctx.list_at(a)  # mode "none" has no list to be above
             payoffs.append([_list_rule(rep, block.size, a, value, hit, alive & ~hit,
                                        lambda s: np.exp(-cum_rate(s)), disc_t)

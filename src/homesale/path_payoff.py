@@ -497,11 +497,16 @@ _MODES = {
 _CHUNK = 256
 
 
-def conditional_payoff(ctx: PathContext, t: float, mode: str) -> float:
-    """Dispatch to the changing/constant/no-list conditional payoff."""
+def _mode_body(mode: str):
+    """The _MODES entry of mode; ValueError for an unknown mode."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
-    return float(_MODES[mode](ctx, [ctx.path], t)[0])
+    return _MODES[mode]
+
+
+def conditional_payoff(ctx: PathContext, t: float, mode: str) -> float:
+    """Dispatch to the changing/constant/no-list conditional payoff."""
+    return float(_mode_body(mode)(ctx, [ctx.path], t)[0])
 
 
 def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
@@ -524,14 +529,12 @@ def expected_payoff(ctx_factory: Callable[[RatePath], PathContext],
     from its own substream of the seed, so adding paths never changes
     earlier ones.  A single path reports path 0 with standard error 0.0.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {sorted(_MODES)}, got {mode!r}")
+    body = _mode_body(mode)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid of horizons")
-    body = _MODES[mode]
 
     # row k holds horizon k's path values, contiguous for the reductions
     vals = np.empty((times.size, n_paths))

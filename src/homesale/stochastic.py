@@ -63,6 +63,10 @@ def substream(seed: int, *key) -> np.random.Generator:
     always reproduces the same stream.  The seed and int key parts must
     be ints (numpy integers included, bool excluded): a float or bool
     raises TypeError rather than share the stream of its int value.
+    SeedSequence zero pads short entropy and splits wide ints into 32-bit
+    words, so substream(s, "a") draws as substream(s, "a", 0) does, and
+    substream(s, 2**32) as substream(s, 0, 1); the shipped keys avoid
+    both: "rates" alone takes no index, and every index is below 2**32.
     """
     entropy = [_seed(seed)] + [_encode_key(p) for p in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))

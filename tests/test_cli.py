@@ -713,7 +713,7 @@ class TestValidateCommand:
                    "--workers", workers])
         assert rc == 1
         got = hashlib.sha256((tmp_path / "validation.csv").read_bytes()).hexdigest()
-        assert got == "06f0fb25c8878d52d13a6079fee07355afce3aeb9a9b5ea8fd42d2d2e8e03882"
+        assert got == "be147b2108f76ac4c29b597f567da7efa7dc80623379f5e13ff190449e1643db"
 
 
 class TestWorkersFlag:

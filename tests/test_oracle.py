@@ -205,8 +205,8 @@ class TestSharedDraws:
         with monkeypatch.context() as mp:
             calls = _record_blocks(mp)
             oracle._mc_path(ctx, 1.0, modes, 700, 5)
-        # three chunks, each read in two passes, each pass in several blocks
-        assert len(calls) == 6 and all(len(blocks) > 1 for blocks in calls)
+        # three chunks, each read once, in several blocks
+        assert len(calls) == 3 and all(len(blocks) > 1 for blocks in calls)
         monkeypatch.setattr(oracle, "_BLOCK", _DEFAULT_BLOCK)
         assert estimates() == small
         if lam == 0.0 or R > m.p_max:
@@ -244,9 +244,10 @@ def _record_blocks(mp):
 
 
 def _one_piece_path(ctx, t, modes, n, seed):
-    """The path oracle as it was before its draws were blocked: a chunk's
-    candidate times, acceptance uniforms, values and delays each drawn in
-    one piece, and every candidate tested against the intensity."""
+    """The path oracle as it would be without blocks: a chunk's candidate
+    times, acceptance uniforms, values and delays each drawn in one piece
+    for every candidate, every candidate tested against the intensity,
+    and the kept ones taken."""
     intensity, cum_rate = oracle._path_tools(ctx)
     _, bound = oracle._bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
@@ -261,8 +262,8 @@ def _one_piece_path(ctx, t, modes, n, seed):
                                 < intensity(a_all, lists_all),
                                 np.repeat(np.arange(k), n_cand))
         a = a_all.take(idx)
-        value = np.asarray(ctx.offers.sample(rng, a.size), dtype=float)
-        delay = np.asarray(ctx.withdrawals.sample(rng, a.size), dtype=float)
+        value = np.asarray(ctx.offers.sample(rng, total), dtype=float).take(idx)
+        delay = np.asarray(ctx.withdrawals.sample(rng, total), dtype=float).take(idx)
         alive = (value >= R) & (delay >= t - a)
         above = value >= lists_all.take(idx)
         never = np.zeros(a.size, bool)
@@ -294,7 +295,7 @@ _SQUEEZE_CASES = {
 
 
 class TestBlockedPathOracle:
-    """The path oracle draws each chunk in blocks, in two passes, and
+    """The path oracle draws each chunk in blocks, in one pass, and
     evaluates the intensity only where the squeeze does not decide; its
     estimates are those of the one-piece draw, bit for bit."""
 

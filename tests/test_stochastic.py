@@ -370,6 +370,15 @@ class TestSubstreamStreams:
         want = np.random.default_rng(np.random.SeedSequence(entropy))
         assert same_draws(substream(seed, *prefix), want)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("key, alias", [(("a",), ("a", 0)), ((2**32,), (0, 1))])
+    def test_known_key_aliases(self, seed, key, alias):
+        # short entropy is zero padded and a wide int split into 32-bit
+        # words, so these distinct keys share one stream
+        got, want = substream(seed, *key), substream(seed, *alias)
+        assert np.array_equal(got.bit_generator.random_raw(4),
+                              want.bit_generator.random_raw(4))
+
     @pytest.mark.parametrize("key, words", [
         ((1, "rates"), [0x1749ab8d4edf3c0c, 0x77bc6ec97b6e70b2, 0x737ba0c17b1672]),
         ((2**64 - 1, "price", 7),
