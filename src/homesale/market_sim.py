@@ -21,7 +21,6 @@ substream, from which its replications draw in order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -115,6 +114,9 @@ def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
         raise ValueError(f"occupation_end must be finite and non-negative, got {occupation_end}")
     if not crisis_time >= 0:
         raise ValueError(f"crisis_time must be non-negative (inf for none), got {crisis_time}")
+    for name, value in (("threshold", threshold), ("search_end", search_end)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must not be NaN, got {value}")
     end = min(search_end, path.horizon)
     profit_time = math.inf
     start_idx = int(math.ceil(occupation_end / path.dt - 1e-9))
@@ -183,24 +185,21 @@ def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
     return sold, price, time
 
 
-def _sale_attempts(ctx: PathContext, t_star: float, rngs):
-    """Run one sale attempt per generator of rngs and yield them in
-    batches of about _CHUNK_CANDIDATES candidate offers.
+def _sale_attempts(ctx: PathContext, t_star: float, rng: np.random.Generator, n_reps: int):
+    """Run n_reps sale attempts, drawn in order from rng, and yield them
+    in batches of about _CHUNK_CANDIDATES candidate offers.
 
-    Each generator makes three calls, before the next is taken from
-    rngs: a Poisson(bound * t_star) count n, one rng.random((3, n)), then
-    the n withdrawal delays.  One generator may be passed repeatedly;
-    its attempts then draw in order, each right after the one before.
-    The rows of the (3, n) draw are the n candidate times, the n
-    acceptance uniforms, then the n offer values; it fills in C order,
-    so its doubles are those of random(3n).
+    Each attempt makes three calls on rng: a Poisson(bound * t_star)
+    count n, one rng.random((3, n)), then the n withdrawal delays.  The
+    rows of the (3, n) draw are the n candidate times, the n acceptance
+    uniforms, then the n offer values; it fills in C order, so its
+    doubles are those of random(3n).
     numpy's uniform(low, high, n) is low + (high - low) * random(), one
     double per draw, so scaling the rows gives the same bits as three
     calls: uniform(0, t_star, n), uniform(0, 1, n), uniform(p_min, p_max, n).
     The intensity, its domination check and the sale rule then run once
     per batch and draw nothing, so an attempt's outcome depends only on
-    its generator's state when its turn comes, never on the batch it
-    falls in.
+    rng's state when its turn comes, never on the batch it falls in.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
@@ -209,7 +208,7 @@ def _sale_attempts(ctx: PathContext, t_star: float, rngs):
                                        float(ctx.list_at(t_star))))
     mean = bound * t_star
     draws, n_cand = [], 0
-    for rng in rngs:
+    for _ in range(n_reps):
         n = rng.poisson(mean)
         draws.append((rng.random((3, n)), ctx.withdrawals.sample(rng, n)))
         n_cand += n
@@ -247,7 +246,7 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
     offer list is truncated at the resolution time so the log never
     contains arrivals after the sale.
     """
-    (b,) = _sale_attempts(ctx, t_star, [rng])
+    (b,) = _sale_attempts(ctx, t_star, rng, 1)
     if b.sold[0]:
         outcome = SaleOutcome(True, float(b.price[0]), float(b.time[0]))
     else:
@@ -460,9 +459,8 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     for qi, t_post in enumerate(times.tolist()):
         t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
                                     cfg.initial_list)
-        rngs = itertools.repeat(substream(seed, "price", qi), n_reps)
-        prices = np.concatenate([b.price[b.sold]
-                                 for b in _sale_attempts(ctx, t_star, rngs)])
+        prices = np.concatenate([b.price[b.sold] for b in _sale_attempts(
+            ctx, t_star, substream(seed, "price", qi), n_reps)])
         n_sales = prices.size
         mean = float(np.mean(prices)) if n_sales else math.nan
         stderr = (float(np.std(prices, ddof=1) / math.sqrt(n_sales))

@@ -2,28 +2,28 @@
 
 These simulate the model definitions directly -- Poisson offer counts,
 uniform arrivals, uniform values, exponential withdrawals.  They share
-with the analytic modules only the RNG substream scheme and what a path
-context carries: PathContext.list_at (the list schedule, single on
-purpose), UniformOffers.sample, ExponentialWithdrawals.sample and
-RatePath._check_ends.  In particular the rate-path integrals and offer
-intensities are recomputed locally.  validate_all runs the whole
-comparison matrix and renders a pass/fail table with z-scores.
+with the analytic modules only the RNG substream scheme, the offer and
+withdrawal laws (UniformOffers.sample, ExponentialWithdrawals.sample),
+PathContext.list_at (the list schedule, single on purpose) and
+RatePath._check_ends: the rate-path integrals and offer intensities are
+recomputed locally.  validate_all runs the whole comparison matrix and
+renders a pass/fail table with z-scores.
 
 Every estimator goes through _replicate: replications are drawn in
 chunks of at most _CHUNK, chunk i from substream(seed, key, i), so
 growing a run never perturbs the replications already drawn; one
 simulation may yield several estimates that read the same draws.  The
-homogeneous offer draw (_offers), the list-crossing settlement
-(_list_rule) and the per-replication reducer (_segment) are each
-written once and shared by the estimators.
+block draw (_blocks), the list-crossing settlement (_list_rule) and the
+per-replication reducer (_segment) are each written once and shared.
 
-_offers and _mc_path draw a chunk in blocks of whole replications of at
-most _BLOCK entries (_blocks), so no array grows with lam*T or bound*t.
-Each field is bit for bit its slice of one draw: the later fields come
-from copies of the PCG64 advanced past the earlier ones (_ahead; a
-uniform takes one output, and the delays, drawn last, may take more).
-_mc_path draws a value and a delay for every candidate, so each block is
-drawn, thinned and reduced once.  It thins under a bracket
+Every oracle draws a chunk through _blocks: Poisson counts, then each
+field in blocks of whole replications of at most _BLOCK entries, so no
+array grows with lam*T or bound*t.  Each field is bit for bit its slice
+of one draw, from a copy of the PCG64 advanced past the earlier fields
+(_ahead; a uniform takes one output, and the delays, drawn last, may
+take more).  Values and delays come from the market's laws (_offers) or
+the context's (_mc_path), which draws them for every candidate, so each
+block is drawn, thinned and reduced once.  It thins under a bracket
 squeeze <= lambda <= bound of the intensity on [0, t] (_bracket), the
 sale engine's argument re-derived here: the rate is linear between nodes
 and the list only falls, so on the nodes 0 through the first at or after
@@ -126,30 +126,29 @@ def _ahead(rng: np.random.Generator, skip: int) -> np.random.Generator:
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
 
 
-def _blocks(counts: np.ndarray):
-    """(counts, entries) per block of whole replications: at most _BLOCK
-    entries, or one replication that has more."""
+def _blocks(rng: np.random.Generator, counts: np.ndarray, fields):
+    """(k, rep, *arrays) per block of whole replications (at most _BLOCK
+    entries, or one replication that has more): its k replications, each
+    entry's replication in the block, and field i drawn by
+    fields[i](generator, size) from _ahead(rng, i * counts.sum())."""
     edges = np.concatenate(([0], np.cumsum(counts)))
+    gens = [_ahead(rng, i * int(edges[-1])) for i in range(len(fields))]
     lo = 0
     while lo < counts.size:
         hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
-        yield counts[lo:hi], int(edges[hi] - edges[lo])
+        rep = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        yield (hi - lo, rep, *(draw(gen, rep.size) for draw, gen in zip(fields, gens)))
         lo = hi
 
 
 def _offers(rng: np.random.Generator, k: int, m: MarketParams, T: float):
-    """Offers of k replications on [0, T]: Poisson(lam*T) counts, then
-    uniform arrivals, uniform values and Exponential(mu) withdrawal
-    delays (never withdrawn when mu = 0), flat in replication order.
-    Yields (counts, arrival, value, delay) per block of _blocks."""
-    counts = rng.poisson(m.lam * T, k)
-    total = int(counts.sum())
-    values, delays = _ahead(rng, total), _ahead(rng, 2 * total)
-    for block, size in _blocks(counts):
-        yield (block, rng.random(size) * T,
-               values.random(size) * (m.p_max - m.p_min) + m.p_min,
-               delays.standard_exponential(size) * (1.0 / m.mu) if m.mu > 0
-               else np.full(size, np.inf))
+    """(k, rep, arrival, value, delay) per block of the offers of k
+    replications on [0, T]: Poisson(lam*T) counts, uniform arrivals and
+    values, Exponential(mu) withdrawal delays (none when mu = 0)."""
+    return _blocks(rng, rng.poisson(m.lam * T, k),
+                   (lambda gen, size: gen.random(size) * T,
+                    UniformOffers(m.p_min, m.p_max).sample,
+                    ExponentialWithdrawals(m.mu).sample))
 
 
 def _list_rule(rep, k, arrival, value, above, standing, disc_at, disc_end):
@@ -169,6 +168,15 @@ def _list_rule(rep, k, arrival, value, above, standing, disc_at, disc_end):
                     disc_end * fallback)
 
 
+def _check_inputs(T: float, **prices) -> None:
+    """T must be finite and positive, and every price finite."""
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    for name, price in prices.items():
+        if not math.isfinite(price):
+            raise ValueError(f"{name} must be finite, got {price}")
+
+
 def mc_auxiliary_payoff(T: float, m: MarketParams, n: int, seed: int,
                         reservation: float = None) -> McEstimate:
     """Simulate the waiting-only model: best surviving offer at T.
@@ -177,7 +185,8 @@ def mc_auxiliary_payoff(T: float, m: MarketParams, n: int, seed: int,
     [0, T], values uniform on (p_min, p_max), withdrawal delays
     Exponential(mu); the payoff is exp(-r*T) times the best value whose
     delay outlasts T - arrival (and clears `reservation`, if given), or
-    zero when none survive.
+    zero when none survive.  T must be finite and positive and the
+    reservation finite; ValueError otherwise.
     """
     resv = m.p_min if reservation is None else reservation
     return _mc_auxiliary(T, m, n, seed, (resv,))[0]
@@ -187,13 +196,15 @@ def _mc_auxiliary(T: float, m: MarketParams, n: int, seed: int,
                   reservations: tuple) -> list[McEstimate]:
     """mc_auxiliary_payoff at each reservation, all read from one
     simulation of the offers."""
+    for resv in reservations:
+        _check_inputs(T, reservation=resv)
     disc = math.exp(-m.r * T)
 
     def chunk(rng, k):
         best = []
-        for counts, arrival, value, delay in _offers(rng, k, m, T):
-            idx, rep = _kept(delay >= T - arrival, np.repeat(np.arange(counts.size), counts))
-            best.append(_segment(np.maximum, value.take(idx), rep, counts.size, 0.0))
+        for k_block, rep, arrival, value, delay in _offers(rng, k, m, T):
+            idx, rep = _kept(delay >= T - arrival, rep)
+            best.append(_segment(np.maximum, value.take(idx), rep, k_block, 0.0))
         best = np.concatenate(best)
         return [disc * np.where(best >= resv, best, 0.0) for resv in reservations]
 
@@ -206,17 +217,21 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
 
     The first offer in time whose value is at or above L sells
     immediately, discounted to its arrival; otherwise the best surviving
-    value at or above R sells at T; otherwise the payoff is zero.
+    value at or above R sells at T; otherwise the payoff is zero.  T must
+    be finite and positive, R and L finite with R <= L; ValueError
+    otherwise.
     """
+    _check_inputs(T, R=R, L=L)
+    if R > L:
+        raise ValueError(f"need R <= L, got R={R}, L={L}")
     disc_T = math.exp(-m.r * T)
 
     def chunk(rng, k):
         payoff = []
-        for counts, arrival, value, delay in _offers(rng, k, m, T):
+        for k_block, rep, arrival, value, delay in _offers(rng, k, m, T):
             above = value >= L
             standing = (delay >= T - arrival) & (value >= R) & ~above
-            payoff.append(_list_rule(np.repeat(np.arange(counts.size), counts),
-                                     counts.size, arrival, value, above, standing,
+            payoff.append(_list_rule(rep, k_block, arrival, value, above, standing,
                                      lambda s: np.exp(-m.r * s), disc_T))
         return [np.concatenate(payoff)]
 
@@ -279,22 +294,20 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
     squeeze, bound = _bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
 
+    # per candidate, in stream order: time, acceptance uniform, value, delay
+    fields = (lambda gen, size: gen.random(size) * t, lambda gen, size: gen.random(size) * bound,
+              ctx.offers.sample, ctx.withdrawals.sample)
+
     def chunk(rng, k):
-        n_cand = rng.poisson(bound * t, k)
-        total = int(n_cand.sum())
-        # per candidate, in stream order: time, acceptance uniform, value, delay
-        accept, values, delays = (_ahead(rng, i * total) for i in (1, 2, 3))
         payoffs = []
-        for block, size in _blocks(n_cand):
-            a, u = rng.random(size) * t, accept.random(size) * bound
-            value, delay = ctx.offers.sample(values, size), ctx.withdrawals.sample(delays, size)
+        for k_block, rep, a, u, value, delay in _blocks(rng, rng.poisson(bound * t, k), fields):
             keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
             keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
-            idx, rep = _kept(keep, np.repeat(np.arange(block.size), block))
+            idx, rep = _kept(keep, rep)
             a, value = a.take(idx), value.take(idx)
             alive = (value >= ctx.reservation) & (delay.take(idx) >= t - a)
             above = value >= ctx.list_at(a)  # mode "none" has no list to be above
-            payoffs.append([_list_rule(rep, block.size, a, value, hit, alive & ~hit,
+            payoffs.append([_list_rule(rep, k_block, a, value, hit, alive & ~hit,
                                        lambda s: np.exp(-cum_rate(s)), disc_t)
                             for hit in (above & (mode != "none") for mode in modes)])
         return [np.concatenate(x) for x in zip(*payoffs)]

@@ -14,8 +14,11 @@ The published crossing branch spreads the first list crossing with
 density lam(a)/Lambda(t), which the simulated model does not: there the
 first above-list offer is front-loaded.  The no-list payoff has no
 crossing branch and is exact.  conditional_payoff_changing_list_exact
-(any decay rate zeta) and conditional_payoff_constant_list (zeta == 0
-only) integrate the true first-crossing density and match simulation.
+and conditional_payoff_constant_list (zeta == 0 only) integrate the true
+first-crossing density.  The changing-list one matches simulation while
+the DEFAULT_NODES grid on [0, t] resolves the list, that is while zeta*t
+is small: every pinned context has zeta*t <= 2, but at zeta = 20, t = 20
+it reads 166.26 against a simulated 171.33 (z = -96.8; ROADMAP item 7).
 
 A batch is one context and its rate paths.  Each mode has one body,
 which evaluates one horizon on a batch: what depends on the horizon
@@ -406,6 +409,10 @@ def conditional_payoff_changing_list_exact(ctx: PathContext, t: float) -> float:
     crossing branch is Int_0^t h(a) exp(-H(a)) disc(a)
     E[offer | offer >= L(a)] da.  Under a flat list at or above p_max
     nothing crosses and this equals conditional_payoff_constant_list.
+    The match is measured while zeta*t is small (<= 2 in every pinned
+    context): the DEFAULT_NODES grid under-resolves a list that decays
+    much faster than t/200, e.g. 166.26 against a simulated 171.33 at
+    zeta = 20, t = 20 (ROADMAP item 7).
     """
     return float(_evaluate(_changing_list, ctx, [ctx.path], t, exact=True)[0])
 

@@ -229,14 +229,10 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
     Thinning of a dominating homogeneous Poisson(intensity_bound)
     stream: candidates are kept with probability intensity(t)/bound
     (Lewis & Shedler 1979), so the work is the bound times the horizon
-    and a bound close to the intensity wastes few candidates.  Sale
-    attempts thin the offer demand DemandParams.intensity(r(a), L(a))
-    against its value at the least r on the path's nodes and L(t), the
-    rate floored at RATE_FLOOR in both: the rate is linear between nodes
-    and the list price only falls.  The generator draws the count n of
-    candidates, their n sorted times, then n acceptance uniforms.
-    The intensity takes the array of candidate times and returns an
-    array of the same shape.
+    and a bound close to the intensity wastes few candidates.  The
+    generator draws the count n of candidates, their n sorted times,
+    then n acceptance uniforms.  The intensity takes the array of
+    candidate times and returns an array of the same shape.
     The bound must dominate the intensity everywhere; a detected
     violation aborts rather than silently under-sampling.
     """

@@ -12,7 +12,8 @@ import pytest
 from homesale.cli import main
 from homesale.closed_form import MarketParams, asymptotic_listed_payoff
 from homesale.market_sim import EvolutionConfig, run_evolution
-from homesale.oracle import McEstimate, mc_auxiliary_payoff, sigma0_table2_path, table2_context
+from homesale.oracle import (McEstimate, mc_auxiliary_payoff, mc_listed_payoff,
+                             sigma0_table2_path, table2_context)
 from homesale.owt import SweepAxis
 from homesale.path_payoff import conditional_payoff, expected_payoff
 from homesale.path_payoff import simpson_nodes
@@ -80,15 +81,43 @@ def test_run_evolution_negative_horizon():
 
 
 class TestOracle:
+    M = MarketParams(lam=5.0, mu=5.0, r=0.1, p_min=100.0, p_max=200.0)
+
+    # T = 0 and a NaN reservation used to return 0.0
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+    def test_auxiliary_T(self, T):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            mc_auxiliary_payoff(T, self.M, 2, 0)
+
+    @pytest.mark.parametrize("reservation", [np.nan, np.inf])
+    def test_auxiliary_reservation(self, reservation):
+        with pytest.raises(ValueError, match="reservation must be finite"):
+            mc_auxiliary_payoff(1.0, self.M, 2, 0, reservation=reservation)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+    def test_listed_T(self, T):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            mc_listed_payoff(T, self.M, 140.0, 180.0, 2, 0)
+
+    # a NaN R used to give the estimate of R = 190 > L = 180
+    @pytest.mark.parametrize("R, L, name", [(np.nan, 180.0, "R"), (-np.inf, 180.0, "R"),
+                                            (140.0, np.nan, "L"), (140.0, np.inf, "L")])
+    def test_listed_R_and_L(self, R, L, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            mc_listed_payoff(1.0, self.M, R, L, 2, 0)
+
+    def test_listed_R_above_L(self):
+        with pytest.raises(ValueError, match="need R <= L, got R=190.0, L=180.0"):
+            mc_listed_payoff(1.0, self.M, 190.0, 180.0, 2, 0)
+
     def test_z_against_with_zero_stderr(self):
         est = McEstimate(mean=5.0, stderr=0.0, n=10)
         assert est.z_against(5.0) == 0.0
         assert est.z_against(6.0) == np.inf
 
     def test_n_below_two(self):
-        m = MarketParams(lam=5.0, mu=5.0, r=0.1, p_min=100.0, p_max=200.0)
         with pytest.raises(ValueError, match="n must be >= 2"):
-            mc_auxiliary_payoff(1.0, m, 1, 0)
+            mc_auxiliary_payoff(1.0, self.M, 1, 0)
 
 
 class TestSweepAxis:

@@ -129,6 +129,19 @@ class TestTimeToPosting:
         with pytest.raises(ValueError, match=name):
             time_to_posting(occupation_end, crisis_time, path, 0.06, 20.0)
 
+    def test_rejects_nan_threshold(self):
+        # used to never post for profit: (8.0, None) where 0.06 gives (4.0, "profit")
+        path = RatePath(0.5, np.full(41, 0.05))
+        assert time_to_posting(4.0, math.inf, path, 0.06, 8.0) == (4.0, "profit")
+        with pytest.raises(ValueError, match="threshold"):
+            time_to_posting(4.0, math.inf, path, math.nan, 8.0)
+
+    def test_rejects_nan_search_end(self):
+        # used to return (nan, None)
+        path = RatePath(0.5, np.full(41, 0.2))
+        with pytest.raises(ValueError, match="search_end"):
+            time_to_posting(1.0, 5.0, path, 0.06, math.nan)
+
     def test_infinite_crisis_time_is_no_crisis(self):
         path = RatePath(0.5, np.full(41, 0.2))
         assert time_to_posting(5.0, math.inf, path, 0.06, 20.0) == (20.0, None)
@@ -305,8 +318,8 @@ def batch_fields(batches, n_reps):
 
 
 def run_engine(ctx, t_star, n_reps, seed=7):
-    gens = (substream(seed, "engine", j) for j in range(n_reps))
-    return batch_fields(list(market_sim._sale_attempts(ctx, t_star, gens)), n_reps)
+    rng = substream(seed, "engine")
+    return batch_fields(list(market_sim._sale_attempts(ctx, t_star, rng, n_reps)), n_reps)
 
 
 class TestSaleAttempts:
@@ -341,14 +354,16 @@ class TestSaleAttempts:
         assert run_engine(ctx, 1.5, 40) == whole
 
     def test_run_sale_attempt_is_the_one_generator_batch(self):
-        # attempt j alone, inside a 30-attempt batch, and through
-        # run_sale_attempt: the same offers and outcome, bit for bit
+        # attempt j alone, from a copy of the generator where attempt j
+        # of a 30-attempt batch starts, and through run_sale_attempt: the
+        # same offers and outcome, bit for bit
         ctx, t_star = cir_context(), 1.5
         many = run_engine(ctx, t_star, 30, seed=8)
+        alone, through = substream(8, "engine"), substream(8, "engine")
         for j in range(30):
-            one, = market_sim._sale_attempts(ctx, t_star, [substream(8, "engine", j)])
+            one, = market_sim._sale_attempts(ctx, t_star, alone, 1)
             assert batch_fields([one], 1) == [many[j]]
-            att = run_sale_attempt(ctx, t_star, substream(8, "engine", j))
+            att = run_sale_attempt(ctx, t_star, through)
             assert same_outcome(att.outcome, SaleOutcome(bool(one.sold[0]), float(one.price[0]),
                                                          float(one.time[0])))
             kept = one.arrival <= (att.outcome.time if att.outcome.sold else t_star)
@@ -361,8 +376,7 @@ class TestSaleAttempts:
                             lambda self, T: 200.0 - 60.0 * np.exp(-np.asarray(T, dtype=float)))
         ctx = flat_context()
         with pytest.raises(ValueError, match="exceeds bound"):
-            list(market_sim._sale_attempts(ctx, 1.0, (substream(9, "up", j)
-                                                       for j in range(50))))
+            list(market_sim._sale_attempts(ctx, 1.0, substream(9, "up"), 50))
 
     def test_guard_sees_every_candidate(self, monkeypatch):
         # the list dips below L(t_star) only on [0.5, 0.51): an attempt
@@ -374,13 +388,13 @@ class TestSaleAttempts:
         monkeypatch.setattr(PathContext, "list_at", dip)
         ctx = flat_context()
         bound = float(DEMAND.intensity(0.09, 200.0))
-        outcomes = []
-        for j in range(300):
-            rng = substream(10, "dip", j)
-            cands = np.sort(rng.uniform(0.0, 1.0, rng.poisson(bound)))
+        outcomes, rng = [], substream(10, "dip")
+        for _ in range(300):
+            ref = copy.deepcopy(rng)  # where this attempt's draws start
+            cands = np.sort(ref.uniform(0.0, 1.0, ref.poisson(bound)))
             in_dip = bool(np.any((cands >= 0.5) & (cands < 0.51)))
             try:
-                run_sale_attempt(ctx, 1.0, substream(10, "dip", j))
+                run_sale_attempt(ctx, 1.0, rng)
                 raised = False
             except ValueError:
                 raised = True
@@ -388,8 +402,7 @@ class TestSaleAttempts:
             outcomes.append(raised)
         assert 0 < sum(outcomes) < len(outcomes)
         with pytest.raises(ValueError, match="exceeds bound"):
-            list(market_sim._sale_attempts(ctx, 1.0, (substream(10, "dip", j)
-                                                       for j in range(300))))
+            list(market_sim._sale_attempts(ctx, 1.0, substream(10, "dip"), 300))
 
     def test_rejects_non_positive_t_star(self):
         with pytest.raises(ValueError, match="t_star"):
@@ -426,23 +439,19 @@ class TestStreamIdentity:
         ctx = dataclasses.replace(
             flat_context(rate=rate, mu=mu, zeta=zeta),
             demand=DemandParams(DEMAND.k1 * scale, DEMAND.k2 * scale))
-        # one generator per attempt, then one generator handed over n_reps
-        # times, whose attempts the reference draws in order from one copy
-        one = substream(seed, "identity")
-        for gens in ([substream(seed, "identity", j) for j in range(n_reps)],
-                     [one] * n_reps):
-            copies = {id(g): copy.deepcopy(g) for g in gens}
-            refs = [copies[id(g)] for g in gens]
-            with mock.patch.object(market_sim, "_CHUNK_CANDIDATES", budget):
-                batches = list(market_sim._sale_attempts(ctx, t_star, iter(gens)))
-            got = [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
-                   for b in batches for j in range(b.sold.size)]
-            want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, r))
-                    for r in refs]
-            assert got == want
-            # and each generator is left where the reference leaves it
-            assert [g.bit_generator.state for g in gens] == \
-                [r.bit_generator.state for r in refs]
+        # the n_reps attempts of one generator, which the reference draws
+        # in order from one copy
+        rng = substream(seed, "identity")
+        ref = copy.deepcopy(rng)
+        with mock.patch.object(market_sim, "_CHUNK_CANDIDATES", budget):
+            batches = list(market_sim._sale_attempts(ctx, t_star, rng, n_reps))
+        got = [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
+               for b in batches for j in range(b.sold.size)]
+        want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, ref))
+                for _ in range(n_reps)]
+        assert got == want
+        # and the generator is left where the reference leaves it
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300),
@@ -482,8 +491,7 @@ def test_tight_bound_matches_rate_floor_bound_in_distribution():
         old_counts.append(arrivals.size)
         old_outcomes.append(reference_rule(list(zip(arrivals, values, delays)),
                                            ctx.list_at, ctx.reservation, t_star))
-    gens = (substream(12, "tight-bound", j) for j in range(n))
-    batches = list(market_sim._sale_attempts(ctx, t_star, gens))
+    batches = list(market_sim._sale_attempts(ctx, t_star, substream(12, "tight-bound"), n))
     new_counts = np.concatenate([np.bincount(b.rep, minlength=b.sold.size) for b in batches])
     new_sold = np.concatenate([b.sold for b in batches])
     new_prices = np.concatenate([b.price[b.sold] for b in batches])
@@ -512,9 +520,8 @@ def test_engine_mean_payoff_is_the_exact_conditional_payoff(i, t_post, window):
     if window is None:
         window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
     ctx = cfg.context(path.shifted(t_post, window), R, L0, cfg.zeta)
-    rngs = (substream(99, "engine-exact", i, j) for j in range(n))
     payoff = []
-    for b in market_sim._sale_attempts(ctx, window, rngs):
+    for b in market_sim._sale_attempts(ctx, window, substream(99, "engine-exact", i), n):
         discount = np.exp(-ctx.path._cumulative(np.where(b.sold, b.time, 0.0)))
         payoff.append(np.where(b.sold, b.price * discount, 0.0))  # no sale pays 0
     payoff = np.concatenate(payoff)
@@ -738,10 +745,10 @@ class TestExpectedPriceCurve:
         cfg, seed, times, k = make_config(), 2**40 + 7, [2.0, 9.0, 16.0], 150
         engine, calls = market_sim._sale_attempts, []
 
-        def recorded(ctx, t_star, rngs):
+        def recorded(ctx, t_star, rng, n_reps):
             offers, outcomes = [], []
             calls.append((ctx, t_star, offers, outcomes))
-            for b in engine(ctx, t_star, rngs):
+            for b in engine(ctx, t_star, rng, n_reps):
                 for j in range(b.sold.size):
                     offers.append(tuple(x[b.rep == j].tobytes()
                                         for x in (b.arrival, b.value, b.delay)))

@@ -219,25 +219,27 @@ class TestSharedDraws:
         # that differ only by the factor T
         def offers(lam, T):
             m = MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
-            return [np.concatenate(f) for f in
-                    zip(*oracle._offers(substream(1, "mc-aux", 0), 300, m, T))]
+            blocks = list(oracle._offers(substream(1, "mc-aux", 0), 300, m, T))
+            counts = np.concatenate([np.bincount(rep, minlength=k) for k, rep, *_ in blocks])
+            return [counts] + [np.concatenate(f) for f in zip(*(b[2:] for b in blocks))]
 
         (counts, arrival, value, delay), (counts2, arrival2, value2, delay2) = (
             offers(2.0, 1.0), offers(1.0, 2.0))
-        assert counts.sum() > 0
+        assert counts.size == 300 and counts.sum() > 0
         assert np.array_equal(counts, counts2)
         assert np.array_equal(value, value2) and np.array_equal(delay, delay2)
         assert np.array_equal(arrival / 1.0, arrival2 / 2.0)
 
 
 def _record_blocks(mp):
-    """Make oracle._blocks record each call's blocks, (counts, entries),
-    in the list this returns."""
+    """Make oracle._blocks record each call's blocks, (replications,
+    entries), in the list this returns."""
     calls, blocks = [], oracle._blocks
 
-    def record(counts):
-        calls.append(list(blocks(counts)))
-        return iter(calls[-1])
+    def record(rng, counts, fields):
+        drawn = list(blocks(rng, counts, fields))
+        calls.append([(k, rep.size) for k, rep, *_ in drawn])
+        return iter(drawn)
 
     mp.setattr(oracle, "_blocks", record)
     return calls
@@ -340,13 +342,17 @@ def test_blocked_offers_are_the_one_shot_draw(seed, k, block, lam, mu):
     ref = np.random.default_rng(seed)
     counts = ref.poisson(lam * T, k)
     total = int(counts.sum())
-    one_shot = (counts, ref.uniform(0.0, T, total), ref.uniform(100.0, 200.0, total),
+    one_shot = (ref.uniform(0.0, T, total), ref.uniform(100.0, 200.0, total),
                 ref.exponential(1.0 / mu, total) if mu > 0 else np.full(total, np.inf))
-    for field, expected in zip(zip(*blocks), one_shot):
+    lo = 0
+    for k_block, rep, *fields in blocks:
+        assert rep.tobytes() == np.repeat(np.arange(k_block), counts[lo:lo + k_block]).tobytes()
+        assert all(f.size == rep.size for f in fields)
+        assert rep.size <= block or k_block == 1
+        lo += k_block
+    assert lo == k
+    for field, expected in zip(zip(*(b[2:] for b in blocks)), one_shot):
         assert np.concatenate(field).tobytes() == expected.tobytes()
-    for block_counts, *fields in blocks:
-        assert all(f.size == block_counts.sum() for f in fields)
-        assert block_counts.sum() <= block or block_counts.size == 1
     if lam == 0.0:
         assert len(blocks) == 1
 
@@ -387,14 +393,13 @@ def test_one_best_survivor_gives_every_reservation(seed, k, resv):
     # does, and then it is the best of those (offers are > 0)
     m = MarketParams(5.0, 5.0, 0.1, 100.0, 200.0)
     T, disc = 0.7, math.exp(-0.07)
-    for counts, arrival, value, delay in oracle._offers(np.random.default_rng(seed), k, m, T):
-        rep = np.repeat(np.arange(counts.size), counts)
+    for k_block, rep, arrival, value, delay in oracle._offers(np.random.default_rng(seed),
+                                                              k, m, T):
         survived = delay >= T - arrival
         idx, rep_survived = oracle._kept(survived, rep)
-        best = oracle._segment(np.maximum, value.take(idx), rep_survived, counts.size, 0.0)
+        best = oracle._segment(np.maximum, value.take(idx), rep_survived, k_block, 0.0)
         per_reservation = disc * oracle._segment(
-            np.maximum, np.where(survived & (value >= resv), value, 0.0), rep,
-            counts.size, 0.0)
+            np.maximum, np.where(survived & (value >= resv), value, 0.0), rep, k_block, 0.0)
         derived = disc * np.where(best >= resv, best, 0.0)
         assert derived.tobytes() == per_reservation.tobytes()
 
