@@ -15,8 +15,8 @@ and re-checks none of them.
 Evolutions are sequential by nature (each event depends on the last),
 but every random draw comes from a substream keyed by logical indices,
 so logs are reproducible bit for bit regardless of how surrounding code
-schedules work.  The expected-price curve gives each posting time one
-substream, from which its replications draw in order.
+schedules work.  The expected-price curve draws each posting time's
+attempts in groups, each group from its own substream.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
-from .stochastic import (CirParams, DemandParams, RatePath, _thin, sample_nhpp,
-                         simulate_cir, substream)
+from .stochastic import (CirParams, DemandParams, RatePath, _blocks, _thin,
+                         sample_nhpp, simulate_cir, substream)
 
 __all__ = [
     "SaleOutcome",
@@ -132,12 +132,8 @@ def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
     return t, "crisis" if crisis_time <= profit_time else "profit"
 
 
-# A batch of sale attempts closes once its candidate offers reach this
-# count.  It keeps memory bounded when the thinning bound is loose: a rate
-# path at RATE_FLOOR thins against about 5,000 offers a year.  On the
-# reference scenario 750 attempts at one posting time draw about 1,600
-# candidates, so each posting time runs as one batch.
-_CHUNK_CANDIDATES = 1 << 13
+# Attempts per group that expected_price_curve draws from one substream.
+_GROUP = 256
 
 
 class _Batch(NamedTuple):
@@ -185,53 +181,28 @@ def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
     return sold, price, time
 
 
-def _sale_attempts(ctx: PathContext, t_star: float, rng: np.random.Generator, n_reps: int):
-    """Run n_reps sale attempts, drawn in order from rng, and yield them
-    in batches of about _CHUNK_CANDIDATES candidate offers.
-
-    Each attempt makes three calls on rng: a Poisson(bound * t_star)
-    count n, one rng.random((3, n)), then the n withdrawal delays.  The
-    rows of the (3, n) draw are the n candidate times, the n acceptance
-    uniforms, then the n offer values; it fills in C order, so its
-    doubles are those of random(3n).
-    numpy's uniform(low, high, n) is low + (high - low) * random(), one
-    double per draw, so scaling the rows gives the same bits as three
-    calls: uniform(0, t_star, n), uniform(0, 1, n), uniform(p_min, p_max, n).
-    The intensity, its domination check and the sale rule then run once
-    per batch and draw nothing, so an attempt's outcome depends only on
-    rng's state when its turn comes, never on the batch it falls in.
+def _sale_attempts(ctx: PathContext, t_star: float, rng: np.random.Generator, n: int):
+    """Run n sale attempts drawn from rng by one _blocks call (candidate
+    counts, then every candidate's time, acceptance uniform, offer value
+    and withdrawal delay, field by field) and yield them in batches of
+    whole attempts.  Each attempt's sorted times pair by position with its
+    other fields.  A one-attempt call so reads its count, random(3 * count)
+    and its delays; rng ends past the last delay drawn.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
     # the rate is linear between the path's nodes and the list only falls
     bound = float(ctx.demand.intensity(float(ctx.path.values.min()),
                                        float(ctx.list_at(t_star))))
-    mean = bound * t_star
-    draws, n_cand = [], 0
-    for _ in range(n_reps):
-        n = rng.poisson(mean)
-        draws.append((rng.random((3, n)), ctx.withdrawals.sample(rng, n)))
-        n_cand += n
-        if n_cand >= _CHUNK_CANDIDATES:
-            yield _resolve(ctx, t_star, bound, draws)
-            draws, n_cand = [], 0
-    if draws:
-        yield _resolve(ctx, t_star, bound, draws)
-
-
-def _resolve(ctx: PathContext, t_star: float, bound: float, draws: list) -> _Batch:
-    units, delays = zip(*draws)
-    x, delay = np.concatenate(units, axis=1), np.concatenate(delays)
-    rep = np.repeat(np.arange(len(units)), [u.shape[1] for u in units])
-    times = t_star * x[0]
-    # each attempt's times sorted, paired by position with the rest
-    cands = times[np.lexsort((times, rep))]
-    keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, x[1], bound)
-    rep, arrival, delay = rep[keep], cands[keep], delay[keep]
-    value = ctx.offers.from_unit(x[2][keep])
-    sold, price, time = _sale_rule(rep, arrival, value, delay, len(draws),
-                                   ctx.list_at(arrival), ctx.reservation, t_star)
-    return _Batch(rep, arrival, value, delay, sold, price, time)
+    fields = (lambda gen, size: gen.random(size) * t_star, np.random.Generator.random,
+              ctx.offers.sample, ctx.withdrawals.sample)
+    for k, rep, times, u, value, delay in _blocks(rng, bound * t_star, n, fields):
+        cands = times[np.lexsort((times, rep))]
+        keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
+        rep, arrival, value, delay = rep[keep], cands[keep], value[keep], delay[keep]
+        sold, price, time = _sale_rule(rep, arrival, value, delay, k,
+                                       ctx.list_at(arrival), ctx.reservation, t_star)
+        yield _Batch(rep, arrival, value, delay, sold, price, time)
 
 
 def run_sale_attempt(ctx: PathContext, t_star: float,
@@ -445,9 +416,10 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
 
     Each query runs n_reps independent sale attempts at the configured
     (reservation, list) pair on the same rate path -- no occupation or
-    shock machinery.  The replications of query i draw in order from
-    one generator, substream(seed, "price", i), so adding queries or
-    replications never changes the earlier ones.
+    shock machinery.  Query i draws its attempts in groups of _GROUP,
+    group g as one block from substream(seed, "price", i, g), and keeps
+    the first n_reps, so adding queries or replications never changes
+    the earlier ones.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -459,8 +431,12 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     for qi, t_post in enumerate(times.tolist()):
         t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
                                     cfg.initial_list)
-        prices = np.concatenate([b.price[b.sold] for b in _sale_attempts(
-            ctx, t_star, substream(seed, "price", qi), n_reps)])
+        prices, left = [], n_reps  # the sale prices of the first n_reps attempts
+        for g in range(-(-n_reps // _GROUP)):
+            for b in _sale_attempts(ctx, t_star, substream(seed, "price", qi, g), _GROUP):
+                prices.append(b.price[:left][b.sold[:left]])
+                left -= min(left, b.sold.size)
+        prices = np.concatenate(prices)
         n_sales = prices.size
         mean = float(np.mean(prices)) if n_sales else math.nan
         stderr = (float(np.std(prices, ddof=1) / math.sqrt(n_sales))

@@ -11,31 +11,31 @@ renders a pass/fail table with z-scores.
 
 Every estimator goes through _replicate: replications are drawn in
 chunks of at most _CHUNK, chunk i from substream(seed, key, i), so
-growing a run never perturbs the replications already drawn; one
-simulation may yield several estimates that read the same draws.  The
-block draw (_blocks), the list-crossing settlement (_list_rule) and the
+growing a run never perturbs the whole chunks already drawn.  A last,
+partial chunk is redrawn: its fields start at places in its stream that
+depend on its length.  One simulation may yield several estimates that
+read the same draws.  The block draw (stochastic._blocks, shared with
+the sale engine), the list-crossing settlement (_list_rule) and the
 per-replication reducer (_segment) are each written once and shared.
 
 Every oracle draws a chunk through _blocks: Poisson counts, then each
-field in blocks of whole replications of at most _BLOCK entries, so no
-array grows with lam*T or bound*t.  Each field is bit for bit its slice
-of one draw, from a copy of the PCG64 advanced past the earlier fields
-(_ahead; a uniform takes one output, and the delays, drawn last, may
-take more).  Values and delays come from the market's laws (_offers) or
-the context's (_mc_path), which draws them for every candidate, so each
-block is drawn, thinned and reduced once.  It thins under a bracket
-squeeze <= lambda <= bound of the intensity on [0, t] (_bracket), the
-sale engine's argument re-derived here: the rate is linear between nodes
-and the list only falls, so on the nodes 0 through the first at or after
-t, the least rate (floored) and L(t) give the bound, the largest rate
-and L0 the squeeze.  Candidates under the squeeze are kept unread.
-Reductions read only the offers a mask keeps (_kept), which is exact
-because offers are > 0 (p_min > 0) and 0 means none.
+field in blocks of whole replications of at most stochastic._BLOCK
+entries, so no array grows with lam*T or bound*t.  Each field is bit for
+bit its slice of one draw.  Values and delays come from the market's
+laws (_offers) or the context's (_mc_path), which draws them for every
+candidate, so each block is drawn, thinned and reduced once.  It thins
+under a bracket squeeze <= lambda <= bound of the intensity on [0, t]
+(_bracket), the sale engine's argument re-derived here: the rate is
+linear between nodes and the list only falls, so on the nodes 0 through
+the first at or after t, the least rate (floored) and L(t) give the
+bound, the largest rate and L0 the squeeze.  Candidates under the
+squeeze are kept unread.  Reductions read only the offers a mask keeps
+(_kept), which is exact because offers are > 0 (p_min > 0) and 0 means
+none.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,7 +49,7 @@ from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff_changing_list_exact,
                           conditional_payoff_constant_list,
                           conditional_payoff_no_list)
-from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath,
+from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _blocks,
                          simulate_cir, substream)
 
 __all__ = [
@@ -63,9 +63,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-
-# Offers per block that _offers yields: the bound on every per-offer array.
-_BLOCK = 1 << 15
 
 # A check row passes when its z-score is within this many standard errors.
 _TOLERANCE_SIGMAS = 3.0
@@ -121,31 +118,11 @@ def _kept(mask: np.ndarray, rep: np.ndarray):
     return idx, rep.take(idx)
 
 
-def _ahead(rng: np.random.Generator, skip: int) -> np.random.Generator:
-    """A copy of rng advanced past its next `skip` outputs."""
-    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
-
-
-def _blocks(rng: np.random.Generator, counts: np.ndarray, fields):
-    """(k, rep, *arrays) per block of whole replications (at most _BLOCK
-    entries, or one replication that has more): its k replications, each
-    entry's replication in the block, and field i drawn by
-    fields[i](generator, size) from _ahead(rng, i * counts.sum())."""
-    edges = np.concatenate(([0], np.cumsum(counts)))
-    gens = [_ahead(rng, i * int(edges[-1])) for i in range(len(fields))]
-    lo = 0
-    while lo < counts.size:
-        hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
-        rep = np.repeat(np.arange(hi - lo), counts[lo:hi])
-        yield (hi - lo, rep, *(draw(gen, rep.size) for draw, gen in zip(fields, gens)))
-        lo = hi
-
-
 def _offers(rng: np.random.Generator, k: int, m: MarketParams, T: float):
     """(k, rep, arrival, value, delay) per block of the offers of k
     replications on [0, T]: Poisson(lam*T) counts, uniform arrivals and
     values, Exponential(mu) withdrawal delays (none when mu = 0)."""
-    return _blocks(rng, rng.poisson(m.lam * T, k),
+    return _blocks(rng, m.lam * T, k,
                    (lambda gen, size: gen.random(size) * T,
                     UniformOffers(m.p_min, m.p_max).sample,
                     ExponentialWithdrawals(m.mu).sample))
@@ -300,7 +277,7 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
 
     def chunk(rng, k):
         payoffs = []
-        for k_block, rep, a, u, value, delay in _blocks(rng, rng.poisson(bound * t, k), fields):
+        for k_block, rep, a, u, value, delay in _blocks(rng, bound * t, k, fields):
             keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
             keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
             idx, rep = _kept(keep, rep)

@@ -136,7 +136,8 @@ class ExponentialWithdrawals:
     def sample(self, rng: np.random.Generator, size=None):
         if self.mu == 0:
             return np.full(() if size is None else size, np.inf)
-        return rng.exponential(1.0 / self.mu, size)
+        # numpy's exponential(1/mu, size) bit for bit, through the fill kernel
+        return rng.standard_exponential(size) * (1.0 / self.mu)
 
 
 @dataclass(frozen=True)

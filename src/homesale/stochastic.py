@@ -2,10 +2,11 @@
 
 All samplers take either an integer seed or a numpy Generator.  Code
 that needs several independent streams derives them from one root seed
-with substream(), so adding replications never perturbs earlier ones.
-simulate_cir returns a RatePath, the rate's values on a uniform grid
-whose step is finite and positive; sample_nhpp returns the array of
-offer arrival times.
+with substream(), so adding whole chunks (oracles) or groups (sale
+engine) of replications never perturbs earlier ones.  simulate_cir
+returns a RatePath, the rate's values on a uniform grid whose step is
+finite and positive; sample_nhpp returns the array of offer arrival
+times; _blocks is the block draw of the sale engine and the oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ __all__ = [
 RATE_FLOOR = 1e-4
 
 DEFAULT_DT = 1.0 / 252.0
+
+# Entries per block that _blocks yields: the bound on every per-entry array.
+_BLOCK = 1 << 15
+
+# The largest Poisson mean per replication that _blocks draws: a larger
+# replication is one block, so this caps its arrays near 10**6 entries
+# (8 MB a field).  Shipped commands and tests stay below 10**4.
+_MAX_MEAN = 1e6
 
 
 def _is_int(x) -> bool:
@@ -246,3 +255,38 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
     u = rng.uniform(0.0, 1.0, n_cand)
     vals = np.asarray(intensity(cands), dtype=float)
     return cands[_thin(vals, cands, u, intensity_bound)]
+
+
+def _blocks(rng: np.random.Generator, mean: float, k: int, fields):
+    """(k, rep, *arrays) per block of whole replications (at most _BLOCK
+    entries, or one replication that has more) of k replications with
+    Poisson(mean) entries: its replications, each entry's replication in
+    the block, and field i drawn by fields[i](generator, size).
+
+    rng draws the counts, then each field for every entry in turn: field
+    i resumes where its last block ended, starting i * total outputs past
+    the counts, the one-shot draw's outputs because every field but the
+    last takes one per entry.  Once the blocks are exhausted rng is past
+    the last field.  A mean above _MAX_MEAN raises ValueError before
+    anything is drawn.
+    """
+    if not mean <= _MAX_MEAN:
+        raise ValueError(f"Poisson mean {mean:g} per replication exceeds the cap of {_MAX_MEAN:g}")
+    counts = rng.poisson(mean, k)
+    total = int(counts.sum())
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    bits, starts = rng.bit_generator, []  # where each field draws next
+    for _ in fields:
+        starts.append(bits.state)
+        bits.advance(total)
+    lo = 0
+    while lo < k:
+        hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
+        rep = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        arrays = []
+        for i, draw in enumerate(fields):
+            bits.state = starts[i]
+            arrays.append(draw(rng, rep.size))
+            starts[i] = bits.state
+        yield (hi - lo, rep, *arrays)
+        lo = hi

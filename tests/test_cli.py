@@ -514,7 +514,7 @@ class TestExpectedPriceCommand:
                    "--seed", "1", "--workers", "1"])
         assert rc == 0
         got = hashlib.sha256((tmp_path / "expected_price.csv").read_bytes()).hexdigest()
-        assert got == "d3eec9ac2180f56d25942055a47619f86ea44004f12b8cb7dbc22ada2f377c45"
+        assert got == "0f00f4e6cd20c32f5f139c3e0359ad49cdf4a5ec53affbb8c1c017230fb194ad"
 
     def test_output_passes_the_benchmark_price_check(self, tmp_path):
         # the price workload's check: mean prices and no-sale shares agree

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_sigma
-from homesale import market_sim
+from homesale import market_sim, stochastic
 from homesale.market_sim import (EvolutionConfig, compute_owt_frozen,
                                  expected_price_curve, run_evolution, run_sale_attempt,
                                  time_to_posting, SaleOutcome)
@@ -317,6 +318,34 @@ def batch_fields(batches, n_reps):
     return out
 
 
+class EngineRecord:
+    """What the wrapped engine drew: per call (rng state at its start,
+    attempts), per attempt its offers' and outcome's bytes, and the
+    count of batches."""
+
+    def __init__(self):
+        self.groups, self.attempts, self.blocks = [], [], 0
+
+
+_ENGINE = market_sim._sale_attempts
+
+
+def record_engine(monkeypatch) -> EngineRecord:
+    """Wrap market_sim._sale_attempts, replacing any earlier wrapper, so
+    that it records its draws in the EngineRecord this returns."""
+    record = EngineRecord()
+
+    def recorded(ctx, t_star, rng, n):
+        record.groups.append((ctx, t_star, copy.deepcopy(rng.bit_generator.state), n))
+        for b in _ENGINE(ctx, t_star, rng, n):
+            record.blocks += 1
+            record.attempts += batch_fields([b], b.sold.size)
+            yield b
+
+    monkeypatch.setattr(market_sim, "_sale_attempts", recorded)
+    return record
+
+
 def run_engine(ctx, t_star, n_reps, seed=7):
     rng = substream(seed, "engine")
     return batch_fields(list(market_sim._sale_attempts(ctx, t_star, rng, n_reps)), n_reps)
@@ -335,40 +364,67 @@ class TestSaleAttempts:
             else:
                 assert att.outcome.price >= 140.0
 
-    def test_growing_a_run_past_the_budget_keeps_earlier_attempts(self):
-        # a zero rate thins at the RATE_FLOOR bound, so the short run fits
-        # in one batch and the long one needs several
-        ctx, t_star = flat_context(rate=0.0), 0.2
-        per_rep = t_star * float(DEMAND.intensity(RATE_FLOOR, 140.0))
-        n_short = int(0.5 * market_sim._CHUNK_CANDIDATES / per_rep)
-        n_long = int(3.0 * market_sim._CHUNK_CANDIDATES / per_rep)
-        assert n_short >= 2
-        short, long_ = run_engine(ctx, t_star, n_short), run_engine(ctx, t_star, n_long)
-        assert long_[:n_short] == short
+    def test_growing_a_run_past_the_budget_keeps_earlier_attempts(self, monkeypatch):
+        # a zero rate thins at the RATE_FLOOR bound; with blocks of 64
+        # candidates every group of the long run is drawn in many blocks,
+        # and growing past one group keeps the short run's attempts
+        monkeypatch.setattr(stochastic, "_BLOCK", 64)
+        cfg, path = make_config(), RatePath(1.0 / 252.0, np.zeros(6000))
+        n_short, n_long = 100, 3 * market_sim._GROUP + 50
+        short = record_engine(monkeypatch)
+        expected_price_curve(cfg, [1.0], n_short, 7, path=path)
+        long_ = record_engine(monkeypatch)
+        expected_price_curve(cfg, [1.0], n_long, 7, path=path)
+        assert len(short.groups) == 1 and len(long_.groups) == 4
+        assert 1 < short.blocks < long_.blocks
+        assert long_.attempts[:market_sim._GROUP] == short.attempts
 
     @pytest.mark.parametrize("budget", [1, 300])
     def test_batching_never_changes_an_attempt(self, monkeypatch, budget):
         ctx = cir_context()
-        whole = run_engine(ctx, 1.5, 40)
-        monkeypatch.setattr(market_sim, "_CHUNK_CANDIDATES", budget)
-        assert run_engine(ctx, 1.5, 40) == whole
+        whole, state = run_engine(ctx, 1.5, 40), substream(7, "engine")
+        list(market_sim._sale_attempts(ctx, 1.5, state, 40))
+        monkeypatch.setattr(stochastic, "_BLOCK", budget)
+        rng = substream(7, "engine")
+        batches = list(market_sim._sale_attempts(ctx, 1.5, rng, 40))
+        assert len(batches) > 1
+        assert batch_fields(batches, 40) == whole
+        assert rng.bit_generator.state == state.bit_generator.state
 
     def test_run_sale_attempt_is_the_one_generator_batch(self):
-        # attempt j alone, from a copy of the generator where attempt j
-        # of a 30-attempt batch starts, and through run_sale_attempt: the
-        # same offers and outcome, bit for bit
+        # 30 one-attempt batches from one generator, each through
+        # _sale_attempts, through run_sale_attempt and as the reference
+        # draws it: the same offers and outcome, bit for bit, and each
+        # generator left where the reference leaves it
         ctx, t_star = cir_context(), 1.5
-        many = run_engine(ctx, t_star, 30, seed=8)
-        alone, through = substream(8, "engine"), substream(8, "engine")
-        for j in range(30):
+        alone, through, ref = (substream(8, "engine") for _ in range(3))
+        for _ in range(30):
             one, = market_sim._sale_attempts(ctx, t_star, alone, 1)
-            assert batch_fields([one], 1) == [many[j]]
+            assert batch_fields([one], 1)[0][:3] == tuple(
+                x.tobytes() for x in reference_attempt(ctx, t_star, ref))
             att = run_sale_attempt(ctx, t_star, through)
             assert same_outcome(att.outcome, SaleOutcome(bool(one.sold[0]), float(one.price[0]),
                                                          float(one.time[0])))
             kept = one.arrival <= (att.outcome.time if att.outcome.sold else t_star)
             assert att.offers == list(zip(one.arrival[kept].tolist(), one.value[kept].tolist(),
                                           one.delay[kept].tolist()))
+            assert (alone.bit_generator.state == through.bit_generator.state
+                    == ref.bit_generator.state)
+
+    @pytest.mark.parametrize("k1", [200.0, 1e3])
+    def test_a_poisson_mean_above_the_cap_raises_before_drawing(self, k1):
+        # at RATE_FLOOR, k1 / 1e-4 offers a year: a mean of 2e6 or 1e7
+        # an attempt over one year, against the cap of 1e6
+        ctx = dataclasses.replace(flat_context(rate=0.0), demand=DemandParams(k1, 1000.0))
+        rng = substream(3, "cap")
+        before = rng.bit_generator.state
+        mean = float(ctx.demand.intensity(0.0, float(ctx.list_at(1.0))))
+        with pytest.raises(ValueError, match=re.escape(f"Poisson mean {mean:g} per "
+                                                       "replication exceeds the cap")):
+            list(market_sim._sale_attempts(ctx, 1.0, rng, 5))
+        assert rng.bit_generator.state == before
+        # a mean under the cap draws
+        assert len(list(market_sim._sale_attempts(ctx, 0.01, rng, 1))) == 1
 
     def test_increasing_list_raises(self, monkeypatch):
         # PathContext cannot hold a rising list, so one is patched in
@@ -424,34 +480,65 @@ def reference_attempt(ctx, t_star, rng):
     return cands[keep], value[keep], delay[keep]
 
 
+def reference_block(ctx, t_star, rng, n):
+    """n attempts' kept (arrival, value, delay) drawn the one-shot block
+    way: n candidate counts, then every candidate's time, then their
+    acceptance uniforms, values and delays, each field in one call on
+    rng; attempt j takes its slice of each field and sorts its times."""
+    r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
+    bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
+    counts = rng.poisson(bound * t_star, n)
+    total = int(counts.sum())
+    times, u = rng.uniform(0.0, t_star, total), rng.uniform(0.0, 1.0, total)
+    value, delay = ctx.offers.sample(rng, total), ctx.withdrawals.sample(rng, total)
+    out, edges = [], np.concatenate(([0], np.cumsum(counts)))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cands = np.sort(times[lo:hi])
+        keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u[lo:hi], bound)
+        out.append((cands[keep], value[lo:hi][keep], delay[lo:hi][keep]))
+    return out
+
+
 class TestStreamIdentity:
-    """The engine's one random((3, n)) per attempt against the three uniform
-    calls it replaces, compared by bytes."""
+    """The engine's block draw against the one-shot reference draw, and its
+    one-attempt calls against the per-attempt reference, compared by
+    bytes."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), n_reps=st.integers(1, 6),
            rate=st.sampled_from([0.0, 0.03, 0.09]),
            scale=st.sampled_from([1e-9, 1.0]),  # 1e-9: almost every count is 0
            t_star=st.floats(1e-3, 2.0), mu=st.sampled_from([0.0, 10.0]),
-           zeta=st.sampled_from([0.0, 1.0, 4.0]), budget=st.sampled_from([1, 1 << 13]))
+           zeta=st.sampled_from([0.0, 1.0, 4.0]), block=st.sampled_from([1, 1 << 15]))
     def test_engine_draws_the_reference_stream(self, seed, n_reps, rate, scale, t_star,
-                                               mu, zeta, budget):
+                                               mu, zeta, block):
         ctx = dataclasses.replace(
             flat_context(rate=rate, mu=mu, zeta=zeta),
             demand=DemandParams(DEMAND.k1 * scale, DEMAND.k2 * scale))
-        # the n_reps attempts of one generator, which the reference draws
-        # in order from one copy
-        rng = substream(seed, "identity")
-        ref = copy.deepcopy(rng)
-        with mock.patch.object(market_sim, "_CHUNK_CANDIDATES", budget):
-            batches = list(market_sim._sale_attempts(ctx, t_star, rng, n_reps))
-        got = [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
-               for b in batches for j in range(b.sold.size)]
-        want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, ref))
-                for _ in range(n_reps)]
-        assert got == want
-        # and the generator is left where the reference leaves it
-        assert rng.bit_generator.state == ref.bit_generator.state
+
+        def drawn(batches):
+            return [tuple(x[b.rep == j].tobytes() for x in (b.arrival, b.value, b.delay))
+                    for b in batches for j in range(b.sold.size)]
+
+        def as_bytes(attempts):
+            return [tuple(x.tobytes() for x in att) for att in attempts]
+
+        with mock.patch.object(stochastic, "_BLOCK", block):
+            # n_reps attempts as one block draw, against the one-shot draw
+            rng = substream(seed, "identity")
+            ref = copy.deepcopy(rng)
+            got = drawn(market_sim._sale_attempts(ctx, t_star, rng, n_reps))
+            assert got == as_bytes(reference_block(ctx, t_star, ref, n_reps))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            # n_reps one-attempt calls on one generator, against the
+            # per-attempt reference drawn in order from one copy
+            rng = substream(seed, "identity")
+            ref = copy.deepcopy(rng)
+            got = [att for _ in range(n_reps)
+                   for att in drawn(market_sim._sale_attempts(ctx, t_star, rng, 1))]
+            assert got == as_bytes(reference_attempt(ctx, t_star, ref) for _ in range(n_reps))
+            # and the generator is left where the reference leaves it
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300),
@@ -475,6 +562,21 @@ class TestStreamIdentity:
         assert (a.random(k) * scale).tobytes() == b.uniform(0.0, scale, k).tobytes()
         assert ((a.standard_exponential(k) * scale).tobytes()
                 == b.exponential(scale, k).tobytes())
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, 2, 7, 1000, 32_768])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 10.0])
+def test_withdrawal_draws_are_numpy_exponential(size, mu):
+    # the fill kernel times 1/mu: numpy's exponential(1/mu, size) bit for
+    # bit, one draw per delay; mu = 0 draws nothing and never withdraws
+    a, b = substream(5, "withdrawals"), substream(5, "withdrawals")
+    got = ExponentialWithdrawals(mu).sample(a, size)
+    if mu == 0.0:
+        want = np.full(() if size is None else size, np.inf)
+    else:
+        want = b.exponential(1.0 / mu, size)
+    assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_tight_bound_matches_rate_floor_bound_in_distribution():
@@ -738,34 +840,76 @@ class TestExpectedPriceCurve:
         assert p_low.mean_price > p_high.mean_price
         assert p_low.no_sale_fraction < p_high.no_sale_fraction
 
-    def test_replications_draw_in_order_from_one_substream(self, monkeypatch):
-        # posting time i's attempts in a k- and a 2k-replication run:
-        # the first k agree, and all are the reference attempts drawn in
-        # order from one copy of substream(seed, "price", i)
+    def test_replications_draw_in_groups_from_their_substreams(self, monkeypatch):
+        # posting time i's attempts in a k- and a 2k-replication run: group
+        # g is _GROUP attempts drawn as one block from substream(seed,
+        # "price", i, g), the reference block draw; the k run's groups are
+        # the first of the 2k run's, and each point reads the first n
         cfg, seed, times, k = make_config(), 2**40 + 7, [2.0, 9.0, 16.0], 150
-        engine, calls = market_sim._sale_attempts, []
+        G = market_sim._GROUP
+        runs = []
+        for n in (k, 2 * k):
+            record = record_engine(monkeypatch)
+            points = expected_price_curve(cfg, times, n, seed)
+            n_groups = -(-n // G)
+            assert len(record.groups) == len(times) * n_groups
+            assert all(p.n_sales >= 2 for p in points)
+            for i, p in enumerate(points):
+                groups = record.groups[i * n_groups:(i + 1) * n_groups]
+                attempts = record.attempts[i * n_groups * G:(i + 1) * n_groups * G]
+                want = []
+                for g, (ctx, t_star, state, size) in enumerate(groups):
+                    rng = substream(seed, "price", i, g)
+                    assert (size, state) == (G, rng.bit_generator.state)
+                    want += reference_block(ctx, t_star, rng, G)
+                assert [a[:3] for a in attempts] == [tuple(x.tobytes() for x in w)
+                                                     for w in want]
+                assert p.n_sales == sum(np.frombuffer(a[3], dtype=bool)[0]
+                                        for a in attempts[:n])
+            runs.append(record.attempts)
+        short, long_ = runs
+        assert len(short) == len(times) * G
+        for i in range(len(times)):
+            assert short[i * G:(i + 1) * G] == long_[i * 2 * G:i * 2 * G + G]
 
-        def recorded(ctx, t_star, rng, n_reps):
-            offers, outcomes = [], []
-            calls.append((ctx, t_star, offers, outcomes))
-            for b in engine(ctx, t_star, rng, n_reps):
-                for j in range(b.sold.size):
-                    offers.append(tuple(x[b.rep == j].tobytes()
-                                        for x in (b.arrival, b.value, b.delay)))
-                    outcomes.append((b.sold[j], b.price[j].tobytes(), b.time[j].tobytes()))
-                yield b
+    def test_growing_n_keeps_the_first_attempts(self, monkeypatch):
+        # 1,000 and 2,000 replications, neither a multiple of _GROUP: the
+        # 2,000-run's first 1,000 attempts are the 1,000-run's, bit for bit
+        assert 1000 % market_sim._GROUP and 2000 % market_sim._GROUP
+        cfg, seed = make_config(), 36
+        short = record_engine(monkeypatch)
+        p_short = expected_price_curve(cfg, [3.0], 1000, seed)[0]
+        long_ = record_engine(monkeypatch)
+        p_long = expected_price_curve(cfg, [3.0], 2000, seed)[0]
+        assert short.attempts[:1000] == long_.attempts[:1000]
+        assert p_short.t_star == p_long.t_star
+        assert p_short.n_sales == sum(np.frombuffer(a[3], dtype=bool)[0]
+                                      for a in long_.attempts[:1000])
+        assert 0 < p_short.n_sales < p_long.n_sales
 
-        monkeypatch.setattr(market_sim, "_sale_attempts", recorded)
-        expected_price_curve(cfg, times, k, seed)
-        short = calls[:]
-        calls.clear()
-        points = expected_price_curve(cfg, times, 2 * k, seed)
-        assert all(p.n_sales >= 2 for p in points)
-        assert len(short) == len(calls) == len(times)
-        for i, ((_, _, offers_k, outcomes_k), (ctx, t_star, offers, outcomes)) in \
-                enumerate(zip(short, calls)):
-            assert offers_k == offers[:k] and outcomes_k == outcomes[:k]
-            rng = substream(seed, "price", i)
-            want = [tuple(x.tobytes() for x in reference_attempt(ctx, t_star, rng))
-                    for _ in range(2 * k)]
-            assert offers == want
+
+def test_block_engine_matches_the_per_attempt_engine_in_distribution():
+    # fixed before the first run: seed 36, n = 4,000 attempts per engine
+    # and context, 3 rate paths x 2 posting times, a 4-sigma gate on the
+    # mean sale price and the no-sale share of each context (12 z-scores)
+    cfg, seed, n = make_config(), 36, 4000
+    R, L0 = cfg.initial_reservation, cfg.initial_list
+    for s in (1, 2, 3):
+        path = market_sim._rate_path(cfg, 12.0, s)
+        for t_post in (2.0, 8.0):
+            new = expected_price_curve(cfg, [t_post], n, seed, path=path)[0]
+            # the per-attempt engine: reference_attempt in order from one
+            # generator, resolved by the reference rule
+            t_star, ctx = market_sim._posting_step(cfg, path, t_post, R, L0)
+            rng = substream(seed, "per-attempt", s, int(t_post))
+            old = [reference_rule(list(zip(*reference_attempt(ctx, t_star, rng))),
+                                  ctx.list_at, R, t_star) for _ in range(n)]
+            prices = np.array([o.price for o in old if o.sold])
+            label = f"path {s}, posted at {t_post}"
+            three_sigma(f"{label}: mean sale price", new.mean_price, prices.mean(),
+                        math.hypot(new.stderr, prices.std(ddof=1) / math.sqrt(prices.size)),
+                        sigmas=4.0)
+            old_share = 1.0 - prices.size / n
+            pooled = (old_share + new.no_sale_fraction) / 2.0
+            three_sigma(f"{label}: no-sale share", new.no_sale_fraction, old_share,
+                        math.sqrt(pooled * (1.0 - pooled) * 2.0 / n), sigmas=4.0)

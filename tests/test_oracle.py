@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homesale import oracle
+from homesale import oracle, stochastic
 from homesale.closed_form import MarketParams, thinned_payoff
 from homesale.oracle import (McEstimate, ValidationReport, mc_auxiliary_payoff,
                              mc_listed_payoff, mc_path_payoff,
@@ -37,12 +38,39 @@ class TestMcAuxiliary:
         b = mc_auxiliary_payoff(1.0, market, 50_000, seed=3)
         assert a == b
 
-    def test_growing_n_keeps_earlier_replications(self, market):
-        # the chunked substreams make estimates prefix-stable: the first
-        # 50k replications of a 100k run reproduce the 50k run's sum
+    def test_growing_n_keeps_earlier_replications(self, market, monkeypatch):
+        # the chunked substreams keep whole chunks: the first chunk of a
+        # two-chunk run holds the one-chunk run's payoffs, bit for bit
+        replicate, runs = oracle._replicate, []
+
+        def recorded(n, seed, key, chunk_payoffs):
+            chunks = []
+            runs.append(chunks)
+
+            def chunk(rng, k):
+                payoffs = chunk_payoffs(rng, k)
+                chunks.append([x.tobytes() for x in payoffs])
+                return payoffs
+            return replicate(n, seed, key, chunk)
+
+        monkeypatch.setattr(oracle, "_replicate", recorded)
         small = mc_auxiliary_payoff(1.0, market, 131_072, seed=4)
         large = mc_auxiliary_payoff(1.0, market, 262_144, seed=4)
+        assert oracle._CHUNK == 131_072 and [len(r) for r in runs] == [1, 2]
+        assert runs[1][0] == runs[0][0]
         assert abs(small.mean - large.mean) < 4.0 * small.stderr
+
+    def test_a_poisson_mean_above_the_cap_raises(self, market):
+        m = MarketParams(2e6, market.mu, market.r, market.p_min, market.p_max)
+        with pytest.raises(ValueError, match=re.escape("Poisson mean 2e+06 per replication "
+                                                       "exceeds the cap of 1e+06")):
+            mc_auxiliary_payoff(1.0, m, 10, seed=1)
+        # the path oracle: k1 = 200 at RATE_FLOOR is 2e6 offers a year
+        ctx = dataclasses.replace(table2_context(sigma0_table2_path(1.5)),
+                                  demand=DemandParams(200.0, 1000.0),
+                                  path=RatePath(1.0 / 252.0, np.zeros(400)))
+        with pytest.raises(ValueError, match="Poisson mean .* exceeds the cap"):
+            mc_path_payoff(ctx, 1.0, "changing", 10, seed=1)
 
 
 class TestMcListed:
@@ -150,7 +178,7 @@ def _context(mu, reservation, list_price):
                        reservation=reservation, demand=DemandParams(0.5, 1000.0))
 
 
-_DEFAULT_BLOCK = oracle._BLOCK
+_DEFAULT_BLOCK = stochastic._BLOCK
 
 
 class TestSharedDraws:
@@ -162,7 +190,7 @@ class TestSharedDraws:
     def small_sizes(self, monkeypatch):
         # several chunks, the last one partial, each of many blocks
         monkeypatch.setattr(oracle, "_CHUNK", 300)
-        monkeypatch.setattr(oracle, "_BLOCK", 40)
+        monkeypatch.setattr(stochastic, "_BLOCK", 40)
 
     @pytest.mark.parametrize("mu, R", [(5.0, 140.0), (0.0, 140.0), (5.0, 250.0)])
     def test_auxiliary(self, mu, R):
@@ -207,7 +235,7 @@ class TestSharedDraws:
             oracle._mc_path(ctx, 1.0, modes, 700, 5)
         # three chunks, each read once, in several blocks
         assert len(calls) == 3 and all(len(blocks) > 1 for blocks in calls)
-        monkeypatch.setattr(oracle, "_BLOCK", _DEFAULT_BLOCK)
+        monkeypatch.setattr(stochastic, "_BLOCK", _DEFAULT_BLOCK)
         assert estimates() == small
         if lam == 0.0 or R > m.p_max:
             assert small[2].mean == 0.0 and small[1].mean == 0.0
@@ -236,8 +264,8 @@ def _record_blocks(mp):
     entries), in the list this returns."""
     calls, blocks = [], oracle._blocks
 
-    def record(rng, counts, fields):
-        drawn = list(blocks(rng, counts, fields))
+    def record(rng, mean, k, fields):
+        drawn = list(blocks(rng, mean, k, fields))
         calls.append([(k, rep.size) for k, rep, *_ in drawn])
         return iter(drawn)
 
@@ -310,7 +338,7 @@ class TestBlockedPathOracle:
     @pytest.mark.parametrize("block", [7, _DEFAULT_BLOCK])
     @pytest.mark.parametrize("case", list(_SQUEEZE_CASES))
     def test_equals_the_one_piece_draw(self, monkeypatch, case, block):
-        monkeypatch.setattr(oracle, "_BLOCK", block)
+        monkeypatch.setattr(stochastic, "_BLOCK", block)
         ctx = dataclasses.replace(_context(10.0, 140.0, 200.0), **_SQUEEZE_CASES[case])
         if case == "rate floor":
             assert ctx.path.values[ctx.path.times <= 1.0].min() < RATE_FLOOR
@@ -337,7 +365,7 @@ def test_blocked_offers_are_the_one_shot_draw(seed, k, block, lam, mu):
     m = MarketParams(lam, mu, 0.1, 100.0, 200.0)
     T = 1.5
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BLOCK", block)
+        mp.setattr(stochastic, "_BLOCK", block)
         blocks = list(oracle._offers(np.random.default_rng(seed), k, m, T))
     ref = np.random.default_rng(seed)
     counts = ref.poisson(lam * T, k)
