@@ -16,7 +16,8 @@ Evolutions are sequential by nature (each event depends on the last),
 but every random draw comes from a substream keyed by logical indices,
 so logs are reproducible bit for bit regardless of how surrounding code
 schedules work.  The expected-price curve draws each posting time's
-attempts in groups, each group from its own substream.
+attempts as one block draw over lanes of its own substream, one per
+draw field, so its first n attempts are the same at any larger n.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ def time_to_posting(occupation_end: float, crisis_time: float, path: RatePath,
     return t, "crisis" if crisis_time <= profit_time else "profit"
 
 
-# Attempts per group that expected_price_curve draws from one substream.
-_GROUP = 256
-
-
 class _Batch(NamedTuple):
     """Sale attempts run together: the accepted offers of all of them,
     ordered by (rep, arrival) with rep the attempt's index in the batch,
@@ -181,13 +178,14 @@ def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
     return sold, price, time
 
 
-def _sale_attempts(ctx: PathContext, t_star: float, rng: np.random.Generator, n: int):
-    """Run n sale attempts drawn from rng by one _blocks call (candidate
-    counts, then every candidate's time, acceptance uniform, offer value
-    and withdrawal delay, field by field) and yield them in batches of
-    whole attempts.  Each attempt's sorted times pair by position with its
-    other fields.  A one-attempt call so reads its count, random(3 * count)
-    and its delays; rng ends past the last delay drawn.
+def _sale_attempts(ctx: PathContext, t_star: float, spawn, n: int):
+    """Run n sale attempts drawn by one _blocks call over the lanes
+    spawn(m) gives (candidate counts, then each candidate's time,
+    acceptance uniform, offer value and withdrawal delay, each field from
+    its own lane) and yield them in batches of whole attempts.  Each
+    attempt's sorted times pair by position with its other fields.  One
+    generator as every lane reads, for one attempt, its count,
+    random(3 * count) and its delays.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
@@ -196,7 +194,7 @@ def _sale_attempts(ctx: PathContext, t_star: float, rng: np.random.Generator, n:
                                        float(ctx.list_at(t_star))))
     fields = (lambda gen, size: gen.random(size) * t_star, np.random.Generator.random,
               ctx.offers.sample, ctx.withdrawals.sample)
-    for k, rep, times, u, value, delay in _blocks(rng, bound * t_star, n, fields):
+    for k, rep, times, u, value, delay in _blocks(spawn, bound * t_star, n, fields):
         cands = times[np.lexsort((times, rep))]
         keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
         rep, arrival, value, delay = rep[keep], cands[keep], value[keep], delay[keep]
@@ -217,7 +215,7 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
     offer list is truncated at the resolution time so the log never
     contains arrivals after the sale.
     """
-    (b,) = _sale_attempts(ctx, t_star, rng, 1)
+    (b,) = _sale_attempts(ctx, t_star, lambda m: [rng] * m, 1)
     if b.sold[0]:
         outcome = SaleOutcome(True, float(b.price[0]), float(b.time[0]))
     else:
@@ -416,10 +414,9 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
 
     Each query runs n_reps independent sale attempts at the configured
     (reservation, list) pair on the same rate path -- no occupation or
-    shock machinery.  Query i draws its attempts in groups of _GROUP,
-    group g as one block from substream(seed, "price", i, g), and keeps
-    the first n_reps, so adding queries or replications never changes
-    the earlier ones.
+    shock machinery.  Query i draws its attempts over lanes spawned from
+    substream(seed, "price", i), so adding queries or replications never
+    changes the earlier ones.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -431,12 +428,9 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     for qi, t_post in enumerate(times.tolist()):
         t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
                                     cfg.initial_list)
-        prices, left = [], n_reps  # the sale prices of the first n_reps attempts
-        for g in range(-(-n_reps // _GROUP)):
-            for b in _sale_attempts(ctx, t_star, substream(seed, "price", qi, g), _GROUP):
-                prices.append(b.price[:left][b.sold[:left]])
-                left -= min(left, b.sold.size)
-        prices = np.concatenate(prices)
+        spawn = substream(seed, "price", qi).spawn
+        prices = np.concatenate([b.price[b.sold]
+                                 for b in _sale_attempts(ctx, t_star, spawn, n_reps)])
         n_sales = prices.size
         mean = float(np.mean(prices)) if n_sales else math.nan
         stderr = (float(np.std(prices, ddof=1) / math.sqrt(n_sales))

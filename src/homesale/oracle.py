@@ -9,26 +9,24 @@ RatePath._check_ends: the rate-path integrals and offer intensities are
 recomputed locally.  validate_all runs the whole comparison matrix and
 renders a pass/fail table with z-scores.
 
-Every estimator goes through _replicate: replications are drawn in
-chunks of at most _CHUNK, chunk i from substream(seed, key, i), so
-growing a run never perturbs the whole chunks already drawn.  A last,
-partial chunk is redrawn: its fields start at places in its stream that
-depend on its length.  One simulation may yield several estimates that
-read the same draws.  The block draw (stochastic._blocks, shared with
-the sale engine), the list-crossing settlement (_list_rule) and the
-per-replication reducer (_segment) are each written once and shared.
+Every estimator goes through _replicate: one block draw
+(stochastic._blocks, shared with the sale engine) of all n replications
+over lanes spawned from substream(seed, key), the Poisson counts from
+one lane and each field from its own.  Each lane is read in replication
+order, so the first n replications of a run are those of a run of n,
+at any n.  One simulation may yield several estimates that read the same
+draws.  The block draw, the list-crossing settlement (_list_rule) and
+the per-replication reducer (_segment) are each written once and shared.
 
-Every oracle draws a chunk through _blocks: Poisson counts, then each
-field in blocks of whole replications of at most stochastic._BLOCK
-entries, so no array grows with lam*T or bound*t.  Each field is bit for
-bit its slice of one draw.  Values and delays come from the market's
-laws (_offers) or the context's (_mc_path), which draws them for every
-candidate, so each block is drawn, thinned and reduced once.  It thins
-under a bracket squeeze <= lambda <= bound of the intensity on [0, t]
-(_bracket), the sale engine's argument re-derived here: the rate is
-linear between nodes and the list only falls, so on the nodes 0 through
-the first at or after t, the least rate (floored) and L(t) give the
-bound, the largest rate and L0 the squeeze.  Candidates under the
+The blocks hold whole replications of at most stochastic._BLOCK entries,
+so no array grows with n, lam*T or bound*t.  Values and delays come from
+the market's laws (_offers) or the context's (_mc_path), which draws
+them for every candidate, so each block is drawn, thinned and reduced
+once.  It thins under a bracket squeeze <= lambda <= bound of the
+intensity on [0, t] (_bracket), the sale engine's argument re-derived
+here: the rate is linear between nodes and the list only falls, so on
+the nodes 0 through the first at or after t, the least rate (floored)
+and L(t) give the bound, the largest rate and L0 the squeeze.  Candidates under the
 squeeze are kept unread.  Reductions read only the offers a mask keeps
 (_kept), which is exact because offers are > 0 (p_min > 0) and 0 means
 none.
@@ -42,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stochastic
 from .closed_form import (MarketParams, auxiliary_payoff, listed_payoff,
                           listed_payoff_exact, thinned_payoff)
 from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
@@ -61,8 +60,6 @@ __all__ = [
     "ValidationReport",
     "validate_all",
 ]
-
-_CHUNK = 1 << 17
 
 # A check row passes when its z-score is within this many standard errors.
 _TOLERANCE_SIGMAS = 3.0
@@ -84,16 +81,25 @@ class McEstimate:
         return (analytic - self.mean) / self.stderr
 
 
-def _replicate(n: int, seed: int, key: str, chunk_payoffs) -> list[McEstimate]:
+def _replicate(n: int, seed: int, key: str, mean: float, fields,
+               block_payoffs) -> list[McEstimate]:
     """Mean and standard error of n replications of each payoff array
-    chunk_payoffs(rng, k) returns: the k payoffs of one chunk drawn from
-    rng, one array per estimate."""
+    block_payoffs(k, rep, *arrays) returns for a block of the _blocks draw
+    of n Poisson(mean) replications with the given fields, over lanes
+    spawned from substream(seed, key): the block's k payoffs, one array
+    per estimate."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    sums = 0.0  # per estimate: the sum of the payoffs and of their squares
-    for i, done in enumerate(range(0, n, _CHUNK)):
-        payoffs = chunk_payoffs(substream(seed, key, i), min(_CHUNK, n - done))
-        sums = sums + np.array([(float(x.sum()), float((x * x).sum())) for x in payoffs])
+    sums, held, done = 0.0, [], 0  # sums: per estimate, of the payoffs and their squares
+    for block in _blocks(substream(seed, key).spawn, mean, n, fields):
+        held.append(block_payoffs(*block))
+        done += block[0]
+        # reduce once per count piece of _BLOCK replications, which no
+        # block straddles: few numpy calls, and memory bounded by a piece
+        if done % stochastic._BLOCK == 0 or done == n:
+            sums = sums + np.array([(x.sum(), (x * x).sum())
+                                    for x in map(np.concatenate, zip(*held))])
+            held = []
     ests = []
     for total, total_sq in sums.tolist():
         mean = total / n
@@ -118,14 +124,12 @@ def _kept(mask: np.ndarray, rep: np.ndarray):
     return idx, rep.take(idx)
 
 
-def _offers(rng: np.random.Generator, k: int, m: MarketParams, T: float):
-    """(k, rep, arrival, value, delay) per block of the offers of k
-    replications on [0, T]: Poisson(lam*T) counts, uniform arrivals and
-    values, Exponential(mu) withdrawal delays (none when mu = 0)."""
-    return _blocks(rng, m.lam * T, k,
-                   (lambda gen, size: gen.random(size) * T,
-                    UniformOffers(m.p_min, m.p_max).sample,
-                    ExponentialWithdrawals(m.mu).sample))
+def _offers(m: MarketParams, T: float) -> tuple:
+    """The fields of an offer on [0, T], drawn Poisson(lam*T) times a
+    replication: uniform arrival and value, Exponential(mu) withdrawal
+    delay (none when mu = 0)."""
+    return (lambda gen, size: gen.random(size) * T,
+            UniformOffers(m.p_min, m.p_max).sample, ExponentialWithdrawals(m.mu).sample)
 
 
 def _list_rule(rep, k, arrival, value, above, standing, disc_at, disc_end):
@@ -163,29 +167,28 @@ def mc_auxiliary_payoff(T: float, m: MarketParams, n: int, seed: int,
     Exponential(mu); the payoff is exp(-r*T) times the best value whose
     delay outlasts T - arrival (and clears `reservation`, if given), or
     zero when none survive.  T must be finite and positive and the
-    reservation finite; ValueError otherwise.
+    reservation finite; ValueError otherwise.  The replications are drawn
+    over lanes spawned from substream(seed, "mc-aux"); mc_listed_payoff
+    reads "mc-listed" and mc_path_payoff "mc-path".
     """
     resv = m.p_min if reservation is None else reservation
     return _mc_auxiliary(T, m, n, seed, (resv,))[0]
 
 
 def _mc_auxiliary(T: float, m: MarketParams, n: int, seed: int,
-                  reservations: tuple) -> list[McEstimate]:
+                  reservations: tuple, key: str = "mc-aux") -> list[McEstimate]:
     """mc_auxiliary_payoff at each reservation, all read from one
-    simulation of the offers."""
+    simulation of the offers under the stream key `key`."""
     for resv in reservations:
         _check_inputs(T, reservation=resv)
     disc = math.exp(-m.r * T)
 
-    def chunk(rng, k):
-        best = []
-        for k_block, rep, arrival, value, delay in _offers(rng, k, m, T):
-            idx, rep = _kept(delay >= T - arrival, rep)
-            best.append(_segment(np.maximum, value.take(idx), rep, k_block, 0.0))
-        best = np.concatenate(best)
+    def block(k, rep, arrival, value, delay):
+        idx, rep = _kept(delay >= T - arrival, rep)
+        best = _segment(np.maximum, value.take(idx), rep, k, 0.0)
         return [disc * np.where(best >= resv, best, 0.0) for resv in reservations]
 
-    return _replicate(n, seed, "mc-aux", chunk)
+    return _replicate(n, seed, key, m.lam * T, _offers(m, T), block)
 
 
 def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
@@ -198,21 +201,24 @@ def mc_listed_payoff(T: float, m: MarketParams, R: float, L: float,
     be finite and positive, R and L finite with R <= L; ValueError
     otherwise.
     """
+    return _mc_listed(T, m, R, L, n, seed)
+
+
+def _mc_listed(T: float, m: MarketParams, R: float, L: float, n: int,
+               seed: int, key: str = "mc-listed") -> McEstimate:
+    """mc_listed_payoff under the stream key `key`."""
     _check_inputs(T, R=R, L=L)
     if R > L:
         raise ValueError(f"need R <= L, got R={R}, L={L}")
     disc_T = math.exp(-m.r * T)
 
-    def chunk(rng, k):
-        payoff = []
-        for k_block, rep, arrival, value, delay in _offers(rng, k, m, T):
-            above = value >= L
-            standing = (delay >= T - arrival) & (value >= R) & ~above
-            payoff.append(_list_rule(rep, k_block, arrival, value, above, standing,
-                                     lambda s: np.exp(-m.r * s), disc_T))
-        return [np.concatenate(payoff)]
+    def block(k, rep, arrival, value, delay):
+        above = value >= L
+        standing = (delay >= T - arrival) & (value >= R) & ~above
+        return [_list_rule(rep, k, arrival, value, above, standing,
+                           lambda s: np.exp(-m.r * s), disc_T)]
 
-    return _replicate(n, seed, "mc-listed", chunk)[0]
+    return _replicate(n, seed, key, m.lam * T, _offers(m, T), block)[0]
 
 
 def _path_tools(ctx: PathContext):
@@ -259,8 +265,9 @@ def mc_path_payoff(ctx: PathContext, t: float, mode: str, n: int,
 
 
 def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
-             seed: int) -> list[McEstimate]:
-    """mc_path_payoff in each mode, all read from one thinned stream."""
+             seed: int, key: str = "mc-path") -> list[McEstimate]:
+    """mc_path_payoff in each mode, all read from one thinned stream
+    under the stream key `key`."""
     for mode in modes:
         if mode not in ("changing", "constant", "none"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -271,25 +278,22 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
     squeeze, bound = _bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
 
-    # per candidate, in stream order: time, acceptance uniform, value, delay
+    # per candidate, each from its own lane: time, acceptance uniform, value, delay
     fields = (lambda gen, size: gen.random(size) * t, lambda gen, size: gen.random(size) * bound,
               ctx.offers.sample, ctx.withdrawals.sample)
 
-    def chunk(rng, k):
-        payoffs = []
-        for k_block, rep, a, u, value, delay in _blocks(rng, bound * t, k, fields):
-            keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
-            keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
-            idx, rep = _kept(keep, rep)
-            a, value = a.take(idx), value.take(idx)
-            alive = (value >= ctx.reservation) & (delay.take(idx) >= t - a)
-            above = value >= ctx.list_at(a)  # mode "none" has no list to be above
-            payoffs.append([_list_rule(rep, k_block, a, value, hit, alive & ~hit,
-                                       lambda s: np.exp(-cum_rate(s)), disc_t)
-                            for hit in (above & (mode != "none") for mode in modes)])
-        return [np.concatenate(x) for x in zip(*payoffs)]
+    def block(k, rep, a, u, value, delay):
+        keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
+        keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
+        idx, rep = _kept(keep, rep)
+        a, value = a.take(idx), value.take(idx)
+        alive = (value >= ctx.reservation) & (delay.take(idx) >= t - a)
+        above = value >= ctx.list_at(a)  # mode "none" has no list to be above
+        return [_list_rule(rep, k, a, value, hit, alive & ~hit,
+                           lambda s: np.exp(-cum_rate(s)), disc_t)
+                for hit in (above & (mode != "none") for mode in modes)]
 
-    return _replicate(n, seed, "mc-path", chunk)
+    return _replicate(n, seed, key, bound * t, fields, block)
 
 
 @dataclass(frozen=True)
@@ -382,16 +386,15 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     Rows share draws, so their misses are not independent 3-sigma
     events: the `aux` and `thinned` rows of a (T, lam) read one offer
     draw, and the `path-changing-gap`, `path-changing-exact` and
-    `path-no-list` rows of a t one thinned stream.  The stream keys name
-    no cell either: chunk i of every (T, lam) reads substream(seed,
-    "mc-aux", i) and "mc-listed", of every path t "mc-path", so cells
-    with equal lam*T draw the same counts, values and delays, their
-    arrivals scaled by T.  The jobs are the simulations, one per
-    (T, lam) and one per path t, run on at most `workers` threads; each
-    reads only its substreams, so the rows do not depend on the worker
-    count, and holds one block of draws at a time, so its memory grows
-    with neither lam*T nor t.  One pass then builds the rows, the
-    gap-sign row from the listed rows; an empty grid skips its rows.
+    `path-no-list` rows of a t one thinned stream.  Each simulation is
+    keyed by the label of its first row, so no two simulations share a
+    stream (a public estimator reads one fixed key).  The jobs are the
+    simulations, one per (T, lam) and one per path t, run on at most
+    `workers` threads; each reads only its substreams, so the rows do not
+    depend on the worker count, and holds one block of draws at a time,
+    so its memory grows with neither n, lam*T nor t.  One pass then
+    builds the rows, the gap-sign row from the listed rows; an empty grid
+    skips its rows.
     """
     R, L = 140.0, 180.0
     cells = [(T, lam, MarketParams(lam, 5.0, 0.1, 100.0, 200.0))
@@ -400,17 +403,18 @@ def validate_all(n: int = 1_000_000, seed: int = 20240817,
     ctx_changing = table2_context(path, constant_list=False)
     ctx_constant = table2_context(path, constant_list=True)
 
-    def simulate_cell(T, m):
+    def simulate_cell(T, lam, m):
         # aux, thinned, listed
-        return (*_mc_auxiliary(T, m, n, seed, (m.p_min, R)),
-                mc_listed_payoff(T, m, R, L, n, seed))
+        return (*_mc_auxiliary(T, m, n, seed, (m.p_min, R), f"aux T={T} lam={lam}"),
+                _mc_listed(T, m, R, L, n, seed, f"listed-exact T={T} lam={lam}"))
 
     def simulate_path(t):
         # changing, none, constant
-        return (*_mc_path(ctx_changing, t, ("changing", "none"), n, seed),
-                mc_path_payoff(ctx_constant, t, "constant", n, seed))
+        return (*_mc_path(ctx_changing, t, ("changing", "none"), n, seed,
+                          f"path-changing-exact t={t}"),
+                *_mc_path(ctx_constant, t, ("constant",), n, seed, f"path-constant t={t}"))
 
-    jobs = ([(simulate_cell, T, m) for T, _, m in cells]
+    jobs = ([(simulate_cell, T, lam, m) for T, lam, m in cells]
             + [(simulate_path, t) for t in path_t_values])
     with ThreadPoolExecutor(max_workers=min(workers, max(len(jobs), 1))) as pool:
         ests = list(pool.map(lambda job: job[0](*job[1:]), jobs))

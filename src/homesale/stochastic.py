@@ -2,11 +2,12 @@
 
 All samplers take either an integer seed or a numpy Generator.  Code
 that needs several independent streams derives them from one root seed
-with substream(), so adding whole chunks (oracles) or groups (sale
-engine) of replications never perturbs earlier ones.  simulate_cir
-returns a RatePath, the rate's values on a uniform grid whose step is
-finite and positive; sample_nhpp returns the array of offer arrival
-times; _blocks is the block draw of the sale engine and the oracles.
+with substream().  simulate_cir returns a RatePath, the rate's values on
+a uniform grid whose step is finite and positive; sample_nhpp returns
+the array of offer arrival times.  _blocks is the block draw of the
+sale engine and the oracles: one lane (generator) per draw field, each
+read in replication order, so growing a run of any size never changes
+the replications already drawn.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ def substream(seed: int, *key) -> np.random.Generator:
     words, so substream(s, "a") draws as substream(s, "a", 0) does, and
     substream(s, 2**32) as substream(s, 0, 1); the shipped keys avoid
     both: "rates" alone takes no index, and every index is below 2**32.
+    The lanes of a block draw (_blocks) are substream(seed, *key).spawn(m):
+    child i extends the seed sequence's spawn key with i, which no key of
+    substream reaches, so the lanes alias no other stream.
     """
     entropy = [_seed(seed)] + [_encode_key(p) for p in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -257,36 +261,30 @@ def sample_nhpp(intensity: Callable, horizon: float, intensity_bound: float,
     return cands[_thin(vals, cands, u, intensity_bound)]
 
 
-def _blocks(rng: np.random.Generator, mean: float, k: int, fields):
+def _blocks(spawn, mean: float, k: int, fields):
     """(k, rep, *arrays) per block of whole replications (at most _BLOCK
     entries, or one replication that has more) of k replications with
     Poisson(mean) entries: its replications, each entry's replication in
-    the block, and field i drawn by fields[i](generator, size).
+    the block, and field i drawn by fields[i](lanes[i + 1], size).
 
-    rng draws the counts, then each field for every entry in turn: field
-    i resumes where its last block ended, starting i * total outputs past
-    the counts, the one-shot draw's outputs because every field but the
-    last takes one per entry.  Once the blocks are exhausted rng is past
-    the last field.  A mean above _MAX_MEAN raises ValueError before
+    The lanes are spawn(len(fields) + 1), a list of generators: lanes[0]
+    draws the counts, in pieces of at most _BLOCK replications, and
+    lanes[i + 1] draws field i.  Each lane is read in replication order,
+    so neither k nor a block edge moves a draw: the first j replications
+    of any run are those of a run of j.  One generator as every lane
+    (spawn = lambda m: [rng] * m) reads, for k = 1, the count and then
+    each field in turn.  A mean above _MAX_MEAN raises ValueError before
     anything is drawn.
     """
     if not mean <= _MAX_MEAN:
         raise ValueError(f"Poisson mean {mean:g} per replication exceeds the cap of {_MAX_MEAN:g}")
-    counts = rng.poisson(mean, k)
-    total = int(counts.sum())
-    edges = np.concatenate(([0], np.cumsum(counts)))
-    bits, starts = rng.bit_generator, []  # where each field draws next
-    for _ in fields:
-        starts.append(bits.state)
-        bits.advance(total)
-    lo = 0
-    while lo < k:
-        hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
-        rep = np.repeat(np.arange(hi - lo), counts[lo:hi])
-        arrays = []
-        for i, draw in enumerate(fields):
-            bits.state = starts[i]
-            arrays.append(draw(rng, rep.size))
-            starts[i] = bits.state
-        yield (hi - lo, rep, *arrays)
-        lo = hi
+    lanes = spawn(len(fields) + 1)
+    for start in range(0, k, _BLOCK):
+        counts = lanes[0].poisson(mean, min(_BLOCK, k - start))
+        edges = np.concatenate(([0], np.cumsum(counts)))
+        lo = 0
+        while lo < counts.size:
+            hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
+            rep = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            yield (hi - lo, rep, *[draw(lane, rep.size) for draw, lane in zip(fields, lanes[1:])])
+            lo = hi

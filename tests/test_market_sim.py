@@ -45,6 +45,24 @@ def cir_context():
                        reservation=140.0, demand=DEMAND)
 
 
+def engine_lanes(seed, *key):
+    """The five lanes of a sale-engine draw: counts, times, acceptance
+    uniforms, values and delays."""
+    return substream(seed, *key).spawn(5)
+
+
+def handing(lanes):
+    """A spawn function for _sale_attempts that hands out `lanes`."""
+    def spawn(m):
+        assert m == len(lanes)
+        return lanes
+    return spawn
+
+
+def states(lanes):
+    return [copy.deepcopy(lane.bit_generator.state) for lane in lanes]
+
+
 def owner_draws(cfg, seed, count):
     """Each owner's (occupation, crisis) years, drawn as run_evolution
     draws them from substream(seed, "owner", i), for i < count."""
@@ -319,12 +337,12 @@ def batch_fields(batches, n_reps):
 
 
 class EngineRecord:
-    """What the wrapped engine drew: per call (rng state at its start,
-    attempts), per attempt its offers' and outcome's bytes, and the
-    count of batches."""
+    """What the wrapped engine drew: per call (context, t_star, lane
+    states at its start, attempts), per attempt its offers' and outcome's
+    bytes, and the count of batches."""
 
     def __init__(self):
-        self.groups, self.attempts, self.blocks = [], [], 0
+        self.calls, self.attempts, self.blocks = [], [], 0
 
 
 _ENGINE = market_sim._sale_attempts
@@ -335,9 +353,13 @@ def record_engine(monkeypatch) -> EngineRecord:
     that it records its draws in the EngineRecord this returns."""
     record = EngineRecord()
 
-    def recorded(ctx, t_star, rng, n):
-        record.groups.append((ctx, t_star, copy.deepcopy(rng.bit_generator.state), n))
-        for b in _ENGINE(ctx, t_star, rng, n):
+    def recorded(ctx, t_star, spawn, n):
+        def spawning(m):
+            lanes = spawn(m)
+            record.calls.append((ctx, t_star, states(lanes), n))
+            return lanes
+
+        for b in _ENGINE(ctx, t_star, spawning, n):
             record.blocks += 1
             record.attempts += batch_fields([b], b.sold.size)
             yield b
@@ -347,8 +369,8 @@ def record_engine(monkeypatch) -> EngineRecord:
 
 
 def run_engine(ctx, t_star, n_reps, seed=7):
-    rng = substream(seed, "engine")
-    return batch_fields(list(market_sim._sale_attempts(ctx, t_star, rng, n_reps)), n_reps)
+    spawn = substream(seed, "engine").spawn
+    return batch_fields(list(market_sim._sale_attempts(ctx, t_star, spawn, n_reps)), n_reps)
 
 
 class TestSaleAttempts:
@@ -366,40 +388,42 @@ class TestSaleAttempts:
 
     def test_growing_a_run_past_the_budget_keeps_earlier_attempts(self, monkeypatch):
         # a zero rate thins at the RATE_FLOOR bound; with blocks of 64
-        # candidates every group of the long run is drawn in many blocks,
-        # and growing past one group keeps the short run's attempts
+        # candidates each attempt is a block of its own, the counts come
+        # in pieces of 64 attempts, and growing the run keeps the short
+        # run's attempts
         monkeypatch.setattr(stochastic, "_BLOCK", 64)
         cfg, path = make_config(), RatePath(1.0 / 252.0, np.zeros(6000))
-        n_short, n_long = 100, 3 * market_sim._GROUP + 50
+        n_short, n_long = 100, 3 * 256 + 50
         short = record_engine(monkeypatch)
         expected_price_curve(cfg, [1.0], n_short, 7, path=path)
         long_ = record_engine(monkeypatch)
         expected_price_curve(cfg, [1.0], n_long, 7, path=path)
-        assert len(short.groups) == 1 and len(long_.groups) == 4
+        assert len(short.calls) == len(long_.calls) == 1
         assert 1 < short.blocks < long_.blocks
-        assert long_.attempts[:market_sim._GROUP] == short.attempts
+        assert long_.attempts[:n_short] == short.attempts
 
     @pytest.mark.parametrize("budget", [1, 300])
     def test_batching_never_changes_an_attempt(self, monkeypatch, budget):
         ctx = cir_context()
-        whole, state = run_engine(ctx, 1.5, 40), substream(7, "engine")
-        list(market_sim._sale_attempts(ctx, 1.5, state, 40))
+        whole, ended = run_engine(ctx, 1.5, 40), engine_lanes(7, "engine")
+        list(market_sim._sale_attempts(ctx, 1.5, handing(ended), 40))
         monkeypatch.setattr(stochastic, "_BLOCK", budget)
-        rng = substream(7, "engine")
-        batches = list(market_sim._sale_attempts(ctx, 1.5, rng, 40))
+        lanes = engine_lanes(7, "engine")
+        batches = list(market_sim._sale_attempts(ctx, 1.5, handing(lanes), 40))
         assert len(batches) > 1
         assert batch_fields(batches, 40) == whole
-        assert rng.bit_generator.state == state.bit_generator.state
+        assert states(lanes) == states(ended)
 
     def test_run_sale_attempt_is_the_one_generator_batch(self):
         # 30 one-attempt batches from one generator, each through
-        # _sale_attempts, through run_sale_attempt and as the reference
-        # draws it: the same offers and outcome, bit for bit, and each
-        # generator left where the reference leaves it
+        # _sale_attempts with the generator as every lane, through
+        # run_sale_attempt and as the reference draws it: the same offers
+        # and outcome, bit for bit, and each generator left where the
+        # reference leaves it
         ctx, t_star = cir_context(), 1.5
         alone, through, ref = (substream(8, "engine") for _ in range(3))
         for _ in range(30):
-            one, = market_sim._sale_attempts(ctx, t_star, alone, 1)
+            one, = market_sim._sale_attempts(ctx, t_star, lambda m: [alone] * m, 1)
             assert batch_fields([one], 1)[0][:3] == tuple(
                 x.tobytes() for x in reference_attempt(ctx, t_star, ref))
             att = run_sale_attempt(ctx, t_star, through)
@@ -416,15 +440,15 @@ class TestSaleAttempts:
         # at RATE_FLOOR, k1 / 1e-4 offers a year: a mean of 2e6 or 1e7
         # an attempt over one year, against the cap of 1e6
         ctx = dataclasses.replace(flat_context(rate=0.0), demand=DemandParams(k1, 1000.0))
-        rng = substream(3, "cap")
-        before = rng.bit_generator.state
+        lanes = engine_lanes(3, "cap")
+        before = states(lanes)
         mean = float(ctx.demand.intensity(0.0, float(ctx.list_at(1.0))))
         with pytest.raises(ValueError, match=re.escape(f"Poisson mean {mean:g} per "
                                                        "replication exceeds the cap")):
-            list(market_sim._sale_attempts(ctx, 1.0, rng, 5))
-        assert rng.bit_generator.state == before
+            list(market_sim._sale_attempts(ctx, 1.0, handing(lanes), 5))
+        assert states(lanes) == before
         # a mean under the cap draws
-        assert len(list(market_sim._sale_attempts(ctx, 0.01, rng, 1))) == 1
+        assert len(list(market_sim._sale_attempts(ctx, 0.01, handing(lanes), 1))) == 1
 
     def test_increasing_list_raises(self, monkeypatch):
         # PathContext cannot hold a rising list, so one is patched in
@@ -432,7 +456,7 @@ class TestSaleAttempts:
                             lambda self, T: 200.0 - 60.0 * np.exp(-np.asarray(T, dtype=float)))
         ctx = flat_context()
         with pytest.raises(ValueError, match="exceeds bound"):
-            list(market_sim._sale_attempts(ctx, 1.0, substream(9, "up"), 50))
+            list(market_sim._sale_attempts(ctx, 1.0, substream(9, "up").spawn, 50))
 
     def test_guard_sees_every_candidate(self, monkeypatch):
         # the list dips below L(t_star) only on [0.5, 0.51): an attempt
@@ -458,7 +482,7 @@ class TestSaleAttempts:
             outcomes.append(raised)
         assert 0 < sum(outcomes) < len(outcomes)
         with pytest.raises(ValueError, match="exceeds bound"):
-            list(market_sim._sale_attempts(ctx, 1.0, substream(10, "dip"), 300))
+            list(market_sim._sale_attempts(ctx, 1.0, substream(10, "dip").spawn, 300))
 
     def test_rejects_non_positive_t_star(self):
         with pytest.raises(ValueError, match="t_star"):
@@ -480,17 +504,18 @@ def reference_attempt(ctx, t_star, rng):
     return cands[keep], value[keep], delay[keep]
 
 
-def reference_block(ctx, t_star, rng, n):
-    """n attempts' kept (arrival, value, delay) drawn the one-shot block
-    way: n candidate counts, then every candidate's time, then their
-    acceptance uniforms, values and delays, each field in one call on
-    rng; attempt j takes its slice of each field and sorts its times."""
+def reference_lanes(ctx, t_star, lanes, n):
+    """n attempts' kept (arrival, value, delay) drawn the one-shot lane
+    way: n candidate counts from lanes[0], then every candidate's time,
+    acceptance uniform, value and delay, each field in one call on its
+    own lane; attempt j takes its slice of each field and sorts its
+    times."""
     r_min = max(float(ctx.path.values.min()), RATE_FLOOR)
     bound = float(ctx.demand.intensity(r_min, float(ctx.list_at(t_star))))
-    counts = rng.poisson(bound * t_star, n)
+    counts = lanes[0].poisson(bound * t_star, n)
     total = int(counts.sum())
-    times, u = rng.uniform(0.0, t_star, total), rng.uniform(0.0, 1.0, total)
-    value, delay = ctx.offers.sample(rng, total), ctx.withdrawals.sample(rng, total)
+    times, u = lanes[1].uniform(0.0, t_star, total), lanes[2].uniform(0.0, 1.0, total)
+    value, delay = ctx.offers.sample(lanes[3], total), ctx.withdrawals.sample(lanes[4], total)
     out, edges = [], np.concatenate(([0], np.cumsum(counts)))
     for lo, hi in zip(edges[:-1], edges[1:]):
         cands = np.sort(times[lo:hi])
@@ -500,9 +525,9 @@ def reference_block(ctx, t_star, rng, n):
 
 
 class TestStreamIdentity:
-    """The engine's block draw against the one-shot reference draw, and its
-    one-attempt calls against the per-attempt reference, compared by
-    bytes."""
+    """The engine's block draw over distinct lanes against the one-shot
+    lane draw, and its one-attempt calls on one generator as every lane
+    against the per-attempt reference, compared by bytes."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), n_reps=st.integers(1, 6),
@@ -524,18 +549,19 @@ class TestStreamIdentity:
             return [tuple(x.tobytes() for x in att) for att in attempts]
 
         with mock.patch.object(stochastic, "_BLOCK", block):
-            # n_reps attempts as one block draw, against the one-shot draw
-            rng = substream(seed, "identity")
-            ref = copy.deepcopy(rng)
-            got = drawn(market_sim._sale_attempts(ctx, t_star, rng, n_reps))
-            assert got == as_bytes(reference_block(ctx, t_star, ref, n_reps))
-            assert rng.bit_generator.state == ref.bit_generator.state
-            # n_reps one-attempt calls on one generator, against the
-            # per-attempt reference drawn in order from one copy
+            # n_reps attempts as one block draw over distinct lanes,
+            # against each field drawn in one piece from its lane
+            lanes = engine_lanes(seed, "identity")
+            ref = copy.deepcopy(lanes)
+            got = drawn(market_sim._sale_attempts(ctx, t_star, handing(lanes), n_reps))
+            assert got == as_bytes(reference_lanes(ctx, t_star, ref, n_reps))
+            assert states(lanes) == states(ref)
+            # n_reps one-attempt calls on one generator as every lane,
+            # against the per-attempt reference drawn in order from one copy
             rng = substream(seed, "identity")
             ref = copy.deepcopy(rng)
             got = [att for _ in range(n_reps)
-                   for att in drawn(market_sim._sale_attempts(ctx, t_star, rng, 1))]
+                   for att in drawn(market_sim._sale_attempts(ctx, t_star, lambda m: [rng] * m, 1))]
             assert got == as_bytes(reference_attempt(ctx, t_star, ref) for _ in range(n_reps))
             # and the generator is left where the reference leaves it
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -593,7 +619,7 @@ def test_tight_bound_matches_rate_floor_bound_in_distribution():
         old_counts.append(arrivals.size)
         old_outcomes.append(reference_rule(list(zip(arrivals, values, delays)),
                                            ctx.list_at, ctx.reservation, t_star))
-    batches = list(market_sim._sale_attempts(ctx, t_star, substream(12, "tight-bound"), n))
+    batches = list(market_sim._sale_attempts(ctx, t_star, substream(12, "tight-bound").spawn, n))
     new_counts = np.concatenate([np.bincount(b.rep, minlength=b.sold.size) for b in batches])
     new_sold = np.concatenate([b.sold for b in batches])
     new_prices = np.concatenate([b.price[b.sold] for b in batches])
@@ -623,7 +649,7 @@ def test_engine_mean_payoff_is_the_exact_conditional_payoff(i, t_post, window):
         window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
     ctx = cfg.context(path.shifted(t_post, window), R, L0, cfg.zeta)
     payoff = []
-    for b in market_sim._sale_attempts(ctx, window, substream(99, "engine-exact", i), n):
+    for b in market_sim._sale_attempts(ctx, window, substream(99, "engine-exact", i).spawn, n):
         discount = np.exp(-ctx.path._cumulative(np.where(b.sold, b.time, 0.0)))
         payoff.append(np.where(b.sold, b.price * discount, 0.0))  # no sale pays 0
     payoff = np.concatenate(payoff)
@@ -840,48 +866,47 @@ class TestExpectedPriceCurve:
         assert p_low.mean_price > p_high.mean_price
         assert p_low.no_sale_fraction < p_high.no_sale_fraction
 
-    def test_replications_draw_in_groups_from_their_substreams(self, monkeypatch):
-        # posting time i's attempts in a k- and a 2k-replication run: group
-        # g is _GROUP attempts drawn as one block from substream(seed,
-        # "price", i, g), the reference block draw; the k run's groups are
-        # the first of the 2k run's, and each point reads the first n
+    def test_each_posting_time_draws_from_its_lanes(self, monkeypatch):
+        # posting time i's attempts in a k- and a 2k-replication run: one
+        # block draw over the lanes spawned from substream(seed, "price", i),
+        # the reference lane draw; the k run's attempts are the first of
+        # the 2k run's, and each point reads all n of its attempts
         cfg, seed, times, k = make_config(), 2**40 + 7, [2.0, 9.0, 16.0], 150
-        G = market_sim._GROUP
         runs = []
         for n in (k, 2 * k):
             record = record_engine(monkeypatch)
             points = expected_price_curve(cfg, times, n, seed)
-            n_groups = -(-n // G)
-            assert len(record.groups) == len(times) * n_groups
+            assert len(record.calls) == len(times)
             assert all(p.n_sales >= 2 for p in points)
-            for i, p in enumerate(points):
-                groups = record.groups[i * n_groups:(i + 1) * n_groups]
-                attempts = record.attempts[i * n_groups * G:(i + 1) * n_groups * G]
-                want = []
-                for g, (ctx, t_star, state, size) in enumerate(groups):
-                    rng = substream(seed, "price", i, g)
-                    assert (size, state) == (G, rng.bit_generator.state)
-                    want += reference_block(ctx, t_star, rng, G)
+            for i, (p, (ctx, t_star, start, size)) in enumerate(zip(points, record.calls)):
+                lanes = engine_lanes(seed, "price", i)
+                assert (size, start) == (n, states(lanes))
+                attempts = record.attempts[i * n:(i + 1) * n]
                 assert [a[:3] for a in attempts] == [tuple(x.tobytes() for x in w)
-                                                     for w in want]
-                assert p.n_sales == sum(np.frombuffer(a[3], dtype=bool)[0]
-                                        for a in attempts[:n])
+                                                     for w in reference_lanes(ctx, t_star,
+                                                                              lanes, n)]
+                assert p.n_sales == sum(np.frombuffer(a[3], dtype=bool)[0] for a in attempts)
             runs.append(record.attempts)
         short, long_ = runs
-        assert len(short) == len(times) * G
+        assert len(short) == len(times) * k
         for i in range(len(times)):
-            assert short[i * G:(i + 1) * G] == long_[i * 2 * G:i * 2 * G + G]
+            assert short[i * k:(i + 1) * k] == long_[i * 2 * k:i * 2 * k + k]
 
-    def test_growing_n_keeps_the_first_attempts(self, monkeypatch):
-        # 1,000 and 2,000 replications, neither a multiple of _GROUP: the
-        # 2,000-run's first 1,000 attempts are the 1,000-run's, bit for bit
-        assert 1000 % market_sim._GROUP and 2000 % market_sim._GROUP
+    @pytest.mark.parametrize("block", [stochastic._BLOCK, 64])
+    def test_growing_n_keeps_the_first_attempts(self, monkeypatch, block):
+        # 1,000 and 2,000 replications: the 2,000-run's first 1,000
+        # attempts are the 1,000-run's, bit for bit; with blocks of 64
+        # both runs cross count pieces and block edges
+        monkeypatch.setattr(stochastic, "_BLOCK", block)
         cfg, seed = make_config(), 36
         short = record_engine(monkeypatch)
         p_short = expected_price_curve(cfg, [3.0], 1000, seed)[0]
         long_ = record_engine(monkeypatch)
         p_long = expected_price_curve(cfg, [3.0], 2000, seed)[0]
-        assert short.attempts[:1000] == long_.attempts[:1000]
+        assert len(short.attempts) == 1000
+        assert short.attempts == long_.attempts[:1000]
+        # more blocks than the 16 count pieces: some piece splits at a block edge
+        assert block > 64 or short.blocks > -(-1000 // 64)
         assert p_short.t_star == p_long.t_star
         assert p_short.n_sales == sum(np.frombuffer(a[3], dtype=bool)[0]
                                       for a in long_.attempts[:1000])

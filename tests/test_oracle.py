@@ -38,28 +38,6 @@ class TestMcAuxiliary:
         b = mc_auxiliary_payoff(1.0, market, 50_000, seed=3)
         assert a == b
 
-    def test_growing_n_keeps_earlier_replications(self, market, monkeypatch):
-        # the chunked substreams keep whole chunks: the first chunk of a
-        # two-chunk run holds the one-chunk run's payoffs, bit for bit
-        replicate, runs = oracle._replicate, []
-
-        def recorded(n, seed, key, chunk_payoffs):
-            chunks = []
-            runs.append(chunks)
-
-            def chunk(rng, k):
-                payoffs = chunk_payoffs(rng, k)
-                chunks.append([x.tobytes() for x in payoffs])
-                return payoffs
-            return replicate(n, seed, key, chunk)
-
-        monkeypatch.setattr(oracle, "_replicate", recorded)
-        small = mc_auxiliary_payoff(1.0, market, 131_072, seed=4)
-        large = mc_auxiliary_payoff(1.0, market, 262_144, seed=4)
-        assert oracle._CHUNK == 131_072 and [len(r) for r in runs] == [1, 2]
-        assert runs[1][0] == runs[0][0]
-        assert abs(small.mean - large.mean) < 4.0 * small.stderr
-
     def test_a_poisson_mean_above_the_cap_raises(self, market):
         m = MarketParams(2e6, market.mu, market.r, market.p_min, market.p_max)
         with pytest.raises(ValueError, match=re.escape("Poisson mean 2e+06 per replication "
@@ -184,12 +162,12 @@ _DEFAULT_BLOCK = stochastic._BLOCK
 class TestSharedDraws:
     """The bodies behind validate_all read several estimates from one
     simulation; each must equal its separate public call exactly, and
-    no estimate depends on the block size of the offer draw."""
+    no payoff depends on the block size of the offer draw."""
 
     @pytest.fixture(autouse=True)
-    def small_sizes(self, monkeypatch):
-        # several chunks, the last one partial, each of many blocks
-        monkeypatch.setattr(oracle, "_CHUNK", 300)
+    def small_blocks(self, monkeypatch):
+        # count pieces of 40 replications, the last one partial, each of
+        # many blocks
         monkeypatch.setattr(stochastic, "_BLOCK", 40)
 
     @pytest.mark.parametrize("mu, R", [(5.0, 140.0), (0.0, 140.0), (5.0, 250.0)])
@@ -218,45 +196,53 @@ class TestSharedDraws:
                                                   (8.0, 0.0, 0.5, 140.0, 180.0),
                                                   (8.0, 5.0, 0.5, 250.0, 260.0),
                                                   (12.0, 5.0, 10.0, 140.0, 180.0)])
-    def test_block_size_never_changes_an_estimate(self, monkeypatch, lam, mu, T, R, L):
+    def test_block_size_never_changes_a_payoff(self, monkeypatch, lam, mu, T, R, L):
+        # every replication's payoffs, bit for bit; the estimates sum them
+        # once per count piece, so only their last bits may follow the
+        # block size
         m = MarketParams(lam, mu, 0.1, 100.0, 200.0)
         ctx = _context(mu, R, L)
         modes = ("changing", "none", "constant")
 
-        def estimates():
-            return (oracle._mc_auxiliary(T, m, 700, 5, (m.p_min, R)),
-                    mc_auxiliary_payoff(T, m, 700, 5, reservation=R),
-                    mc_listed_payoff(T, m, R, L, 700, 5),
-                    oracle._mc_path(ctx, 1.0, modes, 700, 5))
+        def payoffs():
+            with monkeypatch.context() as mp:
+                calls = _record_payoffs(mp)
+                ests = [*oracle._mc_auxiliary(T, m, 700, 5, (m.p_min, R)),
+                        mc_auxiliary_payoff(T, m, 700, 5, reservation=R),
+                        mc_listed_payoff(T, m, R, L, 700, 5),
+                        *oracle._mc_path(ctx, 1.0, modes, 700, 5)]
+            # the sums behind each estimate skip and repeat no block
+            _assert_estimates_sum_the_payoffs(ests, calls)
+            return ests, [_payoff_bytes(blocks) for blocks in calls]
 
-        small = estimates()
+        small, small_payoffs = payoffs()
         with monkeypatch.context() as mp:
             calls = _record_blocks(mp)
             oracle._mc_path(ctx, 1.0, modes, 700, 5)
-        # three chunks, each read once, in several blocks
-        assert len(calls) == 3 and all(len(blocks) > 1 for blocks in calls)
+        # one draw, read once, in more blocks than its 18 count pieces
+        assert len(calls) == 1 and len(calls[0]) > -(-700 // 40)
         monkeypatch.setattr(stochastic, "_BLOCK", _DEFAULT_BLOCK)
-        assert estimates() == small
+        assert payoffs()[1] == small_payoffs
         if lam == 0.0 or R > m.p_max:
-            assert small[2].mean == 0.0 and small[1].mean == 0.0
+            assert small[3].mean == 0.0 and small[2].mean == 0.0
 
-    def test_cells_with_equal_lam_T_share_their_offers(self):
-        # the stream key names no cell: validate_all reads chunk i of every
-        # (T, lam) cell from substream(seed, "mc-aux", i), so two cells with
-        # equal lam*T draw the same counts, values and delays, and arrivals
-        # that differ only by the factor T
-        def offers(lam, T):
-            m = MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
-            blocks = list(oracle._offers(substream(1, "mc-aux", 0), 300, m, T))
-            counts = np.concatenate([np.bincount(rep, minlength=k) for k, rep, *_ in blocks])
-            return [counts] + [np.concatenate(f) for f in zip(*(b[2:] for b in blocks))]
+    def test_no_two_simulations_share_a_key(self, monkeypatch):
+        # validate_all keys each (T, lam) cell and each path t by a row
+        # label, so cells with equal lam*T (2.0 here) draw different offers
+        keys, replicate = [], oracle._replicate
 
-        (counts, arrival, value, delay), (counts2, arrival2, value2, delay2) = (
-            offers(2.0, 1.0), offers(1.0, 2.0))
-        assert counts.size == 300 and counts.sum() > 0
-        assert np.array_equal(counts, counts2)
-        assert np.array_equal(value, value2) and np.array_equal(delay, delay2)
-        assert np.array_equal(arrival / 1.0, arrival2 / 2.0)
+        def recorded(n, seed, key, *rest):
+            keys.append(key)
+            return replicate(n, seed, key, *rest)
+
+        monkeypatch.setattr(oracle, "_replicate", recorded)
+        validate_all(n=300, seed=1, t_values=(1.0, 2.0), lam_values=(1.0, 2.0),
+                     path_t_values=(0.5, 1.0))
+        assert len(keys) == len(set(keys)) == 2 * 4 + 2 * 2
+        equal_lam_T = ("aux T=1.0 lam=2.0", "aux T=2.0 lam=1.0")
+        assert set(equal_lam_T) <= set(keys)
+        counts = [substream(1, key).spawn(1)[0].poisson(2.0, 300) for key in equal_lam_T]
+        assert counts[0].sum() > 0 and not np.array_equal(*counts)
 
 
 def _record_blocks(mp):
@@ -264,8 +250,8 @@ def _record_blocks(mp):
     entries), in the list this returns."""
     calls, blocks = [], oracle._blocks
 
-    def record(rng, mean, k, fields):
-        drawn = list(blocks(rng, mean, k, fields))
+    def record(spawn, mean, k, fields):
+        drawn = list(blocks(spawn, mean, k, fields))
         calls.append([(k, rep.size) for k, rep, *_ in drawn])
         return iter(drawn)
 
@@ -273,35 +259,93 @@ def _record_blocks(mp):
     return calls
 
 
+def _record_payoffs(mp):
+    """Make oracle._replicate record, per call, the payoff arrays of each
+    block, in the list this returns."""
+    calls, replicate = [], oracle._replicate
+
+    def recorded(n, seed, key, mean, fields, block_payoffs):
+        blocks = []
+        calls.append(blocks)
+
+        def block(*drawn):
+            blocks.append(block_payoffs(*drawn))
+            return blocks[-1]
+        return replicate(n, seed, key, mean, fields, block)
+
+    mp.setattr(oracle, "_replicate", recorded)
+    return calls
+
+
+def _payoff_bytes(blocks):
+    """Each estimate's payoffs of every replication, as bytes."""
+    return [np.concatenate(x).tobytes() for x in zip(*blocks)]
+
+
+def _assert_estimates_sum_the_payoffs(ests, calls):
+    """Each McEstimate of ests, in the order of the _replicate calls
+    recorded in `calls`, is the mean and standard error of its recorded
+    payoffs."""
+    payoffs = [np.concatenate(x) for blocks in calls for x in zip(*blocks)]
+    assert len(payoffs) == len(ests)
+    for est, x in zip(ests, payoffs):
+        assert est.n == x.size
+        assert est.mean == pytest.approx(x.mean(), rel=1e-12, abs=1e-300)
+        assert est.stderr == pytest.approx(x.std(ddof=1) / math.sqrt(x.size),
+                                           rel=1e-12, abs=1e-300)
+
+
+_GROW = {
+    "aux": lambda m, n: mc_auxiliary_payoff(1.0, m, n, seed=4),
+    "listed": lambda m, n: mc_listed_payoff(1.0, m, 140.0, 180.0, n, seed=4),
+    "path": lambda m, n: mc_path_payoff(table2_context(sigma0_table2_path(1.5)), 1.0,
+                                        "changing", n, seed=4),
+}
+
+
+@pytest.mark.parametrize("block", [_DEFAULT_BLOCK, 40])
+@pytest.mark.parametrize("estimator", list(_GROW))
+def test_growing_n_keeps_earlier_replications(market, monkeypatch, estimator, block):
+    # the first 1,000 payoffs of a 2,000-replication run are those of a
+    # 1,000-replication run, bit for bit; with blocks of 40 both runs
+    # cross count pieces and block edges
+    monkeypatch.setattr(stochastic, "_BLOCK", block)
+    calls = _record_payoffs(monkeypatch)
+    small, large = _GROW[estimator](market, 1000), _GROW[estimator](market, 2000)
+    (short,), (long_,) = (_payoff_bytes(blocks) for blocks in calls)
+    assert len(short) == 1000 * 8 and long_[:len(short)] == short
+    assert np.count_nonzero(np.frombuffer(short)) > 0
+    assert block > 40 or len(calls[0]) > -(-1000 // 40)
+    assert abs(small.mean - large.mean) < 4.0 * small.stderr
+
+
 def _one_piece_path(ctx, t, modes, n, seed):
-    """The path oracle as it would be without blocks: a chunk's candidate
-    times, acceptance uniforms, values and delays each drawn in one piece
-    for every candidate, every candidate tested against the intensity,
-    and the kept ones taken."""
+    """The path oracle's payoffs, as bytes, as they would be without
+    blocks: the n candidate counts, then every candidate's time,
+    acceptance uniform, value and delay, each drawn in one piece from its
+    lane, every candidate tested against the intensity, and the kept
+    ones taken."""
     intensity, cum_rate = oracle._path_tools(ctx)
     _, bound = oracle._bracket(ctx, t)
     disc_t = math.exp(-float(cum_rate(t)))
     R = ctx.reservation
-
-    def chunk(rng, k):
-        n_cand = rng.poisson(bound * t, k)
-        total = int(n_cand.sum())
-        a_all = rng.uniform(0.0, t, total)
-        lists_all = ctx.list_at(a_all)
-        idx, rep = oracle._kept(rng.uniform(0.0, 1.0, total) * bound
-                                < intensity(a_all, lists_all),
-                                np.repeat(np.arange(k), n_cand))
-        a = a_all.take(idx)
-        value = np.asarray(ctx.offers.sample(rng, total), dtype=float).take(idx)
-        delay = np.asarray(ctx.withdrawals.sample(rng, total), dtype=float).take(idx)
-        alive = (value >= R) & (delay >= t - a)
-        above = value >= lists_all.take(idx)
-        never = np.zeros(a.size, bool)
-        return [oracle._list_rule(rep, k, a, value, hit, alive & ~hit,
-                                  lambda s: np.exp(-cum_rate(s)), disc_t)
-                for hit in (never if mode == "none" else above for mode in modes)]
-
-    return oracle._replicate(n, seed, "mc-path", chunk)
+    lanes = substream(seed, "mc-path").spawn(5)
+    n_cand = lanes[0].poisson(bound * t, n)
+    total = int(n_cand.sum())
+    a_all = lanes[1].uniform(0.0, t, total)
+    lists_all = ctx.list_at(a_all)
+    idx, rep = oracle._kept(lanes[2].uniform(0.0, 1.0, total) * bound
+                            < intensity(a_all, lists_all),
+                            np.repeat(np.arange(n), n_cand))
+    a = a_all.take(idx)
+    value = np.asarray(ctx.offers.sample(lanes[3], total), dtype=float).take(idx)
+    delay = np.asarray(ctx.withdrawals.sample(lanes[4], total), dtype=float).take(idx)
+    alive = (value >= R) & (delay >= t - a)
+    above = value >= lists_all.take(idx)
+    never = np.zeros(a.size, bool)
+    return [oracle._list_rule(rep, n, a, value, hit, alive & ~hit,
+                              lambda s: np.exp(-cum_rate(s)), disc_t).tobytes()
+            for hit in (never if mode == "none" else above for mode in modes)]
 
 
 # Contexts that stress the squeeze, the lower bound on the intensity
@@ -325,15 +369,11 @@ _SQUEEZE_CASES = {
 
 
 class TestBlockedPathOracle:
-    """The path oracle draws each chunk in blocks, in one pass, and
-    evaluates the intensity only where the squeeze does not decide; its
-    estimates are those of the one-piece draw, bit for bit."""
+    """The path oracle draws in blocks, in one pass, and evaluates the
+    intensity only where the squeeze does not decide; its payoffs are
+    those of the one-piece draw, bit for bit."""
 
     MODES = ("changing", "none", "constant")
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_CHUNK", 300)
 
     @pytest.mark.parametrize("block", [7, _DEFAULT_BLOCK])
     @pytest.mark.parametrize("case", list(_SQUEEZE_CASES))
@@ -342,36 +382,40 @@ class TestBlockedPathOracle:
         ctx = dataclasses.replace(_context(10.0, 140.0, 200.0), **_SQUEEZE_CASES[case])
         if case == "rate floor":
             assert ctx.path.values[ctx.path.times <= 1.0].min() < RATE_FLOOR
+        calls = _record_payoffs(monkeypatch)
         got = oracle._mc_path(ctx, 1.0, self.MODES, 700, 9)
-        assert got == _one_piece_path(ctx, 1.0, self.MODES, 700, 9)
+        assert _payoff_bytes(calls[0]) == _one_piece_path(ctx, 1.0, self.MODES, 700, 9)
+        _assert_estimates_sum_the_payoffs(got, calls)
         if case == "R above every offer":
             assert all(est.mean == 0.0 for est in got)
 
-    def test_a_chunk_without_candidates(self, monkeypatch):
+    def test_a_run_without_candidates(self, monkeypatch):
         ctx = _context(10.0, 140.0, 200.0)
-        calls = _record_blocks(monkeypatch)
+        calls, payoffs = _record_blocks(monkeypatch), _record_payoffs(monkeypatch)
         got = oracle._mc_path(ctx, 1e-9, self.MODES, 50, 9)
         assert calls and all(size == 0 for blocks in calls for _, size in blocks)
         assert got == [McEstimate(0.0, 0.0, 50)] * 3
-        assert got == _one_piece_path(ctx, 1e-9, self.MODES, 50, 9)
+        assert _payoff_bytes(payoffs[0]) == _one_piece_path(ctx, 1e-9, self.MODES, 50, 9)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 300), block=st.integers(1, 64),
        lam=st.sampled_from([0.0, 0.4, 3.0, 30.0]), mu=st.sampled_from([0.0, 5.0]))
 def test_blocked_offers_are_the_one_shot_draw(seed, k, block, lam, mu):
-    # the blocks cut one draw of every field, in replication order, so a
-    # change in numpy's PCG64.advance or uniform output shows up here
+    # the counts come in pieces of `block` replications from the first
+    # lane, and the blocks cut one draw of each field from its own lane,
+    # in replication order
     m = MarketParams(lam, mu, 0.1, 100.0, 200.0)
     T = 1.5
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stochastic, "_BLOCK", block)
-        blocks = list(oracle._offers(np.random.default_rng(seed), k, m, T))
-    ref = np.random.default_rng(seed)
-    counts = ref.poisson(lam * T, k)
+        blocks = list(stochastic._blocks(np.random.default_rng(seed).spawn, lam * T, k,
+                                         oracle._offers(m, T)))
+    ref = np.random.default_rng(seed).spawn(4)
+    counts = ref[0].poisson(lam * T, k)
     total = int(counts.sum())
-    one_shot = (ref.uniform(0.0, T, total), ref.uniform(100.0, 200.0, total),
-                ref.exponential(1.0 / mu, total) if mu > 0 else np.full(total, np.inf))
+    one_shot = (ref[1].uniform(0.0, T, total), ref[2].uniform(100.0, 200.0, total),
+                ref[3].exponential(1.0 / mu, total) if mu > 0 else np.full(total, np.inf))
     lo = 0
     for k_block, rep, *fields in blocks:
         assert rep.tobytes() == np.repeat(np.arange(k_block), counts[lo:lo + k_block]).tobytes()
@@ -381,8 +425,8 @@ def test_blocked_offers_are_the_one_shot_draw(seed, k, block, lam, mu):
     assert lo == k
     for field, expected in zip(zip(*(b[2:] for b in blocks)), one_shot):
         assert np.concatenate(field).tobytes() == expected.tobytes()
-    if lam == 0.0:
-        assert len(blocks) == 1
+    if lam == 0.0:  # one block per count piece
+        assert len(blocks) == -(-k // block)
 
 
 @st.composite
@@ -421,8 +465,8 @@ def test_one_best_survivor_gives_every_reservation(seed, k, resv):
     # does, and then it is the best of those (offers are > 0)
     m = MarketParams(5.0, 5.0, 0.1, 100.0, 200.0)
     T, disc = 0.7, math.exp(-0.07)
-    for k_block, rep, arrival, value, delay in oracle._offers(np.random.default_rng(seed),
-                                                              k, m, T):
+    for k_block, rep, arrival, value, delay in stochastic._blocks(
+            np.random.default_rng(seed).spawn, m.lam * T, k, oracle._offers(m, T)):
         survived = delay >= T - arrival
         idx, rep_survived = oracle._kept(survived, rep)
         best = oracle._segment(np.maximum, value.take(idx), rep_survived, k_block, 0.0)
@@ -511,23 +555,34 @@ class TestValidateAll:
         assert any(r.verdict == "FAIL" and r.name.startswith("aux") for r in report.rows)
 
     def test_rows_equal_the_public_estimators(self, monkeypatch):
-        # several chunks, the last one partial: each row's mean and
-        # stderr are exactly those of a separate public call
-        monkeypatch.setattr(oracle, "_CHUNK", 300)
+        # count pieces of 40 replications, the last one partial: each
+        # row's mean and stderr are exactly those of a separate call of
+        # the body behind its public estimator, under the row's
+        # simulation key
+        monkeypatch.setattr(stochastic, "_BLOCK", 40)
         n, seed, T, lam, t = 700, 11, 0.5, 3.0, 0.5
         report = validate_all(n=n, seed=seed, t_values=(T,), lam_values=(lam,),
                               path_t_values=(t,))
         rows = {r.name: (r.mc_mean, r.mc_stderr) for r in report.rows}
         m = MarketParams(lam, 5.0, 0.1, 100.0, 200.0)
-        ctx = table2_context(sigma0_table2_path(t + 0.1))
+        path = sigma0_table2_path(t + 0.1)
+        ctx, cell = table2_context(path), f"T={T} lam={lam}"
+        (aux,), (thinned,) = (oracle._mc_auxiliary(T, m, n, seed, (resv,), f"aux {cell}")
+                              for resv in (m.p_min, 140.0))
+        (changing,), (none,), (constant,) = (
+            oracle._mc_path(c, t, (mode,), n, seed, f"path-{key} t={t}")
+            for c, mode, key in [(ctx, "changing", "changing-exact"),
+                                 (ctx, "none", "changing-exact"),
+                                 (table2_context(path, constant_list=True), "constant",
+                                  "constant")])
         expected = {
-            f"aux T={T} lam={lam}": mc_auxiliary_payoff(T, m, n, seed),
-            f"thinned T={T} lam={lam}": mc_auxiliary_payoff(T, m, n, seed,
-                                                            reservation=140.0),
-            f"listed-exact T={T} lam={lam}": mc_listed_payoff(T, m, 140.0, 180.0,
-                                                              n, seed),
-            f"path-changing-exact t={t}": mc_path_payoff(ctx, t, "changing", n, seed),
-            f"path-no-list t={t}": mc_path_payoff(ctx, t, "none", n, seed),
+            f"aux {cell}": aux,
+            f"thinned {cell}": thinned,
+            f"listed-exact {cell}": oracle._mc_listed(T, m, 140.0, 180.0, n, seed,
+                                                      f"listed-exact {cell}"),
+            f"path-changing-exact t={t}": changing,
+            f"path-no-list t={t}": none,
+            f"path-constant t={t}": constant,
         }
         for name, est in expected.items():
             assert rows[name] == (est.mean, est.stderr), name
