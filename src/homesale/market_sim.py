@@ -5,7 +5,8 @@ rate-threshold profit opportunity) -> waiting-time optimization -> sale
 attempt -> price update, over one realized rate path.  Sale attempts
 collect offers from the demand-driven Poisson stream, sell immediately
 on a list-price crossing, and otherwise take the best surviving offer
-above the reservation price when the committed waiting time runs out.
+above the reservation price when the committed waiting time runs out:
+stochastic._settle, the one sale rule, which the oracles play too.
 
 EvolutionConfig checks every input once, when it is built; past that
 point the simulator carries plain floats (an owner is its occupation end
@@ -32,7 +33,7 @@ from .closed_form import MarketParams, _require_finite, expected_utility
 from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
-from .stochastic import (CirParams, DemandParams, RatePath, _blocks, _thin,
+from .stochastic import (CirParams, DemandParams, RatePath, _blocks, _settle, _thin,
                          sample_nhpp, simulate_cir, substream)
 
 __all__ = [
@@ -151,31 +152,11 @@ def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
                delay: np.ndarray, n: int, listed: np.ndarray, R: float,
                t_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sold, price, time) for n attempts from their offers, ordered by
-    (rep, arrival), with listed the list price at each offer's arrival.
-
-    Immediate sale at an attempt's first offer whose value meets the list
-    price at its arrival; otherwise, at t_star, its best offer above R
-    that has not been withdrawn; otherwise no sale.
-    """
-    price = np.full(n, math.nan)
-    time = np.full(n, math.nan)
-    alive = (value >= R) & (delay >= t_star - arrival)
-    best = np.full(n, -math.inf)
-    np.maximum.at(best, rep[alive], value[alive])
-    sold = best >= R
-    price[sold] = best[sold]
-    time[sold] = t_star
-    # a crossing overrides the deadline auction; the first one per rep wins
-    cross = np.flatnonzero(value >= listed)
-    rc = rep[cross]
-    leads = np.ones(rc.size, dtype=bool)
-    leads[1:] = rc[1:] != rc[:-1]
-    first = cross[leads]
-    won = rep[first]
-    sold[won] = True
-    price[won] = value[first]
-    time[won] = arrival[first]
-    return sold, price, time
+    (rep, arrival): _settle at t_star, and NaN price and time for no sale."""
+    t_first, price = _settle(rep, n, arrival, value, delay, listed, R, t_star)
+    sold = price > 0.0
+    time = np.where(np.isfinite(t_first), t_first, t_star)
+    return sold, np.where(sold, price, math.nan), np.where(sold, time, math.nan)
 
 
 def _sale_attempts(ctx: PathContext, t_star: float, spawn, n: int):
@@ -216,10 +197,7 @@ def run_sale_attempt(ctx: PathContext, t_star: float,
     contains arrivals after the sale.
     """
     (b,) = _sale_attempts(ctx, t_star, lambda m: [rng] * m, 1)
-    if b.sold[0]:
-        outcome = SaleOutcome(True, float(b.price[0]), float(b.time[0]))
-    else:
-        outcome = SaleOutcome(False)
+    outcome = SaleOutcome(bool(b.sold[0]), float(b.price[0]), float(b.time[0]))
     kept = b.arrival <= (outcome.time if outcome.sold else t_star)
     offers = list(zip(b.arrival[kept].tolist(), b.value[kept].tolist(),
                       b.delay[kept].tolist()))

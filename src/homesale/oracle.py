@@ -2,21 +2,21 @@
 
 These simulate the model definitions directly -- Poisson offer counts,
 uniform arrivals, uniform values, exponential withdrawals.  They share
-with the analytic modules only the RNG substream scheme, the offer and
-withdrawal laws (UniformOffers.sample, ExponentialWithdrawals.sample),
-PathContext.list_at (the list schedule, single on purpose) and
-RatePath._check_ends: the rate-path integrals and offer intensities are
-recomputed locally.  validate_all runs the whole comparison matrix and
-renders a pass/fail table with z-scores.
+with the rest of the package only the RNG substream scheme, the block
+draw and the sale rule of the sale engine (stochastic._blocks and
+_settle), the offer and withdrawal laws (UniformOffers.sample,
+ExponentialWithdrawals.sample), PathContext.list_at (the list schedule,
+single on purpose) and RatePath._check_ends: the rate-path integrals and
+offer intensities are recomputed locally.  validate_all runs the whole
+comparison matrix and renders a pass/fail table with z-scores.
 
-Every estimator goes through _replicate: one block draw
-(stochastic._blocks, shared with the sale engine) of all n replications
-over lanes spawned from substream(seed, key), the Poisson counts from
-one lane and each field from its own.  Each lane is read in replication
-order, so the first n replications of a run are those of a run of n,
-at any n.  One simulation may yield several estimates that read the same
-draws.  The block draw, the list-crossing settlement (_list_rule) and
-the per-replication reducer (_segment) are each written once and shared.
+Every estimator goes through _replicate: one block draw (_blocks) of
+all n replications over lanes spawned from substream(seed, key), the
+Poisson counts from one lane and each field from its own.  Each lane is
+read in replication order, so the first n replications of a run are
+those of a run of n, at any n.  One simulation may yield several
+estimates that read the same draws.  The listed and path oracles settle
+each block by _settle and discount its prices (_discounted).
 
 The blocks hold whole replications of at most stochastic._BLOCK entries,
 so no array grows with n, lam*T or bound*t.  Values and delays come from
@@ -49,7 +49,7 @@ from .path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                           conditional_payoff_constant_list,
                           conditional_payoff_no_list)
 from .stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _blocks,
-                         simulate_cir, substream)
+                         _kept, _segment, _settle, simulate_cir, substream)
 
 __all__ = [
     "McEstimate",
@@ -108,22 +108,6 @@ def _replicate(n: int, seed: int, key: str, mean: float, fields,
     return ests
 
 
-def _segment(ufunc: np.ufunc, vals: np.ndarray, rep: np.ndarray, k: int,
-             empty: float) -> np.ndarray:
-    """Per-replication minimum or maximum (ufunc) of vals, entry i
-    belonging to replication rep[i] of k; `empty` for replications
-    without entries."""
-    out = np.full(k, empty)
-    ufunc.at(out, rep, vals)
-    return out
-
-
-def _kept(mask: np.ndarray, rep: np.ndarray):
-    """Flat indices of the entries `mask` keeps, and their replications."""
-    idx = np.flatnonzero(mask)
-    return idx, rep.take(idx)
-
-
 def _offers(m: MarketParams, T: float) -> tuple:
     """The fields of an offer on [0, T], drawn Poisson(lam*T) times a
     replication: uniform arrival and value, Exponential(mu) withdrawal
@@ -132,21 +116,12 @@ def _offers(m: MarketParams, T: float) -> tuple:
             UniformOffers(m.p_min, m.p_max).sample, ExponentialWithdrawals(m.mu).sample)
 
 
-def _list_rule(rep, k, arrival, value, above, standing, disc_at, disc_end):
-    """Payoff per replication under a public list: the first offer in
-    time at or above the list (`above`) sells at its arrival, discounted
-    by disc_at; otherwise the best `standing` offer sells at the end,
-    discounted by disc_end; otherwise zero."""
-    idx, rep_above = _kept(above, rep)
-    first = arrival.take(idx)
-    t_first = _segment(np.minimum, first, rep_above, k, np.inf)
+def _discounted(settled, disc_at, disc_end) -> np.ndarray:
+    """Payoffs from a _settle result: a crossing sale's price discounted
+    by disc_at(its arrival), an end sale's by disc_end, no sale 0.0."""
+    t_first, price = settled
     crossed = np.isfinite(t_first)
-    win, rep_win = _kept(first == t_first.take(rep_above), rep_above)
-    win_value = _segment(np.maximum, value.take(idx.take(win)), rep_win, k, 0.0)
-    idx, rep_standing = _kept(standing, rep)
-    fallback = _segment(np.maximum, value.take(idx), rep_standing, k, 0.0)
-    return np.where(crossed, disc_at(np.where(crossed, t_first, 0.0)) * win_value,
-                    disc_end * fallback)
+    return np.where(crossed, disc_at(np.where(crossed, t_first, 0.0)), disc_end) * price
 
 
 def _check_inputs(T: float, **prices) -> None:
@@ -213,10 +188,8 @@ def _mc_listed(T: float, m: MarketParams, R: float, L: float, n: int,
     disc_T = math.exp(-m.r * T)
 
     def block(k, rep, arrival, value, delay):
-        above = value >= L
-        standing = (delay >= T - arrival) & (value >= R) & ~above
-        return [_list_rule(rep, k, arrival, value, above, standing,
-                           lambda s: np.exp(-m.r * s), disc_T)]
+        return [_discounted(_settle(rep, k, arrival, value, delay, L, R, T),
+                            lambda s: np.exp(-m.r * s), disc_T)]
 
     return _replicate(n, seed, key, m.lam * T, _offers(m, T), block)[0]
 
@@ -286,12 +259,10 @@ def _mc_path(ctx: PathContext, t: float, modes: tuple, n: int,
         keep, rest = u < squeeze, np.flatnonzero(u >= squeeze)
         keep[rest] = u[rest] < intensity(a[rest], ctx.list_at(a[rest]))
         idx, rep = _kept(keep, rep)
-        a, value = a.take(idx), value.take(idx)
-        alive = (value >= ctx.reservation) & (delay.take(idx) >= t - a)
-        above = value >= ctx.list_at(a)  # mode "none" has no list to be above
-        return [_list_rule(rep, k, a, value, hit, alive & ~hit,
-                           lambda s: np.exp(-cum_rate(s)), disc_t)
-                for hit in (above & (mode != "none") for mode in modes)]
+        a, value, delay = a.take(idx), value.take(idx), delay.take(idx)
+        return [_discounted(_settle(rep, k, a, value, delay, np.inf if mode == "none"
+                                    else ctx.list_at(a), ctx.reservation, t),
+                            lambda s: np.exp(-cum_rate(s)), disc_t) for mode in modes]
 
     return _replicate(n, seed, key, bound * t, fields, block)
 

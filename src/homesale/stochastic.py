@@ -7,7 +7,9 @@ a uniform grid whose step is finite and positive; sample_nhpp returns
 the array of offer arrival times.  _blocks is the block draw of the
 sale engine and the oracles: one lane (generator) per draw field, each
 read in replication order, so growing a run of any size never changes
-the replications already drawn.
+the replications already drawn.  _settle is their one sale rule: the
+first offer at or above the list sells at once, else the best one above
+the reservation still standing at the end.
 """
 
 from __future__ import annotations
@@ -288,3 +290,37 @@ def _blocks(spawn, mean: float, k: int, fields):
             rep = np.repeat(np.arange(hi - lo), counts[lo:hi])
             yield (hi - lo, rep, *[draw(lane, rep.size) for draw, lane in zip(fields, lanes[1:])])
             lo = hi
+
+
+def _segment(ufunc: np.ufunc, vals: np.ndarray, rep: np.ndarray, k: int,
+             empty: float) -> np.ndarray:
+    """Per-replication minimum or maximum (ufunc) of vals, entry i
+    belonging to replication rep[i] of k; `empty` for replications
+    without entries."""
+    out = np.full(k, empty)
+    ufunc.at(out, rep, vals)
+    return out
+
+
+def _kept(mask: np.ndarray, rep: np.ndarray):
+    """Flat indices of the entries `mask` keeps, and their replications."""
+    idx = np.flatnonzero(mask)
+    return idx, rep.take(idx)
+
+
+def _settle(rep, k, arrival, value, delay, listed, R, end):
+    """(t_first, price) per replication of k (rep nondecreasing): the first
+    offer in time at or above its list (listed, np.inf for none) sells at
+    its arrival t_first, the first in array order on a tie; else (t_first
+    = inf) the best offer >= R with delay >= end - arrival sells at end;
+    else price is 0.0, which no offer is (offers are > 0)."""
+    idx, rep_above = _kept(value >= listed, rep)
+    first = arrival.take(idx)
+    t_first = _segment(np.minimum, first, rep_above, k, np.inf)
+    win, rep_win = _kept(first == t_first.take(rep_above), rep_above)
+    lead = np.ones(win.size, bool)
+    lead[1:] = rep_win[1:] != rep_win[:-1]
+    idx_s, rep_s = _kept((value >= R) & (delay >= end - arrival), rep)
+    price = _segment(np.maximum, value.take(idx_s), rep_s, k, 0.0)
+    price[rep_win[lead]] = value.take(idx.take(win[lead]))
+    return t_first, price

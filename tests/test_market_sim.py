@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_sigma
-from homesale import market_sim, stochastic
+from homesale import market_sim, oracle, stochastic
 from homesale.market_sim import (EvolutionConfig, compute_owt_frozen,
                                  expected_price_curve, run_evolution, run_sale_attempt,
                                  time_to_posting, SaleOutcome)
@@ -231,13 +231,20 @@ def reference_rule(offers, list_at, R, t_star) -> SaleOutcome:
     return SaleOutcome(False)
 
 
-def engine_rules(attempts, list_at, R, t_star) -> list[SaleOutcome]:
-    """The engine's array rule on several attempts at once, one outcome
-    per attempt."""
+def offer_arrays(attempts):
+    """(rep, arrival, value, delay) arrays of several attempts' offers,
+    rep the attempt's index."""
     rows = [(i, *o) for i, offers in enumerate(attempts) for o in offers]
     rep, a, v, d = (np.array(c, dtype=float) for c in zip(*rows)) if rows \
         else (np.empty(0),) * 4
-    sold, price, time = market_sim._sale_rule(rep.astype(np.int64), a, v, d, len(attempts),
+    return rep.astype(np.int64), a, v, d
+
+
+def engine_rules(attempts, list_at, R, t_star) -> list[SaleOutcome]:
+    """The engine's array rule on several attempts at once, one outcome
+    per attempt."""
+    rep, a, v, d = offer_arrays(attempts)
+    sold, price, time = market_sim._sale_rule(rep, a, v, d, len(attempts),
                                               list_at(a), R, t_star)
     return [SaleOutcome(True, float(p), float(t)) if s else SaleOutcome(False)
             for s, p, t in zip(sold, price, time)]
@@ -284,31 +291,42 @@ class TestSaleRule:
         assert not out.sold
 
 
+def no_list(a):
+    """The list price of a sale without a public list: np.inf, which no
+    offer meets."""
+    return np.full(np.shape(a), np.inf)
+
+
 @st.composite
 def attempt_sets(draw):
-    """A list, R, t_star and a few attempts' offers in arrival order,
-    with values that tie the list or R, and withdrawal delays that are
-    infinite (mu = 0), zero or random."""
+    """A list (or none), R, t_star and a few attempts' offers in arrival
+    order, with values that tie the schedule or R, pairs of offers that
+    tie at one arrival at or above the schedule with different values,
+    and withdrawal delays that are infinite (mu = 0), zero or random."""
     R = draw(st.floats(100.0, 190.0))
     L0 = draw(st.floats(R, 200.0))
-    list_at = flat_context(list_price=L0, zeta=draw(st.sampled_from([0.0, 0.5, 3.0])),
-                           reservation=R).list_at
+    schedule = flat_context(list_price=L0, zeta=draw(st.sampled_from([0.0, 0.5, 3.0])),
+                            reservation=R).list_at
+    list_at = schedule if draw(st.booleans()) else no_list
     t_star = draw(st.floats(0.01, 3.0))
     attempts = []
     for _ in range(draw(st.integers(1, 6))):
         never_withdrawn = draw(st.booleans())
         offers = []
         for a in sorted(draw(st.lists(st.floats(0.0, t_star), max_size=6))):
-            kind = draw(st.sampled_from(["free", "list", "reservation"]))
-            if kind == "list":
-                v = float(list_at(a))
+            kind = draw(st.sampled_from(["free", "list", "reservation", "tie"]))
+            if kind in ("list", "tie"):
+                vs = [float(schedule(a))]
             elif kind == "reservation":
-                v = R
+                vs = [R]
             else:
-                v = draw(st.floats(100.0, 200.0))
-            d = math.inf if never_withdrawn else draw(
-                st.sampled_from([0.0, draw(st.floats(0.0, 2.0 * t_star))]))
-            offers.append((a, v, d))
+                vs = [draw(st.floats(100.0, 200.0))]
+            if kind == "tie":
+                vs.insert(draw(st.integers(0, 1)), vs[0] + draw(st.floats(0.5, 50.0)))
+            for v in vs:
+                d = math.inf if never_withdrawn else draw(
+                    st.sampled_from([0.0, draw(st.floats(0.0, 2.0 * t_star))]))
+                offers.append((a, v, d))
         attempts.append(offers)
     return list_at, R, t_star, attempts
 
@@ -321,6 +339,22 @@ class TestEngineRule:
         got = engine_rules(attempts, list_at, R, t_star)
         want = [reference_rule(o, list_at, R, t_star) for o in attempts]
         assert all(same_outcome(g, w) for g, w in zip(got, want)), (got, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(attempt_sets(), st.sampled_from([0.0, 0.09, 2.0]))
+    def test_oracle_payoff_is_the_discounted_reference_price(self, case, r):
+        # the oracles' payoff: _settle's price discounted to the sale time
+        list_at, R, t_star, attempts = case
+        rep, a, v, d = offer_arrays(attempts)
+        listed = np.inf if list_at is no_list else list_at(a)
+        got = oracle._discounted(stochastic._settle(rep, len(attempts), a, v, d, listed, R, t_star),
+                                 lambda s: np.exp(-r * s), math.exp(-r * t_star))
+        for g, offers in zip(got.tolist(), attempts):
+            want = reference_rule(offers, list_at, R, t_star)
+            if want.sold:
+                assert g == pytest.approx(want.price * math.exp(-r * want.time), rel=1e-15)
+            else:
+                assert g == 0.0
 
 
 def batch_fields(batches, n_reps):

@@ -334,18 +334,17 @@ def _one_piece_path(ctx, t, modes, n, seed):
     total = int(n_cand.sum())
     a_all = lanes[1].uniform(0.0, t, total)
     lists_all = ctx.list_at(a_all)
-    idx, rep = oracle._kept(lanes[2].uniform(0.0, 1.0, total) * bound
-                            < intensity(a_all, lists_all),
-                            np.repeat(np.arange(n), n_cand))
+    idx, rep = stochastic._kept(lanes[2].uniform(0.0, 1.0, total) * bound
+                                < intensity(a_all, lists_all),
+                                np.repeat(np.arange(n), n_cand))
     a = a_all.take(idx)
     value = np.asarray(ctx.offers.sample(lanes[3], total), dtype=float).take(idx)
     delay = np.asarray(ctx.withdrawals.sample(lanes[4], total), dtype=float).take(idx)
-    alive = (value >= R) & (delay >= t - a)
-    above = value >= lists_all.take(idx)
-    never = np.zeros(a.size, bool)
-    return [oracle._list_rule(rep, n, a, value, hit, alive & ~hit,
-                              lambda s: np.exp(-cum_rate(s)), disc_t).tobytes()
-            for hit in (never if mode == "none" else above for mode in modes)]
+    lists = lists_all.take(idx)
+    return [oracle._discounted(stochastic._settle(rep, n, a, value, delay,
+                                                  np.inf if mode == "none" else lists, R, t),
+                               lambda s: np.exp(-cum_rate(s)), disc_t).tobytes()
+            for mode in modes]
 
 
 # Contexts that stress the squeeze, the lower bound on the intensity
@@ -448,10 +447,10 @@ def test_reducing_the_kept_offers_is_reducing_the_masked_ones(offers):
     counts, mask, x = offers
     k = counts.size
     rep = np.repeat(np.arange(k), counts)
-    idx, rep_kept = oracle._kept(mask, rep)
+    idx, rep_kept = stochastic._kept(mask, rep)
     for ufunc, fill in ((np.maximum, 0.0), (np.minimum, np.inf)):
-        kept = oracle._segment(ufunc, x.take(idx), rep_kept, k, fill)
-        masked = oracle._segment(ufunc, np.where(mask, x, fill), rep, k, fill)
+        kept = stochastic._segment(ufunc, x.take(idx), rep_kept, k, fill)
+        masked = stochastic._segment(ufunc, np.where(mask, x, fill), rep, k, fill)
         loop = np.array([ufunc.reduce(x[(rep == i) & mask], initial=fill)
                          for i in range(k)])
         assert kept.tobytes() == masked.tobytes() == loop.tobytes()
@@ -468,9 +467,9 @@ def test_one_best_survivor_gives_every_reservation(seed, k, resv):
     for k_block, rep, arrival, value, delay in stochastic._blocks(
             np.random.default_rng(seed).spawn, m.lam * T, k, oracle._offers(m, T)):
         survived = delay >= T - arrival
-        idx, rep_survived = oracle._kept(survived, rep)
-        best = oracle._segment(np.maximum, value.take(idx), rep_survived, k_block, 0.0)
-        per_reservation = disc * oracle._segment(
+        idx, rep_survived = stochastic._kept(survived, rep)
+        best = stochastic._segment(np.maximum, value.take(idx), rep_survived, k_block, 0.0)
+        per_reservation = disc * stochastic._segment(
             np.maximum, np.where(survived & (value >= resv), value, 0.0), rep, k_block, 0.0)
         derived = disc * np.where(best >= resv, best, 0.0)
         assert derived.tobytes() == per_reservation.tobytes()

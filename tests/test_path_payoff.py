@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_sigma
-from homesale.closed_form import MarketParams, thinned_payoff
+from homesale.closed_form import MarketParams, listed_payoff_exact, thinned_payoff
 from homesale.oracle import mc_path_payoff, sigma0_table2_path, table2_context
 from homesale import path_payoff
 from homesale.path_payoff import (DEFAULT_NODES, ExponentialWithdrawals, PathContext,
@@ -372,6 +372,20 @@ class TestExactChangingList:
                        conditional_payoff_constant_list):
                 three_sigma(f"{fn.__name__}, L=180, t={t}", fn(ctx, t),
                             est.mean, est.stderr)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_flat_path_below_top_embeds_listed_payoff_exact(self, t):
+        # a flat rate and a flat list at 180 < p_max: offers cross, the
+        # intensity is constant and the path payoffs are the closed form
+        r, L, k = 0.09, 180.0, DemandParams(0.5, 1000.0)
+        ctx = PathContext(path=RatePath(DEFAULT_DT, np.full(631, r)), list_price=L, zeta=0.0,
+                          offers=UniformOffers(100.0, 200.0),
+                          withdrawals=ExponentialWithdrawals(10.0), reservation=140.0,
+                          demand=k)
+        want = listed_payoff_exact(t, MarketParams(k.k1 / r + k.k2 / L, 10.0, r, 100.0, 200.0),
+                                   140.0, L)
+        for fn in (conditional_payoff_constant_list, conditional_payoff_changing_list_exact):
+            assert fn(ctx, t) == pytest.approx(want, rel=1e-7, abs=0.0), fn.__name__
 
     def test_rejects_non_positive_horizon(self, decay_ctx):
         with pytest.raises(ValueError):
