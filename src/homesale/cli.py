@@ -368,63 +368,64 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command's handler, help line and own arguments, as (flag, options)
+# pairs; every command also takes _COMMON.
+_COMMON = (
+    ("--config", dict(help="scenario file (key = value lines)")),
+    ("--seed", dict(type=int, help="override the scenario seed")),
+    ("--out", dict(help="override the output directory")),
+    ("--workers", dict(type=_positive_int, default=1,
+                       help="worker threads for validate; other commands run "
+                            "serially and ignore it")),
+)
+_COMMANDS = {
+    "owt": (cmd_owt, "waiting-time payoff/utility curves", (
+        ("--mode", dict(choices=["listed", "no-list"], default="listed")),
+        ("--t-max", dict(type=float, default=None)),
+        ("--t-steps", dict(type=int, default=200)))),
+    "sweep": (cmd_sweep, "maximizer surface over two parameters", (
+        ("--x", dict(required=True, help="axis spec NAME:MIN:MAX:STEPS")),
+        ("--y", dict(required=True, help="axis spec NAME:MIN:MAX:STEPS")))),
+    "evolve": (cmd_evolve, "multi-owner price evolution log", (
+        ("--horizon", dict(type=float, default=None)),)),
+    "expected-price": (cmd_expected_price, "mean sale price by posting time", (
+        ("--times", dict(required=True, help="comma-separated posting times")),
+        ("--n-reps", dict(type=int, default=None)))),
+    "payoff-path": (cmd_payoff_path, "conditional payoff curves", (
+        ("--mode", dict(choices=["changing", "constant", "none"], default="changing")),
+        ("--t-max", dict(type=float, default=None)),
+        ("--t-steps", dict(type=int, default=40)),
+        ("--n-paths", dict(type=int, default=None)))),
+    "validate": (cmd_validate, "oracle comparison matrix", (
+        ("--n", dict(type=int, default=None, help="replications per check")),)),
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a command, with that
+    command's subparser alone, else with all of them, so that the top
+    level's help and errors list every command."""
     parser = argparse.ArgumentParser(
         prog="homesale",
         description="Sale-timing optimization and price-evolution simulation")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="scenario file (key = value lines)")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker threads for validate; other commands run "
-                            "serially and ignore it")
-
-    p = sub.add_parser("owt", help="waiting-time payoff/utility curves")
-    common(p)
-    p.add_argument("--mode", choices=["listed", "no-list"], default="listed")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--t-steps", type=int, default=200)
-    p.set_defaults(func=cmd_owt)
-
-    p = sub.add_parser("sweep", help="maximizer surface over two parameters")
-    common(p)
-    p.add_argument("--x", required=True, help="axis spec NAME:MIN:MAX:STEPS")
-    p.add_argument("--y", required=True, help="axis spec NAME:MIN:MAX:STEPS")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("evolve", help="multi-owner price evolution log")
-    common(p)
-    p.add_argument("--horizon", type=float, default=None)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("expected-price", help="mean sale price by posting time")
-    common(p)
-    p.add_argument("--times", required=True, help="comma-separated posting times")
-    p.add_argument("--n-reps", type=int, default=None)
-    p.set_defaults(func=cmd_expected_price)
-
-    p = sub.add_parser("payoff-path", help="conditional payoff curves")
-    common(p)
-    p.add_argument("--mode", choices=["changing", "constant", "none"],
-                   default="changing")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--t-steps", type=int, default=40)
-    p.add_argument("--n-paths", type=int, default=None)
-    p.set_defaults(func=cmd_payoff_path)
-
-    p = sub.add_parser("validate", help="oracle comparison matrix")
-    common(p)
-    p.add_argument("--n", type=int, default=None, help="replications per check")
-    p.set_defaults(func=cmd_validate)
-
+    if argv and argv[0] in _COMMANDS:
+        # the usage line of a lone subparser's errors still lists every command
+        names, metavar = [argv[0]], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text, own = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in _COMMON + own:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

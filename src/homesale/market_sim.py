@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import MarketParams, _require_finite, expected_utility
-from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, optimal_waiting_time
+from .closed_form import MarketParams, _listed_args, _require_finite, expected_utility
+from .owt import DEFAULT_T_MAX, DEFAULT_TOL, OwtResult, _solve_listed, optimal_waiting_time
 from .path_payoff import ExponentialWithdrawals, PathContext, UniformOffers
 # sample_nhpp is not called here; the benchmark tracer wraps market_sim.sample_nhpp
 from .stochastic import (CirParams, DemandParams, RatePath, _blocks, _settle, _thin,
@@ -159,14 +159,24 @@ def _sale_rule(rep: np.ndarray, arrival: np.ndarray, value: np.ndarray,
     return sold, np.where(sold, price, math.nan), np.where(sold, time, math.nan)
 
 
+def _sorted_by_rep(rep: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """times ordered by (rep, time), the bits of times[np.lexsort((times,
+    rep))], from one sort of the complex key rep + i*time: np.sort orders
+    complex numbers real part first, and both parts are exact (rep <
+    2**53, times finite and >= 0)."""
+    key = np.empty(rep.size, complex)
+    key.real, key.imag = rep, times
+    return np.sort(key).imag.copy()  # contiguous, as lexsort's result was
+
+
 def _sale_attempts(ctx: PathContext, t_star: float, spawn, n: int):
     """Run n sale attempts drawn by one _blocks call over the lanes
     spawn(m) gives (candidate counts, then each candidate's time,
     acceptance uniform, offer value and withdrawal delay, each field from
     its own lane) and yield them in batches of whole attempts.  Each
-    attempt's sorted times pair by position with its other fields.  One
-    generator as every lane reads, for one attempt, its count,
-    random(3 * count) and its delays.
+    attempt's times, sorted by one complex-key sort (_sorted_by_rep), pair
+    by position with its other fields.  One generator as every lane
+    reads, for one attempt, its count, random(3 * count) and its delays.
     """
     if not (t_star > 0):
         raise ValueError("t_star must be positive")
@@ -176,7 +186,7 @@ def _sale_attempts(ctx: PathContext, t_star: float, spawn, n: int):
     fields = (lambda gen, size: gen.random(size) * t_star, np.random.Generator.random,
               ctx.offers.sample, ctx.withdrawals.sample)
     for k, rep, times, u, value, delay in _blocks(spawn, bound * t_star, n, fields):
-        cands = times[np.lexsort((times, rep))]
+        cands = _sorted_by_rep(rep, times)
         keep = _thin(np.asarray(ctx.intensity(cands), dtype=float), cands, u, bound)
         rep, arrival, value, delay = rep[keep], cands[keep], value[keep], delay[keep]
         sold, price, time = _sale_rule(rep, arrival, value, delay, k,
@@ -265,6 +275,13 @@ class EvolutionConfig:
                            reservation=reservation, demand=self.demand)
 
 
+def _frozen_market(cfg: EvolutionConfig, rate: float, initial_list: float) -> MarketParams:
+    """The market a seller posting at rate freezes: this config's offers
+    and withdrawals, at the demand for the initial list price."""
+    lam = float(cfg.demand.intensity(rate, initial_list))
+    return MarketParams(lam, cfg.mu, rate, cfg.p_min, cfg.p_max)
+
+
 def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
                        initial_list: float) -> OwtResult:
     """Waiting time committed at posting, under frozen market conditions.
@@ -275,8 +292,7 @@ def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
     approximation: the realized attempt sees the moving rate and the
     decaying list.
     """
-    lam = float(cfg.demand.intensity(rate, initial_list))
-    m = MarketParams(lam, cfg.mu, rate, cfg.p_min, cfg.p_max)
+    m = _frozen_market(cfg, rate, initial_list)
     return optimal_waiting_time(
         lambda T: expected_utility(T, m, reservation, initial_list, cfg.gamma),
         t_max=cfg.t_max, tol=cfg.tol)
@@ -394,7 +410,9 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     (reservation, list) pair on the same rate path -- no occupation or
     shock machinery.  Query i draws its attempts over lanes spawned from
     substream(seed, "price", i), so adding queries or replications never
-    changes the earlier ones.
+    changes the earlier ones.  The waiting times of all queries come from
+    one block solve (owt._solve_listed) that gives each the bits of
+    compute_owt_frozen at its posting rate.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -402,10 +420,17 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     if path is None:
         path = _rate_path(cfg, float(times.max()), seed)
 
+    R, L0 = cfg.initial_reservation, cfg.initial_list
+    cells = [_listed_args(_frozen_market(cfg, r, L0), R, L0, cfg.gamma)
+             for r in path.rate_at(times).tolist()]
+    # reshape: 8 columns of no cell when times is empty
+    owt_t_star, _ = _solve_listed(np.array(cells).reshape(-1, 8).T, cfg.t_max, cfg.tol,
+                                  False)
     points = []
-    for qi, t_post in enumerate(times.tolist()):
-        t_star, ctx = _posting_step(cfg, path, t_post, cfg.initial_reservation,
-                                    cfg.initial_list)
+    for qi, (t_post, owt_t) in enumerate(zip(times.tolist(), owt_t_star.tolist())):
+        # as _posting_step commits and builds it
+        t_star = max(owt_t, cfg.tol)
+        ctx = cfg.context(path.shifted(t_post, t_star), R, L0, cfg.zeta)
         spawn = substream(seed, "price", qi).spawn
         prices = np.concatenate([b.price[b.sold]
                                  for b in _sale_attempts(ctx, t_star, spawn, n_reps)])

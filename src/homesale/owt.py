@@ -231,18 +231,42 @@ def _cell_params(spec: SweepSpec, xv: float, yv: float) -> tuple | None:
         return None
 
 
+def _solve_listed(cols: np.ndarray, t_max: float, tol: float,
+                  exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(t_star, boundary) per cell of the listed utility, cols holding the
+    checked _listed_args columns (8 x cells) and exact choosing the payoff.
+
+    The cells are taken _BLOCK_CELLS at a time and scanned through the
+    array kernel _CHUNK_CELLS at a time, so no temporary holds more than
+    _CHUNK_CELLS x COARSE_POINTS values whatever the number of cells.  A
+    block's cells off the boundary are then refined in one lockstep
+    golden section on the _EXACT namespace, which gives each cell the
+    bits optimal_waiting_time gives it; a boundary cell reads t_max.
+    """
+    grid = _grid(t_max, tol)
+    t_star = np.full(cols.shape[1], t_max)
+    boundary = np.zeros(cols.shape[1], dtype=bool)
+    for b in range(0, cols.shape[1], _BLOCK_CELLS):
+        block = cols[:, b:b + _BLOCK_CELLS]
+        scans = [_scan(_listed(grid, *block[:, s:s + _CHUNK_CELLS, None], exact, np), grid)
+                 for s in range(0, block.shape[1], _CHUNK_CELLS)]
+        edge, _, lo, hi = (np.concatenate(a) for a in zip(*scans))
+        boundary[b:b + _BLOCK_CELLS] = edge
+        inner = np.flatnonzero(~edge)
+        live = block[:, inner]
+        t_star[b + inner] = _golden_max(lambda T: _listed(T, *live, exact, _EXACT),
+                                        lo[inner], hi[inner], tol, _EXACT)[0]
+    return t_star, boundary
+
+
 def sweep_owt(spec: SweepSpec) -> SweepResult:
     """Optimal waiting time over a 2-D parameter grid.
 
-    Invalid combinations become NaN cells.  The valid cells are taken
-    _BLOCK_CELLS at a time and scanned through the array kernel
-    _CHUNK_CELLS at a time, so no temporary holds more than
-    _CHUNK_CELLS x COARSE_POINTS values whatever the grid size.  The
-    block's cells off the boundary are then refined in one lockstep
-    golden section on the _EXACT namespace, which gives each cell the
-    bits optimal_waiting_time gives it.
+    Invalid combinations become NaN cells.  The valid cells are checked
+    and solved _BLOCK_CELLS at a time by _solve_listed, the block solve
+    expected_price_curve shares, on the exact payoff.
     """
-    grid = _grid(spec.t_max, spec.tol)
+    _grid(spec.t_max, spec.tol)  # checked even when no cell is valid
     xs = spec.axis_x.values
     ys = spec.axis_y.values
     t_star = np.full(len(ys) * len(xs), math.nan)
@@ -252,16 +276,8 @@ def sweep_owt(spec: SweepSpec) -> SweepResult:
     valid = ((k, p) for k, p in cells if p is not None)
     while block := list(itertools.islice(valid, _BLOCK_CELLS)):
         ks = np.array([k for k, _ in block])
-        cols = np.array([p for _, p in block]).T
-        scans = [_scan(_listed(grid, *cols[:, s:s + _CHUNK_CELLS, None], True, np), grid)
-                 for s in range(0, len(block), _CHUNK_CELLS)]
-        edge, _, lo, hi = (np.concatenate(a) for a in zip(*scans))
-        boundary[ks] = edge
-        t_star[ks] = spec.t_max
-        inner = ~edge
-        cols = cols[:, inner]
-        t_star[ks[inner]] = _golden_max(lambda T: _listed(T, *cols, True, _EXACT),
-                                        lo[inner], hi[inner], spec.tol, _EXACT)[0]
+        t_star[ks], boundary[ks] = _solve_listed(np.array([p for _, p in block]).T,
+                                                 spec.t_max, spec.tol, True)
     shape = (len(ys), len(xs))
     return SweepResult(spec.axis_x.name, spec.axis_y.name, xs, ys,
                        t_star.reshape(shape), boundary.reshape(shape))

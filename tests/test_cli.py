@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -734,6 +735,57 @@ class TestWorkersFlag:
                    "--workers", workers])
         assert rc == 2
         assert not (tmp_path / "owt_curve.csv").exists()
+
+
+def subparsers(parser):
+    """The command -> subparser map of a parser _build_parser made."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def action_table(parser):
+    return [(a.option_strings, a.dest, a.default, a.choices, a.required, a.type, a.nargs,
+             a.help) for a in parser._actions]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_lazy_subparser_is_the_full_parsers(self, command):
+        # naming a command builds its subparser alone, with the actions and
+        # help text the full parser gives it
+        lazy = subparsers(cli._build_parser([command, "--seed", "3"]))
+        full = subparsers(cli._build_parser([]))
+        assert list(lazy) == [command]
+        assert list(full) == list(cli._COMMANDS)
+        assert action_table(lazy[command]) == action_table(full[command])
+        assert lazy[command].format_help() == full[command].format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["owt", "--bogus"], ["owt", "extra"], ["sweep", "--x", "lam:1:2:2"],
+        ["owt", "--mode", "flat"], ["evolve", "--horizon", "soon"], ["validate", "-h"],
+        ["expected-price", "--times", "1", "--n-reps", "5", "--workers", "2"],
+    ])
+    def test_lazy_parser_parses_and_fails_as_the_full_parser(self, argv, capsys):
+        # errors print the top level's usage line, which names every command
+        def parse(parser):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as e:
+                result = e.code
+            return result, capsys.readouterr()
+        assert parse(cli._build_parser(argv)) == parse(cli._build_parser([]))
+
+    def test_help_names_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in cli._COMMANDS)
+        assert len(cli._COMMANDS) == 6
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "3"]])
+    def test_no_command_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "{" + ",".join(cli._COMMANDS) + "}" in err
 
 
 class TestFloatFormat:

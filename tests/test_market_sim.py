@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import three_sigma
-from homesale import market_sim, oracle, stochastic
+from homesale import market_sim, oracle, owt, stochastic
+from homesale.closed_form import _listed_args
 from homesale.market_sim import (EvolutionConfig, compute_owt_frozen,
                                  expected_price_curve, run_evolution, run_sale_attempt,
                                  time_to_posting, SaleOutcome)
+from homesale.owt import _solve_listed
 from homesale.path_payoff import (ExponentialWithdrawals, PathContext, UniformOffers,
                                   conditional_payoff_changing_list_exact)
 from homesale.stochastic import (RATE_FLOOR, CirParams, DemandParams, RatePath, _thin,
@@ -405,6 +407,43 @@ def record_engine(monkeypatch) -> EngineRecord:
 def run_engine(ctx, t_star, n_reps, seed=7):
     spawn = substream(seed, "engine").spawn
     return batch_fields(list(market_sim._sale_attempts(ctx, t_star, spawn, n_reps)), n_reps)
+
+
+@st.composite
+def rep_times(draw):
+    """A block's candidates as _blocks yields them: each attempt's index,
+    nondecreasing, with 0 to 6 entries an attempt (blocks of no entry and
+    of one attempt included), and times drawn from zero, a few shared
+    values that repeat and any finite non-negative double."""
+    counts = draw(st.lists(st.integers(0, 6), max_size=10))
+    rep = np.repeat(np.arange(len(counts)), counts)
+    pool = st.one_of(st.sampled_from([0.0, 5e-324, 0.25, 1.0]),
+                     st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+    # abs: the engine's times are random() * t_star, never -0.0
+    times = np.abs(np.array(draw(st.lists(pool, min_size=rep.size, max_size=rep.size)),
+                            dtype=float))
+    return rep, times
+
+
+@pytest.mark.parametrize("rep, times", [
+    (np.zeros(0, dtype=np.int64), np.zeros(0)),  # an empty block
+    (np.zeros(1, dtype=np.int64), np.array([0.5])),  # one attempt, one offer
+    (np.zeros(4, dtype=np.int64), np.array([0.0, 0.75, 0.0, 0.75])),  # one attempt, ties
+    (np.array([0, 0, 2, 2, 2]), np.array([1.0, 0.0, 0.0, 1.0, 0.0])),  # zeros, a gap
+])
+def test_complex_key_sort_is_the_lexsort_at_the_edges(rep, times):
+    got = market_sim._sorted_by_rep(rep, times)
+    assert got.tobytes() == times[np.lexsort((times, rep))].tobytes()
+    assert got.flags.c_contiguous
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rep_times())
+def test_complex_key_sort_is_the_lexsort(case):
+    rep, times = case
+    got = market_sim._sorted_by_rep(rep, times)
+    assert got.tobytes() == times[np.lexsort((times, rep))].tobytes()
+    assert got.flags.c_contiguous
 
 
 class TestSaleAttempts:
@@ -945,6 +984,73 @@ class TestExpectedPriceCurve:
         assert p_short.n_sales == sum(np.frombuffer(a[3], dtype=bool)[0]
                                       for a in long_.attempts[:1000])
         assert 0 < p_short.n_sales < p_long.n_sales
+
+
+# the benchmark's posting times (perfbench/run.py, workload price)
+BENCH_TIMES = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
+
+
+def frozen_cells(cfg, rates, gammas=None):
+    """The checked _listed_args columns of one frozen solve per rate, as
+    expected_price_curve builds them (gammas, if given, one per rate)."""
+    R, L0 = cfg.initial_reservation, cfg.initial_list
+    gammas = [cfg.gamma] * len(rates) if gammas is None else gammas
+    return np.array([_listed_args(market_sim._frozen_market(cfg, r, L0), R, L0, g)
+                     for r, g in zip(rates, gammas)]).T
+
+
+class TestPostingBlockSolve:
+    @pytest.mark.parametrize("initial_list", [200.0, 180.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 11, 2**40 + 7])
+    def test_block_solve_is_compute_owt_frozen_bit_for_bit(self, seed, initial_list):
+        # every posting time of the price benchmark on the seed's path:
+        # the lockstep solve gives compute_owt_frozen's t_star and flag,
+        # and expected_price_curve commits it as _posting_step does; a
+        # list below p_max = 200 tells the plain payoff from the exact one
+        cfg = make_config(initial_list=initial_list)
+        R, L0 = cfg.initial_reservation, cfg.initial_list
+        path = market_sim._rate_path(cfg, max(BENCH_TIMES), seed)
+        rates = path.rate_at(np.array(BENCH_TIMES)).tolist()
+        t_star, boundary = _solve_listed(frozen_cells(cfg, rates), cfg.t_max, cfg.tol, False)
+        points = expected_price_curve(cfg, BENCH_TIMES, 1, seed, path=path)
+        for t_post, rate, t, edge, p in zip(BENCH_TIMES, rates, t_star.tolist(),
+                                             boundary.tolist(), points):
+            res = compute_owt_frozen(cfg, rate, R, L0)
+            assert (t.hex(), edge) == (res.t_star.hex(), res.boundary), t_post
+            window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
+            assert p.t_star.hex() == window.hex(), t_post
+
+    def test_a_cell_on_the_boundary_reads_t_max(self):
+        # a horizon of 0.1 years: with gamma = 0 the utility still rises
+        # there and the cell lands on the boundary, while gamma = 5 peaks
+        # inside it, the two kinds side by side in one block
+        cfg = make_config(t_max=0.1)
+        rates, gammas = [0.05, 0.09, 0.09, 0.14], [5.0, 0.0, 5.0, 0.0]
+        t_star, boundary = _solve_listed(frozen_cells(cfg, rates, gammas),
+                                         cfg.t_max, cfg.tol, False)
+        assert boundary.tolist() == [False, True, False, True]
+        for rate, gamma, t, edge in zip(rates, gammas, t_star.tolist(), boundary.tolist()):
+            res = compute_owt_frozen(dataclasses.replace(cfg, gamma=gamma), rate,
+                                     cfg.initial_reservation, cfg.initial_list)
+            assert (t.hex(), edge) == (res.t_star.hex(), res.boundary)
+        assert t_star[1] == t_star[3] == cfg.t_max
+        point = expected_price_curve(dataclasses.replace(cfg, gamma=0.0), [2.0], 1, 3)[0]
+        assert point.t_star == cfg.t_max
+
+    def test_block_and_chunk_edges_change_no_bit(self, monkeypatch):
+        # blocks of 3 cells scanned 2 at a time split the 10 posting times
+        # at every kind of edge; no cell, and no posting time, solves to nothing
+        cfg = make_config()
+        path = market_sim._rate_path(cfg, max(BENCH_TIMES), 5)
+        cols = frozen_cells(cfg, path.rate_at(np.array(BENCH_TIMES)).tolist())
+        whole = _solve_listed(cols, cfg.t_max, cfg.tol, False)
+        monkeypatch.setattr(owt, "_BLOCK_CELLS", 3)
+        monkeypatch.setattr(owt, "_CHUNK_CELLS", 2)
+        split = _solve_listed(cols, cfg.t_max, cfg.tol, False)
+        assert [a.tobytes() for a in split] == [a.tobytes() for a in whole]
+        t_star, boundary = _solve_listed(cols[:, :0], cfg.t_max, cfg.tol, False)
+        assert t_star.size == boundary.size == 0
+        assert expected_price_curve(cfg, [], 1, 5, path=path) == []
 
 
 def test_block_engine_matches_the_per_attempt_engine_in_distribution():
