@@ -6,7 +6,7 @@ defaults matching the reference parameter tables), takes --seed/--out
 overrides, and writes plot-ready CSV.  Output files embed the config
 hash and seed in a leading comment line so runs can be traced.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error.
+Exit codes: 0 success, 1 validation failure, 2 usage, config or memory error.
 """
 
 from __future__ import annotations
@@ -437,7 +437,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         return args.func(cfg, args)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,12 @@ on a list-price crossing, and otherwise take the best surviving offer
 above the reservation price when the committed waiting time runs out:
 stochastic._settle, the one sale rule, which the oracles play too.
 
-EvolutionConfig checks every input once, when it is built; past that
-point the simulator carries plain floats (an owner is its occupation end
-and crisis time, an offer an (arrival, value, withdrawal delay) tuple)
-and re-checks none of them.
+EvolutionConfig checks every input once, when it is built, and the
+simulator carries plain floats past it (an owner is its occupation end
+and crisis time, an offer an (arrival, value, withdrawal delay) tuple).
+Some checks run again (ROADMAP, small findings): the public
+expected_utility re-checks its inputs on each of a frozen solve's ~20
+objective calls, and path.shifted and cfg.context theirs at each posting.
 
 Evolutions are sequential by nature (each event depends on the last),
 but every random draw comes from a substream keyed by logical indices,
@@ -299,11 +301,10 @@ def compute_owt_frozen(cfg: EvolutionConfig, rate: float, reservation: float,
 
 
 def _posting_step(cfg: EvolutionConfig, path: RatePath, post_time: float,
-                  R: float, L0: float) -> tuple[float, PathContext]:
-    """Commit the waiting time at the rate of post_time (at least tol) and
+                  owt_t: float, R: float, L0: float) -> tuple[float, PathContext]:
+    """Commit the solved waiting time owt_t (at least tol) at post_time and
     build the attempt's context on the path from there."""
-    owt = compute_owt_frozen(cfg, float(path.rate_at(post_time)), R, L0)
-    t_star = max(owt.t_star, cfg.tol)
+    t_star = max(owt_t, cfg.tol)
     return t_star, cfg.context(path.shifted(post_time, t_star), R, L0, cfg.zeta)
 
 
@@ -316,8 +317,8 @@ def _rate_path(cfg: EvolutionConfig, end: float, seed: int) -> RatePath:
 def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionLog:
     """Simulate the asset's full ownership history over [0, horizon].
 
-    The rate path extends past the horizon by t_max so attempts posted
-    near the end can complete; no new tenure or posting starts at or
+    The rate path extends past the horizon by t_max + 1 years so attempts
+    posted near the end can complete; no new tenure or posting starts at or
     after the horizon.  Bit-reproducible per seed.
     """
     if horizon < 0:
@@ -346,7 +347,8 @@ def run_evolution(cfg: EvolutionConfig, horizon: float, seed: int) -> EvolutionL
              owner=owner_idx)
 
         while post_t < horizon:
-            t_star, ctx = _posting_step(cfg, path, post_t, R, L0)
+            owt_t = compute_owt_frozen(cfg, float(path.rate_at(post_t)), R, L0).t_star
+            t_star, ctx = _posting_step(cfg, path, post_t, owt_t, R, L0)
             emit(post_t, "PostForSale", price=ctx.list_price,
                  demand=float(ctx.intensity(0.0)), owner=owner_idx, attempt=attempt_idx)
             attempt = run_sale_attempt(ctx, t_star,
@@ -417,20 +419,18 @@ def expected_price_curve(cfg: EvolutionConfig, times, n_reps: int, seed: int,
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        return []
     if path is None:
         path = _rate_path(cfg, float(times.max()), seed)
 
     R, L0 = cfg.initial_reservation, cfg.initial_list
     cells = [_listed_args(_frozen_market(cfg, r, L0), R, L0, cfg.gamma)
              for r in path.rate_at(times).tolist()]
-    # reshape: 8 columns of no cell when times is empty
-    owt_t_star, _ = _solve_listed(np.array(cells).reshape(-1, 8).T, cfg.t_max, cfg.tol,
-                                  False)
+    owt_t_star, _ = _solve_listed(np.array(cells).T, cfg.t_max, cfg.tol, False)
     points = []
     for qi, (t_post, owt_t) in enumerate(zip(times.tolist(), owt_t_star.tolist())):
-        # as _posting_step commits and builds it
-        t_star = max(owt_t, cfg.tol)
-        ctx = cfg.context(path.shifted(t_post, t_star), R, L0, cfg.zeta)
+        t_star, ctx = _posting_step(cfg, path, t_post, owt_t, R, L0)
         spawn = substream(seed, "price", qi).spawn
         prices = np.concatenate([b.price[b.sold]
                                  for b in _sale_attempts(ctx, t_star, spawn, n_reps)])

@@ -107,15 +107,13 @@ class UniformOffers:
         lo = np.maximum(np.asarray(cut, dtype=float), self.p_min)
         return (lo + self.p_max) / 2.0
 
-    def from_unit(self, u):
-        """numpy's uniform(p_min, p_max) on the unit draws u, bit for bit:
-        p_min + (p_max - p_min) * u.  An array u is scaled in place."""
+    def sample(self, rng: np.random.Generator, size=None):
+        """numpy's uniform(p_min, p_max), bit for bit: p_min + (p_max -
+        p_min) * u on unit draws u, an array scaled in place."""
+        u = rng.random(size)
         u *= self.p_max - self.p_min
         u += self.p_min
         return u
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.from_unit(rng.random(size))
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,17 @@ def test_overflowing_step_count_is_config_error(tmp_path, capsys, command, scena
     assert not out.exists()
 
 
+def test_a_run_too_large_for_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # evolve --horizon 1e9 asks numpy for a 1.83 TiB path; a command that
+    # raises the error stands in for it, so no test allocates that much
+    def too_large(cfg, args):
+        raise MemoryError("Unable to allocate 1.83 TiB for an array")
+    _, help_text, own = cli._COMMANDS["evolve"]
+    monkeypatch.setitem(cli._COMMANDS, "evolve", (too_large, help_text, own))
+    assert main(["evolve", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 1.83 TiB for an array\n"
+
+
 class TestOwtCommand:
     def test_without_out_writes_under_the_working_directory(self, tmp_path, monkeypatch):
         # no --out: the scenario's out_dir, "out", relative to the working

@@ -642,11 +642,11 @@ class TestStreamIdentity:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 300),
            p_min=st.floats(1e-3, 1e6), width=st.floats(1e-3, 1e6))
-    def test_from_unit_is_numpy_uniform(self, seed, k, p_min, width):
+    def test_sample_is_numpy_uniform(self, seed, k, p_min, width):
         offers = UniformOffers(p_min, p_min + width)
         a, b = substream(seed, "unit"), substream(seed, "unit")
-        got = offers.from_unit(a.random(k))
-        assert got.tobytes() == b.uniform(offers.p_min, offers.p_max, k).tobytes()
+        # k draws, one, then k more, each where the last left the generator
+        assert offers.sample(a, k).tobytes() == b.uniform(offers.p_min, offers.p_max, k).tobytes()
         assert offers.sample(a) == b.uniform(offers.p_min, offers.p_max)
         assert offers.sample(a, k).tobytes() == b.uniform(offers.p_min, offers.p_max, k).tobytes()
 
@@ -719,7 +719,8 @@ def test_engine_mean_payoff_is_the_exact_conditional_payoff(i, t_post, window):
     path = market_sim._rate_path(cfg, 20.0, 1)
     R, L0 = cfg.initial_reservation, cfg.initial_list
     if window is None:
-        window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
+        owt_t = compute_owt_frozen(cfg, float(path.rate_at(t_post)), R, L0).t_star
+        window, _ = market_sim._posting_step(cfg, path, t_post, owt_t, R, L0)
     ctx = cfg.context(path.shifted(t_post, window), R, L0, cfg.zeta)
     payoff = []
     for b in market_sim._sale_attempts(ctx, window, substream(99, "engine-exact", i).spawn, n):
@@ -1005,8 +1006,8 @@ class TestPostingBlockSolve:
     def test_block_solve_is_compute_owt_frozen_bit_for_bit(self, seed, initial_list):
         # every posting time of the price benchmark on the seed's path:
         # the lockstep solve gives compute_owt_frozen's t_star and flag,
-        # and expected_price_curve commits it as _posting_step does; a
-        # list below p_max = 200 tells the plain payoff from the exact one
+        # and expected_price_curve commits it at least tol; a list below
+        # p_max = 200 tells the plain payoff from the exact one
         cfg = make_config(initial_list=initial_list)
         R, L0 = cfg.initial_reservation, cfg.initial_list
         path = market_sim._rate_path(cfg, max(BENCH_TIMES), seed)
@@ -1017,8 +1018,7 @@ class TestPostingBlockSolve:
                                              boundary.tolist(), points):
             res = compute_owt_frozen(cfg, rate, R, L0)
             assert (t.hex(), edge) == (res.t_star.hex(), res.boundary), t_post
-            window, _ = market_sim._posting_step(cfg, path, t_post, R, L0)
-            assert p.t_star.hex() == window.hex(), t_post
+            assert p.t_star.hex() == max(res.t_star, cfg.tol).hex(), t_post
 
     def test_a_cell_on_the_boundary_reads_t_max(self):
         # a horizon of 0.1 years: with gamma = 0 the utility still rises
@@ -1039,7 +1039,7 @@ class TestPostingBlockSolve:
 
     def test_block_and_chunk_edges_change_no_bit(self, monkeypatch):
         # blocks of 3 cells scanned 2 at a time split the 10 posting times
-        # at every kind of edge; no cell, and no posting time, solves to nothing
+        # at every kind of edge; no cell solves to nothing
         cfg = make_config()
         path = market_sim._rate_path(cfg, max(BENCH_TIMES), 5)
         cols = frozen_cells(cfg, path.rate_at(np.array(BENCH_TIMES)).tolist())
@@ -1050,7 +1050,15 @@ class TestPostingBlockSolve:
         assert [a.tobytes() for a in split] == [a.tobytes() for a in whole]
         t_star, boundary = _solve_listed(cols[:, :0], cfg.t_max, cfg.tol, False)
         assert t_star.size == boundary.size == 0
+
+    def test_no_posting_time_is_no_point(self, monkeypatch):
+        # with a path or without one, and without one no path is drawn
+        cfg = make_config()
+        path = market_sim._rate_path(cfg, max(BENCH_TIMES), 5)
         assert expected_price_curve(cfg, [], 1, 5, path=path) == []
+        monkeypatch.setattr(market_sim, "_rate_path", mock.Mock(side_effect=AssertionError))
+        assert expected_price_curve(cfg, [], 1, 5) == []
+        market_sim._rate_path.assert_not_called()
 
 
 def test_block_engine_matches_the_per_attempt_engine_in_distribution():
@@ -1065,7 +1073,8 @@ def test_block_engine_matches_the_per_attempt_engine_in_distribution():
             new = expected_price_curve(cfg, [t_post], n, seed, path=path)[0]
             # the per-attempt engine: reference_attempt in order from one
             # generator, resolved by the reference rule
-            t_star, ctx = market_sim._posting_step(cfg, path, t_post, R, L0)
+            owt_t = compute_owt_frozen(cfg, float(path.rate_at(t_post)), R, L0).t_star
+            t_star, ctx = market_sim._posting_step(cfg, path, t_post, owt_t, R, L0)
             rng = substream(seed, "per-attempt", s, int(t_post))
             old = [reference_rule(list(zip(*reference_attempt(ctx, t_star, rng))),
                                   ctx.list_at, R, t_star) for _ in range(n)]
